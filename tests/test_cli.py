@@ -6,10 +6,20 @@ import pytest
 from acdkit import cli, docfmt
 
 F = os.path.join(os.path.dirname(__file__), "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def fx(name):
     return os.path.join(F, name)
+
+
+def golden(argv, ext=".json"):
+    """Bytes of the golden output of an invocation, stored under its words
+    joined by '-', without file extensions and option dashes."""
+    words = [os.path.splitext(os.path.basename(a))[0] if a.endswith(".json")
+             else a.lstrip("-") for a in argv]
+    with open(os.path.join(GOLDEN, "-".join(words) + ext), "rb") as fh:
+        return fh.read()
 
 
 def run(tmp_path, *argv):
@@ -34,6 +44,7 @@ ALL_INVOCATIONS = [
     ("shape", fx("sixstate.json")),
     ("shape", fx("automatonA.json")),
     ("relabel", fx("automatonA.json"), "--target", "rabin"),
+    ("relabel", fx("paritygame.json"), "--target", "weak"),
     ("compress", fx("paritygame.json")),
     ("compose", fx("automatonA.json"), fx("host01.json")),
     ("solve", fx("paritygame.json")),
@@ -52,6 +63,7 @@ def test_deterministic_output(tmp_path, argv):
     assert out1 == out2
     assert out1.endswith(b"\n")
     json.loads(out1)  # well-formed
+    assert out1 == golden(argv)
 
 
 def test_document_round_trip(tmp_path):
@@ -132,10 +144,12 @@ def test_dot_outputs(tmp_path):
     assert code == 0
     text = dot.read_text()
     assert text.startswith("digraph")
+    assert dot.read_bytes() == golden(("zielonka", "f2.json"), ".dot")
     code = cli.main(["acd", fx("sixstate.json"),
                      "-o", str(tmp_path / "o.json"), "--dot", str(dot)])
     assert code == 0
     assert "cluster_t0" in dot.read_text()
+    assert dot.read_bytes() == golden(("acd", "sixstate.json"), ".dot")
 
 
 def test_solve_outputs(tmp_path):
