@@ -6,38 +6,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import loops as _loops
+from . import zielonka as _zielonka
 from .core import (InputError, ParityCondition, TransitionSystem,
                    loop_status_over)
+from .docfmt import _node_name
 
 
-class AcdTree:
-    """One tree of the decomposition: its root is a maximal loop and the
-    children of every node are the maximal subloops whose status flips."""
-
-    def __init__(self, index, ts, cond, root_loop, explore_cap=None):
-        self.index = index
-        self.label = {(): root_loop.edges}
-        self.states = {(): root_loop.states}
-        self.accepting = {(): loop_status_over(ts, cond, root_loop.edges)}
-        self.children_map = {}
-        stack = [((), root_loop)]
-        while stack:
-            node, loop = stack.pop()
-            kids = _loops.alternating_children(ts, cond, loop,
-                                               explore_cap=explore_cap)
-            ids = []
-            for i, sub in enumerate(kids):
-                child = node + (i,)
-                self.label[child] = sub.edges
-                self.states[child] = sub.states
-                self.accepting[child] = not self.accepting[node]
-                ids.append(child)
-                stack.append((child, sub))
-            self.children_map[node] = tuple(ids)
-        self.nodes = tuple(sorted(self.label))
-        self.leaves = tuple(n for n in self.nodes if not self.children_map[n])
-        self.height = 1 + max(len(n) for n in self.nodes)
-        self.even = self.accepting[()]
+def _acd_tree(index, ts, cond, top, explore_cap=None):
+    """One tree of the decomposition: its root is the maximal loop `top`
+    and the children of every node are the maximal subloops whose status
+    flips.  Adds to the tree its `index` in the forest and the `states`
+    of each node's loop."""
+    tree = _zielonka.ZielonkaTree(
+        top.edges, loop_status_over(ts, cond, top.edges),
+        lambda edges: [l.edges for l in _loops.alternating_children(
+            ts, cond, _loops.Loop.of(ts, edges), explore_cap=explore_cap)])
+    tree.index = index
+    tree.states = {n: _loops.Loop.of(ts, edges).states
+                   for n, edges in tree.label.items()}
+    return tree
 
 
 @dataclass
@@ -72,7 +59,7 @@ class ACD:
         if not maximal:
             raise InputError("system has no loop")
         self.trees = tuple(
-            AcdTree(i, ts, cond, top, explore_cap=explore_cap)
+            _acd_tree(i, ts, cond, top, explore_cap=explore_cap)
             for i, top in enumerate(maximal, start=1))
         self.t0_edges = frozenset(transient)
         covered = set()
@@ -104,12 +91,9 @@ class ACD:
         """Priority attached to a node, under the global even/odd/ambiguous
         adjustment that keeps the overall range as tight as possible."""
         if index == 0:
-            return 0 if self.tag in ("even", "ambiguous") else 1
+            return 1 if self.tag == "odd" else 0
         t = self.tree(index)
-        d = len(node)
-        if t.even:
-            return d if self.tag != "odd" else d + 2
-        return d + 1
+        return t.priority(node) + (2 if t.even and self.tag == "odd" else 0)
 
     def _build_subtree(self, v):
         i = self.vertex_index[v]
@@ -136,13 +120,7 @@ class ACD:
         Returns (tree index, node)."""
         j = self.edge_index[eid]
         if j == i and j != 0:
-            t = self.tree(i)
-            best = ()
-            for k in range(len(leaf) + 1):
-                node = leaf[:k]
-                if eid in t.label[node]:
-                    best = node
-            return (j, best)
+            return (j, _zielonka.supp(self.tree(i), leaf, eid))
         return (j, ())
 
 
@@ -158,32 +136,8 @@ def multi_supp(acd, leaf, i, eid):
     return acd.multi_supp(leaf, i, eid)
 
 
-def _node_str(node):
-    return "r" if not node else "r." + ".".join(str(i) for i in node)
-
-
 def _state_id(q, leaf):
-    return "%s|%s" % (q, _node_str(leaf))
-
-
-def _restricted_nextbranch(tree, sub, leaf, tau):
-    """Cyclic branch update inside the subtree of the target vertex.
-
-    `leaf` is the current branch (in the full tree), `tau` the support
-    node; moves to the next child of `tau` present in `sub`, then descends
-    leftmost."""
-    node_set = set(sub.nodes)
-    kids = [c for c in tree.children_map[tau] if c in node_set]
-    if not kids:
-        return tau
-    if len(leaf) > len(tau):
-        here = leaf[len(tau)]
-        after = [c for c in kids if c[-1] > here]
-        chosen = after[0] if after else kids[0]
-    else:
-        chosen = kids[0]
-    under = [b for b in sub.branches if b[:len(chosen)] == chosen]
-    return under[0]
+    return "%s|%s" % (q, _node_name(leaf))
 
 
 @dataclass
@@ -227,10 +181,11 @@ def acd_transform(ts, cond, explore_cap=None):
                 sub2 = acd.subtree_for_state(q2)
                 i2 = acd.vertex_index[q2]
                 if j == i and i != 0 and i2 == i:
-                    leaf2 = _restricted_nextbranch(acd.tree(i), sub2, leaf, tau)
+                    leaf2 = _zielonka._next_branch(
+                        acd.tree(i), leaf, tau, set(sub2.nodes), sub2.branches)
                 else:
                     leaf2 = sub2.leftmost_branch()
-                eid = "%s|%s" % (e.id, _node_str(leaf))
+                eid = "%s|%s" % (e.id, _node_name(leaf))
                 edges.append((eid, vid, _state_id(q2, leaf2)))
                 priorities[eid] = prio
                 emap[eid] = e.id
@@ -258,19 +213,12 @@ def acd_stats(acd):
     """Size and priority usage of the transformation, computed from the
     decomposition alone."""
     size = sum(len(acd.subtree_for_state(v).branches) for v in acd.ts.vertices)
-    maxh = acd.max_height
-    if acd.tag == "even":
-        interval = (0, maxh - 1)
-    elif acd.tag == "odd":
-        interval = (1, maxh)
-    else:
-        interval = (0, maxh)
     heights = tuple(t.height for t in acd.trees)
     if acd.t0_edges:
         heights = (1,) + heights
     return {
         "size": size,
-        "interval": interval,
+        "interval": _zielonka._parity_interval(acd.max_height, acd.tag),
         "tag": acd.tag,
         "tree_heights": heights,
     }

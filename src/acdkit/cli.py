@@ -134,15 +134,15 @@ def cmd_relabel(args):
     if target == "rabin":
         if not report.rabin_acd:
             raise PropertyFalse("decomposition is not Rabin-shaped")
-        new_cond = relabel.rabin_from_acd(doc.system, acd)
+        new_cond = relabel.rabin_from_acd(doc.system, acd, report)
     elif target == "streett":
         if not report.streett_acd:
             raise PropertyFalse("decomposition is not Streett-shaped")
-        new_cond = relabel.streett_from_acd(doc.system, acd)
+        new_cond = relabel.streett_from_acd(doc.system, acd, report)
     elif target in ("parity", "weak"):
         if not report.parity_acd:
             raise PropertyFalse("decomposition is not parity-shaped")
-        new_cond = relabel.parity_relabel(doc.system, acd)
+        new_cond = relabel.parity_relabel(doc.system, acd, report)
         if target == "weak":
             new_cond = relabel.compress_priorities(doc.system,
                                                    new_cond.priorities)

@@ -33,17 +33,17 @@ def parse(text):
     sysobj = obj.get("system")
     if not isinstance(sysobj, dict):
         raise InputError("missing system block")
-    try:
-        edges = [(e[0], e[1], e[2]) for e in sysobj.get("edges", [])]
-    except (TypeError, IndexError):
-        raise InputError("edges must be [id, source, target] triples") from None
+    edges = [_strings(e, "an edge")
+             for e in _list(sysobj.get("edges", []), "edges")]
+    if any(len(e) != 3 for e in edges):
+        raise InputError("edges must be [id, source, target] triples")
     system = TransitionSystem(
-        sysobj.get("vertices", []),
+        _strings(sysobj.get("vertices", []), "vertices"),
         edges,
-        sysobj.get("initial", []),
-        owners=sysobj.get("owners"),
-        letters=sysobj.get("letters"),
-        colours=sysobj.get("colours"))
+        _strings(sysobj.get("initial", []), "initial"),
+        owners=_string_map(sysobj.get("owners"), "owners"),
+        letters=_string_map(sysobj.get("letters"), "letters"),
+        colours=_string_map(sysobj.get("colours"), "colours"))
     condition = None
     if obj.get("condition") is not None:
         condition = condition_from_obj(obj["condition"])
@@ -54,9 +54,29 @@ def parse(text):
                 not isinstance(mobj.get("vertices"), dict) or \
                 not isinstance(mobj.get("edges"), dict):
             raise InputError("morphism block needs vertex and edge maps")
-        morphism = {"vertices": dict(mobj["vertices"]),
-                    "edges": dict(mobj["edges"])}
+        morphism = {"vertices": _string_map(mobj["vertices"], "vertex map"),
+                    "edges": _string_map(mobj["edges"], "edge map")}
     return Document(system, condition, morphism)
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InputError("%s must be a list" % what)
+    return value
+
+
+def _strings(value, what):
+    if not all(isinstance(x, str) for x in _list(value, what)):
+        raise InputError("%s must be a list of strings" % what)
+    return value
+
+
+def _string_map(value, what):
+    """`value` when it is absent or an object whose values are strings."""
+    if value is not None and not (isinstance(value, dict) and all(
+            isinstance(x, str) for x in value.values())):
+        raise InputError("%s must map ids to strings" % what)
+    return value
 
 
 def condition_from_obj(obj):
@@ -64,20 +84,27 @@ def condition_from_obj(obj):
         raise InputError("condition block needs a type")
     kind = obj["type"]
     if kind == "muller":
-        return MullerCondition(obj.get("family", []))
+        return MullerCondition(
+            [_strings(s, "a family set")
+             for s in _list(obj.get("family", []), "family")])
     if kind == "parity":
         prios = obj.get("priorities", {})
-        return ParityCondition({c: int(p) for c, p in prios.items()})
+        # bool is a subclass of int, and true must not read as priority 1
+        if not isinstance(prios, dict) or \
+                any(type(p) is not int for p in prios.values()):
+            raise InputError("priorities must map colours to integers")
+        return ParityCondition(prios)
     if kind == "buchi":
-        return BuchiCondition(obj.get("colours", []))
+        return BuchiCondition(_strings(obj.get("colours", []), "colours"))
     if kind == "cobuchi":
-        return CoBuchiCondition(obj.get("colours", []))
+        return CoBuchiCondition(_strings(obj.get("colours", []), "colours"))
     if kind in ("rabin", "streett"):
         pairs = []
-        for p in obj.get("pairs", []):
+        for p in _list(obj.get("pairs", []), "pairs"):
             if not isinstance(p, list) or len(p) != 2:
                 raise InputError("%s pairs must be [E, F] lists" % kind)
-            pairs.append((p[0], p[1]))
+            pairs.append((_strings(p[0], "a %s pair side" % kind),
+                          _strings(p[1], "a %s pair side" % kind)))
         cls = RabinCondition if kind == "rabin" else StreettCondition
         return cls(pairs)
     raise InputError("unknown condition type %r" % kind)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CapExceeded, InputError, loop_status_over
+from .zielonka import _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
 DEFAULT_EXPLORE_CAP = 5000
@@ -130,49 +131,30 @@ def is_loop(ts, edge_ids):
     return not transient and len(maximal) == 1 and maximal[0].edges == es
 
 
-def _status(ts, cond, loop):
-    return loop_status_over(ts, cond, loop.edges)
-
-
 def alternating_children(ts, cond, loop, explore_cap=None):
     """Inclusion-maximal subloops of `loop` whose status under `cond`
-    differs from the status of `loop` itself.
+    differs from the status of `loop` itself, in canonical order:
+    descending size, then edge-id list.
 
-    Worklist exploration: drop one edge at a time and re-split into maximal
-    subloops, descending only through loops that still share the parent's
-    status.  Any maximal flipped subloop is reached this way, because each
-    of its strict superloops inside `loop` necessarily has the parent's
-    status (a flipped one would contradict maximality).
+    Worklist exploration (`_maximal_flipped`): drop one edge at a time and
+    re-split into maximal subloops, descending only through loops that
+    still share the parent's status.  Any maximal flipped subloop is
+    reached this way, because each of its strict superloops inside `loop`
+    necessarily has the parent's status (a flipped one would contradict
+    maximality).
     """
-    cap = DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap
-    base = _status(ts, cond, loop)
-    seen = {loop.key}
-    flipped = []
-    stack = [loop]
-    while stack:
-        cur = stack.pop()
-        for eid in sorted(cur.edges, reverse=True):
-            subs, _ = sccs(ts, cur.edges - {eid})
-            for m in subs:
-                if m.key in seen:
-                    continue
-                seen.add(m.key)
-                if len(seen) > cap:
-                    raise CapExceeded(
-                        "subloop exploration exceeded cap %d" % cap)
-                if _status(ts, cond, m) != base:
-                    flipped.append(m)
-                else:
-                    stack.append(m)
-    maximal = []
-    for m in flipped:
-        if not any(m.edges < o.edges for o in flipped):
-            maximal.append(m)
-    # dedupe and order canonically: descending size, then edge-id list
-    out = {}
-    for m in maximal:
-        out[m.key] = m
-    return sorted(out.values(), key=lambda l: (-len(l.edges), l.key))
+    def shrink(edges):
+        for eid in sorted(edges, reverse=True):
+            for m in sccs(ts, edges - {eid})[0]:
+                yield m.edges
+
+    kids = _maximal_flipped(
+        loop.edges, loop_status_over(ts, cond, loop.edges), shrink,
+        lambda edges: loop_status_over(ts, cond, edges),
+        DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap,
+        "the loop on states {%s} with %d edges"
+        % (",".join(sorted(loop.states)), len(loop.edges)))
+    return [Loop.of(ts, edges) for edges in kids]
 
 
 def enumerate_reachable_loops(ts, cap=None):

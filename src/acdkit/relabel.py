@@ -40,7 +40,7 @@ def classify_acd(acd):
             kids = [c for c in t.children_map[node] if c in node_set]
             if len(kids) > 1:
                 bad.append(node)
-                if t.accepting[node]:
+                if t.accepting(node):
                     rabin = False
                 else:
                     streett = False
@@ -63,7 +63,7 @@ def _node_pairs(acd, want_accepting):
     pairs = []
     for t in acd.trees:
         for node in t.nodes:
-            if t.accepting[node] != want_accepting:
+            if t.accepting(node) != want_accepting:
                 continue
             covered = set()
             for c in t.children_map[node]:
@@ -77,29 +77,28 @@ def _node_pairs(acd, want_accepting):
     return pairs
 
 
-def rabin_from_acd(ts, acd):
+def rabin_from_acd(ts, acd, report=None):
     """One Rabin pair per accepting node: a loop is accepting exactly when
     some accepting node contains it and the loop touches the part of that
-    node's label not covered by its children."""
-    report = classify_acd(acd)
-    if not report.rabin_acd:
+    node's label not covered by its children.
+
+    `report` is `classify_acd(acd)`, when the caller has it already."""
+    if not (report or classify_acd(acd)).rabin_acd:
         raise InputError("decomposition is not Rabin-shaped")
     return RabinCondition(_node_pairs(acd, True))
 
 
-def streett_from_acd(ts, acd):
+def streett_from_acd(ts, acd, report=None):
     """Dual construction: one Streett pair per rejecting node."""
-    report = classify_acd(acd)
-    if not report.streett_acd:
+    if not (report or classify_acd(acd)).streett_acd:
         raise InputError("decomposition is not Streett-shaped")
     return StreettCondition(_node_pairs(acd, False))
 
 
-def parity_relabel(ts, acd):
+def parity_relabel(ts, acd, report=None):
     """When every subtree is a chain the transformation keeps one copy per
     vertex, so its priorities pull back to the original edges."""
-    report = classify_acd(acd)
-    if not report.parity_acd:
+    if not (report or classify_acd(acd)).parity_acd:
         raise InputError("decomposition is not parity-shaped")
     priorities = {}
     for e in ts.edges:

@@ -5,56 +5,39 @@ from __future__ import annotations
 
 from itertools import product as _iterproduct
 
-from .core import (Automaton, InputError, MullerCondition, ParityCondition,
-                   TransitionSystem)
+from .core import (Automaton, CapExceeded, InputError, MullerCondition,
+                   ParityCondition, TransitionSystem)
 
 
 class ZielonkaTree:
-    """Alternating tree of maximal status-flipping colour subsets.
+    """Alternating tree of maximal status-flipping sub-objects.
 
-    Nodes are tuples of child indices, the root being ().  Each node carries
-    a colour-set label; the root is labelled with the whole colour set and
-    the children of a node are the maximal nonempty subsets of its label
-    whose family membership differs from the node's own.
+    The Zielonka tree of a Muller condition (`build_zielonka_tree`, labels
+    are colour sets) and each tree of an alternating cycle decomposition
+    (`acdkit.acd.build_acd`, labels are the edge sets of loops) are of this
+    type: a Zielonka tree is the decomposition of a one-vertex system.
 
-    Sibling order is canonical: descending label size, then the sorted
-    colour list.  A node's priority is its depth, shifted by one when the
-    whole colour set is not in the family, so that a priority is even
-    exactly when the node's label belongs to the family.
+    Nodes are tuples of child indices, the root being ().  The root is
+    labelled `root`, whose status is `even` (True for accepting), and
+    `children(label)` gives the labels of a node's children: the maximal
+    sub-objects of its label whose status differs from the node's own, in
+    canonical order (`_maximal_flipped`).  Statuses alternate with depth,
+    so a node's priority is its depth, shifted by one under a rejecting
+    root, and is even exactly when the node is accepting.
     """
 
-    def __init__(self, family, gamma):
-        gamma = frozenset(gamma)
-        if not gamma:
-            raise InputError("colour set must be nonempty")
-        fam = set()
-        for s in family:
-            fs = frozenset(s)
-            if not fs:
-                raise InputError("empty set in Muller family")
-            if not fs <= gamma:
-                raise InputError(
-                    "family set %s not within the colour set"
-                    % "{%s}" % ",".join(sorted(fs)))
-            fam.add(fs)
-        self.gamma = gamma
-        self.family = frozenset(fam)
-        self.even = gamma in self.family
-        self.label = {(): gamma}
+    def __init__(self, root, even, children):
+        self.even = even
+        self.label = {(): root}
         self.children_map = {}
         stack = [()]
         while stack:
             node = stack.pop()
-            kids = _alternating_subsets(
-                self.label[node], self.family,
-                self.label[node] in self.family)
-            ids = []
-            for i, s in enumerate(kids):
-                child = node + (i,)
-                self.label[child] = s
-                ids.append(child)
-                stack.append(child)
-            self.children_map[node] = tuple(ids)
+            kids = children(self.label[node])
+            ids = tuple(node + (i,) for i in range(len(kids)))
+            self.label.update(zip(ids, kids))
+            self.children_map[node] = ids
+            stack.extend(ids)
         self.nodes = tuple(sorted(self.label))
         self.leaves = tuple(n for n in self.nodes if not self.children_map[n])
         self.height = 1 + max(len(n) for n in self.nodes)
@@ -65,6 +48,9 @@ class ZielonkaTree:
     def priority(self, node):
         return len(node) if self.even else len(node) + 1
 
+    def accepting(self, node):
+        return self.priority(node) % 2 == 0
+
     def branch_nodes(self, leaf):
         """The path of nodes from the root down to the given leaf."""
         return tuple(leaf[:i] for i in range(len(leaf) + 1))
@@ -73,41 +59,63 @@ class ZielonkaTree:
         return min(l for l in self.leaves if l[:len(node)] == node)
 
 
-def _alternating_subsets(label, family, base):
-    """Maximal nonempty subsets of `label` whose family membership differs
-    from `base`, in canonical order.
+def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
+    """Inclusion-maximal sub-objects of the frozenset `top` whose status
+    differs from `base`, in canonical order: descending size, then the
+    sorted member list.
 
-    Worklist over remove-one-colour steps; sets sharing the base status are
-    expanded further, flipped ones are recorded.  Every strict superset of
-    a maximal flipped set has the base status, so pruning at flipped sets
-    loses nothing.
+    Worklist over `shrink(s)`, which yields the next smaller candidates
+    below `s` (colour set minus one colour, or the maximal subloops of a
+    loop minus one edge); candidates sharing the base status are shrunk
+    further, flipped ones are recorded.  Every strict superset of a
+    maximal flipped set has the base status, so pruning at flipped sets
+    loses nothing.  Seeing more than `cap` distinct sub-objects, `top`
+    included, raises CapExceeded with a message that names `where`.
     """
-    seen = {label}
+    seen = {top}
     flipped = []
-    stack = [label]
+    stack = [top]
     while stack:
-        cur = stack.pop()
-        for c in sorted(cur):
-            sub = cur - {c}
-            if not sub or sub in seen:
+        for sub in shrink(stack.pop()):
+            if sub in seen:
                 continue
             seen.add(sub)
-            if (sub in family) != base:
+            if cap is not None and len(seen) > cap:
+                raise CapExceeded(
+                    "subloop exploration exceeded cap %d in %s: %d subloops "
+                    "seen" % (cap, where, len(seen)))
+            if status(sub) != base:
                 flipped.append(sub)
             else:
                 stack.append(sub)
     maximal = [s for s in flipped if not any(s < o for o in flipped)]
-    return sorted(set(maximal), key=lambda s: (-len(s), sorted(s)))
+    return sorted(maximal, key=lambda s: (-len(s), sorted(s)))
+
+
+def _minus_one_colour(colours):
+    return (colours - {c} for c in sorted(colours) if len(colours) > 1)
 
 
 def build_zielonka_tree(family, gamma):
-    return ZielonkaTree(family, gamma)
+    gamma = frozenset(gamma)
+    if not gamma:
+        raise InputError("colour set must be nonempty")
+    family = MullerCondition(family).family
+    for s in family:
+        if not s <= gamma:
+            raise InputError(
+                "family set %s not within the colour set"
+                % "{%s}" % ",".join(sorted(s)))
+    tree = ZielonkaTree(gamma, gamma in family, lambda s: _maximal_flipped(
+        s, s in family, _minus_one_colour, family.__contains__))
+    tree.gamma, tree.family = gamma, family
+    return tree
 
 
 def supp(tree, leaf, colour):
     """Deepest node on the branch through `leaf` whose label contains the
-    colour; the root always does."""
-    if colour not in tree.gamma:
+    colour (for a decomposition tree: the edge); the root always does."""
+    if colour not in tree.label[()]:
         raise InputError("unknown colour %r" % colour)
     best = ()
     for node in tree.branch_nodes(leaf):
@@ -116,15 +124,30 @@ def supp(tree, leaf, colour):
     return best
 
 
+def _next_branch(tree, leaf, node, nodes, branches):
+    """Cyclic branch update inside the restriction of `tree` to `nodes`,
+    whose leaves are `branches`: from the branch `leaf`, move to the next
+    child of `node` kept in `nodes`, then descend leftmost.  `node` itself
+    when it keeps no child."""
+    kids = [c for c in tree.children_map[node] if c in nodes]
+    if not kids:
+        return node
+    here = leaf[len(node)] if len(leaf) > len(node) else -1
+    chosen = next((c for c in kids if c[-1] > here), kids[0])
+    return next(b for b in branches if b[:len(chosen)] == chosen)
+
+
 def nextbranch(tree, leaf, node):
     """The branch reached from `leaf` by moving to the cyclically next
-    child of `node`; `leaf` itself when `node` is a leaf."""
-    kids = tree.children_map[node]
-    if not kids:
-        return leaf
-    here = leaf[len(node)]
-    nxt = node + ((here + 1) % len(kids),)
-    return tree.leftmost_leaf(nxt)
+    child of `node` on its branch; `node` itself when it is a leaf."""
+    return _next_branch(tree, leaf, node, tree.label, tree.leaves)
+
+
+def _parity_interval(height, tag):
+    """Priorities used by alternating trees of the given height whose
+    tallest roots are accepting ("even"), rejecting ("odd") or both
+    ("ambiguous")."""
+    return (1 if tag == "odd" else 0, height - 1 if tag == "even" else height)
 
 
 class ZTAutomaton:
@@ -173,8 +196,8 @@ def build_zt_automaton(tree):
         sorted(states.values()), edges,
         [states[tree.leftmost_leaf()]], letters=letters)
     aut = Automaton(ts, ParityCondition(priorities))
-    interval = (0, tree.height - 1) if tree.even else (1, tree.height)
-    return ZTAutomaton(aut, tree, {v: k for k, v in states.items()}, interval)
+    return ZTAutomaton(aut, tree, {v: k for k, v in states.items()},
+                       optimal_parity_interval(tree))
 
 
 def shape(tree):
@@ -185,7 +208,7 @@ def shape(tree):
     streett = True
     for node in tree.nodes:
         if len(tree.children_map[node]) > 1:
-            if tree.priority(node) % 2 == 0:
+            if tree.accepting(node):
                 rabin = False
             else:
                 streett = False
@@ -193,7 +216,7 @@ def shape(tree):
 
 
 def optimal_parity_interval(tree):
-    return (0, tree.height - 1) if tree.even else (1, tree.height)
+    return _parity_interval(tree.height, "even" if tree.even else "odd")
 
 
 def closure_oracle(family, gamma):

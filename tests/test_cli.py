@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,12 +118,55 @@ def test_exit_code_property_false(tmp_path):
     assert json.loads(out) == {"equivalent": False}
 
 
-def test_exit_code_cap_exceeded(tmp_path):
+def test_exit_code_cap_exceeded(tmp_path, capsys):
     code, _ = run(tmp_path, "oracle-equiv", fx("sixstate.json"),
                   fx("sixstate.json"), "--loop-cap", "2")
     assert code == 3
+    capsys.readouterr()
     code, _ = run(tmp_path, "acd", fx("sixstate.json"), "--explore-cap", "1")
     assert code == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: subloop exploration exceeded cap 1 in the loop on "
+        "states {q1,q2} with 3 edges: 2 subloops seen\n")
+
+
+MALFORMED = [
+    pytest.param("condition",
+                 {"type": "parity", "priorities": {"a": "x", "b": 0}},
+                 id="priority-string"),
+    pytest.param("condition", {"type": "parity", "priorities": [1]},
+                 id="priorities-list"),
+    pytest.param("condition", {"type": "muller", "family": [[["a"]]]},
+                 id="family-set-of-lists"),
+    pytest.param("condition",
+                 {"type": "parity", "priorities": {"a": 1.9, "b": True}},
+                 id="priority-float-and-bool"),
+    pytest.param("condition", {"type": "muller", "family": ["ab"]},
+                 id="family-set-string"),
+    pytest.param("edges", [["a", "q", "q"], "bqq"], id="edge-string"),
+    pytest.param("vertices", "q", id="vertices-string"),
+]
+
+
+@pytest.mark.parametrize("key,value", MALFORMED)
+def test_malformed_field_types(tmp_path, key, value):
+    """A field of the wrong JSON type is an input error, never a traceback
+    and never a value read with another meaning."""
+    doc = {"format": "acdkit/1",
+           "system": {"vertices": ["q"], "initial": ["q"],
+                      "edges": [["a", "q", "q"], ["b", "q", "q"]]},
+           "condition": {"type": "muller", "family": [["a"]]}}
+    (doc if key == "condition" else doc["system"])[key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acdkit.cli", "stats", str(path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cap_env_vars(tmp_path, monkeypatch):
