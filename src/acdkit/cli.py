@@ -8,7 +8,8 @@ import sys
 
 from . import acd as _acd
 from . import docfmt, games, relabel, zielonka
-from .core import Automaton, CapExceeded, InputError, compose, equivalent_over
+from .core import (Automaton, CapExceeded, InputError, _reading, compose,
+                   equivalent_over)
 from .morphism import (Morphism, check_acceptance_preserving, check_local,
                        check_structural)
 
@@ -56,7 +57,7 @@ def _require_condition(doc, kinds=None):
 
 def _build_tree(doc):
     cond = _require_condition(doc, ("muller",))
-    gamma = doc.system.colour_set()
+    _, gamma = _reading(doc.system, cond)
     return zielonka.build_zielonka_tree(cond.family, gamma)
 
 
@@ -120,8 +121,7 @@ def cmd_shape(args):
     if cond.kind == "muller":
         tree = _build_tree(doc)
         obj["condition_shape"] = zielonka.shape(tree)
-        obj["closure"] = zielonka.closure_oracle(cond.family,
-                                                 doc.system.colour_set())
+        obj["closure"] = zielonka.closure_oracle(cond.family, tree.gamma)
     _write(args, docfmt.dumps(obj))
 
 

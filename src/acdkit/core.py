@@ -258,32 +258,38 @@ def loop_status(cond, colours):
     return cond.accepts(colours)
 
 
-def loop_status_over(ts, cond, edge_ids):
-    """Status of the loop given by `edge_ids` within `ts`.
+def _reading(ts, cond):
+    """How `cond` reads the loops of `ts`: the key of each edge and the
+    universe of keys.
 
     Conditions are normally expressed over the system's colours, but the
     relabelling machinery produces conditions keyed directly by edge ids;
     both views are supported, colours taking precedence.
     """
-    edge_ids = frozenset(edge_ids)
-    if not edge_ids:
-        raise InputError("loop edge set must be nonempty")
-    cols = ts.colours_of(edge_ids)
     all_cols = ts.colour_set()
     eids = frozenset(e.id for e in ts.edges)
     if cond.kind == "parity":
         keys = frozenset(cond.priorities)
-        if all_cols <= keys:
-            return cond.accepts(cols)
-        if eids <= keys:
-            return cond.accepts(edge_ids)
-        raise InputError("parity condition does not cover the system's colours")
-    refs = cond.referenced_colours()
-    if refs <= all_cols:
-        return cond.accepts(cols)
-    if refs <= eids:
-        return cond.accepts(edge_ids)
-    raise InputError("condition references colours outside the system")
+        fits = keys.issuperset
+        missing = "parity condition does not cover the system's colours"
+    else:
+        fits = cond.referenced_colours().issubset
+        missing = "condition references colours outside the system"
+    if fits(all_cols):
+        return ts.colour, all_cols
+    if fits(eids):
+        return (lambda eid: ts.edge(eid).id), eids
+    raise InputError(missing)
+
+
+def loop_status_over(ts, cond, edge_ids):
+    """Status of the loop given by `edge_ids` within `ts`, read through
+    `_reading`."""
+    edge_ids = frozenset(edge_ids)
+    if not edge_ids:
+        raise InputError("loop edge set must be nonempty")
+    key, _ = _reading(ts, cond)
+    return cond.accepts(frozenset(map(key, edge_ids)))
 
 
 def validate(ts, cond=None):

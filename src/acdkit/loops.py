@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, InputError, loop_status_over
-from .zielonka import _maximal_flipped
+from .core import CapExceeded, InputError, _reading, loop_status_over
+from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
 DEFAULT_EXPLORE_CAP = 5000
@@ -136,16 +136,22 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     differs from the status of `loop` itself, in canonical order:
     descending size, then edge-id list.
 
-    Worklist exploration (`_maximal_flipped`): drop one edge at a time and
-    re-split into maximal subloops, descending only through loops that
-    still share the parent's status.  Any maximal flipped subloop is
-    reached this way, because each of its strict superloops inside `loop`
-    necessarily has the parent's status (a flipped one would contradict
-    maximality).
+    Worklist exploration (`_maximal_flipped`) guided by the Zielonka tree
+    of `cond`: below a subloop with colour set C, take each child K of C
+    in that tree (a maximal subset of C whose status differs,
+    `_flipped_colour_sets`), restrict the subloop to the edges coloured
+    in K and split the restriction into maximal subloops.  Every flipped
+    subloop has its colours inside some K, so it lies inside one of these
+    strictly smaller subloops; the walk descends only through subloops
+    that still share the parent's status.  Colours are read as
+    `loop_status_over` reads them (`core._reading`).
     """
+    key, _ = _reading(ts, cond)
+    read = _children_read(cond)
+
     def shrink(edges):
-        for eid in sorted(edges, reverse=True):
-            for m in sccs(ts, edges - {eid})[0]:
+        for kept in read(frozenset(map(key, edges))):
+            for m in sccs(ts, [e for e in edges if key(e) in kept])[0]:
                 yield m.edges
 
     kids = _maximal_flipped(

@@ -3,6 +3,7 @@ from the branches of the tree."""
 
 from __future__ import annotations
 
+import functools
 from itertools import product as _iterproduct
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
@@ -61,16 +62,18 @@ class ZielonkaTree:
 
 def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
     """Inclusion-maximal sub-objects of the frozenset `top` whose status
-    differs from `base`, in canonical order: descending size, then the
-    sorted member list.
+    differs from `base`, in canonical order (`_canonical_maximal`).
 
-    Worklist over `shrink(s)`, which yields the next smaller candidates
-    below `s` (colour set minus one colour, or the maximal subloops of a
-    loop minus one edge); candidates sharing the base status are shrunk
-    further, flipped ones are recorded.  Every strict superset of a
-    maximal flipped set has the base status, so pruning at flipped sets
-    loses nothing.  Seeing more than `cap` distinct sub-objects, `top`
-    included, raises CapExceeded with a message that names `where`.
+    Worklist over `shrink(s)`, which yields strictly smaller candidates
+    below `s`: for a colour set, the set minus one colour; for a loop, the
+    maximal subloops inside each Zielonka-tree child of its colour set
+    (`acdkit.loops.alternating_children`).  Candidates sharing the base
+    status are shrunk further, flipped ones are recorded.  The step must
+    put every flipped sub-object of `s` inside some candidate; then every
+    flipped sub-object of `top` ends up inside a recorded one, and the
+    maximal recorded ones are the answer.  Seeing more than `cap` distinct
+    sub-objects, `top` included, raises CapExceeded with a message that
+    names `where`.
     """
     seen = {top}
     flipped = []
@@ -88,7 +91,14 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
                 flipped.append(sub)
             else:
                 stack.append(sub)
-    maximal = [s for s in flipped if not any(s < o for o in flipped)]
+    return _canonical_maximal(flipped)
+
+
+def _canonical_maximal(sets):
+    """The inclusion-maximal members of `sets`, without repeats, by
+    descending size, then the sorted member list."""
+    sets = set(sets)
+    maximal = [s for s in sets if not any(s < o for o in sets)]
     return sorted(maximal, key=lambda s: (-len(s), sorted(s)))
 
 
@@ -96,19 +106,75 @@ def _minus_one_colour(colours):
     return (colours - {c} for c in sorted(colours) if len(colours) > 1)
 
 
+def _flipped_colour_sets(cond, colours):
+    """The children of the colour set `colours` in the Zielonka tree of
+    `cond`: its maximal subsets whose status differs, in canonical order.
+
+    One direct read per condition kind, none of which searches all
+    subsets of `colours`:
+
+    - Muller: under a rejecting set, the maximal family members inside
+      it; under an accepting one, the one-colour-removal search, which
+      only walks family members.
+    - parity: drop the colours below the least priority of the other
+      parity.
+    - Büchi, co-Büchi: the set minus the Büchi colours.
+    - Rabin, Streett (the complement of Rabin on the same pairs, hence
+      the same children): under a Rabin-rejecting set, the maximal
+      `colours - F_i` that still meet `E_i`; under a Rabin-accepting one,
+      remove `E_i` for every accepting pair until no pair accepts.
+    """
+    kind = cond.kind
+    if kind == "muller":
+        family = cond.family
+        if colours in family:
+            return _maximal_flipped(colours, True, _minus_one_colour,
+                                    family.__contains__)
+        kids = [s for s in family if s <= colours]
+    elif kind == "parity":
+        prio = cond.priorities
+        least = min(prio[c] for c in colours)
+        other = [prio[c] for c in colours if (prio[c] - least) % 2]
+        kids = [frozenset(c for c in colours if prio[c] >= min(other))] \
+            if other else []
+    elif kind in ("buchi", "cobuchi"):
+        kids = [colours - cond.colours] if colours & cond.colours else []
+    else:
+        pairs = cond.pairs
+        if any(colours & e and not colours & f for e, f in pairs):
+            rest, hit = colours, True
+            while hit:
+                hit = [e for e, f in pairs if rest & e and not rest & f]
+                rest = rest.difference(*hit)
+            kids = [rest]
+        else:
+            kids = [colours - f for e, f in pairs if (colours - f) & e]
+    return _canonical_maximal(k for k in kids if k)
+
+
+def _children_read(cond):
+    """`_flipped_colour_sets` of `cond`, memoised for as long as the
+    caller keeps it: one tree or one node's subloop search."""
+    return functools.cache(functools.partial(_flipped_colour_sets, cond))
+
+
+def _zielonka_tree(cond, gamma):
+    """Zielonka tree of any condition over the colour set `gamma`."""
+    return ZielonkaTree(gamma, cond.accepts(gamma), _children_read(cond))
+
+
 def build_zielonka_tree(family, gamma):
     gamma = frozenset(gamma)
     if not gamma:
         raise InputError("colour set must be nonempty")
-    family = MullerCondition(family).family
-    for s in family:
+    cond = MullerCondition(family)
+    for s in cond.family:
         if not s <= gamma:
             raise InputError(
                 "family set %s not within the colour set"
                 % "{%s}" % ",".join(sorted(s)))
-    tree = ZielonkaTree(gamma, gamma in family, lambda s: _maximal_flipped(
-        s, s in family, _minus_one_colour, family.__contains__))
-    tree.gamma, tree.family = gamma, family
+    tree = _zielonka_tree(cond, gamma)
+    tree.gamma, tree.family = gamma, cond.family
     return tree
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from acdkit import MullerCondition, TransitionSystem
+from acdkit import (BuchiCondition, CoBuchiCondition, MullerCondition,
+                    ParityCondition, RabinCondition, StreettCondition,
+                    TransitionSystem)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,3 +87,38 @@ def random_sparse_muller_system(rng, max_vertices=6, max_edges=10,
         size = rng.randint(1, len(eids))
         family.append(set(rng.sample(eids, size)))
     return ts, MullerCondition(family)
+
+
+CONDITION_KINDS = ("muller", "parity", "buchi", "cobuchi", "rabin",
+                   "streett")
+
+
+def random_condition(rng, kind, colours):
+    """A random condition of the given kind over the given colours.  A
+    Muller family samples the whole powerset of up to five colours, and
+    holds a handful of random sets over more."""
+    colours = sorted(colours)
+
+    def subset():
+        return {c for c in colours if rng.random() < 0.4}
+    if kind == "muller":
+        if len(colours) <= 5:
+            return MullerCondition(random_family(rng, colours))
+        return MullerCondition(
+            rng.sample(colours, rng.randint(1, len(colours)))
+            for _ in range(rng.randint(1, 6)))
+    if kind == "parity":
+        return ParityCondition({c: rng.randint(0, 4) for c in colours})
+    if kind == "buchi":
+        return BuchiCondition(subset())
+    if kind == "cobuchi":
+        return CoBuchiCondition(subset())
+    pairs = [(subset(), subset()) for _ in range(rng.randint(1, 3))]
+    return (RabinCondition if kind == "rabin" else StreettCondition)(pairs)
+
+
+def recoloured(rng, ts, palette):
+    """`ts` with each edge coloured from the palette at random."""
+    return TransitionSystem(
+        ts.vertices, ts.edges, ts.initial,
+        colours={e.id: rng.choice(palette) for e in ts.edges})

@@ -130,6 +130,30 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
         "states {q1,q2} with 3 edges: 2 subloops seen\n")
 
 
+def test_zielonka_reads_the_condition_as_the_acd_does(tmp_path):
+    # a Muller family keyed by edge ids on a system with explicit colours
+    # (as relabel writes it): the Zielonka tree ranges over the edge ids,
+    # the way the decomposition reads the same document
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "format": "acdkit/1",
+        "system": {"vertices": ["p"], "initial": ["p"],
+                   "edges": [["x", "p", "p"], ["y", "p", "p"]],
+                   "colours": {"x": "c", "y": "c"}},
+        "condition": {"type": "muller", "family": [["x"]]}}))
+    code, out = run(tmp_path, "zielonka", str(doc))
+    assert code == 0
+    labels = [n["label"] for n in json.loads(out)["nodes"]]
+    code, out = run(tmp_path, "acd", str(doc))
+    assert code == 0
+    assert [n["edges"] for n in json.loads(out)["trees"][0]["nodes"]] == \
+        labels == [["x", "y"], ["x"]]
+    code, out = run(tmp_path, "shape", str(doc))
+    assert code == 0
+    assert json.loads(out)["closure"] == {"union_closed": True,
+                                          "intersection_closed": True}
+
+
 MALFORMED = [
     pytest.param("condition",
                  {"type": "parity", "priorities": {"a": "x", "b": 0}},

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from acdkit import (Automaton, BuchiCondition, CapExceeded, Loop,
                     MullerCondition, TransitionSystem, accessible_x_scc,
-                    alternating_children, build_zielonka_tree,
-                    build_zt_automaton, enumerate_reachable_loops, is_loop,
-                    loop_status_over, sccs)
-from conftest import random_muller_system
+                    alternating_children, build_acd, build_zielonka_tree,
+                    build_zt_automaton, classify_acd,
+                    enumerate_reachable_loops, is_loop, loop_status_over,
+                    parity_relabel, rabin_from_acd, sccs, streett_from_acd)
+from acdkit.core import _reading
+from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
+                      random_system, recoloured)
 from oracles import naive_loops, naive_maximal_flipped
 
 
@@ -101,20 +104,82 @@ def test_enumerate_matches_naive_oracle():
             set(naive_loops(ts))
 
 
+def _check_against_naive(ts, cond, top):
+    def status(edges):
+        return loop_status_over(ts, cond, edges)
+    got = {l.edges for l in alternating_children(ts, cond, top)}
+    assert got == set(naive_maximal_flipped(ts, status, top.edges))
+
+
 def test_alternating_children_matches_naive_oracle():
+    # Muller conditions over the default edge-id colours, then every
+    # condition kind over the edge ids and over a few explicit colours
     rng = random.Random(11)
     checked = 0
     for _ in range(40):
         ts, cond = random_muller_system(rng, max_vertices=4, max_edges=7)
-        maximal, _ = sccs(ts)
-        for top in maximal:
-            def status(edges):
-                return loop_status_over(ts, cond, edges)
-            got = {l.edges for l in alternating_children(ts, cond, top)}
-            want = set(naive_maximal_flipped(ts, status, top.edges))
-            assert got == want
+        for top in sccs(ts)[0]:
+            _check_against_naive(ts, cond, top)
             checked += 1
     assert checked > 20
+    for kind in CONDITION_KINDS:
+        checked = 0
+        for i in range(24):
+            ts = random_system(rng, max_vertices=4, max_edges=7 + i % 6)
+            while len(ts.edges) < 6:
+                ts = random_system(rng, max_vertices=4, max_edges=7 + i % 6)
+            if i % 2:
+                ts = recoloured(rng, ts, "abcd"[:2 + i % 3])
+            cond = random_condition(rng, kind, ts.colour_set())
+            for tree in build_acd(ts, cond).trees:
+                for node in tree.nodes:
+                    _check_against_naive(ts, cond,
+                                         Loop.of(ts, tree.label[node]))
+                    checked += 1
+        assert checked > 40, kind
+
+
+def test_edge_keyed_condition_on_coloured_system():
+    # rabin_from_acd, streett_from_acd and parity_relabel key their
+    # conditions by edge id; on a system with explicit colours the
+    # decomposition must descend through the same reading as the status
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(60):
+        ts = recoloured(rng, random_system(rng, max_vertices=4, max_edges=9),
+                        "abc")
+        acd = build_acd(ts, random_condition(rng, "muller", ts.colour_set()))
+        report = classify_acd(acd)
+        relabelled = []
+        if report.rabin_acd:
+            relabelled.append(rabin_from_acd(ts, acd, report))
+        if report.streett_acd:
+            relabelled.append(streett_from_acd(ts, acd, report))
+        if report.parity_acd:
+            relabelled.append(parity_relabel(ts, acd, report))
+        for cond in relabelled:
+            _, universe = _reading(ts, cond)
+            if universe != {e.id for e in ts.edges}:
+                continue
+            kinds.add(cond.kind)
+            for tree in build_acd(ts, cond).trees:
+                for node in tree.nodes:
+                    _check_against_naive(ts, cond,
+                                         Loop.of(ts, tree.label[node]))
+    assert kinds == {"rabin", "streett", "parity"}
+
+
+def test_thirteen_self_loops_within_explore_cap():
+    # 13 self-loops under Muller [{e00}]: the only flipped subloop, {e00},
+    # must be found within the default explore cap (a search that drops
+    # one edge at a time sees more than 5000 subloops here).  A Zielonka
+    # tree is the decomposition of a one-vertex system: the trees agree
+    eids = ["e%02d" % i for i in range(13)]
+    ts = TransitionSystem(["p"], [(e, "p", "p") for e in eids], ["p"])
+    acd = build_acd(ts, MullerCondition([{"e00"}]))
+    zt = build_zielonka_tree([{"e00"}], eids)
+    assert [tree.label for tree in acd.trees] == [zt.label]
+    assert zt.label == {(): frozenset(eids), (0,): frozenset({"e00"})}
 
 
 def test_children_are_strict_subloops(sixstate):

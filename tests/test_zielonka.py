@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acdkit import (InputError, TransitionSystem, build_zielonka_tree,
-                    build_zt_automaton, closure_oracle,
+from acdkit import (InputError, TransitionSystem, ZielonkaTree, build_acd,
+                    build_zielonka_tree, build_zt_automaton, closure_oracle,
                     enumerate_reachable_loops, min_parity_automaton_size,
                     min_parity_priority_count, nextbranch,
                     optimal_parity_interval, shape, supp)
-from conftest import random_family
+from acdkit.zielonka import (_flipped_colour_sets, _maximal_flipped,
+                             _minus_one_colour, _zielonka_tree)
+from conftest import CONDITION_KINDS, random_condition, random_family
 from oracles import simulate_zt_output
 
 F1 = [{"a"}, {"b"}]
@@ -214,3 +218,36 @@ def test_min_priority_count_two_colours():
         t = build_zielonka_tree(fam, {"a", "b"})
         lo, hi = optimal_parity_interval(t)
         assert min_parity_priority_count(fam, {"a", "b"}) == hi - lo + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONDITION_KINDS), st.integers(1, 6),
+       st.randoms(use_true_random=False), st.data())
+def test_direct_children_read_matches_search(kind, n, rng, data):
+    # each kind's direct read of a colour set's Zielonka-tree children
+    # equals the one-colour-removal search over the status function
+    gamma = "abcdef"[:n]
+    cond = random_condition(rng, kind, gamma)
+    colours = frozenset(data.draw(st.sets(st.sampled_from(gamma),
+                                          min_size=1)))
+    assert _flipped_colour_sets(cond, colours) == _maximal_flipped(
+        colours, cond.accepts(colours), _minus_one_colour, cond.accepts)
+
+
+def test_one_vertex_decomposition_is_the_zielonka_tree():
+    # one self-loop per colour: the decomposition of the system, the
+    # Zielonka tree read directly from the condition and the one grown by
+    # one-colour removal have the same labels
+    rng = random.Random(23)
+    for kind in CONDITION_KINDS:
+        for _ in range(15):
+            gamma = frozenset("abcde"[:rng.randint(1, 5)])
+            cond = random_condition(rng, kind, gamma)
+            ts = TransitionSystem(["p"], [(c, "p", "p") for c in gamma],
+                                  ["p"])
+            zt = ZielonkaTree(gamma, cond.accepts(gamma), lambda s: (
+                _maximal_flipped(s, cond.accepts(s), _minus_one_colour,
+                                 cond.accepts)))
+            assert [t.label for t in build_acd(ts, cond).trees] == \
+                [zt.label]
+            assert _zielonka_tree(cond, gamma).label == zt.label
