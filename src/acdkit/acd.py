@@ -7,20 +7,16 @@ from dataclasses import dataclass
 
 from . import loops as _loops
 from . import zielonka as _zielonka
-from .core import (InputError, ParityCondition, TransitionSystem,
-                   loop_status_over)
+from .core import InputError, ParityCondition, TransitionSystem
 from .docfmt import _node_name
 
 
-def _acd_tree(index, ts, cond, top, explore_cap=None):
+def _acd_tree(index, ts, side, top, explore_cap=None):
     """One tree of the decomposition: its root is the maximal loop `top`
     and the children of every node are the maximal subloops whose status
-    flips.  Adds to the tree its `index` in the forest and the `states`
-    of each node's loop."""
-    tree = _zielonka.ZielonkaTree(
-        top.edges, loop_status_over(ts, cond, top.edges),
-        lambda edges: [l.edges for l in _loops.alternating_children(
-            ts, cond, _loops.Loop.of(ts, edges), explore_cap=explore_cap)])
+    flips under the reading `side` (`loops._side`).  Adds to the tree its
+    `index` in the forest and the `states` of each node's loop."""
+    tree = _loops._decomposition_tree(ts, side, top.edges, explore_cap)
     tree.index = index
     tree.states = {n: _loops.Loop.of(ts, edges).states
                    for n, edges in tree.label.items()}
@@ -58,8 +54,9 @@ class ACD:
         maximal, transient = _loops.sccs(ts)
         if not maximal:
             raise InputError("system has no loop")
+        side = _loops._side(ts, cond)
         self.trees = tuple(
-            _acd_tree(i, ts, cond, top, explore_cap=explore_cap)
+            _acd_tree(i, ts, side, top, explore_cap=explore_cap)
             for i, top in enumerate(maximal, start=1))
         self.t0_edges = frozenset(transient)
         covered = set()

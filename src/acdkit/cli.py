@@ -186,7 +186,8 @@ def cmd_check_morphism(args):
     preserving = False
     if ok:
         local = check_local(m)
-        preserving = check_acceptance_preserving(m, loop_cap=args.loop_cap)
+        preserving = check_acceptance_preserving(
+            m, loop_cap=args.loop_cap, explore_cap=args.explore_cap)
     obj = {
         "structural": ok,
         "problems": problems,
@@ -235,7 +236,8 @@ def cmd_oracle_equiv(args):
         raise InputError("the two documents describe different systems")
     cond1 = _require_condition(doc1)
     cond2 = _require_condition(doc2)
-    eq = equivalent_over(doc1.system, cond1, cond2, loop_cap=args.loop_cap)
+    eq = equivalent_over(doc1.system, cond1, cond2, loop_cap=args.loop_cap,
+                         explore_cap=args.explore_cap)
     _write(args, docfmt.dumps({"equivalent": eq}))
     if not eq:
         raise PropertyFalse("conditions are not equivalent over the system")
@@ -265,7 +267,9 @@ def build_parser():
         p.add_argument("-o", "--output", help="write the result here "
                        "instead of stdout")
         p.add_argument("--loop-cap", type=int, default=None,
-                       help="largest SCC edge count for loop enumeration")
+                       help="largest reachable SCC edge count that "
+                       "oracle-equiv and check-morphism accept (default: "
+                       "no limit)")
         p.add_argument("--explore-cap", type=int, default=None,
                        help="cap on subloop exploration")
         return p
@@ -307,7 +311,8 @@ def build_parser():
     p = add("solve", cmd_solve, help="solve a parity or Muller game")
     p.add_argument("file")
     p = add("oracle-equiv", cmd_oracle_equiv,
-            help="loop-by-loop equivalence of two conditions")
+            help="equivalence of two conditions on every reachable loop, "
+                 "by comparing their decompositions")
     p.add_argument("file")
     p.add_argument("other")
     return parser

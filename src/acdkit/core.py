@@ -329,15 +329,22 @@ def to_explicit_muller(ts, cond, loop_cap=None):
     return MullerCondition(family)
 
 
-def equivalent_over(ts, cond1, cond2, loop_cap=None):
+def equivalent_over(ts, cond1, cond2, loop_cap=None, explore_cap=None):
     """True iff every reachable loop of `ts` has the same status under both
-    conditions."""
+    conditions.
+
+    Decided on the alternating cycle decomposition, not loop by loop: a
+    loop's status is the status of any deepest node of the labelled ACD
+    whose loop contains it, so two conditions agree on every reachable
+    loop exactly when the labelled ACDs of the reachable part are equal
+    (`loops._same_decomposition`).  `loop_cap`, when set, refuses a
+    reachable SCC of more edges; `explore_cap` bounds each node's subloop
+    search as in `build_acd`.
+    """
     from . import loops as _loops
-    for l in _loops.enumerate_reachable_loops(ts, cap=loop_cap):
-        if loop_status_over(ts, cond1, l.edges) != \
-                loop_status_over(ts, cond2, l.edges):
-            return False
-    return True
+    return _loops._same_decomposition(
+        ts, _loops._side(ts, cond1), _loops._side(ts, cond2),
+        loop_cap=loop_cap, explore_cap=explore_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Loop algebra: strongly connected components, the loop predicate,
-maximal alternating subloops and a loop enumeration oracle."""
+maximal alternating subloops, the comparison of two decompositions and a
+loop enumeration oracle."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, InputError, _reading, loop_status_over
-from .zielonka import _children_read, _maximal_flipped
+from .core import CapExceeded, InputError, _reading
+from .zielonka import ZielonkaTree, _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
 DEFAULT_EXPLORE_CAP = 5000
@@ -131,36 +132,97 @@ def is_loop(ts, edge_ids):
     return not transient and len(maximal) == 1 and maximal[0].edges == es
 
 
+def _side(ts, cond):
+    """How the decomposition reads `cond` on `ts`: the key of each edge
+    (`core._reading`), the Zielonka-tree children read of key sets
+    (`_children_read`) and the status of a key set."""
+    key, _ = _reading(ts, cond)
+    return key, _children_read(cond), cond.accepts
+
+
+def _flipped_subloops(ts, side, edges, explore_cap=None):
+    """Inclusion-maximal subloops of the loop `edges` whose status differs
+    from its own, in canonical order: descending size, then edge-id list.
+    `side` is a reading (`_side`): a loop's status is `status` of the set
+    of its edges' keys.
+
+    Worklist exploration (`_maximal_flipped`) guided by the Zielonka tree
+    that `read` gives: below a subloop with key set C, take each child K
+    of C in that tree (a maximal subset of C whose status differs),
+    restrict the subloop to the edges keyed in K and split the
+    restriction into maximal subloops.  Every flipped subloop has its keys
+    inside some K, so it lies inside one of these strictly smaller
+    subloops; the walk descends only through subloops that still share the
+    parent's status.
+    """
+    key, read, status = side
+
+    def keys(es):
+        return frozenset(map(key, es))
+
+    def shrink(sub):
+        for kept in read(keys(sub)):
+            for m in sccs(ts, [e for e in sub if key(e) in kept])[0]:
+                yield m.edges
+
+    return _maximal_flipped(
+        edges, status(keys(edges)), shrink, lambda es: status(keys(es)),
+        DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap,
+        "the loop on states {%s} with %d edges"
+        % (",".join(sorted(Loop.of(ts, edges).states)), len(edges)))
+
+
+def _decomposition_tree(ts, side, top, explore_cap=None):
+    """The alternating tree of the loop `top` read through `side`
+    (`_side`): children are `_flipped_subloops`, one reading and one
+    children memo for the whole tree."""
+    key, _, status = side
+    return ZielonkaTree(
+        top, status(frozenset(map(key, top))),
+        lambda edges: _flipped_subloops(ts, side, edges, explore_cap))
+
+
 def alternating_children(ts, cond, loop, explore_cap=None):
     """Inclusion-maximal subloops of `loop` whose status under `cond`
     differs from the status of `loop` itself, in canonical order:
-    descending size, then edge-id list.
-
-    Worklist exploration (`_maximal_flipped`) guided by the Zielonka tree
-    of `cond`: below a subloop with colour set C, take each child K of C
-    in that tree (a maximal subset of C whose status differs,
-    `_flipped_colour_sets`), restrict the subloop to the edges coloured
-    in K and split the restriction into maximal subloops.  Every flipped
-    subloop has its colours inside some K, so it lies inside one of these
-    strictly smaller subloops; the walk descends only through subloops
-    that still share the parent's status.  Colours are read as
-    `loop_status_over` reads them (`core._reading`).
+    descending size, then edge-id list (`_flipped_subloops`, guided by the
+    Zielonka tree of `cond`).  Colours are read as `loop_status_over`
+    reads them (`core._reading`).
     """
-    key, _ = _reading(ts, cond)
-    read = _children_read(cond)
-
-    def shrink(edges):
-        for kept in read(frozenset(map(key, edges))):
-            for m in sccs(ts, [e for e in edges if key(e) in kept])[0]:
-                yield m.edges
-
-    kids = _maximal_flipped(
-        loop.edges, loop_status_over(ts, cond, loop.edges), shrink,
-        lambda edges: loop_status_over(ts, cond, edges),
-        DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap,
-        "the loop on states {%s} with %d edges"
-        % (",".join(sorted(loop.states)), len(loop.edges)))
+    kids = _flipped_subloops(ts, _side(ts, cond), loop.edges, explore_cap)
     return [Loop.of(ts, edges) for edges in kids]
+
+
+def _reachable_maximal(ts, cap=None):
+    """The maximal loops of the part of `ts` reachable from the initial
+    vertices.  With a `cap`, one with more than `cap` edges raises
+    CapExceeded."""
+    reach = ts.reachable_vertices()
+    maximal, _ = sccs(ts, [e.id for e in ts.edges
+                           if e.source in reach and e.target in reach])
+    for top in maximal:
+        if cap is not None and len(top.edges) > cap:
+            raise CapExceeded(
+                "SCC %s has %d edges, above the loop cap %d"
+                % ("{%s}" % ",".join(sorted(top.states)), len(top.edges), cap))
+    return maximal
+
+
+def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
+    """True iff the two readings (`_side`) give every reachable maximal
+    loop of `ts` the same labelled decomposition tree.
+
+    A loop's status is the status of any deepest tree node whose label
+    contains it, so the labelled trees fix the status of every reachable
+    loop and are fixed by it: equal trees mean equal statuses.  With a
+    `loop_cap`, a reachable SCC of more edges raises CapExceeded.
+    """
+    for top in _reachable_maximal(ts, loop_cap):
+        t1 = _decomposition_tree(ts, side1, top.edges, explore_cap)
+        t2 = _decomposition_tree(ts, side2, top.edges, explore_cap)
+        if t1.even != t2.even or t1.label != t2.label:
+            return False
+    return True
 
 
 def enumerate_reachable_loops(ts, cap=None):
@@ -170,17 +232,9 @@ def enumerate_reachable_loops(ts, cap=None):
     edge and re-splitting reaches every subloop.  Refuses to run on SCCs
     with more than `cap` edges (default 20).
     """
-    cap = DEFAULT_LOOP_CAP if cap is None else cap
-    reach = ts.reachable_vertices()
-    reachable_edges = [e.id for e in ts.edges
-                       if e.source in reach and e.target in reach]
-    maximal, _ = sccs(ts, reachable_edges)
     out = {}
-    for top in maximal:
-        if len(top.edges) > cap:
-            raise CapExceeded(
-                "SCC %s has %d edges, above the loop cap %d"
-                % ("{%s}" % ",".join(sorted(top.states)), len(top.edges), cap))
+    for top in _reachable_maximal(
+            ts, DEFAULT_LOOP_CAP if cap is None else cap):
         stack = [top]
         out[top.key] = top
         while stack:

@@ -67,7 +67,7 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
     Worklist over `shrink(s)`, which yields strictly smaller candidates
     below `s`: for a colour set, the set minus one colour; for a loop, the
     maximal subloops inside each Zielonka-tree child of its colour set
-    (`acdkit.loops.alternating_children`).  Candidates sharing the base
+    (`acdkit.loops._flipped_subloops`).  Candidates sharing the base
     status are shrunk further, flipped ones are recorded.  The step must
     put every flipped sub-object of `s` inside some candidate; then every
     flipped sub-object of `top` ends up inside a recorded one, and the
@@ -154,7 +154,8 @@ def _flipped_colour_sets(cond, colours):
 
 def _children_read(cond):
     """`_flipped_colour_sets` of `cond`, memoised for as long as the
-    caller keeps it: one tree or one node's subloop search."""
+    caller keeps it: one Zielonka tree, or one reading of the condition
+    on a system (`acdkit.loops._side`), which serves a whole ACD."""
     return functools.cache(functools.partial(_flipped_colour_sets, cond))
 
 

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: powerset enumeration, matrix-style
-reachability, positional strategy enumeration.  Nothing imports the
-algorithms under test beyond the plain data types.
+reachability, positional strategy enumeration, loop-by-loop status
+comparison.  Nothing imports the algorithms under test beyond the plain
+data types, the loop status and the loop enumeration (itself checked
+against `naive_loops`).
 """
 
 import itertools
+
+from acdkit import enumerate_reachable_loops, loop_status_over
 
 
 def naive_is_strongly_connected(edges):
@@ -61,6 +65,23 @@ def naive_maximal_flipped(ts, status_fn, loop_edges):
                     status_fn(frozenset(sub)) != base:
                 subs.append(frozenset(sub))
     return [s for s in subs if not any(s < o for o in subs)]
+
+
+def loop_equivalent(ts, cond1, cond2, cap=None):
+    """Every reachable loop has the same status under both conditions,
+    loop by loop."""
+    return all(loop_status_over(ts, cond1, l.edges)
+               == loop_status_over(ts, cond2, l.edges)
+               for l in enumerate_reachable_loops(ts, cap=cap))
+
+
+def loop_preserving(m, cap=None):
+    """Every reachable loop of the morphism's source keeps its status when
+    its edges are pushed through the edge map, loop by loop."""
+    return all(loop_status_over(m.source_ts, m.source_cond, l.edges)
+               == loop_status_over(m.target_ts, m.target_cond,
+                                   {m.edge_map[e] for e in l.edges})
+               for l in enumerate_reachable_loops(m.source_ts, cap=cap))
 
 
 def simulate_zt_output(zt, prefix, cycle):

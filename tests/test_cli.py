@@ -34,6 +34,16 @@ def run(tmp_path, *argv):
     return code, data
 
 
+def run_process(*argv):
+    """Run a CLI invocation in a fresh interpreter; returns the completed
+    process, with stdout and stderr as text."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "acdkit.cli"] + list(argv),
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
 ALL_INVOCATIONS = [
     ("zielonka", fx("f1.json")),
     ("zielonka", fx("f2.json")),
@@ -183,11 +193,7 @@ def test_malformed_field_types(tmp_path, key, value):
     (doc if key == "condition" else doc["system"])[key] = value
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "acdkit.cli", "stats", str(path)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
+    proc = run_process("stats", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
     assert "Traceback" not in proc.stderr
@@ -204,6 +210,57 @@ def test_cap_env_vars(tmp_path, monkeypatch):
     monkeypatch.setenv("ACDKIT_LOOP_CAP", "notanint")
     code, _ = run(tmp_path, "oracle-equiv", fx("sixstate.json"), fx("sixstate.json"))
     assert code == 2
+
+
+# the copies of `p` in the transform of `eleven_self_loops`, one per branch
+TRANSFORM_STATES = ",".join(sorted("p|r.%d" % i for i in range(11)))
+
+
+@pytest.fixture
+def eleven_self_loops(tmp_path):
+    """A game on one vertex with 11 self-loops under the Muller family of
+    the 11 singletons, and its transform: one SCC of 121 edges, far above
+    the default loop cap of loop enumeration."""
+    game = tmp_path / "game.json"
+    edges = ["e%02d" % i for i in range(11)]
+    game.write_text(json.dumps({
+        "format": "acdkit/1",
+        "system": {"vertices": ["p"], "initial": ["p"],
+                   "edges": [[e, "p", "p"] for e in edges]},
+        "condition": {"type": "muller", "family": [[e] for e in edges]}}))
+    transformed = tmp_path / "transformed.json"
+    assert cli.main(["transform", str(game), "-o", str(transformed)]) == 0
+    assert len(json.loads(transformed.read_text())["system"]["edges"]) == 121
+    return str(game), str(transformed)
+
+
+def test_equivalence_checks_past_the_loop_cap(eleven_self_loops):
+    game, transformed = eleven_self_loops
+    proc = run_process("check-morphism", transformed, "--against", game)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["acceptance_preserving"] is True
+    proc = run_process("oracle-equiv", transformed, transformed)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"equivalent": True}
+    # a loop cap that is set still refuses the SCC
+    for argv in (["check-morphism", transformed, "--against", game],
+                 ["oracle-equiv", transformed, transformed]):
+        proc = run_process(*argv, "--loop-cap", "20")
+        assert proc.returncode == 3
+        assert proc.stderr == "cap exceeded: SCC {%s} has 121 edges, above " \
+            "the loop cap 20\n" % TRANSFORM_STATES
+
+
+def test_explore_cap_reaches_equivalence_checks(eleven_self_loops):
+    game, transformed = eleven_self_loops
+    for argv in (["check-morphism", transformed, "--against", game],
+                 ["oracle-equiv", transformed, transformed]):
+        proc = run_process(*argv, "--explore-cap", "1")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "cap exceeded: subloop exploration exceeded cap 1 in the loop "
+            "on states {%s} with 121 edges: 2 subloops seen\n"
+            % TRANSFORM_STATES)
 
 
 def test_dot_outputs(tmp_path):

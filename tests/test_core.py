@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
@@ -5,7 +7,9 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     TransitionSystem, build_zielonka_tree, build_zt_automaton,
                     compose, equivalent_over, loop_status, to_explicit_muller,
                     validate)
-from conftest import SIXSTATE_EDGES
+from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
+                      random_system, recoloured)
+from oracles import loop_equivalent
 
 
 def two_state_parity():
@@ -101,6 +105,30 @@ def test_equivalent_over_trivial():
     ts1 = TransitionSystem(["p"], [("e", "p", "p")], ["p"])
     assert not equivalent_over(ts1, ParityCondition({"e": 0}),
                                ParityCondition({"e": 1}))
+
+
+@pytest.mark.parametrize("kind", CONDITION_KINDS)
+def test_equivalent_over_matches_loop_oracle(kind):
+    # the decomposition comparison against the loop-by-loop one, on
+    # edge-id and recoloured systems: a random condition of the same kind
+    # and one of any kind (mostly inequivalent), and the explicit Muller
+    # form over edge ids (always equivalent)
+    rng = random.Random(CONDITION_KINDS.index(kind))
+    verdicts = {True: 0, False: 0}
+    for i in range(30):
+        ts = random_system(rng, max_vertices=4, max_edges=8)
+        if i % 2:
+            ts = recoloured(rng, ts, "abcd"[:2 + i % 3])
+        cond = random_condition(rng, kind, ts.colour_set())
+        for other in (random_condition(rng, kind, ts.colour_set()),
+                      random_condition(rng, rng.choice(CONDITION_KINDS),
+                                       ts.colour_set()),
+                      to_explicit_muller(ts, cond)):
+            got = equivalent_over(ts, cond, other)
+            assert got == loop_equivalent(ts, cond, other)
+            assert equivalent_over(ts, other, cond) == got
+            verdicts[got] += 1
+    assert verdicts[True] > 30 and verdicts[False] > 10, verdicts
 
 
 def test_automaton_checks():

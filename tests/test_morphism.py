@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from acdkit import (BuchiCondition, InputError, Morphism, MullerCondition,
-                    ParityCondition, Run, TransitionSystem, acd_transform,
-                    build_zielonka_tree, build_zt_automaton,
+from acdkit import (BuchiCondition, CapExceeded, InputError, Morphism,
+                    MullerCondition, ParityCondition, Run, TransitionSystem,
+                    acd_transform, build_zielonka_tree, build_zt_automaton,
                     check_acceptance_preserving, check_local,
                     check_structural, compose, induced_morphism, lift_run,
-                    map_run)
-from conftest import random_muller_system
+                    map_run, to_explicit_muller)
+from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
+                      random_system, recoloured)
+from oracles import loop_preserving
 
 
 def folding_morphism():
@@ -142,3 +144,50 @@ def test_random_transform_morphisms_preserve_acceptance():
             assert check_acceptance_preserving(m, loop_cap=15)
         except CapExceeded:
             pass
+
+
+def test_acceptance_preserving_matches_loop_oracle():
+    # projections of transforms under all six kinds, on edge-id and
+    # recoloured systems, with a few priorities moved by one so that some
+    # do not preserve acceptance; every fourth target condition is the
+    # explicit Muller form, keyed by edge id on a coloured system
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    edge_keyed = 0
+    for i in range(120):
+        ts = random_system(rng, max_vertices=3, max_edges=6)
+        if i % 2:
+            ts = recoloured(rng, ts, "abc")
+        cond = random_condition(rng, CONDITION_KINDS[i % 6], ts.colour_set())
+        res = acd_transform(ts, cond)
+        prio = dict(res.condition.priorities)
+        for e in rng.sample(sorted(prio), rng.randint(0, min(2, len(prio)))):
+            prio[e] = prio[e] + 1 if not prio[e] or rng.random() < 0.5 \
+                else prio[e] - 1
+        target = to_explicit_muller(ts, cond) if i % 4 == 1 else cond
+        m = Morphism(res.system, ParityCondition(prio), ts, target,
+                     res.vertex_map, res.edge_map)
+        try:
+            want = loop_preserving(m, cap=12)
+        except CapExceeded:
+            continue
+        assert check_acceptance_preserving(m) == want
+        verdicts[want] += 1
+        edge_keyed += i % 4 == 1
+    assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+    assert edge_keyed > 15
+
+
+def test_acceptance_preserving_maps_only_reachable_loop_edges():
+    # the unreachable self-loop `u` and the transient edge `t` need no
+    # image; an unmapped edge on a reachable loop is an input error
+    src = TransitionSystem(
+        ["p", "q", "r"],
+        [("t", "p", "q"), ("e", "q", "q"), ("u", "r", "r")], ["p"])
+    tgt = TransitionSystem(["s"], [("f", "s", "s")], ["s"])
+    m = Morphism(src, BuchiCondition({"e"}), tgt, BuchiCondition({"f"}),
+                 {"p": "s", "q": "s", "r": "s"}, {"e": "f"})
+    assert check_acceptance_preserving(m)
+    del m.edge_map["e"]
+    with pytest.raises(InputError):
+        check_acceptance_preserving(m)
