@@ -214,14 +214,23 @@ def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
 
     A loop's status is the status of any deepest tree node whose label
     contains it, so the labelled trees fix the status of every reachable
-    loop and are fixed by it: equal trees mean equal statuses.  With a
+    loop and are fixed by it: equal trees mean equal statuses.  The two
+    trees are grown in step and compared node by node, so the walk stops
+    at the first root status or children list that differs.  With a
     `loop_cap`, a reachable SCC of more edges raises CapExceeded.
     """
+    (key1, _, status1), (key2, _, status2) = side1, side2
     for top in _reachable_maximal(ts, loop_cap):
-        t1 = _decomposition_tree(ts, side1, top.edges, explore_cap)
-        t2 = _decomposition_tree(ts, side2, top.edges, explore_cap)
-        if t1.even != t2.even or t1.label != t2.label:
+        if status1(frozenset(map(key1, top.edges))) != \
+                status2(frozenset(map(key2, top.edges))):
             return False
+        stack = [top.edges]
+        while stack:
+            edges = stack.pop()
+            kids = _flipped_subloops(ts, side1, edges, explore_cap)
+            if kids != _flipped_subloops(ts, side2, edges, explore_cap):
+                return False
+            stack.extend(kids)
     return True
 
 

@@ -10,9 +10,8 @@ from itertools import chain, combinations
 from acdkit import (CapExceeded, Game, InputError, MullerCondition,
                     TransitionSystem, acd_stats, acd_transform, build_acd,
                     build_zielonka_tree, build_zt_automaton,
-                    check_acceptance_preserving, check_local,
-                    check_structural, classify_acd, cli, compose,
-                    equivalent_over, induced_morphism, is_loop,
+                    check_local, check_structural, classify_acd, cli,
+                    compose, induced_morphism, is_loop,
                     loop_status_over, min_parity_automaton_size,
                     min_parity_priority_count, optimal_parity_interval,
                     parity_relabel, rabin_from_acd, solve_muller_game,
@@ -20,7 +19,8 @@ from acdkit import (CapExceeded, Game, InputError, MullerCondition,
 from acdkit.loops import enumerate_reachable_loops
 from conftest import (SIXSTATE_EDGES, SIXSTATE_FAMILY, FIXTURES, random_family,
                       random_sparse_muller_system)
-from oracles import brute_force_parity_regions, parity_criterion_violation
+from oracles import (brute_force_parity_regions, loop_equivalent,
+                     loop_preserving, parity_criterion_violation)
 
 F1 = [{"a"}, {"b"}]
 G1 = {"a", "b", "c"}
@@ -111,7 +111,7 @@ def test_criterion_04_parity_transformation():
           and set(res.condition.priorities.values()) <= {1, 2, 3}
           and check_structural(m)[0]
           and check_local(m)["bijective"]
-          and check_acceptance_preserving(m))
+          and loop_preserving(m))
     report(4, ok and dt < 0.010, dt)
 
 
@@ -132,8 +132,8 @@ def test_criterion_05_transform_beats_composition():
     dt, (res, product) = timed(build)
     ok = (len(res.system.vertices) == 3
           and len(product.system.vertices) == 4
-          and check_acceptance_preserving(induced_morphism(res, ts, cond))
-          and check_acceptance_preserving(product.projection))
+          and loop_preserving(induced_morphism(res, ts, cond))
+          and loop_preserving(product.projection))
     report(5, ok and dt < 0.010, dt)
 
 
@@ -248,15 +248,15 @@ def test_criterion_08_relabelling_characterizations():
         rc = sc = None
         if report_.rabin_acd:
             rc = rabin_from_acd(ts, acd)
-            if not equivalent_over(ts, cond, rc):
+            if not loop_equivalent(ts, cond, rc):
                 failures += 1
         if report_.streett_acd:
             sc = streett_from_acd(ts, acd)
-            if not equivalent_over(ts, cond, sc):
+            if not loop_equivalent(ts, cond, sc):
                 failures += 1
         if report_.parity_acd:
             pc = parity_relabel(ts, acd)
-            if not equivalent_over(ts, cond, pc):
+            if not loop_equivalent(ts, cond, pc):
                 failures += 1
             r, s = len(rc.pairs), len(sc.pairs)
             iv = report_.interval

@@ -88,7 +88,7 @@ def test_transform_morphism_is_locally_bijective(sixstate):
     m = induced_morphism(acd_transform(ts, cond), ts, cond)
     assert check_structural(m)[0]
     assert check_local(m)["bijective"]
-    assert check_acceptance_preserving(m)
+    assert loop_preserving(m)
 
 
 def test_map_and_lift_roundtrip(sixstate):
@@ -141,7 +141,7 @@ def test_random_transform_morphisms_preserve_acceptance():
         assert check_local(m)["bijective"]
         from acdkit import CapExceeded
         try:
-            assert check_acceptance_preserving(m, loop_cap=15)
+            assert loop_preserving(m, cap=15)
         except CapExceeded:
             pass
 

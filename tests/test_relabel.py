@@ -8,6 +8,7 @@ from acdkit import (CapExceeded, InputError, MullerCondition, ParityCondition,
                     parity_relabel, rabin_from_acd, streett_from_acd,
                     to_explicit_muller)
 from conftest import random_muller_system
+from oracles import loop_equivalent
 
 
 def chain_parity_system():
@@ -35,7 +36,7 @@ def test_classify_rabin_only(automaton_a):
     report = classify_acd(acd)
     assert report.rabin_acd and not report.streett_acd
     rabin = rabin_from_acd(ts, acd)
-    assert equivalent_over(ts, cond, rabin)
+    assert loop_equivalent(ts, cond, rabin)
     with pytest.raises(InputError):
         streett_from_acd(ts, acd)
 
@@ -48,8 +49,8 @@ def test_classify_parity_chain():
     assert report.parity_acd
     assert report.interval is not None
     relabelled = parity_relabel(ts, acd)
-    assert equivalent_over(ts, muller, relabelled)
-    assert equivalent_over(ts, cond, relabelled)
+    assert loop_equivalent(ts, muller, relabelled)
+    assert loop_equivalent(ts, cond, relabelled)
 
 
 def test_parity_relabel_refuses_non_chain(sixstate):
@@ -117,14 +118,14 @@ def test_relabel_constructions_random():
         report = classify_acd(acd)
         try:
             if report.rabin_acd:
-                assert equivalent_over(ts, cond, rabin_from_acd(ts, acd))
+                assert loop_equivalent(ts, cond, rabin_from_acd(ts, acd))
                 rabin_hits += 1
             if report.streett_acd:
-                assert equivalent_over(ts, cond, streett_from_acd(ts, acd))
+                assert loop_equivalent(ts, cond, streett_from_acd(ts, acd))
                 streett_hits += 1
             if report.parity_acd:
                 relabelled = parity_relabel(ts, acd)
-                assert equivalent_over(ts, cond, relabelled)
+                assert loop_equivalent(ts, cond, relabelled)
                 assert is_weak_k(ts, relabelled, report.weak_k)
         except CapExceeded:
             continue
