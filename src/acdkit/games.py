@@ -1,6 +1,8 @@
-"""Two-player games on transition systems: a recursive attractor-based
-parity game solver with certified strategies, and Muller games solved
-through the parity transformation."""
+"""Two-player games on transition systems: an attractor-based parity game
+solver with certified strategies, and Muller games solved through the
+parity transformation.  The solver walks Zielonka's decomposition with an
+explicit stack and shares one predecessor index per game, so deep games
+do not hit Python's recursion limit."""
 
 from __future__ import annotations
 
@@ -58,90 +60,117 @@ class ParitySolution:
 
 
 def solve_parity_game(game):
-    """Winning regions and positional strategies, computed by the
-    classical recursive attractor decomposition and verified by cycle
-    analysis before being returned."""
+    """Winning regions and positional strategies, computed by Zielonka's
+    attractor decomposition and verified by cycle analysis before being
+    returned.
+
+    The decomposition runs on an explicit stack of frames, one generator
+    per subgame, so the size of the game is not limited by Python's
+    recursion depth.  The board's predecessor lists and its nodes bucketed
+    by priority are built once per game and shared by every subgame."""
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts
     # bipartite board: vertex nodes and one midpoint node per edge, so
-    # priorities sit on the midpoints and never disturb the minimum
-    maxp = max(_edge_priority(game, e) for e in ts.edges)
-    prio = {}
-    owner = {}
-    succ = {}
-    for v in ts.vertices:
-        n = ("v", v)
-        prio[n] = maxp
-        owner[n] = ts.owners[v]
-        succ[n] = [("e", e.id) for e in ts.out(v)]
-    for e in ts.edges:
-        n = ("e", e.id)
-        prio[n] = _edge_priority(game, e)
-        owner[n] = "Eve"
-        succ[n] = [("v", e.target)]
+    # priorities sit on the midpoints and never disturb the minimum.
+    # Node i is the i-th of the pairs ("e", edge id), ("v", vertex) in
+    # sorted order, so node numbers are ordered as those pairs are.
+    edges = sorted(ts.edges, key=lambda e: e.id)
+    vertices = sorted(ts.vertices)
+    enode = {e.id: i for i, e in enumerate(edges)}
+    vnode = {v: len(edges) + i for i, v in enumerate(vertices)}
+    names = [e.id for e in edges] + vertices
+    prio = [_edge_priority(game, e) for e in edges]
+    prio += [max(prio)] * len(vertices)
+    owner = ["Eve"] * len(edges) + [ts.owners[v] for v in vertices]
+    succ = ([[vnode[e.target]] for e in edges]
+            + [[enode[e.id] for e in ts.out(v)] for v in vertices])
+    preds = [[] for _ in prio]   # each list ascending, as n ascends
+    for n, ms in enumerate(succ):
+        for m in ms:
+            preds[m].append(n)
+    levels = sorted(set(prio))
+    level_of = {d: i for i, d in enumerate(levels)}
+    buckets = [[] for _ in levels]
+    for n, d in enumerate(prio):
+        buckets[level_of[d]].append(n)
 
     def attract(player, base, nodes):
         region = set(base)
         strat = {}
         pending = sorted(base)
-        preds = {}
-        for n in nodes:
-            for m in succ[n]:
-                if m in nodes:
-                    preds.setdefault(m, []).append(n)
-        degree = {n: sum(1 for m in succ[n] if m in nodes) for n in nodes}
+        degree = {}  # opponent nodes reached: successors left in `nodes`
         while pending:
             n = pending.pop()
-            for p in sorted(preds.get(n, [])):
-                if p in region:
+            for p in preds[n]:
+                if p in region or p not in nodes:
                     continue
                 if owner[p] == player:
                     region.add(p)
                     strat[p] = n
                     pending.append(p)
-                else:
-                    degree[p] -= 1
-                    if degree[p] == 0:
-                        region.add(p)
-                        pending.append(p)
+                    continue
+                left = degree.get(p)
+                if left is None:
+                    left = sum(1 for m in succ[p] if m in nodes)
+                degree[p] = left - 1
+                if left == 1:
+                    region.add(p)
+                    pending.append(p)
         return region, strat
 
-    def solve(nodes):
+    def solve(nodes, level):
+        """One subgame's frame: yields (subgame, least priority level) for
+        each subgame it needs solved, receives its solution, and returns
+        (regions, strategies).  A subgame's least priority is never below
+        its parent's, so the bucket search starts at the parent's."""
         if not nodes:
             return {"Eve": set(), "Adam": set()}, {"Eve": {}, "Adam": {}}
-        d = min(prio[n] for n in nodes)
-        player = "Eve" if d % 2 == 0 else "Adam"
+        target = [n for n in buckets[level] if n in nodes]
+        while not target:
+            level += 1
+            target = [n for n in buckets[level] if n in nodes]
+        player = "Eve" if levels[level] % 2 == 0 else "Adam"
         opp = _other(player)
-        target = {n for n in nodes if prio[n] == d}
         attracted, astrat = attract(player, target, nodes)
-        regions, strats = solve(nodes - attracted)
+        regions, strats = yield nodes - attracted, level
+        # only this frame reads the child's solution, so it may extend the
+        # child's strategy maps in place
         if not regions[opp]:
-            strat = dict(strats[player])
+            strat = strats[player]
             strat.update(astrat)
-            for n in sorted(target):
+            for n in target:
                 if owner[n] == player and n not in strat:
                     strat[n] = min(m for m in succ[n] if m in nodes)
-            return ({player: set(nodes), opp: set()},
-                    {player: strat, opp: {}})
+            return {player: nodes, opp: set()}, {player: strat, opp: {}}
         escape, bstrat = attract(opp, regions[opp], nodes)
-        regions2, strats2 = solve(nodes - escape)
-        ostrat = dict(strats[opp])
+        regions2, strats2 = yield nodes - escape, level
+        ostrat = strats[opp]
         ostrat.update(bstrat)
         ostrat.update(strats2[opp])
         return ({player: regions2[player], opp: regions2[opp] | escape},
                 {player: strats2[player], opp: ostrat})
 
-    nodes = frozenset(prio)
-    regions, strats = solve(nodes)
+    stack = [solve(frozenset(range(len(prio))), 0)]
+    result = None
+    while stack:
+        try:
+            subgame = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(solve(*subgame))
+            result = None
+    regions, strats = result
     out_regions = {}
     for v in ts.vertices:
-        out_regions[v] = "Eve" if ("v", v) in regions["Eve"] else "Adam"
+        out_regions[v] = "Eve" if vnode[v] in regions["Eve"] else "Adam"
     out_strats = {"Eve": {}, "Adam": {}}
     for player in ("Eve", "Adam"):
         for n, m in strats[player].items():
-            if n[0] == "v" and m[0] == "e":
-                out_strats[player][n[1]] = m[1]
+            if n >= len(edges) > m:
+                out_strats[player][names[n]] = names[m]
     solution = ParitySolution(out_regions, out_strats)
     problems = verify_parity_solution(game, solution)
     if problems:

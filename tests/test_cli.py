@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from acdkit import cli, docfmt
+from conftest import path_game
 
 F = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -288,6 +289,19 @@ def test_solve_outputs(tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert "transform" in obj
+
+
+def test_solve_deep_path_game(tmp_path):
+    """The parity solver's depth grows with the game: a 1500-vertex path
+    is solved, with no traceback."""
+    ts, cond = path_game(1500)
+    path = tmp_path / "path.json"
+    path.write_text(docfmt.serialize(docfmt.Document(ts, cond)))
+    proc = run_process("solve", str(path))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["regions"] == {
+        "Eve": sorted(ts.vertices), "Adam": []}
 
 
 def test_relabel_weak(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, solve_muller_game, solve_parity_game,
                     verify_parity_solution)
-from conftest import random_muller_system, random_system
+from conftest import (cycle_game, path_game, random_muller_system,
+                      random_system)
 from oracles import brute_force_parity_regions
 
 
@@ -77,6 +78,26 @@ def test_parity_matches_brute_force_random():
         want = brute_force_parity_regions(
             ts, ts.owners, lambda e: prios[e.id])
         assert sol.regions == want
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cycle_games_match_brute_force(n):
+    ts, cond = cycle_game(n)
+    game = Game(ts, cond)
+    sol = solve_parity_game(game)
+    want = brute_force_parity_regions(
+        ts, ts.owners, lambda e: cond.priorities[e.id])
+    assert sol.regions == want
+    assert verify_parity_solution(game, sol) == []
+
+
+def test_deep_path_game_in_process():
+    """The decomposition nests one subgame per priority; 2000 of them
+    are far beyond the default recursion limit."""
+    game = Game(*path_game(2000))
+    sol = solve_parity_game(game)
+    assert set(sol.regions.values()) == {"Eve"}
+    assert verify_parity_solution(game, sol) == []
 
 
 def test_muller_one_player():
