@@ -144,8 +144,7 @@ def cmd_relabel(args):
             raise PropertyFalse("decomposition is not parity-shaped")
         new_cond = relabel.parity_relabel(doc.system, acd, report)
         if target == "weak":
-            new_cond = relabel.compress_priorities(doc.system,
-                                                   new_cond.priorities)
+            new_cond = relabel.compress_priorities(doc.system, new_cond)
     else:
         raise InputError("unknown relabel target %r" % target)
     _write(args, docfmt.serialize(docfmt.Document(doc.system, new_cond)))
@@ -154,7 +153,7 @@ def cmd_relabel(args):
 def cmd_compress(args):
     doc = _read_doc(args.file)
     cond = _require_condition(doc, ("parity",))
-    new_cond = relabel.compress_priorities(doc.system, cond.priorities)
+    new_cond = relabel.compress_priorities(doc.system, cond)
     _write(args, docfmt.serialize(docfmt.Document(doc.system, new_cond)))
 
 

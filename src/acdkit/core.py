@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 
@@ -100,14 +101,8 @@ class TransitionSystem:
         self.edge(eid)
         return self._colours.get(eid, eid)
 
-    def colour_map(self):
-        return {e.id: self.colour(e.id) for e in self.edges}
-
     def colour_set(self):
         return frozenset(self.colour(e.id) for e in self.edges)
-
-    def colours_of(self, edge_ids):
-        return frozenset(self.colour(eid) for eid in edge_ids)
 
     def letter(self, eid):
         if self.letters is None:
@@ -133,7 +128,22 @@ class TransitionSystem:
 # Acceptance conditions.  Each class evaluates loop_status via accepts():
 # given the set of colours seen infinitely often, is the run accepting?
 
-class MullerCondition:
+class Condition:
+    """What every condition shares: `over` says what its ids name, the
+    colours of the system it is read on (the default) or the system's
+    edge ids ("edges").  Only `_reading` interprets it."""
+
+    over = "colours"
+
+
+def _over(cond, over):
+    """A copy of `cond` naming `over`: "colours" or "edges"."""
+    out = copy.copy(cond)
+    out.over = over
+    return out
+
+
+class MullerCondition(Condition):
     kind = "muller"
 
     def __init__(self, family):
@@ -149,13 +159,10 @@ class MullerCondition:
         return frozenset(colours) in self.family
 
     def referenced_colours(self):
-        out = set()
-        for s in self.family:
-            out |= s
-        return frozenset(out)
+        return frozenset().union(*self.family)
 
 
-class ParityCondition:
+class ParityCondition(Condition):
     """Min-even parity: a run is accepting iff the minimum priority among
     the colours seen infinitely often is even."""
 
@@ -181,70 +188,56 @@ class ParityCondition:
         return (min(vals), max(vals))
 
 
-class BuchiCondition:
-    kind = "buchi"
-
+class _ColourSet(Condition):
     def __init__(self, colours):
         self.colours = frozenset(colours)
+
+    def referenced_colours(self):
+        return self.colours
+
+
+class BuchiCondition(_ColourSet):
+    kind = "buchi"
 
     def accepts(self, colours):
         return bool(frozenset(colours) & self.colours)
 
-    def referenced_colours(self):
-        return self.colours
 
-
-class CoBuchiCondition:
+class CoBuchiCondition(_ColourSet):
     kind = "cobuchi"
-
-    def __init__(self, colours):
-        self.colours = frozenset(colours)
 
     def accepts(self, colours):
         return not (frozenset(colours) & self.colours)
 
+
+class _Pairs(Condition):
+    def __init__(self, pairs):
+        self.pairs = tuple((frozenset(e), frozenset(f)) for e, f in pairs)
+
     def referenced_colours(self):
-        return self.colours
+        return frozenset().union(*(e | f for e, f in self.pairs))
 
 
-class RabinCondition:
+class RabinCondition(_Pairs):
     """Pairs (E_i, F_i); accepting iff some pair has Inf meeting E_i and
     avoiding F_i."""
 
     kind = "rabin"
 
-    def __init__(self, pairs):
-        self.pairs = tuple((frozenset(e), frozenset(f)) for e, f in pairs)
-
     def accepts(self, colours):
         inf = frozenset(colours)
         return any(inf & e and not (inf & f) for e, f in self.pairs)
 
-    def referenced_colours(self):
-        out = set()
-        for e, f in self.pairs:
-            out |= e | f
-        return frozenset(out)
 
-
-class StreettCondition:
+class StreettCondition(_Pairs):
     """Dual of Rabin: accepting iff every pair has Inf avoiding E_i or
     meeting F_i."""
 
     kind = "streett"
 
-    def __init__(self, pairs):
-        self.pairs = tuple((frozenset(e), frozenset(f)) for e, f in pairs)
-
     def accepts(self, colours):
         inf = frozenset(colours)
         return all(not (inf & e) or (inf & f) for e, f in self.pairs)
-
-    def referenced_colours(self):
-        out = set()
-        for e, f in self.pairs:
-            out |= e | f
-        return frozenset(out)
 
 
 def loop_status(cond, colours):
@@ -260,26 +253,23 @@ def loop_status(cond, colours):
 
 def _reading(ts, cond):
     """How `cond` reads the loops of `ts`: the key of each edge and the
-    universe of keys.
-
-    Conditions are normally expressed over the system's colours, but the
-    relabelling machinery produces conditions keyed directly by edge ids;
-    both views are supported, colours taking precedence.
-    """
-    all_cols = ts.colour_set()
-    eids = frozenset(e.id for e in ts.edges)
-    if cond.kind == "parity":
-        keys = frozenset(cond.priorities)
-        fits = keys.issuperset
-        missing = "parity condition does not cover the system's colours"
+    universe of keys.  The keys are the system's colours, or its edge ids
+    when the condition's `over` is "edges"; this is the only code that
+    looks at `over`.  Naming an id outside the universe, or giving some
+    key no priority, is an InputError."""
+    if cond.over == "edges":
+        key, what = (lambda eid: ts.edge(eid).id), "edge"
+        universe = frozenset(e.id for e in ts.edges)
     else:
-        fits = cond.referenced_colours().issubset
-        missing = "condition references colours outside the system"
-    if fits(all_cols):
-        return ts.colour, all_cols
-    if fits(eids):
-        return (lambda eid: ts.edge(eid).id), eids
-    raise InputError(missing)
+        key, universe, what = ts.colour, ts.colour_set(), "colour"
+    named = cond.referenced_colours()
+    if not named <= universe:
+        raise InputError("condition references unknown %s %r"
+                         % (what, min(named - universe)))
+    if cond.kind == "parity" and not universe <= named:
+        raise InputError("no priority assigned to %s %r"
+                         % (what, min(universe - named)))
+    return key, universe
 
 
 def loop_status_over(ts, cond, edge_ids):
@@ -302,31 +292,26 @@ def validate(ts, cond=None):
         if not ts.out(v):
             problems.append("dead-end vertex %r has no outgoing edge" % v)
     if cond is not None:
-        known = ts.colour_set() | {e.id for e in ts.edges}
-        for c in sorted(cond.referenced_colours() - known):
-            problems.append("condition references unknown colour %r" % c)
-        if cond.kind == "parity":
-            keys = frozenset(cond.priorities)
-            if not (ts.colour_set() <= keys
-                    or {e.id for e in ts.edges} <= keys):
-                missing = sorted(ts.colour_set() - keys)
-                problems.append(
-                    "no priority assigned to colour %r" % missing[0])
+        try:
+            _reading(ts, cond)
+        except InputError as e:
+            problems.append(str(e))
     return problems
 
 
 def to_explicit_muller(ts, cond, loop_cap=None):
-    """Re-express `cond` as a Muller condition over the edge ids of `ts`.
+    """Re-express `cond` as a Muller condition over the edge ids of `ts`
+    (`over` is "edges").
 
-    The family lists exactly the reachable loops whose colour set is
-    accepting under `cond`; every loop keeps its status.
+    The family lists exactly the reachable loops that are accepting under
+    `cond`; every loop keeps its status.
     """
     from . import loops as _loops
     family = []
     for l in _loops.enumerate_reachable_loops(ts, cap=loop_cap):
         if loop_status_over(ts, cond, l.edges):
             family.append(l.edges)
-    return MullerCondition(family)
+    return _over(MullerCondition(family), "edges")
 
 
 def equivalent_over(ts, cond1, cond2, loop_cap=None, explore_cap=None):
@@ -380,6 +365,8 @@ class Automaton:
                 if (q, a) not in self._step:
                     raise InputError(
                         "automaton not complete at state %r, letter %r" % (q, a))
+        # each edge's key under the condition: its colour or its id
+        self.key, _ = _reading(ts, condition)
 
     @property
     def initial(self):
@@ -392,11 +379,12 @@ class Automaton:
             raise InputError("no transition from %r on %r" % (q, a)) from None
 
     def run_colours(self, prefix, cycle):
-        """Colours produced infinitely often when reading the ultimately
+        """Keys (`self.key`: colours, or edge ids for a condition over
+        edges) produced infinitely often when reading the ultimately
         periodic word prefix cycle^w, together with the cycle's letter set
         actually repeated forever.
 
-        Returns (inf_colours, inf_letters)."""
+        Returns (inf_keys, inf_letters)."""
         if not cycle:
             raise InputError("cycle must be nonempty")
         q = self.initial
@@ -411,7 +399,7 @@ class Automaton:
                 trace.append(e)
                 q = e.target
         looped = trace[seen[q] * len(cycle):]
-        cols = frozenset(self.ts.colour(e.id) for e in looped)
+        cols = frozenset(self.key(e.id) for e in looped)
         lets = frozenset(self.ts.letter(e.id) for e in looped)
         return cols, lets
 
@@ -434,10 +422,11 @@ def _pair_vertex(v, q):
 def compose(automaton, ts, ts_condition=None):
     """Product of a deterministic automaton with a transition system.
 
-    The automaton reads the colours of `ts` as its input letters; the
-    product carries the automaton's acceptance condition.  When
-    `ts_condition` is given, the returned projection morphism targets
-    (ts, ts_condition).
+    The automaton reads the colours of `ts` as its input letters.  Each
+    product edge is coloured with the key the automaton's condition reads
+    on the automaton edge taken, so the product carries that condition
+    over its colours.  When `ts_condition` is given, the returned
+    projection morphism targets (ts, ts_condition).
     """
     missing = ts.colour_set() - automaton.alphabet
     if missing:
@@ -472,7 +461,7 @@ def compose(automaton, ts, ts_condition=None):
             tgt = (e.target, ae.target)
             edges.append((eid, vid, _pair_vertex(*tgt)))
             emap[eid] = e.id
-            colours[eid] = automaton.ts.colour(ae.id)
+            colours[eid] = automaton.key(ae.id)
             if ts.letters is not None:
                 letters[eid] = ts.letter(e.id)
             if tgt not in seen:
@@ -483,12 +472,12 @@ def compose(automaton, ts, ts_condition=None):
         owners=owners or None,
         letters=letters or None,
         colours=colours)
+    cond = _over(automaton.condition, "colours")
     projection = None
     if ts_condition is not None:
         from .morphism import Morphism
-        projection = Morphism(system, automaton.condition, ts, ts_condition,
-                              vmap, emap)
-    return Product(system, automaton.condition, projection)
+        projection = Morphism(system, cond, ts, ts_condition, vmap, emap)
+    return Product(system, cond, projection)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +505,7 @@ class Run:
         self.ts = ts
 
     def inf_colours(self):
-        return self.ts.colours_of(self.cycle)
+        return frozenset(map(self.ts.colour, self.cycle))
 
     def unfold(self, n):
         """First n edge ids of the infinite run."""

@@ -80,25 +80,28 @@ def _string_map(value, what):
 
 
 def condition_from_obj(obj):
+    """The condition of a condition block; its optional `over` says
+    whether the block names colours (the default) or edge ids."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("condition block needs a type")
-    kind = obj["type"]
+    kind, over = obj["type"], obj.get("over", "colours")
+    if over not in ("colours", "edges"):
+        raise InputError('over must be "colours" or "edges"')
     if kind == "muller":
-        return MullerCondition(
+        cond = MullerCondition(
             [_strings(s, "a family set")
              for s in _list(obj.get("family", []), "family")])
-    if kind == "parity":
+    elif kind == "parity":
         prios = obj.get("priorities", {})
         # bool is a subclass of int, and true must not read as priority 1
         if not isinstance(prios, dict) or \
                 any(type(p) is not int for p in prios.values()):
             raise InputError("priorities must map colours to integers")
-        return ParityCondition(prios)
-    if kind == "buchi":
-        return BuchiCondition(_strings(obj.get("colours", []), "colours"))
-    if kind == "cobuchi":
-        return CoBuchiCondition(_strings(obj.get("colours", []), "colours"))
-    if kind in ("rabin", "streett"):
+        cond = ParityCondition(prios)
+    elif kind in ("buchi", "cobuchi"):
+        cls = BuchiCondition if kind == "buchi" else CoBuchiCondition
+        cond = cls(_strings(obj.get("colours", []), "colours"))
+    elif kind in ("rabin", "streett"):
         pairs = []
         for p in _list(obj.get("pairs", []), "pairs"):
             if not isinstance(p, list) or len(p) != 2:
@@ -106,24 +109,30 @@ def condition_from_obj(obj):
             pairs.append((_strings(p[0], "a %s pair side" % kind),
                           _strings(p[1], "a %s pair side" % kind)))
         cls = RabinCondition if kind == "rabin" else StreettCondition
-        return cls(pairs)
-    raise InputError("unknown condition type %r" % kind)
+        cond = cls(pairs)
+    else:
+        raise InputError("unknown condition type %r" % kind)
+    cond.over = over
+    return cond
 
 
 def condition_to_obj(cond):
+    obj = {"type": cond.kind}
+    if cond.over == "edges":
+        obj["over"] = "edges"
     if cond.kind == "muller":
-        return {"type": "muller",
-                "family": sorted((sorted(s) for s in cond.family),
-                                 key=lambda s: (len(s), s))}
-    if cond.kind == "parity":
-        return {"type": "parity", "priorities": dict(cond.priorities)}
-    if cond.kind in ("buchi", "cobuchi"):
-        return {"type": cond.kind, "colours": sorted(cond.colours)}
-    if cond.kind in ("rabin", "streett"):
-        return {"type": cond.kind,
-                "pairs": sorted(([sorted(e), sorted(f)] for e, f in cond.pairs),
-                                key=lambda p: (p[0], p[1]))}
-    raise InputError("cannot serialize condition of kind %r" % cond.kind)
+        obj["family"] = sorted((sorted(s) for s in cond.family),
+                               key=lambda s: (len(s), s))
+    elif cond.kind == "parity":
+        obj["priorities"] = dict(cond.priorities)
+    elif cond.kind in ("buchi", "cobuchi"):
+        obj["colours"] = sorted(cond.colours)
+    elif cond.kind in ("rabin", "streett"):
+        obj["pairs"] = sorted(([sorted(e), sorted(f)] for e, f in cond.pairs),
+                              key=lambda p: (p[0], p[1]))
+    else:
+        raise InputError("cannot serialize condition of kind %r" % cond.kind)
+    return obj
 
 
 def system_to_obj(ts):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, validate
+from .core import InputError, _reading, validate
 from .loops import _tarjan
 
 
@@ -34,16 +34,6 @@ class Game:
     @property
     def initial(self):
         return self.ts.initial[0]
-
-
-def _edge_priority(game, e):
-    prios = game.condition.priorities
-    c = game.ts.colour(e.id)
-    if c in prios:
-        return prios[c]
-    if e.id in prios:
-        return prios[e.id]
-    raise InputError("no priority for edge %r" % e.id)
 
 
 def _other(player):
@@ -80,7 +70,8 @@ def solve_parity_game(game):
     enode = {e.id: i for i, e in enumerate(edges)}
     vnode = {v: len(edges) + i for i, v in enumerate(vertices)}
     names = [e.id for e in edges] + vertices
-    prio = [_edge_priority(game, e) for e in edges]
+    key, _ = _reading(ts, game.condition)
+    prio = [game.condition.priorities[key(e.id)] for e in edges]
     prio += [max(prio)] * len(vertices)
     owner = ["Eve"] * len(edges) + [ts.owners[v] for v in vertices]
     succ = ([[vnode[e.target]] for e in edges]
@@ -185,6 +176,7 @@ def verify_parity_solution(game, solution):
     priority favourable.  Returns a list of problems."""
     problems = []
     ts = game.ts
+    key, _ = _reading(ts, game.condition)
     for player in ("Eve", "Adam"):
         region = {v for v, w in solution.regions.items() if w == player}
         if not region:
@@ -206,7 +198,7 @@ def verify_parity_solution(game, solution):
                 else:
                     allowed.append(e)
         good_parity = 0 if player == "Eve" else 1
-        prios = {e.id: _edge_priority(game, e) for e in allowed}
+        prios = {e.id: game.condition.priorities[key(e.id)] for e in allowed}
         for d in sorted(set(prios.values())):
             if d % 2 == good_parity:
                 continue

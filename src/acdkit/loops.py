@@ -186,8 +186,8 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     """Inclusion-maximal subloops of `loop` whose status under `cond`
     differs from the status of `loop` itself, in canonical order:
     descending size, then edge-id list (`_flipped_subloops`, guided by the
-    Zielonka tree of `cond`).  Colours are read as `loop_status_over`
-    reads them (`core._reading`).
+    Zielonka tree of `cond`).  Edges are keyed as `core._reading` keys
+    them: by colour, or by id for a condition over edges.
     """
     kids = _flipped_subloops(ts, _side(ts, cond), loop.edges, explore_cap)
     return [Loop.of(ts, edges) for edges in kids]

@@ -4,10 +4,12 @@ allows it."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from . import loops as _loops
-from .core import InputError, ParityCondition, RabinCondition, StreettCondition
+from .core import (InputError, ParityCondition, RabinCondition,
+                   StreettCondition, _over, _reading)
 
 
 @dataclass
@@ -80,24 +82,27 @@ def _node_pairs(acd, want_accepting):
 def rabin_from_acd(ts, acd, report=None):
     """One Rabin pair per accepting node: a loop is accepting exactly when
     some accepting node contains it and the loop touches the part of that
-    node's label not covered by its children.
+    node's label not covered by its children.  Like every relabelling it
+    names the edge ids of `ts` (`over` is "edges").
 
     `report` is `classify_acd(acd)`, when the caller has it already."""
     if not (report or classify_acd(acd)).rabin_acd:
         raise InputError("decomposition is not Rabin-shaped")
-    return RabinCondition(_node_pairs(acd, True))
+    return _over(RabinCondition(_node_pairs(acd, True)), "edges")
 
 
 def streett_from_acd(ts, acd, report=None):
-    """Dual construction: one Streett pair per rejecting node."""
+    """Dual construction: one Streett pair per rejecting node, over the
+    edge ids of `ts`."""
     if not (report or classify_acd(acd)).streett_acd:
         raise InputError("decomposition is not Streett-shaped")
-    return StreettCondition(_node_pairs(acd, False))
+    return _over(StreettCondition(_node_pairs(acd, False)), "edges")
 
 
 def parity_relabel(ts, acd, report=None):
     """When every subtree is a chain the transformation keeps one copy per
-    vertex, so its priorities pull back to the original edges."""
+    vertex, so its priorities pull back to the original edges: a parity
+    condition over the edge ids of `ts`."""
     if not (report or classify_acd(acd)).parity_acd:
         raise InputError("decomposition is not parity-shaped")
     priorities = {}
@@ -108,14 +113,20 @@ def parity_relabel(ts, acd, report=None):
         leaf = sub.leftmost_branch()
         j, tau = acd.multi_supp(leaf, i, e.id)
         priorities[e.id] = acd.priority(j, tau)
-    return ParityCondition(priorities)
+    return _over(ParityCondition(priorities), "edges")
 
 
 def compress_priorities(ts, priorities):
     """Remove unused priority values strictly inside the range (shifting
     higher priorities down by two keeps every loop's status), then shift
-    the minimum to 0 or 1."""
-    prios = dict(priorities)
+    the minimum to 0 or 1.  `priorities` is a map over colours or a
+    parity condition, whose `over` the result keeps; it must fit `ts` as
+    `_reading` reads it."""
+    cond = _parity(priorities)
+    _reading(ts, cond)
+    prios = dict(cond.priorities)
+    if not prios:
+        raise InputError("no priorities to compress")
     while True:
         used = set(prios.values())
         lo, hi = min(used), max(used)
@@ -127,23 +138,21 @@ def compress_priorities(ts, priorities):
     shift = lo - (lo % 2)
     if shift:
         prios = {c: p - shift for c, p in prios.items()}
-    return ParityCondition(prios)
+    out = copy.copy(cond)
+    out.priorities = prios
+    return out
+
+
+def _parity(priorities):
+    return priorities if isinstance(priorities, ParityCondition) \
+        else ParityCondition(priorities)
 
 
 def is_weak_k(ts, priorities, k):
     """True iff every strongly connected component of the system uses at
     most k distinct priorities on its edges."""
-    cond = priorities if isinstance(priorities, ParityCondition) \
-        else ParityCondition(priorities)
+    cond = _parity(priorities)
+    key, _ = _reading(ts, cond)
     maximal, _ = _loops.sccs(ts)
-    for loop in maximal:
-        used = set()
-        for eid in loop.edges:
-            c = ts.colour(eid)
-            key = c if c in cond.priorities else eid
-            if key not in cond.priorities:
-                raise InputError("no priority for edge %r" % eid)
-            used.add(cond.priorities[key])
-        if len(used) > k:
-            return False
-    return True
+    return all(len({cond.priorities[key(eid)] for eid in loop.edges}) <= k
+               for loop in maximal)

@@ -239,7 +239,7 @@ class ZTAutomaton:
         """(target state, output priority) on reading `colour`."""
         e = self.automaton.step(state, colour)
         return e.target, self.automaton.condition.priorities[
-            self.automaton.ts.colour(e.id)]
+            self.automaton.key(e.id)]
 
 
 def state_name(leaf):

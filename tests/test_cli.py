@@ -89,6 +89,13 @@ def test_document_round_trip(tmp_path):
         assert docfmt.serialize(again) == text
 
 
+def test_round_trip_keeps_over():
+    text = golden(("relabel", "automatonA.json", "--target", "rabin"))
+    doc = docfmt.parse(text.decode("utf-8"))
+    assert doc.condition.over == "edges"
+    assert docfmt.serialize(doc).encode("utf-8") == text
+
+
 def test_transform_output_parses_and_checks(tmp_path):
     code, out = run(tmp_path, "transform", fx("sixstate.json"))
     assert code == 0
@@ -142,7 +149,7 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
 
 
 def test_zielonka_reads_the_condition_as_the_acd_does(tmp_path):
-    # a Muller family keyed by edge ids on a system with explicit colours
+    # a Muller family over the edge ids of a system with explicit colours
     # (as relabel writes it): the Zielonka tree ranges over the edge ids,
     # the way the decomposition reads the same document
     doc = tmp_path / "doc.json"
@@ -151,7 +158,8 @@ def test_zielonka_reads_the_condition_as_the_acd_does(tmp_path):
         "system": {"vertices": ["p"], "initial": ["p"],
                    "edges": [["x", "p", "p"], ["y", "p", "p"]],
                    "colours": {"x": "c", "y": "c"}},
-        "condition": {"type": "muller", "family": [["x"]]}}))
+        "condition": {"type": "muller", "family": [["x"]],
+                      "over": "edges"}}))
     code, out = run(tmp_path, "zielonka", str(doc))
     assert code == 0
     labels = [n["label"] for n in json.loads(out)["nodes"]]
@@ -180,6 +188,12 @@ MALFORMED = [
                  id="family-set-string"),
     pytest.param("edges", [["a", "q", "q"], "bqq"], id="edge-string"),
     pytest.param("vertices", "q", id="vertices-string"),
+    pytest.param("condition",
+                 {"type": "muller", "family": [["a"]], "over": "edge"},
+                 id="over-edge"),
+    pytest.param("condition",
+                 {"type": "muller", "family": [["a"]], "over": 1},
+                 id="over-int"),
 ]
 
 
@@ -319,3 +333,78 @@ def test_shape_reports_closure(tmp_path):
     assert obj["closure"] == {"union_closed": False,
                               "intersection_closed": True}
     assert obj["condition_shape"]["rabin"]
+
+
+# one vertex whose self-loops x and y are coloured with each other's id
+SWAP = {"format": "acdkit/1",
+        "system": {"vertices": ["p"], "initial": ["p"],
+                   "edges": [["x", "p", "p"], ["y", "p", "p"]],
+                   "colours": {"x": "y", "y": "x"}},
+        "condition": {"type": "muller", "family": [["x"]]}}
+
+
+@pytest.mark.parametrize("target", ["rabin", "streett", "parity", "weak"])
+def test_relabel_of_swapped_colours_is_equivalent(tmp_path, target):
+    doc = tmp_path / "swap.json"
+    doc.write_text(json.dumps(SWAP))
+    relabelled = tmp_path / "relabelled.json"
+    assert cli.main(["relabel", str(doc), "--target", target,
+                     "-o", str(relabelled)]) == 0
+    assert json.loads(relabelled.read_text())["condition"]["over"] == "edges"
+    code, out = run(tmp_path, "oracle-equiv", str(doc), str(relabelled))
+    assert (code, json.loads(out)) == (0, {"equivalent": True})
+
+
+def test_edge_ids_without_over_are_an_input_error(tmp_path):
+    # a condition names colours unless it says otherwise: edge ids of a
+    # coloured system are unknown colours, not a second reading
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "format": "acdkit/1",
+        "system": {"vertices": ["p"], "initial": ["p"],
+                   "edges": [["x", "p", "p"], ["y", "p", "p"]],
+                   "colours": {"x": "c", "y": "c"}},
+        "condition": {"type": "parity", "priorities": {"x": 0, "y": 1}}}))
+    for argv in (["acd"], ["solve"], ["compress"], ["relabel", "--target",
+                                                   "parity"]):
+        proc = run_process(*argv, str(doc))
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: condition references unknown " \
+            "colour 'x'\n"
+
+
+@pytest.mark.parametrize("priorities", [{}, {"zz": 0}],
+                         ids=["empty", "unknown-colour"])
+def test_compress_validates_its_input(tmp_path, priorities):
+    with open(fx("paritygame.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["condition"]["priorities"] = priorities
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(obj))
+    proc = run_process("compress", str(doc))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+
+
+def test_every_subcommand_on_every_fixture(tmp_path):
+    """No fixture, nor a parity document without priorities, makes any
+    subcommand raise: each run ends in a documented exit code."""
+    files = sorted(fx(n) for n in os.listdir(F))
+    with open(fx("paritygame.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["condition"]["priorities"] = {}
+    empty = tmp_path / "empty-priorities.json"
+    empty.write_text(json.dumps(obj))
+    files.append(str(empty))
+    one_file = [["zielonka"], ["zt-automaton"], ["acd"], ["transform"],
+                ["stats"], ["shape"], ["compress"], ["solve"]]
+    one_file += [["relabel", "--target", t]
+                 for t in ("rabin", "streett", "parity", "weak")]
+    argvs = [sub + [f] for sub in one_file for f in files]
+    argvs += [[sub, f, g] for sub in ("compose", "oracle-equiv")
+              for f in files for g in files]
+    argvs += [["check-morphism", f, "--against", g]
+              for f in files for g in files]
+    for argv in argvs:
+        code, _ = run(tmp_path, *argv)
+        assert code in (0, 1, 2, 3), argv

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     ParityCondition, RabinCondition, Run, StreettCondition,
                     TransitionSystem, build_zielonka_tree, build_zt_automaton,
-                    compose, equivalent_over, loop_status, to_explicit_muller,
+                    compose, enumerate_reachable_loops, equivalent_over,
+                    loop_status, loop_status_over, to_explicit_muller,
                     validate)
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
@@ -203,3 +205,31 @@ def test_compose_run_projection(sixstate):
     run = Run(ts, ["a"], ["c", "d"])
     lifted = lift_run(m, run)
     assert map_run(m, lifted).same_run(run)
+
+
+def _fixture_doc(*parts):
+    from acdkit import docfmt
+    here = os.path.dirname(__file__)
+    with open(os.path.join(here, *parts), encoding="utf-8") as fh:
+        return docfmt.parse(fh.read())
+
+
+def test_automaton_over_edges_reads_edge_ids():
+    # the Rabin relabelling of automatonA names edge ids b1, b2 where the
+    # system colours both b: runs and products read the ids
+    original = _fixture_doc("fixtures", "automatonA.json")
+    relabelled = _fixture_doc("golden", "relabel-automatonA-target-rabin.json")
+    assert relabelled.condition.over == "edges"
+    aut1 = Automaton(original.system, original.condition)
+    aut2 = Automaton(relabelled.system, relabelled.condition)
+    for word in [((), ("1",)), ((), ("0",)), (("1",), ("0",)),
+                 ((), ("0", "1")), (("1",), ("0", "0", "1"))]:
+        assert aut1.accepts_word(*word) == aut2.accepts_word(*word)
+    assert aut2.accepts_word((), ("1",))
+    host = _fixture_doc("fixtures", "host01.json").system
+    p1, p2 = compose(aut1, host), compose(aut2, host)
+    assert p2.condition.over == "colours"
+    assert validate(p2.system, p2.condition) == []
+    for loop in enumerate_reachable_loops(p1.system):
+        assert loop_status_over(p1.system, p1.condition, loop.edges) == \
+            loop_status_over(p2.system, p2.condition, loop.edges)

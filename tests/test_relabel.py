@@ -168,3 +168,35 @@ def test_shape_flags_match_loop_closure_oracle():
         assert report.streett_acd == streett
         checked += 1
     assert checked > 15
+
+
+def swap_system():
+    """One vertex, self-loops x and y coloured with each other's id."""
+    ts = TransitionSystem(["p"], [("x", "p", "p"), ("y", "p", "p")], ["p"],
+                          colours={"x": "y", "y": "x"})
+    return ts, MullerCondition([{"x"}])
+
+
+@pytest.mark.parametrize("relabelling", [
+    rabin_from_acd, streett_from_acd, parity_relabel,
+    lambda ts, acd: compress_priorities(ts, parity_relabel(ts, acd)),
+    lambda ts, acd: to_explicit_muller(ts, acd.cond)],
+    ids=["rabin", "streett", "parity", "weak", "explicit-muller"])
+def test_relabellings_of_swapped_colours_are_equivalent(relabelling):
+    # a condition over edge ids says so, so ids that are also colours
+    # are not read as colours
+    ts, cond = swap_system()
+    out = relabelling(ts, build_acd(ts, cond))
+    assert out.over == "edges"
+    assert equivalent_over(ts, cond, out)
+    assert loop_equivalent(ts, cond, out)
+
+
+def test_is_weak_k_reads_the_condition_once():
+    # priorities over the edge ids of a recoloured system are read by id,
+    # with no fallback between colours and ids
+    ts, cond = swap_system()
+    prios = parity_relabel(ts, build_acd(ts, cond))
+    assert is_weak_k(ts, prios, 2) and not is_weak_k(ts, prios, 1)
+    with pytest.raises(InputError):
+        is_weak_k(ts, ParityCondition({"x": 0}), 2)
