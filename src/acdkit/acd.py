@@ -13,10 +13,13 @@ from .docfmt import _node_name
 
 def _acd_tree(index, ts, side, top, explore_cap=None):
     """One tree of the decomposition: its root is the maximal loop `top`
-    and the children of every node are the maximal subloops whose status
-    flips under the reading `side` (`loops._side`).  Adds to the tree its
+    and the children of every node are its maximal flipped subloops under
+    the reading `side` (`loops._flipped_subloops`).  Adds to the tree its
     `index` in the forest and the `states` of each node's loop."""
-    tree = _loops._decomposition_tree(ts, side, top.edges, explore_cap)
+    key, _, status = side
+    tree = _zielonka.ZielonkaTree(
+        top.edges, status(frozenset(map(key, top.edges))),
+        lambda edges: _loops._flipped_subloops(ts, side, edges, explore_cap))
     tree.index = index
     tree.states = {n: _loops.Loop.of(ts, edges).states
                    for n, edges in tree.label.items()}
@@ -26,18 +29,23 @@ def _acd_tree(index, ts, side, top, explore_cap=None):
 @dataclass
 class StateSubtree:
     """Restriction of one decomposition tree to the nodes whose label loop
-    visits a given vertex."""
+    visits a given vertex: `children` maps each kept node, in canonical
+    order, to its kept children."""
 
     vertex: str
     tree_index: int
-    nodes: tuple
-    branches: tuple  # leaves of the restriction, in canonical order
+    children: dict
+
+    def __post_init__(self):
+        self.nodes = tuple(self.children)
+        self.branches = tuple(n for n, kids in self.children.items()
+                              if not kids)
 
     def leftmost_branch(self):
         return self.branches[0]
 
     def __contains__(self, node):
-        return node in set(self.nodes)
+        return node in self.children
 
 
 class ACD:
@@ -59,10 +67,6 @@ class ACD:
             _acd_tree(i, ts, side, top, explore_cap=explore_cap)
             for i, top in enumerate(maximal, start=1))
         self.t0_edges = frozenset(transient)
-        covered = set()
-        for t in self.trees:
-            covered |= t.states[()]
-        self.t0_states = frozenset(set(ts.vertices) - covered)
         self.vertex_index = {v: 0 for v in ts.vertices}
         self.edge_index = {e.id: 0 for e in ts.edges}
         for t in self.trees:
@@ -70,6 +74,8 @@ class ACD:
                 self.vertex_index[v] = t.index
             for eid in t.label[()]:
                 self.edge_index[eid] = t.index
+        self.t0_states = frozenset(
+            v for v, i in self.vertex_index.items() if i == 0)
         maxh = max(t.height for t in self.trees)
         kinds = {t.even for t in self.trees if t.height == maxh}
         if kinds == {True}:
@@ -95,13 +101,11 @@ class ACD:
     def _build_subtree(self, v):
         i = self.vertex_index[v]
         if i == 0:
-            return StateSubtree(v, 0, ((),), ((),))
+            return StateSubtree(v, 0, {(): ()})
         t = self.tree(i)
-        nodes = tuple(n for n in t.nodes if v in t.states[n])
-        node_set = set(nodes)
-        branches = tuple(n for n in nodes
-                         if not any(c in node_set for c in t.children_map[n]))
-        return StateSubtree(v, i, nodes, branches)
+        return StateSubtree(v, i, {
+            n: tuple(c for c in t.children_map[n] if v in t.states[c])
+            for n in t.nodes if v in t.states[n]})
 
     def subtree_for_state(self, v):
         try:
@@ -119,6 +123,20 @@ class ACD:
         if j == i and j != 0:
             return (j, _zielonka.supp(self.tree(i), leaf, eid))
         return (j, ())
+
+    def edge_step(self, leaf, e):
+        """Priority and target branch of the transform's edge from the
+        copy of `e.source` on the branch `leaf` along `e`: the cyclic next
+        branch in the target's restriction inside one tree, else the
+        target's leftmost branch."""
+        i = self.vertex_index[e.source]
+        j, tau = self.multi_supp(leaf, i, e.id)
+        target = self._subtrees[e.target]
+        if j == i != 0:
+            leaf2 = _zielonka._next_branch(target.children, leaf, tau)
+        else:
+            leaf2 = target.leftmost_branch()
+        return self.priority(j, tau), leaf2
 
 
 def build_acd(ts, cond, explore_cap=None):
@@ -161,10 +179,8 @@ def acd_transform(ts, cond, explore_cap=None):
     owners = {}
     letters = {}
     for q in ts.vertices:
-        sub = acd.subtree_for_state(q)
-        i = acd.vertex_index[q]
         qcopies = []
-        for leaf in sub.branches:
+        for leaf in acd.subtree_for_state(q).branches:
             vid = _state_id(q, leaf)
             vertices.append(vid)
             vmap[vid] = q
@@ -172,18 +188,9 @@ def acd_transform(ts, cond, explore_cap=None):
             if ts.owners:
                 owners[vid] = ts.owners[q]
             for e in ts.out(q):
-                j, tau = acd.multi_supp(leaf, i, e.id)
-                prio = acd.priority(j, tau)
-                q2 = e.target
-                sub2 = acd.subtree_for_state(q2)
-                i2 = acd.vertex_index[q2]
-                if j == i and i != 0 and i2 == i:
-                    leaf2 = _zielonka._next_branch(
-                        acd.tree(i), leaf, tau, set(sub2.nodes), sub2.branches)
-                else:
-                    leaf2 = sub2.leftmost_branch()
+                prio, leaf2 = acd.edge_step(leaf, e)
                 eid = "%s|%s" % (e.id, _node_name(leaf))
-                edges.append((eid, vid, _state_id(q2, leaf2)))
+                edges.append((eid, vid, _state_id(e.target, leaf2)))
                 priorities[eid] = prio
                 emap[eid] = e.id
                 if ts.letters is not None:

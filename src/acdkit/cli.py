@@ -119,9 +119,10 @@ def cmd_shape(args):
                       for v, nodes in report.offending.items()},
     }
     if cond.kind == "muller":
-        tree = _build_tree(doc)
-        obj["condition_shape"] = zielonka.shape(tree)
-        obj["closure"] = zielonka.closure_oracle(cond.family, tree.gamma)
+        flags = zielonka.shape(_build_tree(doc))
+        obj["condition_shape"] = flags
+        obj["closure"] = {"union_closed": flags["streett"],
+                          "intersection_closed": flags["rabin"]}
     _write(args, docfmt.dumps(obj))
 
 
@@ -129,24 +130,17 @@ def cmd_relabel(args):
     doc = _read_doc(args.file)
     cond = _require_condition(doc)
     acd = _acd.build_acd(doc.system, cond, explore_cap=args.explore_cap)
-    report = relabel.classify_acd(acd)
-    target = args.target
-    if target == "rabin":
-        if not report.rabin_acd:
-            raise PropertyFalse("decomposition is not Rabin-shaped")
-        new_cond = relabel.rabin_from_acd(doc.system, acd, report)
-    elif target == "streett":
-        if not report.streett_acd:
-            raise PropertyFalse("decomposition is not Streett-shaped")
-        new_cond = relabel.streett_from_acd(doc.system, acd, report)
-    elif target in ("parity", "weak"):
-        if not report.parity_acd:
-            raise PropertyFalse("decomposition is not parity-shaped")
-        new_cond = relabel.parity_relabel(doc.system, acd, report)
-        if target == "weak":
-            new_cond = relabel.compress_priorities(doc.system, new_cond)
-    else:
-        raise InputError("unknown relabel target %r" % target)
+    relabelling = {"rabin": relabel.rabin_from_acd,
+                   "streett": relabel.streett_from_acd,
+                   "parity": relabel.parity_relabel,
+                   "weak": relabel.parity_relabel}[args.target]
+    try:
+        # a relabelling refuses a decomposition of the wrong shape
+        new_cond = relabelling(doc.system, acd)
+    except InputError as e:
+        raise PropertyFalse(str(e)) from None
+    if args.target == "weak":
+        new_cond = relabel.compress_priorities(doc.system, new_cond)
     _write(args, docfmt.serialize(docfmt.Document(doc.system, new_cond)))
 
 
@@ -242,14 +236,25 @@ def cmd_oracle_equiv(args):
         raise PropertyFalse("conditions are not equivalent over the system")
 
 
+def _cap(text):
+    """A cap given on the command line: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "a cap must be an integer of at least 1, got %r" % text)
+
+
 def _env_int(name):
     v = os.environ.get(name)
     if v is None:
         return None
     try:
-        return int(v)
-    except ValueError:
-        raise InputError("%s must be an integer" % name) from None
+        return _cap(v)
+    except argparse.ArgumentTypeError as e:
+        raise InputError("%s: %s" % (name, e)) from None
 
 
 def build_parser():
@@ -265,11 +270,11 @@ def build_parser():
         p.set_defaults(fn=fn)
         p.add_argument("-o", "--output", help="write the result here "
                        "instead of stdout")
-        p.add_argument("--loop-cap", type=int, default=None,
+        p.add_argument("--loop-cap", type=_cap, default=None,
                        help="largest reachable SCC edge count that "
                        "oracle-equiv and check-morphism accept (default: "
                        "no limit)")
-        p.add_argument("--explore-cap", type=int, default=None,
+        p.add_argument("--explore-cap", type=_cap, default=None,
                        help="cap on subloop exploration")
         return p
 

@@ -257,18 +257,17 @@ def dot_system(ts, name="system"):
     return "\n".join(lines) + "\n"
 
 
-def _dot_tree_nodes(lines, prefix, label_of, priority_of, children_of, nodes,
-                    extra_of=None):
-    for n in nodes:
+def _dot_tree_nodes(lines, prefix, tree, priority_of, extra_of=None):
+    for n in tree.nodes:
         shape = "ellipse" if priority_of(n) % 2 == 0 else "box"
-        text = "{%s}" % ",".join(sorted(label_of(n)))
+        text = "{%s}" % ",".join(sorted(tree.label[n]))
         if extra_of is not None:
             text += "\\n%s" % extra_of(n)
         text += "\\n%d" % priority_of(n)
         lines.append("    %s [shape=%s,label=%s];"
                      % (_q(prefix + _node_name(n)), shape, _q(text)))
-    for n in nodes:
-        for c in children_of(n):
+    for n in tree.nodes:
+        for c in tree.children_map[n]:
             lines.append("    %s -> %s;"
                          % (_q(prefix + _node_name(n)),
                             _q(prefix + _node_name(c))))
@@ -277,8 +276,7 @@ def _dot_tree_nodes(lines, prefix, label_of, priority_of, children_of, nodes,
 def dot_tree(tree, name="zielonka"):
     lines = ["digraph %s {" % name, "  node [fontsize=10];"]
     inner = []
-    _dot_tree_nodes(inner, "", lambda n: tree.label[n], tree.priority,
-                    lambda n: tree.children_map[n], tree.nodes)
+    _dot_tree_nodes(inner, "", tree, tree.priority)
     lines.extend(l.strip() and "  " + l.strip() for l in inner)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -299,11 +297,8 @@ def dot_acd(acd, name="acd"):
         lines.append("  subgraph cluster_t%d {" % t.index)
         lines.append("    label=%s;" % _q("t%d" % t.index))
         _dot_tree_nodes(
-            lines, "t%d:" % t.index,
-            lambda n, t=t: t.label[n],
+            lines, "t%d:" % t.index, t,
             lambda n, t=t: acd.priority(t.index, n),
-            lambda n, t=t: t.children_map[n],
-            t.nodes,
             extra_of=lambda n, t=t: ",".join(sorted(t.states[n])))
         lines.append("  }")
     lines.append("}")

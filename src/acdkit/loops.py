@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CapExceeded, InputError, _reading
-from .zielonka import ZielonkaTree, _children_read, _maximal_flipped
+from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
 DEFAULT_EXPLORE_CAP = 5000
@@ -172,16 +172,6 @@ def _flipped_subloops(ts, side, edges, explore_cap=None):
         % (",".join(sorted(Loop.of(ts, edges).states)), len(edges)))
 
 
-def _decomposition_tree(ts, side, top, explore_cap=None):
-    """The alternating tree of the loop `top` read through `side`
-    (`_side`): children are `_flipped_subloops`, one reading and one
-    children memo for the whole tree."""
-    key, _, status = side
-    return ZielonkaTree(
-        top, status(frozenset(map(key, top))),
-        lambda edges: _flipped_subloops(ts, side, edges, explore_cap))
-
-
 def alternating_children(ts, cond, loop, explore_cap=None):
     """Inclusion-maximal subloops of `loop` whose status under `cond`
     differs from the status of `loop` itself, in canonical order:
@@ -237,23 +227,29 @@ def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
 def enumerate_reachable_loops(ts, cap=None):
     """All loops lying inside SCCs reachable from the initial vertices.
 
-    Closure walk per SCC: starting from the maximal loop, dropping one
-    edge and re-splitting reaches every subloop.  Refuses to run on SCCs
-    with more than `cap` edges (default 20).
+    Closure walk per SCC: drop one edge, re-split, and split each loop
+    only at edges above the least edge dropped to reach it, which still
+    reaches every subloop.  Refuses to run on SCCs with more than `cap`
+    edges (default 20).
     """
     out = {}
     for top in _reachable_maximal(
             ts, DEFAULT_LOOP_CAP if cap is None else cap):
-        stack = [top]
         out[top.key] = top
+        bound = {top.edges: None}
+        stack = [(top.edges, None)]
         while stack:
-            cur = stack.pop()
-            for eid in cur.edges:
-                subs, _ = sccs(ts, cur.edges - {eid})
-                for m in subs:
-                    if m.key not in out:
-                        out[m.key] = m
-                        stack.append(m)
+            cur, low = stack.pop()
+            if low != bound[cur]:
+                continue  # reached again with a smaller bound since
+            for eid in sorted(cur):
+                if low is not None and eid <= low:
+                    continue
+                for m in sccs(ts, cur - {eid})[0]:
+                    out.setdefault(m.key, m)
+                    if m.edges not in bound or eid < bound[m.edges]:
+                        bound[m.edges] = eid
+                        stack.append((m.edges, eid))
     return [out[k] for k in sorted(out)]
 
 

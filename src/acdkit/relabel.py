@@ -8,6 +8,7 @@ import copy
 from dataclasses import dataclass, field
 
 from . import loops as _loops
+from . import zielonka as _zielonka
 from .core import (InputError, ParityCondition, RabinCondition,
                    StreettCondition, _over, _reading)
 
@@ -35,28 +36,20 @@ def classify_acd(acd):
         sub = acd.subtree_for_state(v)
         if sub.tree_index == 0:
             continue
-        t = acd.tree(sub.tree_index)
-        node_set = set(sub.nodes)
-        bad = []
-        for node in sub.nodes:
-            kids = [c for c in t.children_map[node] if c in node_set]
-            if len(kids) > 1:
-                bad.append(node)
-                if t.accepting(node):
-                    rabin = False
-                else:
-                    streett = False
+        bad, flags = _zielonka._branching(acd.tree(sub.tree_index),
+                                          sub.children)
+        rabin = rabin and flags["rabin"]
+        streett = streett and flags["streett"]
         if bad:
-            offending[v] = tuple(bad)
+            offending[v] = bad
     parity = rabin and streett
-    from .acd import acd_stats
-    stats = acd_stats(acd)
     return AcdShapeReport(
         rabin_acd=rabin,
         streett_acd=streett,
         parity_acd=parity,
-        interval=stats["interval"] if parity else None,
-        weak_k=max(t.height for t in acd.trees) if parity else None,
+        interval=_zielonka._parity_interval(acd.max_height, acd.tag)
+        if parity else None,
+        weak_k=acd.max_height if parity else None,
         offending=offending)
 
 
@@ -79,40 +72,34 @@ def _node_pairs(acd, want_accepting):
     return pairs
 
 
-def rabin_from_acd(ts, acd, report=None):
+def rabin_from_acd(ts, acd):
     """One Rabin pair per accepting node: a loop is accepting exactly when
     some accepting node contains it and the loop touches the part of that
     node's label not covered by its children.  Like every relabelling it
-    names the edge ids of `ts` (`over` is "edges").
-
-    `report` is `classify_acd(acd)`, when the caller has it already."""
-    if not (report or classify_acd(acd)).rabin_acd:
+    names the edge ids of `ts` (`over` is "edges")."""
+    if not classify_acd(acd).rabin_acd:
         raise InputError("decomposition is not Rabin-shaped")
     return _over(RabinCondition(_node_pairs(acd, True)), "edges")
 
 
-def streett_from_acd(ts, acd, report=None):
+def streett_from_acd(ts, acd):
     """Dual construction: one Streett pair per rejecting node, over the
     edge ids of `ts`."""
-    if not (report or classify_acd(acd)).streett_acd:
+    if not classify_acd(acd).streett_acd:
         raise InputError("decomposition is not Streett-shaped")
     return _over(StreettCondition(_node_pairs(acd, False)), "edges")
 
 
-def parity_relabel(ts, acd, report=None):
+def parity_relabel(ts, acd):
     """When every subtree is a chain the transformation keeps one copy per
     vertex, so its priorities pull back to the original edges: a parity
     condition over the edge ids of `ts`."""
-    if not (report or classify_acd(acd)).parity_acd:
+    if not classify_acd(acd).parity_acd:
         raise InputError("decomposition is not parity-shaped")
     priorities = {}
     for e in ts.edges:
-        q = e.source
-        sub = acd.subtree_for_state(q)
-        i = acd.vertex_index[q]
-        leaf = sub.leftmost_branch()
-        j, tau = acd.multi_supp(leaf, i, e.id)
-        priorities[e.id] = acd.priority(j, tau)
+        leaf = acd.subtree_for_state(e.source).leftmost_branch()
+        priorities[e.id] = acd.edge_step(leaf, e)[0]
     return _over(ParityCondition(priorities), "edges")
 
 

@@ -191,23 +191,25 @@ def supp(tree, leaf, colour):
     return best
 
 
-def _next_branch(tree, leaf, node, nodes, branches):
-    """Cyclic branch update inside the restriction of `tree` to `nodes`,
-    whose leaves are `branches`: from the branch `leaf`, move to the next
-    child of `node` kept in `nodes`, then descend leftmost.  `node` itself
-    when it keeps no child."""
-    kids = [c for c in tree.children_map[node] if c in nodes]
+def _next_branch(children, leaf, node):
+    """Cyclic branch update in the tree `children` (node -> its children,
+    e.g. `StateSubtree.children`): from the branch `leaf`, move to the
+    next child of `node`, then descend leftmost.  `node` itself when it
+    has no child."""
+    kids = children[node]
     if not kids:
         return node
     here = leaf[len(node)] if len(leaf) > len(node) else -1
-    chosen = next((c for c in kids if c[-1] > here), kids[0])
-    return next(b for b in branches if b[:len(chosen)] == chosen)
+    node = next((c for c in kids if c[-1] > here), kids[0])
+    while children[node]:
+        node = children[node][0]
+    return node
 
 
 def nextbranch(tree, leaf, node):
     """The branch reached from `leaf` by moving to the cyclically next
     child of `node` on its branch; `node` itself when it is a leaf."""
-    return _next_branch(tree, leaf, node, tree.label, tree.leaves)
+    return _next_branch(tree.children_map, leaf, node)
 
 
 def _parity_interval(height, tag):
@@ -267,19 +269,23 @@ def build_zt_automaton(tree):
                        optimal_parity_interval(tree))
 
 
+def _branching(tree, children):
+    """Nodes of the tree `children` (node -> its children) with more than
+    one child, and the shapes they allow: rabin when none is accepting in
+    `tree`, streett when none is rejecting, parity when both."""
+    bad = tuple(n for n, kids in children.items() if len(kids) > 1)
+    rabin = not any(tree.accepting(n) for n in bad)
+    streett = all(tree.accepting(n) for n in bad)
+    return bad, {"rabin": rabin, "streett": streett,
+                 "parity": rabin and streett}
+
+
 def shape(tree):
     """Which classical shapes the tree has: at most one child at every
-    accepting node (rabin), at every rejecting node (streett), or both
+    accepting node (rabin: rejecting sets closed under union), at every
+    rejecting node (streett: accepting sets closed under union), or both
     (parity)."""
-    rabin = True
-    streett = True
-    for node in tree.nodes:
-        if len(tree.children_map[node]) > 1:
-            if tree.accepting(node):
-                rabin = False
-            else:
-                streett = False
-    return {"rabin": rabin, "streett": streett, "parity": rabin and streett}
+    return _branching(tree, tree.children_map)[1]
 
 
 def optimal_parity_interval(tree):
@@ -316,6 +322,7 @@ def _delta_loops(g, gamma, delta):
     """
     from itertools import combinations
 
+    from .loops import _tarjan
     reach = {0}
     stack = [0]
     while stack:
@@ -329,38 +336,13 @@ def _delta_loops(g, gamma, delta):
     found = []
     for r in range(1, len(slots) + 1):
         for sub in combinations(slots, r):
-            verts = set()
             adj = {}
-            radj = {}
             for q, i in sub:
-                t = delta[q * g + i]
-                verts.add(q)
-                verts.add(t)
-                adj.setdefault(q, []).append(t)
-                radj.setdefault(t, []).append(q)
-            start = next(iter(verts))
-            fwd = {start}
-            st = [start]
-            while st:
-                v = st.pop()
-                for w in adj.get(v, []):
-                    if w not in fwd:
-                        fwd.add(w)
-                        st.append(w)
-            if not verts <= fwd:
-                continue
-            bwd = {start}
-            st = [start]
-            while st:
-                v = st.pop()
-                for w in radj.get(v, []):
-                    if w not in bwd:
-                        bwd.add(w)
-                        st.append(w)
-            if not verts <= bwd:
-                continue
-            found.append((tuple(q * g + i for q, i in sub),
-                          frozenset(gamma[i] for q, i in sub)))
+                adj.setdefault(q, []).append(delta[q * g + i])
+                adj.setdefault(delta[q * g + i], [])
+            if len(_tarjan(adj, adj.__getitem__)) == 1:
+                found.append((tuple(q * g + i for q, i in sub),
+                              frozenset(gamma[i] for q, i in sub)))
     return found
 
 

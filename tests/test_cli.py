@@ -1,12 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from acdkit import cli, docfmt
-from conftest import path_game
+from acdkit import cli, closure_oracle, docfmt
+from acdkit.core import _reading
+from conftest import path_game, random_condition, random_system, recoloured
 
 F = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -35,13 +37,13 @@ def run(tmp_path, *argv):
     return code, data
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=None):
     """Run a CLI invocation in a fresh interpreter; returns the completed
     process, with stdout and stderr as text."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run(
         [sys.executable, "-m", "acdkit.cli"] + list(argv),
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=src))
 
 
@@ -227,6 +229,30 @@ def test_cap_env_vars(tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["acd", fx("sixstate.json"), "--explore-cap", "-5"],
+    ["acd", fx("sixstate.json"), "--explore-cap", "0"],
+    ["oracle-equiv", fx("sixstate.json"), fx("sixstate.json"),
+     "--loop-cap", "-1"]], ids=["explore-negative", "explore-zero", "loop"])
+def test_cap_flags_below_one_are_input_errors(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert "a cap must be an integer of at least 1, got '%s'" % argv[-1] \
+        in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name,value", [("ACDKIT_EXPLORE_CAP", "-3"),
+                                        ("ACDKIT_LOOP_CAP", "0")])
+def test_cap_env_vars_below_one_are_input_errors(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    for sub in ("stats", "acd"):
+        proc = run_process(sub, fx("sixstate.json"))
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: %s: a cap must be an integer " \
+            "of at least 1, got '%s'\n" % (name, value)
+
+
 # the copies of `p` in the transform of `eleven_self_loops`, one per branch
 TRANSFORM_STATES = ",".join(sorted("p|r.%d" % i for i in range(11)))
 
@@ -333,6 +359,44 @@ def test_shape_reports_closure(tmp_path):
     assert obj["closure"] == {"union_closed": False,
                               "intersection_closed": True}
     assert obj["condition_shape"]["rabin"]
+
+
+def test_shape_of_many_self_loops_reads_closure_from_the_tree(tmp_path):
+    # a brute-force closure check over the 2^16 colour sets would take
+    # hours; the Zielonka tree of {{e00}} is a two-node chain
+    doc = tmp_path / "bouquet.json"
+    doc.write_text(json.dumps({
+        "format": "acdkit/1",
+        "system": {"vertices": ["p"], "initial": ["p"],
+                   "edges": [["e%02d" % i, "p", "p"] for i in range(16)]},
+        "condition": {"type": "muller", "family": [["e00"]]}}))
+    proc = run_process("shape", str(doc), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    obj = json.loads(proc.stdout)
+    assert obj["closure"] == {"union_closed": True,
+                              "intersection_closed": True}
+    assert obj["condition_shape"] == {"rabin": True, "streett": True,
+                                      "parity": True}
+
+
+def test_shape_closure_matches_the_oracle(tmp_path):
+    rng = random.Random(23)
+    doc = tmp_path / "doc.json"
+    seen = set()
+    for i in range(60):
+        ts = random_system(rng, max_vertices=3, max_edges=5)
+        if i % 2:
+            ts = recoloured(rng, ts, ["a", "b", "c"])
+        gamma = sorted({ts.colour(e.id) for e in ts.edges})
+        cond = random_condition(rng, "muller", gamma)
+        doc.write_text(docfmt.serialize(docfmt.Document(ts, cond)))
+        code, out = run(tmp_path, "shape", str(doc))
+        assert code == 0
+        closure = json.loads(out)["closure"]
+        assert closure == closure_oracle(cond.family,
+                                         _reading(ts, cond)[1])
+        seen.add(tuple(closure.values()))
+    assert len(seen) == 4
 
 
 # one vertex whose self-loops x and y are coloured with each other's id

@@ -104,6 +104,23 @@ def test_enumerate_matches_naive_oracle():
             set(naive_loops(ts))
 
 
+def test_enumerate_splits_each_bouquet_loop_once(monkeypatch):
+    # one vertex with 12 self-loops has 2^12 - 1 loops; dropping only
+    # edges above the last one dropped splits each proper subset of the
+    # edges once, and one more call finds the maximal loop
+    from acdkit import loops
+    calls = []
+
+    def counting_sccs(*args):
+        calls.append(args)
+        return sccs(*args)
+    monkeypatch.setattr(loops, "sccs", counting_sccs)
+    ts = TransitionSystem(["p"], [("e%02d" % i, "p", "p") for i in range(12)],
+                          ["p"])
+    assert len(enumerate_reachable_loops(ts)) == 4095
+    assert len(calls) == 4096
+
+
 def _check_against_naive(ts, cond, top):
     def status(edges):
         return loop_status_over(ts, cond, edges)
@@ -152,11 +169,11 @@ def test_edge_keyed_condition_on_coloured_system():
         report = classify_acd(acd)
         relabelled = []
         if report.rabin_acd:
-            relabelled.append(rabin_from_acd(ts, acd, report))
+            relabelled.append(rabin_from_acd(ts, acd))
         if report.streett_acd:
-            relabelled.append(streett_from_acd(ts, acd, report))
+            relabelled.append(streett_from_acd(ts, acd))
         if report.parity_acd:
-            relabelled.append(parity_relabel(ts, acd, report))
+            relabelled.append(parity_relabel(ts, acd))
         for cond in relabelled:
             _, universe = _reading(ts, cond)
             if universe != {e.id for e in ts.edges}:

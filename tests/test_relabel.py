@@ -7,7 +7,8 @@ from acdkit import (CapExceeded, InputError, MullerCondition, ParityCondition,
                     compress_priorities, equivalent_over, is_weak_k,
                     parity_relabel, rabin_from_acd, streett_from_acd,
                     to_explicit_muller)
-from conftest import random_muller_system
+from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
+                      random_system, recoloured)
 from oracles import loop_equivalent
 
 
@@ -200,3 +201,36 @@ def test_is_weak_k_reads_the_condition_once():
     assert is_weak_k(ts, prios, 2) and not is_weak_k(ts, prios, 1)
     with pytest.raises(InputError):
         is_weak_k(ts, ParityCondition({"x": 0}), 2)
+
+
+def test_subtrees_and_offending_match_brute_force():
+    """Each vertex's branches and the classification's offending nodes,
+    recomputed from the whole trees: the nodes whose loop visits the
+    vertex, and among them those with no / several such children."""
+    rng = random.Random(17)
+    branching = 0
+    for i in range(120):
+        ts = random_system(rng, max_vertices=5, max_edges=9)
+        if i % 3 == 0:
+            ts = recoloured(rng, ts, ["a", "b", "c", "d"])
+        kind = CONDITION_KINDS[i % len(CONDITION_KINDS)]
+        cond = random_condition(rng, kind, {ts.colour(e.id) for e in ts.edges})
+        acd = build_acd(ts, cond)
+        offending = {}
+        for v in ts.vertices:
+            index = acd.vertex_index[v]
+            if index == 0:
+                assert acd.subtree_for_state(v).branches == ((),)
+                continue
+            t = acd.tree(index)
+            kept = [n for n in t.nodes if v in t.states[n]]
+            kids = {n: [c for c in t.children_map[n] if v in t.states[c]]
+                    for n in kept}
+            assert acd.subtree_for_state(v).branches == \
+                tuple(n for n in kept if not kids[n])
+            bad = tuple(n for n in kept if len(kids[n]) > 1)
+            if bad:
+                offending[v] = bad
+        assert classify_acd(acd).offending == offending
+        branching += bool(offending)
+    assert branching > 10
