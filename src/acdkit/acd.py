@@ -57,6 +57,7 @@ class ACD:
         problems = validate(ts, cond)
         if problems:
             raise InputError("; ".join(problems))
+        _loops._cap(explore_cap, "explore_cap")
         self.ts = ts
         self.cond = cond
         maximal, transient = _loops.sccs(ts)

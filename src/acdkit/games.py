@@ -2,7 +2,11 @@
 solver with certified strategies, and Muller games solved through the
 parity transformation.  The solver walks Zielonka's decomposition with an
 explicit stack and shares one predecessor index per game, so deep games
-do not hit Python's recursion limit."""
+do not hit Python's recursion limit.  Within one call it solves each
+distinct subgame of the decomposition's second recursive call once, so
+the cycle family, exponential for plain Zielonka, stays polynomial.  The
+certificate check peels strongly connected components by least priority,
+independently of the solver."""
 
 from __future__ import annotations
 
@@ -49,6 +53,14 @@ class ParitySolution:
         return self.regions[v]
 
 
+def _fresh(solution):
+    """A copy of a subgame's (regions, strategies) whose strategy maps can
+    be extended without touching the original.  No frame modifies regions,
+    so they are shared."""
+    regions, strats = solution
+    return regions, {p: dict(s) for p, s in strats.items()}
+
+
 def solve_parity_game(game):
     """Winning regions and positional strategies, computed by Zielonka's
     attractor decomposition and verified by cycle analysis before being
@@ -57,7 +69,9 @@ def solve_parity_game(game):
     The decomposition runs on an explicit stack of frames, one generator
     per subgame, so the size of the game is not limited by Python's
     recursion depth.  The board's predecessor lists and its nodes bucketed
-    by priority are built once per game and shared by every subgame."""
+    by priority are built once per game and shared by every subgame.  A
+    subgame's solution depends on its node set alone, so the subgames of
+    the second recursive call are solved once per call and reused."""
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts
@@ -125,8 +139,8 @@ def solve_parity_game(game):
         opp = _other(player)
         attracted, astrat = attract(player, target, nodes)
         regions, strats = yield nodes - attracted, level
-        # only this frame reads the child's solution, so it may extend the
-        # child's strategy maps in place
+        # only this frame holds the child's solution (the memo hands out
+        # copies), so it may extend the child's strategy maps in place
         if not regions[opp]:
             strat = strats[player]
             strat.update(astrat)
@@ -135,13 +149,21 @@ def solve_parity_game(game):
                     strat[n] = min(m for m in succ[n] if m in nodes)
             return {player: nodes, opp: set()}, {player: strat, opp: {}}
         escape, bstrat = attract(opp, regions[opp], nodes)
-        regions2, strats2 = yield nodes - escape, level
+        rest = nodes - escape
+        if rest not in memo:
+            memo[rest] = _fresh((yield rest, level))
+        regions2, strats2 = _fresh(memo[rest])
         ostrat = strats[opp]
         ostrat.update(bstrat)
         ostrat.update(strats2[opp])
         return ({player: regions2[player], opp: regions2[opp] | escape},
                 {player: strats2[player], opp: ostrat})
 
+    # Solutions of the second recursive call's subgames, by node set: the
+    # cycle family reaches a few hundred distinct ones through 10^5 frames.
+    # Parents extend the strategy maps they receive in place, so the memo
+    # keeps a snapshot and hands out copies.
+    memo = {}
     stack = [solve(frozenset(range(len(prio))), 0)]
     result = None
     while stack:
@@ -173,7 +195,8 @@ def solve_parity_game(game):
 def verify_parity_solution(game, solution):
     """Certificate check: within each region, following the winner's
     strategy must keep play in the region and make every cycle's minimum
-    priority favourable.  Returns a list of problems."""
+    priority favourable.  Returns a list of problems, the unfavourable
+    cycle minima of a region in ascending order."""
     problems = []
     ts = game.ts
     key, _ = _reading(ts, game.condition)
@@ -199,25 +222,37 @@ def verify_parity_solution(game, solution):
                     allowed.append(e)
         good_parity = 0 if player == "Eve" else 1
         prios = {e.id: game.condition.priorities[key(e.id)] for e in allowed}
-        for d in sorted(set(prios.values())):
-            if d % 2 == good_parity:
-                continue
-            keep = [e for e in allowed if prios[e.id] >= d]
+        # Peel SCCs: a component's least inner priority d is the minimum of
+        # some cycle in it, and every cycle avoiding the d-edges survives in
+        # a component of what is left, so this finds exactly the minima of
+        # the cycles.
+        bad = set()
+        work = [allowed]
+        while work:
+            edges = work.pop()
             adj = {}
-            for e in keep:
+            for e in edges:
                 adj.setdefault(e.source, []).append(e.target)
                 adj.setdefault(e.target, [])
-            comps = _tarjan(adj.keys(), lambda v: sorted(adj[v]))
             comp_of = {}
-            for i, comp in enumerate(comps):
+            for i, comp in enumerate(_tarjan(adj.keys(), adj.__getitem__)):
                 for v in comp:
                     comp_of[v] = i
-            for e in keep:
-                if prios[e.id] == d and comp_of[e.source] == comp_of[e.target]:
-                    problems.append(
-                        "cycle with minimum priority %d inside the %s region"
-                        % (d, player))
-                    break
+            inner = {}
+            for e in edges:
+                if comp_of[e.source] == comp_of[e.target]:
+                    inner.setdefault(comp_of[e.source], []).append(e)
+            for es in inner.values():
+                d = min(prios[e.id] for e in es)
+                if d % 2 != good_parity:
+                    bad.add(d)
+                rest = [e for e in es if prios[e.id] != d]
+                if rest:
+                    work.append(rest)
+        for d in sorted(bad):
+            problems.append(
+                "cycle with minimum priority %d inside the %s region"
+                % (d, player))
     return problems
 
 

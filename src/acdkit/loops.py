@@ -132,6 +132,16 @@ def is_loop(ts, edge_ids):
     return not transient and len(maximal) == 1 and maximal[0].edges == es
 
 
+def _cap(value, name):
+    """`value`, after checking that a cap that is set is an integer of at
+    least 1, as on the command line."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int) or value < 1):
+        raise InputError("%s: a cap must be an integer of at least 1, got %r"
+                         % (name, value))
+    return value
+
+
 def _side(ts, cond):
     """How the decomposition reads `cond` on `ts`: the key of each edge
     (`core._reading`), the Zielonka-tree children read of key sets
@@ -179,7 +189,8 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     Zielonka tree of `cond`).  Edges are keyed as `core._reading` keys
     them: by colour, or by id for a condition over edges.
     """
-    kids = _flipped_subloops(ts, _side(ts, cond), loop.edges, explore_cap)
+    kids = _flipped_subloops(ts, _side(ts, cond), loop.edges,
+                             _cap(explore_cap, "explore_cap"))
     return [Loop.of(ts, edges) for edges in kids]
 
 
@@ -210,7 +221,8 @@ def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
     `loop_cap`, a reachable SCC of more edges raises CapExceeded.
     """
     (key1, _, status1), (key2, _, status2) = side1, side2
-    for top in _reachable_maximal(ts, loop_cap):
+    _cap(explore_cap, "explore_cap")
+    for top in _reachable_maximal(ts, _cap(loop_cap, "loop_cap")):
         if status1(frozenset(map(key1, top.edges))) != \
                 status2(frozenset(map(key2, top.edges))):
             return False
@@ -234,7 +246,7 @@ def enumerate_reachable_loops(ts, cap=None):
     """
     out = {}
     for top in _reachable_maximal(
-            ts, DEFAULT_LOOP_CAP if cap is None else cap):
+            ts, DEFAULT_LOOP_CAP if cap is None else _cap(cap, "cap")):
         out[top.key] = top
         bound = {top.edges: None}
         stack = [(top.edges, None)]

@@ -3,13 +3,14 @@
 Everything here is deliberately naive: powerset enumeration, matrix-style
 reachability, positional strategy enumeration, loop-by-loop status
 comparison.  Nothing imports the algorithms under test beyond the plain
-data types, the loop status and the loop enumeration (itself checked
-against `naive_loops`).
+data types, the loop status, the loop enumeration (itself checked
+against `naive_loops`) and the one reading of a condition's keys.
 """
 
 import itertools
 
 from acdkit import enumerate_reachable_loops, loop_status_over
+from acdkit.core import _reading
 
 
 def naive_is_strongly_connected(edges):
@@ -160,6 +161,7 @@ def brute_force_parity_regions(ts, owners, prio_of_edge):
                 winners[v] = "Eve"
     return winners
 
+
 def _scc_edge_sets(edges):
     """SCC-internal edge groups of a list of (id, source, target) triples,
     by Kosaraju on the touched vertices."""
@@ -241,3 +243,48 @@ def parity_criterion_violation(edges, letter_of, prio_of, letter_sets,
             if loop_exists(edges, letter_of, prio_of, X, d):
                 return (X, d)
     return None
+
+
+def naive_certificate_problems(game, solution):
+    """Problems with a parity game certificate, one SCC pass per losing
+    priority: within each region, the winner's strategy must keep play in
+    the region, and a losing priority d is reported when some edge of
+    priority d lies in an SCC of the allowed edges of priority >= d, that
+    is, when some cycle has minimum d.  SCCs come from `_scc_edge_sets`,
+    not from the library."""
+    problems = []
+    ts = game.ts
+    key, _ = _reading(ts, game.condition)
+    for player in ("Eve", "Adam"):
+        region = {v for v, w in solution.regions.items() if w == player}
+        if not region:
+            continue
+        allowed = []
+        for v in sorted(region):
+            if ts.owners[v] == player:
+                eid = solution.strategies[player].get(v)
+                if eid is None:
+                    problems.append("%s has no move at %r" % (player, v))
+                    continue
+                chosen = [ts.edge(eid)]
+            else:
+                chosen = list(ts.out(v))
+            for e in chosen:
+                if e.target not in region:
+                    problems.append(
+                        "edge %r escapes the %s region" % (e.id, player))
+                else:
+                    allowed.append(e)
+        good_parity = 0 if player == "Eve" else 1
+        prios = {e.id: game.condition.priorities[key(e.id)] for e in allowed}
+        for d in sorted(set(prios.values())):
+            if d % 2 == good_parity:
+                continue
+            keep = [(e.id, e.source, e.target) for e in allowed
+                    if prios[e.id] >= d]
+            if any(prios[eid] == d
+                   for group in _scc_edge_sets(keep) for eid, _, _ in group):
+                problems.append(
+                    "cycle with minimum priority %d inside the %s region"
+                    % (d, player))
+    return problems

@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import acdkit
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, solve_muller_game, solve_parity_game,
                     verify_parity_solution)
+from acdkit.games import ParitySolution
 from conftest import (cycle_game, path_game, random_muller_system,
                       random_system)
-from oracles import brute_force_parity_regions
+from oracles import brute_force_parity_regions, naive_certificate_problems
 
 
 def small_parity_game():
@@ -98,6 +103,120 @@ def test_deep_path_game_in_process():
     sol = solve_parity_game(game)
     assert set(sol.regions.values()) == {"Eve"}
     assert verify_parity_solution(game, sol) == []
+
+
+def test_cycle_game_40_in_subprocess():
+    """Repeated subgames are solved once per call, so the cycle family is
+    polynomial; at 2x per two more vertices, n = 40 would take minutes."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(acdkit.__file__))
+    code = ("from acdkit import Game, solve_parity_game, "
+            "verify_parity_solution\n"
+            "from conftest import cycle_game\n"
+            "game = Game(*cycle_game(40))\n"
+            "print(verify_parity_solution(game, solve_parity_game(game)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ,
+                             PYTHONPATH=os.pathsep.join([src, here])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _copy(sol):
+    return ParitySolution(dict(sol.regions),
+                          {p: dict(s) for p, s in sol.strategies.items()})
+
+
+@pytest.mark.parametrize("make", [lambda: Game(*cycle_game(12)),
+                                  small_parity_game],
+                         ids=["cycle12", "small"])
+def test_solutions_share_no_strategy_maps(make):
+    game = make()
+    first = solve_parity_game(game)
+    second = solve_parity_game(game)
+    kept = _copy(second)
+    for moves in first.strategies.values():
+        for v in list(moves):
+            moves[v] = "tampered"
+        moves["extra"] = "tampered"
+    assert second == kept
+    assert second == solve_parity_game(game)
+    assert verify_parity_solution(game, second) == []
+
+
+def test_reused_subgames_bring_no_foreign_moves():
+    """A subgame solved twice in one call is solved once and reused.  Had
+    the reused strategy map been the one a parent extends in place, Eve
+    would get a move at v11, which Adam wins, between v10 and v7."""
+    succ = {0: [6, 4], 1: [9, 8], 2: [4, 6], 3: [0, 9], 4: [6, 6],
+            5: [0, 11, 0], 6: [4], 7: [0, 7], 8: [5, 11], 9: [8, 3],
+            10: [9, 5], 11: [1, 1], 12: [4, 5]}
+    prios = [6, 2, 0, 1, 6, 4, 1, 4, 3, 5, 4, 2, 3, 2, 1, 5, 6, 2, 5, 3,
+             6, 5, 2, 5, 3, 1]   # edge priorities, in the order of `edges`
+    edges = [("e%d_%d" % (v, j), "v%d" % v, "v%d" % w)
+             for v, ws in succ.items() for j, w in enumerate(ws)]
+    adam = {1, 2, 3, 4, 9, 12}
+    ts = TransitionSystem(
+        ["v%d" % v for v in succ], edges, ["v0"],
+        owners={"v%d" % v: "Adam" if v in adam else "Eve" for v in succ})
+    game = Game(ts, ParityCondition(
+        {e[0]: d for e, d in zip(edges, prios)}))
+    sol = solve_parity_game(game)
+    for player, moves in sol.strategies.items():
+        for v in moves:
+            assert sol.regions[v] == player == ts.owners[v]
+    assert list(sol.strategies["Eve"]) == ["v6", "v0", "v5", "v8", "v10",
+                                           "v7"]
+    assert list(sol.strategies["Adam"]) == ["v9", "v3", "v1"]
+
+
+def _random_game(rng):
+    """At most 25 vertices, 1-3 out-edges each, 1-9 priorities."""
+    n = rng.randint(1, 25)
+    vs = ["v%d" % i for i in range(n)]
+    edges = [("e%d_%d" % (i, j), v, rng.choice(vs))
+             for i, v in enumerate(vs) for j in range(rng.randint(1, 3))]
+    ts = TransitionSystem(vs, edges, [vs[0]],
+                          owners={v: rng.choice(["Eve", "Adam"]) for v in vs})
+    k = rng.randint(1, 9)
+    return Game(ts, ParityCondition({e[0]: rng.randrange(k) for e in edges}))
+
+
+def _tampered(rng, game, sol):
+    """The solution with some regions flipped and some strategy moves
+    rewired or removed."""
+    sol = _copy(sol)
+    ts = game.ts
+    for v in ts.vertices:
+        r = rng.random()
+        if r < 0.15:
+            sol.regions[v] = "Adam" if sol.regions[v] == "Eve" else "Eve"
+        elif r < 0.35:
+            sol.strategies[ts.owners[v]][v] = rng.choice(ts.out(v)).id
+        elif r < 0.45:
+            sol.strategies[ts.owners[v]].pop(v, None)
+    return sol
+
+
+def test_verify_matches_naive_certificate_check():
+    """The peeling check reports exactly what one SCC pass per losing
+    priority reports, on solved and on tampered certificates."""
+    rng = random.Random(8)
+    seen = {"clean": 0, "cycle": 0, "move": 0, "escape": 0}
+    for i in range(600):
+        game = _random_game(rng)
+        sol = solve_parity_game(game)
+        if i % 3:
+            sol = _tampered(rng, game, sol)
+        got = verify_parity_solution(game, sol)
+        assert got == naive_certificate_problems(game, sol)
+        seen["clean"] += not got
+        seen["cycle"] += any(p.startswith("cycle with minimum priority")
+                             for p in got)
+        seen["move"] += any(" has no move at " in p for p in got)
+        seen["escape"] += any(" escapes the " in p for p in got)
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_muller_one_player():

@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdkit import (Automaton, BuchiCondition, CapExceeded, Loop,
-                    MullerCondition, TransitionSystem, accessible_x_scc,
-                    alternating_children, build_acd, build_zielonka_tree,
-                    build_zt_automaton, classify_acd,
-                    enumerate_reachable_loops, is_loop, loop_status_over,
+from acdkit import (Automaton, BuchiCondition, CapExceeded, InputError,
+                    Loop, MullerCondition, TransitionSystem, accessible_x_scc,
+                    acd_transform, alternating_children, build_acd,
+                    build_zielonka_tree, build_zt_automaton,
+                    check_acceptance_preserving, classify_acd,
+                    enumerate_reachable_loops, equivalent_over,
+                    induced_morphism, is_loop, loop_status_over,
                     parity_relabel, rabin_from_acd, sccs, streett_from_acd)
 from acdkit.core import _reading
-from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
-                      random_system, recoloured)
+from acdkit.docfmt import parse
+from conftest import (CONDITION_KINDS, FIXTURES, random_condition,
+                      random_muller_system, random_system, recoloured)
 from oracles import naive_loops, naive_maximal_flipped
 
 
@@ -281,3 +284,36 @@ def test_scc_cover_loop_oracle_matches_enumeration():
                 got = loop_exists(edges, letter.get, prio.get, X, d)
                 want = d in seen.get(X, set())
                 assert got == want, (X, d)
+
+
+def _sixstate_entry_points():
+    """Each library entry point that takes a cap, called on the sixstate
+    document with the cap set to `value`."""
+    with open(FIXTURES / "sixstate.json", encoding="utf-8") as fh:
+        doc = parse(fh.read())
+    ts, cond = doc.system, doc.condition
+    m = induced_morphism(acd_transform(ts, cond), ts, cond)
+    return {
+        "build_acd": lambda v: build_acd(ts, cond, explore_cap=v),
+        "enumerate_reachable_loops":
+            lambda v: enumerate_reachable_loops(ts, cap=v),
+        "equivalent_over-loop_cap":
+            lambda v: equivalent_over(ts, cond, cond, loop_cap=v),
+        "equivalent_over-explore_cap":
+            lambda v: equivalent_over(ts, cond, cond, explore_cap=v),
+        "check_acceptance_preserving-loop_cap":
+            lambda v: check_acceptance_preserving(m, loop_cap=v),
+        "check_acceptance_preserving-explore_cap":
+            lambda v: check_acceptance_preserving(m, explore_cap=v),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_sixstate_entry_points()))
+@pytest.mark.parametrize("value", [0, -2])
+def test_library_caps_below_one_are_input_errors(entry, value):
+    """The library keeps the command line's rule: a cap is at least 1."""
+    call = _sixstate_entry_points()[entry]
+    with pytest.raises(InputError, match="a cap must be an integer of at "
+                       "least 1, got %d" % value):
+        call(value)
+    call(10**6)  # a cap of at least 1 is taken
