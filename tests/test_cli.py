@@ -472,3 +472,50 @@ def test_every_subcommand_on_every_fixture(tmp_path):
     for argv in argvs:
         code, _ = run(tmp_path, *argv)
         assert code in (0, 1, 2, 3), argv
+
+
+# every subcommand with the positional arguments and required flags it
+# takes; the five that also write a DOT rendering take --dot
+SUBCOMMANDS = {
+    "zielonka": ["f"], "zt-automaton": ["f"], "acd": ["f"],
+    "transform": ["f"], "stats": ["f"], "shape": ["f"],
+    "relabel": ["f", "--target", "weak"], "compress": ["f"],
+    "compose": ["a", "f"], "check-morphism": ["f", "--against", "g"],
+    "solve": ["f"], "oracle-equiv": ["f", "g"]}
+DOT_SUBCOMMANDS = {"zielonka", "zt-automaton", "acd", "transform", "compose"}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_every_subcommand_takes_the_common_flags(sub):
+    parser = cli.build_parser()
+    args = parser.parse_args([sub] + SUBCOMMANDS[sub] + [
+        "-o", "out", "--loop-cap", "4", "--explore-cap", "5"])
+    assert (args.output, args.loop_cap, args.explore_cap) == ("out", 4, 5)
+    args = parser.parse_args([sub] + SUBCOMMANDS[sub])
+    assert (args.output, args.loop_cap, args.explore_cap) == (None,) * 3
+    if sub in DOT_SUBCOMMANDS:
+        assert parser.parse_args(
+            [sub] + SUBCOMMANDS[sub] + ["--dot", "d"]).dot == "d"
+    else:
+        with pytest.raises(SystemExit):
+            parser.parse_args([sub] + SUBCOMMANDS[sub] + ["--dot", "d"])
+    for flag in ("--target", "--against"):
+        if flag in SUBCOMMANDS[sub]:
+            i = SUBCOMMANDS[sub].index(flag)
+            with pytest.raises(SystemExit):  # the flag is required
+                parser.parse_args([sub] + SUBCOMMANDS[sub][:i])
+
+
+def test_calls_in_one_process_share_no_arguments(tmp_path, monkeypatch):
+    monkeypatch.delenv("ACDKIT_LOOP_CAP", raising=False)
+    monkeypatch.delenv("ACDKIT_EXPLORE_CAP", raising=False)
+    six = fx("sixstate.json")
+    assert run(tmp_path, "oracle-equiv", six, six, "--loop-cap", "2")[0] == 3
+    assert run(tmp_path, "oracle-equiv", six, six) == (
+        0, b'{\n  "equivalent": true\n}\n')
+    dot = tmp_path / "t.dot"
+    assert run(tmp_path, "transform", six, "--dot", str(dot))[0] == 0
+    assert dot.read_text().startswith("digraph")
+    dot.unlink()
+    assert run(tmp_path, "transform", six)[0] == 0
+    assert list(tmp_path.iterdir()) == []
