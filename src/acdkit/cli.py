@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
 
@@ -32,18 +34,15 @@ def _read_doc(path):
     return docfmt.parse(text)
 
 
-def _write(args, text):
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _write(args, text, dot=None):
+    """Write the result `text` to `-o` or stdout, then `dot`, the DOT
+    rendering of the commands that have one, to `--dot` when given."""
+    if not args.output:
         sys.stdout.write(text)
-
-
-def _write_dot(args, text):
-    if getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    for path, data in ((args.output, text), (dot and args.dot, dot)):
+        if path:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(data)
 
 
 def _require_condition(doc, kinds=None):
@@ -55,71 +54,69 @@ def _require_condition(doc, kinds=None):
     return doc.condition
 
 
-def _build_tree(doc):
-    cond = _require_condition(doc, ("muller",))
-    _, gamma = _reading(doc.system, cond)
+def _input(path, kinds=None):
+    """The system of the document at `path` and its condition, of one of
+    `kinds` if given."""
+    doc = _read_doc(path)
+    return doc.system, _require_condition(doc, kinds)
+
+
+def _build_acd(args):
+    """The input system, its condition and its ACD."""
+    ts, cond = _input(args.file)
+    return ts, cond, _acd.build_acd(ts, cond, explore_cap=args.explore_cap)
+
+
+def _build_tree(ts, cond):
+    """The Zielonka tree of the Muller condition `cond` read on `ts`."""
+    _, gamma = _reading(ts, cond)
     return zielonka.build_zielonka_tree(cond.family, gamma)
 
 
+def _regions(sol):
+    return {p: sorted(v for v, w in sol.regions.items() if w == p)
+            for p in ("Eve", "Adam")}
+
+
 def cmd_zielonka(args):
-    doc = _read_doc(args.file)
-    tree = _build_tree(doc)
-    _write(args, docfmt.dumps(docfmt.tree_to_obj(tree)))
-    _write_dot(args, docfmt.dot_tree(tree))
+    tree = _build_tree(*_input(args.file, ("muller",)))
+    _write(args, docfmt.dumps(docfmt.tree_to_obj(tree)),
+           docfmt.dot_tree(tree))
 
 
 def cmd_zt_automaton(args):
-    doc = _read_doc(args.file)
-    tree = _build_tree(doc)
-    zt = zielonka.build_zt_automaton(tree)
+    zt = zielonka.build_zt_automaton(
+        _build_tree(*_input(args.file, ("muller",))))
     out = docfmt.Document(zt.automaton.ts, zt.automaton.condition)
-    _write(args, docfmt.serialize(out))
-    _write_dot(args, docfmt.dot_system(zt.automaton.ts))
+    _write(args, docfmt.serialize(out), docfmt.dot_system(zt.automaton.ts))
 
 
 def cmd_acd(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc)
-    acd = _acd.build_acd(doc.system, cond, explore_cap=args.explore_cap)
-    _write(args, docfmt.dumps(docfmt.acd_to_obj(acd)))
-    _write_dot(args, docfmt.dot_acd(acd))
+    _, _, acd = _build_acd(args)
+    _write(args, docfmt.dumps(docfmt.acd_to_obj(acd)), docfmt.dot_acd(acd))
 
 
 def cmd_transform(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc)
-    result = _acd.acd_transform(doc.system, cond,
-                                explore_cap=args.explore_cap)
+    ts, cond = _input(args.file)
+    result = _acd.acd_transform(ts, cond, explore_cap=args.explore_cap)
     out = docfmt.Document(result.system, result.condition,
                           {"vertices": result.vertex_map,
                            "edges": result.edge_map})
-    _write(args, docfmt.serialize(out))
-    _write_dot(args, docfmt.dot_system(result.system))
+    _write(args, docfmt.serialize(out), docfmt.dot_system(result.system))
 
 
 def cmd_stats(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc)
-    acd = _acd.build_acd(doc.system, cond, explore_cap=args.explore_cap)
-    _write(args, docfmt.dumps(docfmt.stats_to_obj(_acd.acd_stats(acd))))
+    _, _, acd = _build_acd(args)
+    _write(args, docfmt.dumps(_acd.acd_stats(acd)))
 
 
 def cmd_shape(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc)
-    acd = _acd.build_acd(doc.system, cond, explore_cap=args.explore_cap)
-    report = relabel.classify_acd(acd)
-    obj = {
-        "rabin_acd": report.rabin_acd,
-        "streett_acd": report.streett_acd,
-        "parity_acd": report.parity_acd,
-        "interval": list(report.interval) if report.interval else None,
-        "weak_k": report.weak_k,
-        "offending": {v: [docfmt._node_name(n) for n in nodes]
-                      for v, nodes in report.offending.items()},
-    }
+    ts, cond, acd = _build_acd(args)
+    obj = dataclasses.asdict(relabel.classify_acd(acd))
+    obj["offending"] = {v: [docfmt._node_name(n) for n in nodes]
+                        for v, nodes in obj["offending"].items()}
     if cond.kind == "muller":
-        flags = zielonka.shape(_build_tree(doc))
+        flags = zielonka.shape(_build_tree(ts, cond))
         obj["condition_shape"] = flags
         obj["closure"] = {"union_closed": flags["streett"],
                           "intersection_closed": flags["rabin"]}
@@ -127,28 +124,25 @@ def cmd_shape(args):
 
 
 def cmd_relabel(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc)
-    acd = _acd.build_acd(doc.system, cond, explore_cap=args.explore_cap)
+    ts, _, acd = _build_acd(args)
     relabelling = {"rabin": relabel.rabin_from_acd,
                    "streett": relabel.streett_from_acd,
                    "parity": relabel.parity_relabel,
                    "weak": relabel.parity_relabel}[args.target]
     try:
         # a relabelling refuses a decomposition of the wrong shape
-        new_cond = relabelling(doc.system, acd)
+        new_cond = relabelling(ts, acd)
     except InputError as e:
         raise PropertyFalse(str(e)) from None
     if args.target == "weak":
-        new_cond = relabel.compress_priorities(doc.system, new_cond)
-    _write(args, docfmt.serialize(docfmt.Document(doc.system, new_cond)))
+        new_cond = relabel.compress_priorities(ts, new_cond)
+    _write(args, docfmt.serialize(docfmt.Document(ts, new_cond)))
 
 
 def cmd_compress(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc, ("parity",))
-    new_cond = relabel.compress_priorities(doc.system, cond)
-    _write(args, docfmt.serialize(docfmt.Document(doc.system, new_cond)))
+    ts, cond = _input(args.file, ("parity",))
+    new_cond = relabel.compress_priorities(ts, cond)
+    _write(args, docfmt.serialize(docfmt.Document(ts, new_cond)))
 
 
 def cmd_compose(args):
@@ -157,13 +151,10 @@ def cmd_compose(args):
     aut_cond = _require_condition(aut_doc)
     aut = Automaton(aut_doc.system, aut_cond)
     product = compose(aut, ts_doc.system, ts_doc.condition or aut_cond)
-    morphism = None
-    if product.projection is not None:
-        morphism = {"vertices": product.projection.vertex_map,
-                    "edges": product.projection.edge_map}
-    out = docfmt.Document(product.system, product.condition, morphism)
-    _write(args, docfmt.serialize(out))
-    _write_dot(args, docfmt.dot_system(product.system))
+    m = product.projection  # there is one: compose got a condition
+    out = docfmt.Document(product.system, product.condition,
+                          {"vertices": m.vertex_map, "edges": m.edge_map})
+    _write(args, docfmt.serialize(out), docfmt.dot_system(product.system))
 
 
 def cmd_check_morphism(args):
@@ -175,65 +166,76 @@ def cmd_check_morphism(args):
                  against.system, _require_condition(against),
                  doc.morphism["vertices"], doc.morphism["edges"])
     ok, problems = check_structural(m)
-    local = {"surjective": False, "injective": False, "bijective": False}
-    preserving = False
+    obj = {"structural": ok, "problems": problems,
+           "local": {"surjective": False, "injective": False,
+                     "bijective": False},
+           "acceptance_preserving": False}
     if ok:
-        local = check_local(m)
-        preserving = check_acceptance_preserving(
+        obj["local"] = check_local(m)
+        obj["acceptance_preserving"] = check_acceptance_preserving(
             m, loop_cap=args.loop_cap, explore_cap=args.explore_cap)
-    obj = {
-        "structural": ok,
-        "problems": problems,
-        "local": local,
-        "acceptance_preserving": preserving,
-    }
     _write(args, docfmt.dumps(obj))
-    if not (ok and preserving):
+    if not (ok and obj["acceptance_preserving"]):
         raise PropertyFalse("morphism checks failed")
 
 
 def cmd_solve(args):
-    doc = _read_doc(args.file)
-    cond = _require_condition(doc)
-    game = games.Game(doc.system, cond)
+    ts, cond = _input(args.file)
+    game = games.Game(ts, cond)
     if cond.kind == "parity":
         sol = games.solve_parity_game(game)
-        obj = {
-            "winner": sol.winner(game.initial),
-            "regions": {p: sorted(v for v, w in sol.regions.items() if w == p)
-                        for p in ("Eve", "Adam")},
-            "strategies": sol.strategies,
-        }
+        obj = {"strategies": sol.strategies}
     else:
         sol = games.solve_muller_game(game, explore_cap=args.explore_cap)
-        psol = sol.parity_solution
-        obj = {
-            "winner": sol.winner(game.initial),
-            "regions": {p: sorted(v for v, w in sol.regions.items() if w == p)
-                        for p in ("Eve", "Adam")},
-            "transform": {
-                "regions": {p: sorted(v for v, w in psol.regions.items()
-                                      if w == p)
-                            for p in ("Eve", "Adam")},
-                "strategies": psol.strategies,
-            },
-        }
+        obj = {"transform": {"regions": _regions(sol.parity_solution),
+                             "strategies": sol.parity_solution.strategies}}
+    obj.update(winner=sol.winner(game.initial), regions=_regions(sol))
     _write(args, docfmt.dumps(obj))
 
 
 def cmd_oracle_equiv(args):
     doc1 = _read_doc(args.file)
     doc2 = _read_doc(args.other)
-    if docfmt.dumps(docfmt.system_to_obj(doc1.system)) != \
-            docfmt.dumps(docfmt.system_to_obj(doc2.system)):
+    if docfmt.system_to_obj(doc1.system) != docfmt.system_to_obj(doc2.system):
         raise InputError("the two documents describe different systems")
-    cond1 = _require_condition(doc1)
-    cond2 = _require_condition(doc2)
-    eq = equivalent_over(doc1.system, cond1, cond2, loop_cap=args.loop_cap,
+    eq = equivalent_over(doc1.system, _require_condition(doc1),
+                         _require_condition(doc2), loop_cap=args.loop_cap,
                          explore_cap=args.explore_cap)
     _write(args, docfmt.dumps({"equivalent": eq}))
     if not eq:
         raise PropertyFalse("conditions are not equivalent over the system")
+
+
+# the flags some subcommands take beyond `-o` and the two caps
+FLAGS = {"--dot": {"help": "also write a DOT rendering here"},
+         "--target": {"required": True,
+                      "choices": ["rabin", "streett", "parity", "weak"]},
+         "--against": {"required": True}}
+
+# name -> (handler, its positional arguments and FLAGS, help), in the
+# order help lists them
+COMMANDS = {
+    "zielonka": (cmd_zielonka, "file --dot",
+                 "Zielonka tree of a Muller condition"),
+    "zt-automaton": (cmd_zt_automaton, "file --dot",
+                     "parity automaton built on the branches of the tree"),
+    "acd": (cmd_acd, "file --dot", "alternating cycle decomposition"),
+    "transform": (cmd_transform, "file --dot",
+                  "parity transformation of the system"),
+    "stats": (cmd_stats, "file", "transformation size and priority usage"),
+    "shape": (cmd_shape, "file", "shape classification of the decomposition"),
+    "relabel": (cmd_relabel, "file --target",
+                "equivalent condition of the requested class"),
+    "compress": (cmd_compress, "file", "remove unused priority values"),
+    "compose": (cmd_compose, "automaton file --dot",
+                "product of a deterministic automaton with a system"),
+    "check-morphism": (cmd_check_morphism, "file --against",
+                       "verify the morphism block of a document"),
+    "solve": (cmd_solve, "file", "solve a parity or Muller game"),
+    "oracle-equiv": (cmd_oracle_equiv, "file other",
+                     "equivalence of two conditions on every reachable "
+                     "loop, by comparing their decompositions"),
+}
 
 
 def _cap(text):
@@ -257,74 +259,35 @@ def _env_int(name):
         raise InputError("%s: %s" % (name, e)) from None
 
 
+@functools.cache
 def build_parser():
+    """The parser of COMMANDS, built on first use and kept: parsing leaves
+    no state in it.  Every subcommand inherits `-o` and the two caps."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-o", "--output", help="write the result here "
+                        "instead of stdout")
+    common.add_argument("--loop-cap", type=_cap, default=None,
+                        help="largest reachable SCC edge count that "
+                        "oracle-equiv and check-morphism accept (default: "
+                        "no limit)")
+    common.add_argument("--explore-cap", type=_cap, default=None,
+                        help="cap on subloop exploration")
     parser = argparse.ArgumentParser(
         prog="acdkit",
         description="Acceptance condition toolbox: Zielonka trees, "
                     "alternating cycle decompositions, parity "
                     "transformations, relabellings and games.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (fn, arguments, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, parents=[common])
         p.set_defaults(fn=fn)
-        p.add_argument("-o", "--output", help="write the result here "
-                       "instead of stdout")
-        p.add_argument("--loop-cap", type=_cap, default=None,
-                       help="largest reachable SCC edge count that "
-                       "oracle-equiv and check-morphism accept (default: "
-                       "no limit)")
-        p.add_argument("--explore-cap", type=_cap, default=None,
-                       help="cap on subloop exploration")
-        return p
-
-    p = add("zielonka", cmd_zielonka, help="Zielonka tree of a Muller condition")
-    p.add_argument("file")
-    p.add_argument("--dot", help="also write a DOT rendering here")
-    p = add("zt-automaton", cmd_zt_automaton,
-            help="parity automaton built on the branches of the tree")
-    p.add_argument("file")
-    p.add_argument("--dot")
-    p = add("acd", cmd_acd, help="alternating cycle decomposition")
-    p.add_argument("file")
-    p.add_argument("--dot")
-    p = add("transform", cmd_transform,
-            help="parity transformation of the system")
-    p.add_argument("file")
-    p.add_argument("--dot")
-    p = add("stats", cmd_stats, help="transformation size and priority usage")
-    p.add_argument("file")
-    p = add("shape", cmd_shape, help="shape classification of the decomposition")
-    p.add_argument("file")
-    p = add("relabel", cmd_relabel,
-            help="equivalent condition of the requested class")
-    p.add_argument("file")
-    p.add_argument("--target", required=True,
-                   choices=["rabin", "streett", "parity", "weak"])
-    p = add("compress", cmd_compress, help="remove unused priority values")
-    p.add_argument("file")
-    p = add("compose", cmd_compose,
-            help="product of a deterministic automaton with a system")
-    p.add_argument("automaton")
-    p.add_argument("file")
-    p.add_argument("--dot")
-    p = add("check-morphism", cmd_check_morphism,
-            help="verify the morphism block of a document")
-    p.add_argument("file")
-    p.add_argument("--against", required=True)
-    p = add("solve", cmd_solve, help="solve a parity or Muller game")
-    p.add_argument("file")
-    p = add("oracle-equiv", cmd_oracle_equiv,
-            help="equivalence of two conditions on every reachable loop, "
-                 "by comparing their decompositions")
-    p.add_argument("file")
-    p.add_argument("other")
+        for arg in arguments.split():
+            p.add_argument(arg, **FLAGS.get(arg, {}))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.loop_cap is None:
             args.loop_cap = _env_int("ACDKIT_LOOP_CAP")

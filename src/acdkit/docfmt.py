@@ -210,7 +210,7 @@ def acd_to_obj(acd):
             "height": t.height,
             "nodes": nodes,
         })
-    obj = {"tag": acd.tag, "trees": trees, "stats": stats_to_obj(acd_stats(acd))}
+    obj = {"tag": acd.tag, "trees": trees, "stats": acd_stats(acd)}
     if acd.t0_edges:
         obj["t0"] = {
             "edges": sorted(acd.t0_edges),
@@ -218,15 +218,6 @@ def acd_to_obj(acd):
             "priority": acd.priority(0, ()),
         }
     return obj
-
-
-def stats_to_obj(stats):
-    return {
-        "size": stats["size"],
-        "interval": list(stats["interval"]),
-        "tag": stats["tag"],
-        "tree_heights": list(stats["tree_heights"]),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -193,17 +193,27 @@ def solve_parity_game(game):
 
 
 def verify_parity_solution(game, solution):
-    """Certificate check: within each region, following the winner's
-    strategy must keep play in the region and make every cycle's minimum
-    priority favourable.  Returns a list of problems, the unfavourable
-    cycle minima of a region in ascending order."""
-    problems = []
+    """Certificate check: the regions must give each vertex, and nothing
+    else, to Eve or Adam, and within each region the winner's strategy
+    must pick an out-edge at each of the winner's vertices, keep play in
+    the region and make every cycle's minimum priority favourable.
+    Returns a list of problems, the unfavourable cycle minima of a region
+    in ascending order."""
     ts = game.ts
     key, _ = _reading(ts, game.condition)
-    for player in ("Eve", "Adam"):
-        region = {v for v, w in solution.regions.items() if w == player}
-        if not region:
-            continue
+    vertices = set(ts.vertices)
+    problems = []
+    regions = {"Eve": set(), "Adam": set()}
+    for v, w in solution.regions.items():
+        if v not in vertices:
+            problems.append("region entry for unknown vertex %r" % v)
+        elif w not in ("Eve", "Adam"):
+            problems.append("region of %r is %r, not Eve or Adam" % (v, w))
+        else:
+            regions[w].add(v)
+    problems += ["vertex %r is in no region" % v
+                 for v in sorted(vertices.difference(solution.regions))]
+    for player, region in regions.items():
         allowed = []
         for v in sorted(region):
             if ts.owners[v] == player:
@@ -211,7 +221,14 @@ def verify_parity_solution(game, solution):
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue
-                chosen = [ts.edge(eid)]
+                for e in ts.out(v):
+                    if e.id == eid:
+                        chosen = [e]
+                        break
+                else:
+                    chosen = []
+                    problems.append("%s's move %r at %r is not an out-edge "
+                                    "of it" % (player, eid, v))
             else:
                 chosen = list(ts.out(v))
             for e in chosen:

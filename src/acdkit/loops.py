@@ -178,7 +178,7 @@ def _flipped_subloops(ts, side, edges, explore_cap=None):
     return _maximal_flipped(
         edges, status(keys(edges)), shrink, lambda es: status(keys(es)),
         DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap,
-        "the loop on states {%s} with %d edges"
+        lambda: "the loop on states {%s} with %d edges"
         % (",".join(sorted(Loop.of(ts, edges).states)), len(edges)))
 
 

@@ -73,7 +73,7 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
     flipped sub-object of `top` ends up inside a recorded one, and the
     maximal recorded ones are the answer.  Seeing more than `cap` distinct
     sub-objects, `top` included, raises CapExceeded with a message that
-    names `where`.
+    names `where()`, which is only called then.
     """
     seen = {top}
     flipped = []
@@ -86,7 +86,7 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
             if cap is not None and len(seen) > cap:
                 raise CapExceeded(
                     "subloop exploration exceeded cap %d in %s: %d subloops "
-                    "seen" % (cap, where, len(seen)))
+                    "seen" % (cap, where(), len(seen)))
             if status(sub) != base:
                 flipped.append(sub)
             else:

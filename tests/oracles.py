@@ -247,18 +247,27 @@ def parity_criterion_violation(edges, letter_of, prio_of, letter_sets,
 
 def naive_certificate_problems(game, solution):
     """Problems with a parity game certificate, one SCC pass per losing
-    priority: within each region, the winner's strategy must keep play in
-    the region, and a losing priority d is reported when some edge of
-    priority d lies in an SCC of the allowed edges of priority >= d, that
-    is, when some cycle has minimum d.  SCCs come from `_scc_edge_sets`,
-    not from the library."""
-    problems = []
+    priority: the regions must give every vertex, and nothing else, to Eve
+    or Adam; within each region, the winner's strategy must pick an
+    out-edge and keep play in the region, and a losing priority d is
+    reported when some edge of priority d lies in an SCC of the allowed
+    edges of priority >= d, that is, when some cycle has minimum d.  SCCs
+    come from `_scc_edge_sets`, not from the library."""
     ts = game.ts
     key, _ = _reading(ts, game.condition)
-    for player in ("Eve", "Adam"):
-        region = {v for v, w in solution.regions.items() if w == player}
-        if not region:
-            continue
+    vertices = set(ts.vertices)
+    problems = []
+    regions = {"Eve": set(), "Adam": set()}
+    for v, w in solution.regions.items():
+        if v not in vertices:
+            problems.append("region entry for unknown vertex %r" % v)
+        elif w not in ("Eve", "Adam"):
+            problems.append("region of %r is %r, not Eve or Adam" % (v, w))
+        else:
+            regions[w].add(v)
+    problems += ["vertex %r is in no region" % v for v in sorted(ts.vertices)
+                 if v not in solution.regions]
+    for player, region in regions.items():
         allowed = []
         for v in sorted(region):
             if ts.owners[v] == player:
@@ -266,7 +275,10 @@ def naive_certificate_problems(game, solution):
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue
-                chosen = [ts.edge(eid)]
+                chosen = [e for e in ts.out(v) if e.id == eid]
+                if not chosen:
+                    problems.append("%s's move %r at %r is not an out-edge "
+                                    "of it" % (player, eid, v))
             else:
                 chosen = list(ts.out(v))
             for e in chosen:

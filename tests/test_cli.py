@@ -519,3 +519,30 @@ def test_calls_in_one_process_share_no_arguments(tmp_path, monkeypatch):
     dot.unlink()
     assert run(tmp_path, "transform", six)[0] == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_on_first_use(tmp_path):
+    """Importing the CLI builds no parser; the first call builds it and
+    later calls reuse it."""
+    code = (
+        "import argparse, sys\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **kw):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **kw)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from acdkit import cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(3):\n"
+        "    assert cli.main(['stats', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+        "    counts.append(len(made))\n"
+        "print(counts)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, fx("sixstate.json"),
+         str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts[0] == 0 < counts[1] == counts[2] == counts[3]

@@ -219,6 +219,67 @@ def test_verify_matches_naive_certificate_check():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def _pq_game():
+    """Eve owns p and q; p has a self-loop a of priority 1 and q a
+    self-loop b of priority 0, so Adam wins p and Eve wins q."""
+    ts = TransitionSystem(["p", "q"], [("a", "p", "p"), ("b", "q", "q")],
+                          ["p"], owners={"p": "Eve", "q": "Eve"})
+    return Game(ts, ParityCondition({"a": 1, "b": 0}))
+
+
+@pytest.mark.parametrize("regions,moves,want", [
+    ({"p": "Eve", "q": "Eve"}, {"p": "b", "q": "b"},
+     ["Eve's move 'b' at 'p' is not an out-edge of it"]),
+    ({"p": "Eve", "q": "Eve"}, {"p": "zz", "q": "b"},
+     ["Eve's move 'zz' at 'p' is not an out-edge of it"]),
+    ({}, {}, ["vertex 'p' is in no region", "vertex 'q' is in no region"]),
+    ({"p": "Bob", "q": "Eve"}, {"q": "b"},
+     ["region of 'p' is 'Bob', not Eve or Adam"]),
+    ({"r": "Eve", "p": "Adam", "q": "Eve"}, {"q": "b"},
+     ["region entry for unknown vertex 'r'"]),
+], ids=["foreign-move", "unknown-edge", "no-regions", "bad-player",
+        "unknown-vertex"])
+def test_verify_reports_malformed_certificates(regions, moves, want):
+    game = _pq_game()
+    sol = solve_parity_game(game)
+    assert sol.regions == {"p": "Adam", "q": "Eve"}
+    assert verify_parity_solution(game, sol) == []
+    bad = ParitySolution(regions, {"Eve": moves, "Adam": {}})
+    assert verify_parity_solution(game, bad) == want
+    assert naive_certificate_problems(game, bad) == want
+
+
+def test_verify_matches_naive_check_on_malformed_certificates():
+    """Moves along foreign or unknown edges, vertices missing from the
+    regions, region values that name no player and entries for unknown
+    vertices are reported alike by both checks."""
+    rng = random.Random(9)
+    seen = {"move": 0, "none": 0, "value": 0, "unknown": 0}
+    for _ in range(300):
+        game = _random_game(rng)
+        sol = _copy(solve_parity_game(game))
+        ts = game.ts
+        for v in ts.vertices:
+            r = rng.random()
+            if r < 0.15:
+                sol.strategies[ts.owners[v]][v] = rng.choice(
+                    [rng.choice(ts.edges).id, "zz"])
+            elif r < 0.2:
+                del sol.regions[v]
+            elif r < 0.25:
+                sol.regions[v] = "Bob"
+        if rng.random() < 0.3:
+            sol.regions["v99"] = rng.choice(["Eve", "Adam"])
+        got = verify_parity_solution(game, sol)
+        assert got == naive_certificate_problems(game, sol)
+        seen["move"] += any(" is not an out-edge of it" in p for p in got)
+        seen["none"] += any(p.endswith(" is in no region") for p in got)
+        seen["value"] += any(p.endswith(", not Eve or Adam") for p in got)
+        seen["unknown"] += any(p.startswith("region entry for unknown")
+                               for p in got)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_muller_one_player():
     # Eve owns everything; she wins exactly where she can reach and stay
     # in an accepting loop
