@@ -82,6 +82,22 @@ def test_constructor_referential_integrity():
         TransitionSystem(["p"], [("s", "p", "p")], ["zz"])
 
 
+def test_reachable_vertices_is_the_edge_fixpoint():
+    rng = random.Random(59)
+    for _ in range(100):
+        base = random_system(rng, max_vertices=8, max_edges=12)
+        ts = TransitionSystem(
+            base.vertices, base.edges,
+            rng.sample(base.vertices, rng.randint(1, len(base.vertices))))
+        want = set(ts.initial)
+        while True:
+            grown = want | {e.target for e in ts.edges if e.source in want}
+            if grown == want:
+                break
+            want = grown
+        assert ts.reachable_vertices() == want
+
+
 def test_to_explicit_muller_parity_self_loop():
     ts = TransitionSystem(["p"], [("e", "p", "p")], ["p"])
     out = to_explicit_muller(ts, ParityCondition({"e": 0}))

@@ -16,7 +16,7 @@ from acdkit.core import _reading
 from acdkit.docfmt import parse
 from conftest import (CONDITION_KINDS, FIXTURES, random_condition,
                       random_muller_system, random_system, recoloured)
-from oracles import naive_loops, naive_maximal_flipped
+from oracles import _scc_edge_sets, naive_loops, naive_maximal_flipped
 
 
 def test_sixstate_sccs(sixstate):
@@ -231,6 +231,74 @@ def test_accessible_x_scc_closure_property():
         for q in comp:
             for a in letters:
                 assert zt.automaton.step(q, a).target in comp
+
+
+def test_sccs_match_kosaraju_random():
+    """On random systems and random edge subsets, `sccs` gives the inner
+    edge groups of the Kosaraju oracle, each loop's states are its edges'
+    endpoints, the other edges are transient and the loops come in `key`
+    order."""
+    rng = random.Random(53)
+    for _ in range(150):
+        ts = random_system(rng, max_vertices=7, max_edges=14)
+        ids = [e.id for e in ts.edges]
+        for chosen in (None, rng.sample(ids, rng.randint(0, len(ids)))):
+            maximal, transient = sccs(ts, chosen)
+            edges = [ts.edge(eid) for eid in
+                     (ids if chosen is None else sorted(chosen))]
+            want = {frozenset(eid for eid, _, _ in group) for group in
+                    _scc_edge_sets([(e.id, e.source, e.target)
+                                    for e in edges])}
+            assert [l.edges for l in maximal] == \
+                sorted(want, key=lambda es: sorted(es))
+            for l in maximal:
+                assert l.states == {v for eid in l.edges for v in
+                                    (ts.edge(eid).source, ts.edge(eid).target)}
+            assert transient == frozenset(e.id for e in edges).difference(
+                *want)
+    with pytest.raises(InputError, match="unknown edge 'nowhere'"):
+        sccs(ts, ["nowhere"])
+
+
+def _letter_reach(aut, starts, letters):
+    """States reachable from `starts` through `letters`, by fixpoint."""
+    reach = set(starts)
+    while True:
+        grown = reach | {aut.step(q, a).target for q in reach for a in letters}
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def test_accessible_x_scc_matches_naive_choice():
+    """On random complete deterministic automata and every letter subset:
+    the reachable letter-closed strongly connected set with the least
+    sorted state tuple, or the initial state alone for no letters."""
+    from itertools import combinations
+    rng = random.Random(61)
+    for _ in range(60):
+        states = ["q%d" % i for i in range(rng.randint(1, 5))]
+        alphabet = sorted(rng.sample("abcd", rng.randint(1, 4)))
+        edges, letters = [], {}
+        for q in states:
+            for a in alphabet:
+                eid = "%s/%s" % (q, a)
+                edges.append((eid, q, rng.choice(states)))
+                letters[eid] = a
+        start = rng.choice(states)
+        aut = Automaton(TransitionSystem(states, edges, [start],
+                                         letters=letters),
+                        MullerCondition([]))
+        for r in range(len(alphabet) + 1):
+            for xs in combinations(alphabet, r):
+                reach = _letter_reach(aut, [start], xs)
+                closed = [c for c in (_letter_reach(aut, [q], xs)
+                                      for q in reach)
+                          if all(c == _letter_reach(aut, [p], xs)
+                                 for p in c)]
+                want = min(closed, key=lambda c: tuple(sorted(c))) if xs \
+                    else {start}
+                assert accessible_x_scc(aut, xs) == want, (xs, edges)
 
 
 @st.composite
