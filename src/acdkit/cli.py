@@ -35,14 +35,15 @@ def _read_doc(path):
 
 
 def _write(args, text, dot=None):
-    """Write the result `text` to `-o` or stdout, then `dot`, the DOT
-    rendering of the commands that have one, to `--dot` when given."""
+    """Write the result `text` to `-o` or stdout, then, for the commands
+    that have one, the DOT rendering that `dot()` gives to `--dot`; it is
+    rendered only when `--dot` is given."""
     if not args.output:
         sys.stdout.write(text)
-    for path, data in ((args.output, text), (dot and args.dot, dot)):
+    for path, data in ((args.output, lambda: text), (dot and args.dot, dot)):
         if path:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data)
+                fh.write(data())
 
 
 def _require_condition(doc, kinds=None):
@@ -81,19 +82,21 @@ def _regions(sol):
 def cmd_zielonka(args):
     tree = _build_tree(*_input(args.file, ("muller",)))
     _write(args, docfmt.dumps(docfmt.tree_to_obj(tree)),
-           docfmt.dot_tree(tree))
+           lambda: docfmt.dot_tree(tree))
 
 
 def cmd_zt_automaton(args):
     zt = zielonka.build_zt_automaton(
         _build_tree(*_input(args.file, ("muller",))))
     out = docfmt.Document(zt.automaton.ts, zt.automaton.condition)
-    _write(args, docfmt.serialize(out), docfmt.dot_system(zt.automaton.ts))
+    _write(args, docfmt.serialize(out),
+           lambda: docfmt.dot_system(zt.automaton.ts))
 
 
 def cmd_acd(args):
     _, _, acd = _build_acd(args)
-    _write(args, docfmt.dumps(docfmt.acd_to_obj(acd)), docfmt.dot_acd(acd))
+    _write(args, docfmt.dumps(docfmt.acd_to_obj(acd)),
+           lambda: docfmt.dot_acd(acd))
 
 
 def cmd_transform(args):
@@ -102,7 +105,8 @@ def cmd_transform(args):
     out = docfmt.Document(result.system, result.condition,
                           {"vertices": result.vertex_map,
                            "edges": result.edge_map})
-    _write(args, docfmt.serialize(out), docfmt.dot_system(result.system))
+    _write(args, docfmt.serialize(out),
+           lambda: docfmt.dot_system(result.system))
 
 
 def cmd_stats(args):
@@ -154,7 +158,8 @@ def cmd_compose(args):
     m = product.projection  # there is one: compose got a condition
     out = docfmt.Document(product.system, product.condition,
                           {"vertices": m.vertex_map, "edges": m.edge_map})
-    _write(args, docfmt.serialize(out), docfmt.dot_system(product.system))
+    _write(args, docfmt.serialize(out),
+           lambda: docfmt.dot_system(product.system))
 
 
 def cmd_check_morphism(args):

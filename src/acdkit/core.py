@@ -30,6 +30,7 @@ class TransitionSystem:
 
     Vertices may optionally carry an owner tag (for games), edges may carry
     an input letter (for automata) and a colour (for acceptance conditions).
+    Owners, when given, must cover every vertex, and letters every edge.
     Colours default to the edge ids themselves.
 
     Instances are immutable by convention: no method mutates the system.
@@ -70,11 +71,17 @@ class TransitionSystem:
                     raise InputError("owner given for unknown vertex %r" % v)
                 if o not in ("Eve", "Adam"):
                     raise InputError("owner of %r must be Eve or Adam" % v)
+            for v in self.vertices:
+                if v not in self.owners:
+                    raise InputError("vertex %r has no owner" % v)
         self.letters = dict(letters) if letters else None
         if self.letters:
             for eid in self.letters:
                 if eid not in self._by_id:
                     raise InputError("letter given for unknown edge %r" % eid)
+            for e in self.edges:
+                if e.id not in self.letters:
+                    raise InputError("edge %r has no letter" % e.id)
         self._colours = dict(colours) if colours else {}
         for eid in self._colours:
             if eid not in self._by_id:
@@ -113,15 +120,21 @@ class TransitionSystem:
             raise InputError("edge %r has no letter" % eid) from None
 
     def reachable_vertices(self):
-        seen = set(self.initial)
-        stack = sorted(seen)
-        while stack:
-            v = stack.pop()
-            for e in self._out[v]:
-                if e.target not in seen:
-                    seen.add(e.target)
-                    stack.append(e.target)
-        return frozenset(seen)
+        return frozenset(_reach(
+            self.initial, lambda v: (e.target for e in self._out[v])))
+
+
+def _reach(starts, succ):
+    """The set of vertices reachable from `starts` through `succ`, which
+    gives a vertex's successors; `starts` included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in succ(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 # ---------------------------------------------------------------------------

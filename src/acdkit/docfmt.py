@@ -248,27 +248,25 @@ def dot_system(ts, name="system"):
     return "\n".join(lines) + "\n"
 
 
-def _dot_tree_nodes(lines, prefix, tree, priority_of, extra_of=None):
+def _dot_tree_nodes(lines, indent, prefix, tree, priority_of, extra_of=None):
     for n in tree.nodes:
         shape = "ellipse" if priority_of(n) % 2 == 0 else "box"
         text = "{%s}" % ",".join(sorted(tree.label[n]))
         if extra_of is not None:
             text += "\\n%s" % extra_of(n)
         text += "\\n%d" % priority_of(n)
-        lines.append("    %s [shape=%s,label=%s];"
-                     % (_q(prefix + _node_name(n)), shape, _q(text)))
+        lines.append("%s%s [shape=%s,label=%s];"
+                     % (indent, _q(prefix + _node_name(n)), shape, _q(text)))
     for n in tree.nodes:
         for c in tree.children_map[n]:
-            lines.append("    %s -> %s;"
-                         % (_q(prefix + _node_name(n)),
+            lines.append("%s%s -> %s;"
+                         % (indent, _q(prefix + _node_name(n)),
                             _q(prefix + _node_name(c))))
 
 
 def dot_tree(tree, name="zielonka"):
     lines = ["digraph %s {" % name, "  node [fontsize=10];"]
-    inner = []
-    _dot_tree_nodes(inner, "", tree, tree.priority)
-    lines.extend(l.strip() and "  " + l.strip() for l in inner)
+    _dot_tree_nodes(lines, "  ", "", tree, tree.priority)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -288,7 +286,7 @@ def dot_acd(acd, name="acd"):
         lines.append("  subgraph cluster_t%d {" % t.index)
         lines.append("    label=%s;" % _q("t%d" % t.index))
         _dot_tree_nodes(
-            lines, "t%d:" % t.index, t,
+            lines, "    ", "t%d:" % t.index, t,
             lambda n, t=t: acd.priority(t.index, n),
             extra_of=lambda n, t=t: ",".join(sorted(t.states[n])))
         lines.append("  }")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .acd import acd_transform, induced_morphism
 from .core import InputError, _reading, validate
-from .loops import _tarjan
+from .loops import _components
 
 
 class Game:
@@ -27,9 +27,6 @@ class Game:
             raise InputError("; ".join(problems))
         if ts.owners is None:
             raise InputError("game vertices must carry owners")
-        for v in ts.vertices:
-            if v not in ts.owners:
-                raise InputError("vertex %r has no owner" % v)
         if len(ts.initial) != 1:
             raise InputError("a game has a single initial vertex")
         self.ts = ts
@@ -246,20 +243,7 @@ def verify_parity_solution(game, solution):
         bad = set()
         work = [allowed]
         while work:
-            edges = work.pop()
-            adj = {}
-            for e in edges:
-                adj.setdefault(e.source, []).append(e.target)
-                adj.setdefault(e.target, [])
-            comp_of = {}
-            for i, comp in enumerate(_tarjan(adj.keys(), adj.__getitem__)):
-                for v in comp:
-                    comp_of[v] = i
-            inner = {}
-            for e in edges:
-                if comp_of[e.source] == comp_of[e.target]:
-                    inner.setdefault(comp_of[e.source], []).append(e)
-            for es in inner.values():
+            for _, es in _components(work.pop()):
                 d = min(prios[e.id] for e in es)
                 if d % 2 != good_parity:
                     bad.add(d)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, InputError, _reading
+from .core import CapExceeded, InputError, _reach, _reading
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -87,6 +87,25 @@ def _tarjan(vertices, succ):
     return sccs_out
 
 
+def _components(edges):
+    """The strongly connected components of the graph of `edges` (`Edge`
+    objects) that have an inner edge, as (sorted vertex list, inner edges
+    in the given order) pairs: one Tarjan pass over per-vertex target
+    lists, then one grouping pass over the edges."""
+    succ = {}
+    for e in edges:
+        succ.setdefault(e.source, []).append(e.target)
+        succ.setdefault(e.target, [])
+    comps = _tarjan(succ, succ.__getitem__)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    inner = {}
+    for e in edges:
+        i = comp_of[e.source]
+        if i == comp_of[e.target]:
+            inner.setdefault(i, []).append(e)
+    return [(comps[i], es) for i, es in inner.items()]
+
+
 def sccs(ts, edge_ids=None):
     """Maximal loops of `ts` (optionally restricted to a given edge set),
     plus the set of transient edges.
@@ -98,28 +117,10 @@ def sccs(ts, edge_ids=None):
         edge_set = frozenset(e.id for e in ts.edges)
     else:
         edge_set = frozenset(edge_ids)
-    adj = {}
-    for eid in edge_set:
-        e = ts.edge(eid)
-        adj.setdefault(e.source, []).append(e)
-        adj.setdefault(e.target, [])
-    for v in adj:
-        adj[v].sort(key=lambda e: e.id)
-
-    def succ(v):
-        return [e.target for e in adj[v]]
-
-    comps = _tarjan(adj.keys(), succ)
-    found = []
-    used = set()
-    for comp in comps:
-        cset = set(comp)
-        internal = [e.id for v in comp for e in adj[v] if e.target in cset]
-        if internal:
-            found.append(Loop.of(ts, internal))
-            used.update(internal)
+    found = [Loop(frozenset(e.id for e in es), frozenset(vs))
+             for vs, es in _components(list(map(ts.edge, edge_set)))]
     found.sort(key=lambda l: l.key)
-    return found, frozenset(edge_set - used)
+    return found, edge_set.difference(*(l.edges for l in found))
 
 
 def is_loop(ts, edge_ids):
@@ -275,28 +276,13 @@ def accessible_x_scc(automaton, letters):
     unknown = letters - automaton.alphabet
     if unknown:
         raise InputError("letters not in alphabet: %s" % ", ".join(sorted(unknown)))
-    q0 = automaton.initial
-    reach = {q0}
-    stack = [q0]
-    while stack:
-        q = stack.pop()
-        for a in sorted(letters):
-            t = automaton.step(q, a).target
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+    reach = _reach([automaton.initial],
+                   lambda q: (automaton.step(q, a).target for a in letters))
     if not letters:
-        return frozenset({min(reach)})
-
-    def succ(q):
-        return sorted({automaton.step(q, a).target for a in letters})
-
-    comps = _tarjan(reach, succ)
-    # bottom components are exactly the letter-closed strongly connected sets
-    bottoms = []
-    for comp in comps:
-        cset = set(comp)
-        if all(t in cset for q in comp for t in succ(q)):
-            bottoms.append(cset)
-    best = min(bottoms, key=lambda c: tuple(sorted(c)))
-    return frozenset(best)
+        return frozenset(reach)
+    # a component holding all of its states' letter edges is closed under
+    # the letters: these are exactly the letter-closed strongly connected sets
+    closed = [vs for vs, es in _components(
+        [automaton.step(q, a) for q in reach for a in letters])
+        if len(es) == len(vs) * len(letters)]
+    return frozenset(min(closed))

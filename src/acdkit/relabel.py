@@ -104,29 +104,23 @@ def parity_relabel(ts, acd):
 
 
 def compress_priorities(ts, priorities):
-    """Remove unused priority values strictly inside the range (shifting
-    higher priorities down by two keeps every loop's status), then shift
-    the minimum to 0 or 1.  `priorities` is a map over colours or a
+    """Close the gaps between used priority values and shift the minimum
+    to 0 or 1, keeping every loop's status: in one ascending pass, the
+    least used value `lo` becomes `lo % 2` and each next used value `b`
+    after `a` becomes `a`'s new value plus `(b - a) % 2`, so only the
+    parity of each step is kept.  `priorities` is a map over colours or a
     parity condition, whose `over` the result keeps; it must fit `ts` as
     `_reading` reads it."""
     cond = _parity(priorities)
     _reading(ts, cond)
-    prios = dict(cond.priorities)
-    if not prios:
+    if not cond.priorities:
         raise InputError("no priorities to compress")
-    while True:
-        used = set(prios.values())
-        lo, hi = min(used), max(used)
-        gap = next((d for d in range(lo + 1, hi) if d not in used), None)
-        if gap is None:
-            break
-        prios = {c: (p - 2 if p > gap else p) for c, p in prios.items()}
-    lo = min(prios.values())
-    shift = lo - (lo % 2)
-    if shift:
-        prios = {c: p - shift for c, p in prios.items()}
+    used = sorted(set(cond.priorities.values()))
+    new = {used[0]: used[0] % 2}
+    for a, b in zip(used, used[1:]):
+        new[b] = new[a] + (b - a) % 2
     out = copy.copy(cond)
-    out.priorities = prios
+    out.priorities = {c: new[p] for c, p in cond.priorities.items()}
     return out
 
 

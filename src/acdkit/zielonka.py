@@ -7,7 +7,7 @@ import functools
 from itertools import product as _iterproduct
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem)
+                   ParityCondition, TransitionSystem, _reach)
 
 
 class ZielonkaTree:
@@ -323,15 +323,7 @@ def _delta_loops(g, gamma, delta):
     from itertools import combinations
 
     from .loops import _tarjan
-    reach = {0}
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for i in range(g):
-            t = delta[q * g + i]
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+    reach = _reach([0], lambda q: delta[q * g:q * g + g])
     slots = [(q, i) for q in sorted(reach) for i in range(g)]
     found = []
     for r in range(1, len(slots) + 1):

@@ -474,6 +474,59 @@ def test_every_subcommand_on_every_fixture(tmp_path):
         assert code in (0, 1, 2, 3), argv
 
 
+def _partial_document(tmp_path, block, value):
+    """A two-vertex Muller document whose `owners` or `letters` block
+    misses vertex q or edge y."""
+    path = tmp_path / ("partial-%s.json" % block)
+    path.write_text(json.dumps({
+        "format": "acdkit/1",
+        "system": {"vertices": ["p", "q"],
+                   "edges": [["x", "p", "q"], ["y", "q", "p"]],
+                   "initial": ["p"], block: value},
+        "condition": {"type": "muller", "family": [["x", "y"]]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("block,value,message", [
+    ("owners", {"p": "Eve"}, "vertex 'q' has no owner"),
+    ("letters", {"x": "a"}, "edge 'y' has no letter")])
+def test_partial_owners_and_letters_fail_every_subcommand(
+        tmp_path, block, value, message):
+    """Every subcommand refuses a document whose owners miss a vertex or
+    whose letters miss an edge, as an input error and without a
+    traceback; `acd`, `zielonka`, `stats`, `shape` and `relabel` used to
+    accept one."""
+    doc = _partial_document(tmp_path, block, value)
+    for sub, words in SUBCOMMANDS.items():
+        argv = [sub] + [doc if w in ("a", "f", "g") else w for w in words]
+        proc = run_process(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == "input error: %s\n" % message, argv
+        assert "Traceback" not in proc.stderr
+
+
+def test_dot_is_rendered_only_with_the_flag(tmp_path, monkeypatch):
+    """The five DOT subcommands call their renderer once with `--dot`
+    and never without it."""
+    calls = []
+    for name in ("dot_tree", "dot_system", "dot_acd"):
+        real = getattr(docfmt, name)
+        monkeypatch.setattr(docfmt, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    argvs = [("zielonka", fx("f2.json")), ("zt-automaton", fx("f2.json")),
+             ("acd", fx("sixstate.json")), ("transform", fx("sixstate.json")),
+             ("compose", fx("automatonA.json"), fx("host01.json"))]
+    assert {a[0] for a in argvs} == DOT_SUBCOMMANDS
+    dot = tmp_path / "out.dot"
+    for argv in argvs:
+        assert run(tmp_path, *argv)[0] == 0
+        assert calls == [] and not dot.exists(), argv
+        assert run(tmp_path, *argv, "--dot", str(dot))[0] == 0
+        assert len(calls) == 1 and dot.read_text().startswith("digraph"), argv
+        calls.clear()
+        dot.unlink()
+
+
 # every subcommand with the positional arguments and required flags it
 # takes; the five that also write a DOT rendering take --dot
 SUBCOMMANDS = {

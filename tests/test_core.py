@@ -82,6 +82,17 @@ def test_constructor_referential_integrity():
         TransitionSystem(["p"], [("s", "p", "p")], ["zz"])
 
 
+def test_partial_owners_and_letters_are_input_errors():
+    """Owners, when given, cover every vertex and letters every edge; the
+    first one missing in sorted order is named."""
+    vs = ["p", "q", "r"]
+    edges = [("x", "p", "q"), ("y", "q", "r"), ("z", "r", "p")]
+    with pytest.raises(InputError, match="^vertex 'q' has no owner$"):
+        TransitionSystem(vs, edges, ["p"], owners={"p": "Eve", "r": "Adam"})
+    with pytest.raises(InputError, match="^edge 'y' has no letter$"):
+        TransitionSystem(vs, edges, ["p"], letters={"x": "a", "z": "b"})
+
+
 def test_reachable_vertices_is_the_edge_fixpoint():
     rng = random.Random(59)
     for _ in range(100):

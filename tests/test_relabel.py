@@ -92,7 +92,7 @@ def test_compress_preserves_statuses_random():
         assert equivalent_over(ts, before, after)
         used = sorted(set(after.priorities.values()))
         assert used[0] in (0, 1)
-        assert all(b - a <= 2 for a, b in zip(used, used[1:]))
+        assert all(b - a == 1 for a, b in zip(used, used[1:]))
 
 
 def test_is_weak_k():
