@@ -109,7 +109,7 @@ class TransitionSystem:
         return self._colours.get(eid, eid)
 
     def colour_set(self):
-        return frozenset(self.colour(e.id) for e in self.edges)
+        return frozenset(self._colours.get(e.id, e.id) for e in self.edges)
 
     def letter(self, eid):
         if self.letters is None:

@@ -1,12 +1,12 @@
 """Two-player games on transition systems: an attractor-based parity game
 solver with certified strategies, and Muller games solved through the
-parity transformation.  The solver walks Zielonka's decomposition with an
-explicit stack and shares one predecessor index per game, so deep games
-do not hit Python's recursion limit.  Within one call it solves each
-distinct subgame of the decomposition's second recursive call once, so
-the cycle family, exponential for plain Zielonka, stays polynomial.  The
-certificate check peels strongly connected components by least priority,
-independently of the solver."""
+parity transformation.  The solver walks Zielonka's decomposition on an
+explicit stack, with the subgame as alive marks that each level cuts and
+heals by its attractor, so paths are linear and deep games do not hit
+Python's recursion limit.  Each distinct subgame of the second recursive
+call is solved once per call, so the cycle family, exponential for plain
+Zielonka, stays polynomial.  The certificate check peels strongly
+connected components by least priority, independently of the solver."""
 
 from __future__ import annotations
 
@@ -51,11 +51,11 @@ class ParitySolution:
 
 
 def _fresh(solution):
-    """A copy of a subgame's (regions, strategies) whose strategy maps can
-    be extended without touching the original.  No frame modifies regions,
-    so they are shared."""
+    """A copy of a subgame's (regions, strategies) that can be extended
+    without touching the original."""
     regions, strats = solution
-    return regions, {p: dict(s) for p, s in strats.items()}
+    return ({p: list(r) for p, r in regions.items()},
+            {p: dict(s) for p, s in strats.items()})
 
 
 def solve_parity_game(game):
@@ -66,9 +66,12 @@ def solve_parity_game(game):
     The decomposition runs on an explicit stack of frames, one generator
     per subgame, so the size of the game is not limited by Python's
     recursion depth.  The board's predecessor lists and its nodes bucketed
-    by priority are built once per game and shared by every subgame.  A
-    subgame's solution depends on its node set alone, so the subgames of
-    the second recursive call are solved once per call and reused."""
+    by priority are built once per game and shared by every subgame.  The
+    subgame is a bytearray of alive marks over the board: a frame marks
+    its attractor dead while its child runs and alive again after, so a
+    level costs its attractor.  A subgame's solution depends on its node
+    set alone, so the subgames of the second recursive call are solved
+    once per call, keyed by bytes(alive), and reused."""
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts
@@ -96,16 +99,17 @@ def solve_parity_game(game):
     buckets = [[] for _ in levels]
     for n, d in enumerate(prio):
         buckets[level_of[d]].append(n)
+    alive = bytearray(b"\1") * len(prio)   # the current subgame's nodes
 
-    def attract(player, base, nodes):
+    def attract(player, base):
         region = set(base)
         strat = {}
         pending = sorted(base)
-        degree = {}  # opponent nodes reached: successors left in `nodes`
+        degree = {}  # opponent nodes reached: successors left alive
         while pending:
             n = pending.pop()
             for p in preds[n]:
-                if p in region or p not in nodes:
+                if p in region or not alive[p]:
                     continue
                 if owner[p] == player:
                     region.add(p)
@@ -114,54 +118,62 @@ def solve_parity_game(game):
                     continue
                 left = degree.get(p)
                 if left is None:
-                    left = sum(1 for m in succ[p] if m in nodes)
+                    left = sum(alive[m] for m in succ[p])
                 degree[p] = left - 1
                 if left == 1:
                     region.add(p)
                     pending.append(p)
-        return region, strat
+        return list(region), strat
 
-    def solve(nodes, level):
-        """One subgame's frame: yields (subgame, least priority level) for
-        each subgame it needs solved, receives its solution, and returns
-        (regions, strategies).  A subgame's least priority is never below
-        its parent's, so the bucket search starts at the parent's."""
-        if not nodes:
-            return {"Eve": set(), "Adam": set()}, {"Eve": {}, "Adam": {}}
-        target = [n for n in buckets[level] if n in nodes]
+    def mark(region, flag):
+        for n in region:
+            alive[n] = flag
+
+    def solve(level, size):
+        """Frame of the subgame of the `size` alive nodes: for each subgame
+        it needs solved, marks the others dead, yields (least priority
+        level, size), receives the solution and revives them.  Returns
+        (regions, strategies) for the caller to own.  A subgame's least
+        priority is never below its parent's, where the bucket search
+        starts."""
+        if not size:
+            return {"Eve": [], "Adam": []}, {"Eve": {}, "Adam": {}}
+        target = [n for n in buckets[level] if alive[n]]
         while not target:
             level += 1
-            target = [n for n in buckets[level] if n in nodes]
+            target = [n for n in buckets[level] if alive[n]]
         player = "Eve" if levels[level] % 2 == 0 else "Adam"
         opp = _other(player)
-        attracted, astrat = attract(player, target, nodes)
-        regions, strats = yield nodes - attracted, level
-        # only this frame holds the child's solution (the memo hands out
-        # copies), so it may extend the child's strategy maps in place
+        attracted, astrat = attract(player, target)
+        mark(attracted, 0)
+        regions, strats = yield level, size - len(attracted)
+        mark(attracted, 1)
         if not regions[opp]:
             strat = strats[player]
             strat.update(astrat)
             for n in target:
                 if owner[n] == player and n not in strat:
-                    strat[n] = min(m for m in succ[n] if m in nodes)
-            return {player: nodes, opp: set()}, {player: strat, opp: {}}
-        escape, bstrat = attract(opp, regions[opp], nodes)
-        rest = nodes - escape
+                    strat[n] = min(m for m in succ[n] if alive[m])
+            regions[player] += attracted
+            return regions, strats
+        escape, bstrat = attract(opp, regions[opp])
+        mark(escape, 0)
+        rest = bytes(alive)
         if rest not in memo:
-            memo[rest] = _fresh((yield rest, level))
+            memo[rest] = yield level, size - len(escape)
+        mark(escape, 1)
         regions2, strats2 = _fresh(memo[rest])
+        regions2[opp] += escape
         ostrat = strats[opp]
         ostrat.update(bstrat)
         ostrat.update(strats2[opp])
-        return ({player: regions2[player], opp: regions2[opp] | escape},
-                {player: strats2[player], opp: ostrat})
+        return regions2, {player: strats2[player], opp: ostrat}
 
-    # Solutions of the second recursive call's subgames, by node set: the
-    # cycle family reaches a few hundred distinct ones through 10^5 frames.
-    # Parents extend the strategy maps they receive in place, so the memo
-    # keeps a snapshot and hands out copies.
+    # Second-call solutions by alive marks: the cycle family reaches a few
+    # hundred distinct ones through 10^5 frames.  Parents extend what they
+    # receive in place, so the memo hands out copies.
     memo = {}
-    stack = [solve(frozenset(range(len(prio))), 0)]
+    stack = [solve(0, len(prio))]
     result = None
     while stack:
         try:
@@ -173,9 +185,9 @@ def solve_parity_game(game):
             stack.append(solve(*subgame))
             result = None
     regions, strats = result
-    out_regions = {}
-    for v in ts.vertices:
-        out_regions[v] = "Eve" if vnode[v] in regions["Eve"] else "Adam"
+    eve = set(regions["Eve"])
+    out_regions = {v: "Eve" if vnode[v] in eve else "Adam"
+                   for v in ts.vertices}
     out_strats = {"Eve": {}, "Adam": {}}
     for player in ("Eve", "Adam"):
         for n, m in strats[player].items():

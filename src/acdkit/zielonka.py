@@ -134,9 +134,10 @@ def _flipped_colour_sets(cond, colours):
     elif kind == "parity":
         prio = cond.priorities
         least = min(prio[c] for c in colours)
-        other = [prio[c] for c in colours if (prio[c] - least) % 2]
-        kids = [frozenset(c for c in colours if prio[c] >= min(other))] \
-            if other else []
+        cut = min((prio[c] for c in colours if (prio[c] - least) % 2),
+                  default=None)
+        kids = [frozenset(c for c in colours if prio[c] >= cut)] \
+            if cut is not None else []
     elif kind in ("buchi", "cobuchi"):
         kids = [colours - cond.colours] if colours & cond.colours else []
     else:

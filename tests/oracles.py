@@ -2,15 +2,18 @@
 
 Everything here is deliberately naive: powerset enumeration, matrix-style
 reachability, positional strategy enumeration, loop-by-loop status
-comparison.  Nothing imports the algorithms under test beyond the plain
-data types, the loop status, the loop enumeration (itself checked
-against `naive_loops`) and the one reading of a condition's keys.
+comparison, and the parity solver's earlier set-based frame walk as the
+reference for its tie-breaks.  Nothing imports the algorithms under test
+beyond the plain data types, the loop status, the loop enumeration
+(itself checked against `naive_loops`) and the one reading of a
+condition's keys.
 """
 
 import itertools
 
 from acdkit import enumerate_reachable_loops, loop_status_over
 from acdkit.core import _reading
+from acdkit.games import ParitySolution
 
 
 def naive_is_strongly_connected(edges):
@@ -160,6 +163,99 @@ def brute_force_parity_regions(ts, owners, prio_of_edge):
             if v not in losing:
                 winners[v] = "Eve"
     return winners
+
+
+def set_based_parity_solution(game):
+    """Zielonka's attractor decomposition on the board and with the
+    tie-breaks of `solve_parity_game`, but with each subgame a frozenset of
+    board nodes, copied at every level, and plain recursion.  Returns the
+    ParitySolution, whose regions and strategies, dict order included, the
+    solver must reproduce, and the number of frames that reached the
+    second recursive call."""
+    ts = game.ts
+    edges = sorted(ts.edges, key=lambda e: e.id)
+    vertices = sorted(ts.vertices)
+    enode = {e.id: i for i, e in enumerate(edges)}
+    vnode = {v: len(edges) + i for i, v in enumerate(vertices)}
+    names = [e.id for e in edges] + vertices
+    key, _ = _reading(ts, game.condition)
+    prio = [game.condition.priorities[key(e.id)] for e in edges]
+    prio += [max(prio)] * len(vertices)
+    owner = ["Eve"] * len(edges) + [ts.owners[v] for v in vertices]
+    succ = ([[vnode[e.target]] for e in edges]
+            + [[enode[e.id] for e in ts.out(v)] for v in vertices])
+    preds = [[] for _ in prio]
+    for n, ms in enumerate(succ):
+        for m in ms:
+            preds[m].append(n)
+    memo = {}
+    second_calls = [0]
+
+    def attract(player, base, nodes):
+        region = set(base)
+        strat = {}
+        pending = sorted(base)
+        degree = {}
+        while pending:
+            n = pending.pop()
+            for p in preds[n]:
+                if p in region or p not in nodes:
+                    continue
+                if owner[p] == player:
+                    region.add(p)
+                    strat[p] = n
+                    pending.append(p)
+                    continue
+                left = degree.get(p)
+                if left is None:
+                    left = sum(1 for m in succ[p] if m in nodes)
+                degree[p] = left - 1
+                if left == 1:
+                    region.add(p)
+                    pending.append(p)
+        return region, strat
+
+    def fresh(solution):
+        regions, strats = solution
+        return regions, {p: dict(s) for p, s in strats.items()}
+
+    def solve(nodes):
+        if not nodes:
+            return {"Eve": set(), "Adam": set()}, {"Eve": {}, "Adam": {}}
+        least = min(prio[n] for n in nodes)
+        target = [n for n in sorted(nodes) if prio[n] == least]
+        player = "Eve" if least % 2 == 0 else "Adam"
+        opp = "Adam" if player == "Eve" else "Eve"
+        attracted, astrat = attract(player, target, nodes)
+        regions, strats = solve(nodes - attracted)
+        if not regions[opp]:
+            strat = strats[player]
+            strat.update(astrat)
+            for n in target:
+                if owner[n] == player and n not in strat:
+                    strat[n] = min(m for m in succ[n] if m in nodes)
+            return {player: nodes, opp: set()}, {player: strat, opp: {}}
+        second_calls[0] += 1
+        escape, bstrat = attract(opp, regions[opp], nodes)
+        rest = nodes - escape
+        if rest not in memo:
+            memo[rest] = fresh(solve(rest))
+        regions2, strats2 = fresh(memo[rest])
+        ostrat = strats[opp]
+        ostrat.update(bstrat)
+        ostrat.update(strats2[opp])
+        return ({player: regions2[player], opp: regions2[opp] | escape},
+                {player: strats2[player], opp: ostrat})
+
+    regions, strats = solve(frozenset(range(len(prio))))
+    out_regions = {v: "Eve" if vnode[v] in regions["Eve"] else "Adam"
+                   for v in ts.vertices}
+    out_strats = {"Eve": {}, "Adam": {}}
+    for player in ("Eve", "Adam"):
+        for n, m in strats[player].items():
+            if n >= len(edges) > m:
+                out_strats[player][names[n]] = names[m]
+    return ParitySolution(out_regions, out_strats), second_calls[0]
 
 
 def _scc_edge_sets(edges):

@@ -12,7 +12,8 @@ from acdkit import (Game, InputError, MullerCondition, ParityCondition,
 from acdkit.games import ParitySolution
 from conftest import (cycle_game, path_game, random_muller_system,
                       random_system)
-from oracles import brute_force_parity_regions, naive_certificate_problems
+from oracles import (brute_force_parity_regions, naive_certificate_problems,
+                     set_based_parity_solution)
 
 
 def small_parity_game():
@@ -121,6 +122,56 @@ def test_cycle_game_40_in_subprocess():
                              PYTHONPATH=os.pathsep.join([src, here])))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_long_path_game_in_subprocess():
+    """A level costs its attractor, not its subgame, so paths are linear;
+    the set-based walk took 5.3 s at n = 8000 and 4x per doubling."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(acdkit.__file__))
+    code = ("from acdkit import Game, solve_parity_game, "
+            "verify_parity_solution\n"
+            "from conftest import path_game\n"
+            "game = Game(*path_game(40000))\n"
+            "sol = solve_parity_game(game)\n"
+            "print(set(sol.regions.values()), "
+            "verify_parity_solution(game, sol))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=30, env=dict(os.environ,
+                             PYTHONPATH=os.pathsep.join([src, here])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{'Eve'} []\n"
+
+
+def _ordered(sol):
+    return (list(sol.regions.items()),
+            [(p, list(s.items())) for p, s in sol.strategies.items()])
+
+
+@pytest.mark.parametrize("make", [lambda n=n: cycle_game(n)
+                                  for n in range(8, 17)]
+                         + [lambda: path_game(50)],
+                         ids=["cycle%d" % n for n in range(8, 17)]
+                         + ["path50"])
+def test_families_match_set_based_walk(make):
+    game = Game(*make())
+    want, _ = set_based_parity_solution(game)
+    assert _ordered(solve_parity_game(game)) == _ordered(want)
+
+
+def test_random_games_match_set_based_walk():
+    """Regions and strategies, dict order included, are those of the
+    set-based walk, also where the second recursive call and its memo
+    run."""
+    rng = random.Random(12)
+    second = 0
+    for _ in range(300):
+        game = _random_game(rng)
+        want, calls = set_based_parity_solution(game)
+        assert _ordered(solve_parity_game(game)) == _ordered(want)
+        second += calls > 0
+    assert second >= 50, second
 
 
 def _copy(sol):
