@@ -31,7 +31,9 @@ class TransitionSystem:
     Vertices may optionally carry an owner tag (for games), edges may carry
     an input letter (for automata) and a colour (for acceptance conditions).
     Owners, when given, must cover every vertex, and letters every edge.
-    Colours default to the edge ids themselves.
+    Colours default to the edge ids themselves.  `edges` is kept sorted by
+    id and `vertices` sorted, whatever the input order; the parity solver
+    numbers its board in that order.
 
     Instances are immutable by convention: no method mutates the system.
     """
@@ -105,11 +107,15 @@ class TransitionSystem:
             raise InputError("unknown vertex %r" % v) from None
 
     def colour(self, eid):
-        self.edge(eid)
+        if eid not in self._by_id:
+            raise InputError("unknown edge %r" % eid)
         return self._colours.get(eid, eid)
 
     def colour_set(self):
-        return frozenset(self._colours.get(e.id, e.id) for e in self.edges)
+        if not self._colours:
+            return frozenset(self._by_id)
+        return frozenset(self._by_id.keys() - self._colours.keys()).union(
+            self._colours.values())
 
     def letter(self, eid):
         if self.letters is None:
@@ -272,7 +278,7 @@ def _reading(ts, cond):
     key no priority, is an InputError."""
     if cond.over == "edges":
         key, what = (lambda eid: ts.edge(eid).id), "edge"
-        universe = frozenset(e.id for e in ts.edges)
+        universe = frozenset(ts._by_id)
     else:
         key, universe, what = ts.colour, ts.colour_set(), "colour"
     named = cond.referenced_colours()

@@ -77,23 +77,25 @@ def solve_parity_game(game):
     ts = game.ts
     # bipartite board: vertex nodes and one midpoint node per edge, so
     # priorities sit on the midpoints and never disturb the minimum.
-    # Node i is the i-th of the pairs ("e", edge id), ("v", vertex) in
-    # sorted order, so node numbers are ordered as those pairs are.
-    edges = sorted(ts.edges, key=lambda e: e.id)
-    vertices = sorted(ts.vertices)
-    enode = {e.id: i for i, e in enumerate(edges)}
-    vnode = {v: len(edges) + i for i, v in enumerate(vertices)}
-    names = [e.id for e in edges] + vertices
+    # Edge nodes, all Eve's, come first and vertex nodes after, each in
+    # the system's own order: edges by id, vertices sorted.
+    edges, vertices = ts.edges, ts.vertices
+    first_vertex = len(edges)
+    vnode = {v: first_vertex + i for i, v in enumerate(vertices)}
+    names = [e.id for e in edges] + list(vertices)
+    src = [vnode[e.source] for e in edges]
+    tgt = [vnode[e.target] for e in edges]
     key, _ = _reading(ts, game.condition)
-    prio = [game.condition.priorities[key(e.id)] for e in edges]
+    prio = list(map(game.condition.priorities.__getitem__,
+                    map(key, names[:first_vertex])))
     prio += [max(prio)] * len(vertices)
-    owner = ["Eve"] * len(edges) + [ts.owners[v] for v in vertices]
-    succ = ([[vnode[e.target]] for e in edges]
-            + [[enode[e.id] for e in ts.out(v)] for v in vertices])
-    preds = [[] for _ in prio]   # each list ascending, as n ascends
-    for n, ms in enumerate(succ):
-        for m in ms:
-            preds[m].append(n)
+    owner = ["Eve"] * first_vertex + [ts.owners[v] for v in vertices]
+    # a vertex node's out-edge nodes and in-edge nodes, each ascending
+    succ = [[] for _ in prio]
+    preds = [[] for _ in prio]
+    for n, (s, t) in enumerate(zip(src, tgt)):
+        succ[s].append(n)
+        preds[t].append(n)
     levels = sorted(set(prio))
     level_of = {d: i for i, d in enumerate(levels)}
     buckets = [[] for _ in levels]
@@ -102,27 +104,36 @@ def solve_parity_game(game):
     alive = bytearray(b"\1") * len(prio)   # the current subgame's nodes
 
     def attract(player, base):
+        """`player`'s attractor to `base` and its moves at vertex nodes;
+        an edge node's move is forced."""
         region = set(base)
         strat = {}
         pending = sorted(base)
-        degree = {}  # opponent nodes reached: successors left alive
+        degree = {}  # opponent vertices reached: successors left alive
         while pending:
             n = pending.pop()
-            for p in preds[n]:
-                if p in region or not alive[p]:
-                    continue
-                if owner[p] == player:
-                    region.add(p)
-                    strat[p] = n
-                    pending.append(p)
-                    continue
-                left = degree.get(p)
-                if left is None:
-                    left = sum(alive[m] for m in succ[p])
-                degree[p] = left - 1
-                if left == 1:
-                    region.add(p)
-                    pending.append(p)
+            if n >= first_vertex:
+                # Eve's edge nodes into n: n is their only successor
+                for p in preds[n]:
+                    if alive[p] and p not in region:
+                        region.add(p)
+                        pending.append(p)
+                continue
+            p = src[n]
+            if p in region or not alive[p]:
+                continue
+            if owner[p] == player:
+                region.add(p)
+                strat[p] = n
+                pending.append(p)
+                continue
+            left = degree.get(p)
+            if left is None:
+                left = sum(alive[m] for m in succ[p])
+            degree[p] = left - 1
+            if left == 1:
+                region.add(p)
+                pending.append(p)
         return list(region), strat
 
     def mark(region, flag):
@@ -152,7 +163,7 @@ def solve_parity_game(game):
             strat = strats[player]
             strat.update(astrat)
             for n in target:
-                if owner[n] == player and n not in strat:
+                if n >= first_vertex and owner[n] == player and n not in strat:
                     strat[n] = min(m for m in succ[n] if alive[m])
             regions[player] += attracted
             return regions, strats
@@ -188,11 +199,9 @@ def solve_parity_game(game):
     eve = set(regions["Eve"])
     out_regions = {v: "Eve" if vnode[v] in eve else "Adam"
                    for v in ts.vertices}
-    out_strats = {"Eve": {}, "Adam": {}}
-    for player in ("Eve", "Adam"):
-        for n, m in strats[player].items():
-            if n >= len(edges) > m:
-                out_strats[player][names[n]] = names[m]
+    out_strats = {player: {names[n]: names[m]
+                           for n, m in strats[player].items()}
+                  for player in ("Eve", "Adam")}
     solution = ParitySolution(out_regions, out_strats)
     problems = verify_parity_solution(game, solution)
     if problems:
@@ -226,7 +235,7 @@ def verify_parity_solution(game, solution):
         allowed = []
         for v in sorted(region):
             if ts.owners[v] == player:
-                eid = solution.strategies[player].get(v)
+                eid = solution.strategies.get(player, {}).get(v)
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue

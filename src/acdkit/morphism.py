@@ -4,6 +4,8 @@ preservation, and run transport."""
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import loops as _loops
 from .core import InputError, Run
 
@@ -112,7 +114,8 @@ def check_acceptance_preserving(m, loop_cap=None, explore_cap=None):
     node's subloop search as in `build_acd`.
     """
     key, read, status = _loops._side(m.target_ts, m.target_cond)
-    pulled = (lambda eid: key(m.apply_edge(eid))), read, status
+    # each source edge's key is pulled back once per check, when first read
+    pulled = cache(lambda eid: key(m.apply_edge(eid))), read, status
     return _loops._same_decomposition(
         m.source_ts, _loops._side(m.source_ts, m.source_cond), pulled,
         loop_cap=loop_cap, explore_cap=explore_cap)

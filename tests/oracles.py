@@ -367,7 +367,7 @@ def naive_certificate_problems(game, solution):
         allowed = []
         for v in sorted(region):
             if ts.owners[v] == player:
-                eid = solution.strategies[player].get(v)
+                eid = solution.strategies.get(player, {}).get(v)
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue

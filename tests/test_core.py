@@ -109,6 +109,32 @@ def test_reachable_vertices_is_the_edge_fixpoint():
         assert ts.reachable_vertices() == want
 
 
+def test_colours_and_order_follow_their_definitions():
+    """`colour` and `colour_set` read a partial colour map edge by edge,
+    colours may repeat and take another edge's id, an unknown id is an
+    InputError, and `edges` (by id) and `vertices` are sorted whatever
+    the input order."""
+    rng = random.Random(61)
+    for _ in range(100):
+        base = random_system(rng, max_vertices=8, max_edges=12)
+        ids = [e.id for e in base.edges]
+        palette = ["k%d" % i for i in range(rng.randint(1, 3))]
+        palette.append(rng.choice(ids))
+        colours = {eid: rng.choice(palette) for eid in ids
+                   if rng.random() < 0.6}
+        edges, vertices = list(base.edges), list(base.vertices)
+        rng.shuffle(edges)
+        rng.shuffle(vertices)
+        ts = TransitionSystem(vertices, edges, base.initial, colours=colours)
+        assert ts.edges == tuple(sorted(base.edges, key=lambda e: e.id))
+        assert ts.vertices == tuple(sorted(base.vertices))
+        for eid in ids:
+            assert ts.colour(eid) == colours.get(eid, eid)
+        assert ts.colour_set() == {colours.get(eid, eid) for eid in ids}
+        with pytest.raises(InputError, match="^unknown edge 'zz'$"):
+            ts.colour("zz")
+
+
 def test_to_explicit_muller_parity_self_loop():
     ts = TransitionSystem(["p"], [("e", "p", "p")], ["p"])
     out = to_explicit_muller(ts, ParityCondition({"e": 0}))

@@ -9,6 +9,7 @@ import acdkit
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, solve_muller_game, solve_parity_game,
                     verify_parity_solution)
+from acdkit.core import _over
 from acdkit.games import ParitySolution
 from conftest import (cycle_game, path_game, random_muller_system,
                       random_system)
@@ -166,8 +167,13 @@ def test_random_games_match_set_based_walk():
     run."""
     rng = random.Random(12)
     second = 0
-    for _ in range(300):
-        game = _random_game(rng)
+    games = [_random_game(rng) for _ in range(300)]
+    games += [_random_game(rng, reading) for reading in ("colours", "edges")
+              for _ in range(100)]
+    # the benchmark's shape: 500 vertices, out-degree 3, 20 priorities
+    games += [_random_game(rng, reading, (500, 3, 20))
+              for reading in ("ids", "colours", "edges")]
+    for game in games:
         want, calls = set_based_parity_solution(game)
         assert _ordered(solve_parity_game(game)) == _ordered(want)
         second += calls > 0
@@ -222,16 +228,30 @@ def test_reused_subgames_bring_no_foreign_moves():
     assert list(sol.strategies["Adam"]) == ["v9", "v3", "v1"]
 
 
-def _random_game(rng):
-    """At most 25 vertices, 1-3 out-edges each, 1-9 priorities."""
-    n = rng.randint(1, 25)
+def _random_game(rng, reading="ids", shape=None):
+    """At most 25 vertices, 1-3 out-edges each, 1-9 priorities, or the
+    (vertices, out-degree, priorities) of `shape`.  The priorities name
+    the edge ids ("ids"), the edge ids through a condition over edges
+    ("edges"), or colours ("colours"): a partial colour map whose colours
+    repeat, one of them named like an edge's id."""
+    n = shape[0] if shape else rng.randint(1, 25)
     vs = ["v%d" % i for i in range(n)]
-    edges = [("e%d_%d" % (i, j), v, rng.choice(vs))
-             for i, v in enumerate(vs) for j in range(rng.randint(1, 3))]
-    ts = TransitionSystem(vs, edges, [vs[0]],
-                          owners={v: rng.choice(["Eve", "Adam"]) for v in vs})
-    k = rng.randint(1, 9)
-    return Game(ts, ParityCondition({e[0]: rng.randrange(k) for e in edges}))
+    edges = [("e%d_%d" % (i, j), v, rng.choice(vs)) for i, v in enumerate(vs)
+             for j in range(shape[1] if shape else rng.randint(1, 3))]
+    owners = {v: rng.choice(["Eve", "Adam"]) for v in vs}
+    k = shape[2] if shape else rng.randint(1, 9)
+    ids = [e[0] for e in edges]
+    colours = None
+    if reading == "colours":
+        palette = ["k%d" % i
+                   for i in range(rng.randint(1, len(ids) // 2 + 1))]
+        palette.append(rng.choice(ids))
+        colours = {eid: rng.choice(palette) for eid in ids
+                   if rng.random() < 0.7}
+        ids = sorted({colours.get(eid, eid) for eid in ids})
+    ts = TransitionSystem(vs, edges, [vs[0]], owners=owners, colours=colours)
+    cond = ParityCondition({c: rng.randrange(k) for c in ids})
+    return Game(ts, _over(cond, "edges") if reading == "edges" else cond)
 
 
 def _tampered(rng, game, sol):
@@ -288,25 +308,29 @@ def _pq_game():
      ["region of 'p' is 'Bob', not Eve or Adam"]),
     ({"r": "Eve", "p": "Adam", "q": "Eve"}, {"q": "b"},
      ["region entry for unknown vertex 'r'"]),
+    ({"p": "Adam", "q": "Eve"}, None, ["Eve has no move at 'q'"]),
 ], ids=["foreign-move", "unknown-edge", "no-regions", "bad-player",
-        "unknown-vertex"])
+        "unknown-vertex", "no-strategy-map"])
 def test_verify_reports_malformed_certificates(regions, moves, want):
+    """`moves` is Eve's strategy, or None for a solution without one."""
     game = _pq_game()
     sol = solve_parity_game(game)
     assert sol.regions == {"p": "Adam", "q": "Eve"}
     assert verify_parity_solution(game, sol) == []
-    bad = ParitySolution(regions, {"Eve": moves, "Adam": {}})
+    strategies = {"Adam": {}} if moves is None else {"Eve": moves, "Adam": {}}
+    bad = ParitySolution(regions, strategies)
     assert verify_parity_solution(game, bad) == want
     assert naive_certificate_problems(game, bad) == want
 
 
 def test_verify_matches_naive_check_on_malformed_certificates():
-    """Moves along foreign or unknown edges, vertices missing from the
-    regions, region values that name no player and entries for unknown
-    vertices are reported alike by both checks."""
+    """Moves along foreign or unknown edges, players without a strategy
+    map, vertices missing from the regions, region values that name no
+    player and entries for unknown vertices are reported alike by both
+    checks."""
     rng = random.Random(9)
     seen = {"move": 0, "none": 0, "value": 0, "unknown": 0}
-    for _ in range(300):
+    for i in range(300):
         game = _random_game(rng)
         sol = _copy(solve_parity_game(game))
         ts = game.ts
@@ -321,6 +345,8 @@ def test_verify_matches_naive_check_on_malformed_certificates():
                 sol.regions[v] = "Bob"
         if rng.random() < 0.3:
             sol.regions["v99"] = rng.choice(["Eve", "Adam"])
+        if i % 10 == 0:   # a solution with no strategy map for a player
+            del sol.strategies[("Eve", "Adam")[i // 10 % 2]]
         got = verify_parity_solution(game, sol)
         assert got == naive_certificate_problems(game, sol)
         seen["move"] += any(" is not an out-edge of it" in p for p in got)
