@@ -258,20 +258,19 @@ def set_based_parity_solution(game):
     return ParitySolution(out_regions, out_strats), second_calls[0]
 
 
-def _scc_edge_sets(edges):
-    """SCC-internal edge groups of a list of (id, source, target) triples,
-    by Kosaraju on the touched vertices."""
-    adj = {}
-    radj = {}
-    verts = set()
-    for eid, s, t in edges:
-        verts.add(s)
-        verts.add(t)
-        adj.setdefault(s, []).append(t)
-        radj.setdefault(t, []).append(s)
+def kosaraju_components(vertices, succ):
+    """Strongly connected components of the graph on `vertices`, where
+    `succ(v)` lists the successors of `v`, all among `vertices`: the
+    finishing order of a depth-first search, then sweeps of the reversed
+    graph in reverse finishing order.  Returns a dict from each vertex to
+    the vertex its component's sweep started from."""
+    radj = {v: [] for v in vertices}
+    for v in vertices:
+        for w in succ(v):
+            radj[w].append(v)
     order = []
     visited = set()
-    for root in sorted(verts):
+    for root in sorted(vertices):
         if root in visited:
             continue
         stack = [(root, False)]
@@ -284,7 +283,7 @@ def _scc_edge_sets(edges):
                 continue
             visited.add(v)
             stack.append((v, True))
-            for w in adj.get(v, []):
+            for w in succ(v):
                 if w not in visited:
                     stack.append((w, False))
     comp = {}
@@ -295,10 +294,21 @@ def _scc_edge_sets(edges):
         comp[root] = root
         while stack:
             v = stack.pop()
-            for w in radj.get(v, []):
+            for w in radj[v]:
                 if w not in comp:
                     comp[w] = root
                     stack.append(w)
+    return comp
+
+
+def _scc_edge_sets(edges):
+    """SCC-internal edge groups of a list of (id, source, target) triples,
+    by Kosaraju on the touched vertices."""
+    adj = {}
+    for eid, s, t in edges:
+        adj.setdefault(s, []).append(t)
+        adj.setdefault(t, [])
+    comp = kosaraju_components(adj, adj.__getitem__)
     groups = {}
     for eid, s, t in edges:
         if comp[s] == comp[t]:

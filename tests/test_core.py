@@ -9,9 +9,10 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     compose, enumerate_reachable_loops, equivalent_over,
                     loop_status, loop_status_over, to_explicit_muller,
                     validate)
+from acdkit.loops import _tarjan
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
-from oracles import loop_equivalent
+from oracles import kosaraju_components, loop_equivalent
 
 
 def two_state_parity():
@@ -107,6 +108,27 @@ def test_reachable_vertices_is_the_edge_fixpoint():
                 break
             want = grown
         assert ts.reachable_vertices() == want
+
+
+def test_tarjan_matches_kosaraju_random():
+    """On random digraphs with isolated vertices, self-loops and parallel
+    edges, `_tarjan` finds the components of the Kosaraju oracle, each as
+    a sorted list, and emits each after every component it reaches: no
+    edge runs from a component to one emitted later."""
+    rng = random.Random(71)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        succ = {v: [] for v in range(n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            succ[rng.randrange(n)].append(rng.randrange(n))
+        comps = _tarjan(succ, succ.__getitem__)
+        want = {}
+        for v, root in kosaraju_components(succ, succ.__getitem__).items():
+            want.setdefault(root, []).append(v)
+        assert sorted(comps) == sorted(sorted(c) for c in want.values())
+        assert all(c == sorted(c) for c in comps)
+        emitted = {v: i for i, c in enumerate(comps) for v in c}
+        assert all(emitted[w] <= emitted[v] for v in succ for w in succ[v])
 
 
 def test_colours_and_order_follow_their_definitions():
