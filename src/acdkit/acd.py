@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 from . import loops as _loops
 from . import zielonka as _zielonka
-from .core import InputError, ParityCondition, TransitionSystem
-from .docfmt import _node_name
+from .core import (InputError, Morphism, ParityCondition, TransitionSystem,
+                   validate)
+from .zielonka import _node_name
 
 
 def _acd_tree(index, ts, side, top, explore_cap=None):
@@ -53,7 +54,6 @@ class ACD:
     special node for the transient part of the graph."""
 
     def __init__(self, ts, cond, explore_cap=None):
-        from .core import validate
         problems = validate(ts, cond)
         if problems:
             raise InputError("; ".join(problems))
@@ -208,7 +208,6 @@ def acd_transform(ts, cond, explore_cap=None):
 
 def induced_morphism(result, original_ts, original_cond):
     """Projection of the transform onto its source system."""
-    from .morphism import Morphism
     return Morphism(result.system, result.condition,
                     original_ts, original_cond,
                     result.vertex_map, result.edge_map)

@@ -10,9 +10,10 @@ import sys
 
 from . import acd as _acd
 from . import docfmt, games, relabel, zielonka
-from .core import (Automaton, CapExceeded, InputError, _reading, compose,
-                   equivalent_over)
-from .morphism import (Morphism, check_acceptance_preserving, check_local,
+from .core import (Automaton, CapExceeded, InputError, Morphism, _reading,
+                   compose)
+from .loops import equivalent_over
+from .morphism import (check_acceptance_preserving, check_local,
                        check_structural)
 
 EXIT_OK = 0

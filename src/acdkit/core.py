@@ -1,8 +1,10 @@
-"""Transition systems, acceptance conditions and their basic algebra."""
+"""Transition systems, acceptance conditions and their basic algebra, and
+the graph layer under the other modules: reachability, SCCs, lassos."""
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 
@@ -141,6 +143,77 @@ def _reach(starts, succ):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def _tarjan(vertices, succ):
+    """Iterative Tarjan; returns SCCs as sorted lists of vertices, each
+    after every component it reaches.  A low link is a stack position, a
+    root's own one, and infinity once its component is emitted, so
+    `low[w] < low[v]` also says that a visited `w` is still on the stack."""
+    low = {}
+    stack = []
+    sccs_out = []
+    for root in sorted(vertices):
+        if root in low:
+            continue
+        low[root] = 0
+        stack.append(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in low:
+                    low[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                at = low[v]
+                if stack[at] == v:
+                    comp = stack[at:]
+                    del stack[at:]
+                    low.update(dict.fromkeys(comp, math.inf))
+                    sccs_out.append(sorted(comp))
+                elif at < low[work[-1][0]]:
+                    low[work[-1][0]] = at
+    return sccs_out
+
+
+def _components(edges):
+    """The strongly connected components of the graph of `edges` (`Edge`
+    objects) that have an inner edge, as (sorted vertex list, inner edges
+    in the given order) pairs: one Tarjan pass over per-vertex target
+    lists, then one grouping pass over the edges."""
+    succ = {}
+    for e in edges:
+        succ.setdefault(e.source, []).append(e.target)
+        succ.setdefault(e.target, [])
+    comps = _tarjan(succ, succ.__getitem__)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    inner = {}
+    for e in edges:
+        i = comp_of[e.source]
+        if i == comp_of[e.target]:
+            inner.setdefault(i, []).append(e)
+    return [(comps[i], es) for i, es in inner.items()]
+
+
+def _unroll(v, cycle, step):
+    """The lasso of reading `cycle` forever from `v`, `step(v, a)` being
+    the edge from `v` on `a`: the edges of the rounds before the first
+    round that starts where an earlier one did, and those from it on."""
+    starts = {}
+    edges = []
+    while v not in starts:
+        starts[v] = len(edges)
+        for a in cycle:
+            e = step(v, a)
+            edges.append(e)
+            v = e.target
+    return edges[:starts[v]], edges[starts[v]:]
 
 
 # ---------------------------------------------------------------------------
@@ -318,39 +391,6 @@ def validate(ts, cond=None):
     return problems
 
 
-def to_explicit_muller(ts, cond, loop_cap=None):
-    """Re-express `cond` as a Muller condition over the edge ids of `ts`
-    (`over` is "edges").
-
-    The family lists exactly the reachable loops that are accepting under
-    `cond`; every loop keeps its status.
-    """
-    from . import loops as _loops
-    family = []
-    for l in _loops.enumerate_reachable_loops(ts, cap=loop_cap):
-        if loop_status_over(ts, cond, l.edges):
-            family.append(l.edges)
-    return _over(MullerCondition(family), "edges")
-
-
-def equivalent_over(ts, cond1, cond2, loop_cap=None, explore_cap=None):
-    """True iff every reachable loop of `ts` has the same status under both
-    conditions.
-
-    Decided on the alternating cycle decomposition, not loop by loop: a
-    loop's status is the status of any deepest node of the labelled ACD
-    whose loop contains it, so two conditions agree on every reachable
-    loop exactly when the labelled ACDs of the reachable part are equal
-    (`loops._same_decomposition`).  `loop_cap`, when set, refuses a
-    reachable SCC of more edges; `explore_cap` bounds each node's subloop
-    search as in `build_acd`.
-    """
-    from . import loops as _loops
-    return _loops._same_decomposition(
-        ts, _loops._side(ts, cond1), _loops._side(ts, cond2),
-        loop_cap=loop_cap, explore_cap=explore_cap)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic automata and the composition product.
 
@@ -399,9 +439,9 @@ class Automaton:
 
     def run_colours(self, prefix, cycle):
         """Keys (`self.key`: colours, or edge ids for a condition over
-        edges) produced infinitely often when reading the ultimately
-        periodic word prefix cycle^w, together with the cycle's letter set
-        actually repeated forever.
+        edges) of the edges taken infinitely often when reading the
+        ultimately periodic word prefix cycle^w, together with their
+        letters: the letters of the cycle read forever.
 
         Returns (inf_keys, inf_letters)."""
         if not cycle:
@@ -409,15 +449,7 @@ class Automaton:
         q = self.initial
         for a in prefix:
             q = self.step(q, a).target
-        seen = {}
-        trace = []
-        while q not in seen:
-            seen[q] = len(trace)
-            for a in cycle:
-                e = self.step(q, a)
-                trace.append(e)
-                q = e.target
-        looped = trace[seen[q] * len(cycle):]
+        _, looped = _unroll(q, cycle, self.step)
         cols = frozenset(self.key(e.id) for e in looped)
         lets = frozenset(self.ts.letter(e.id) for e in looped)
         return cols, lets
@@ -425,6 +457,32 @@ class Automaton:
     def accepts_word(self, prefix, cycle):
         cols, _ = self.run_colours(prefix, cycle)
         return loop_status(self.condition, cols)
+
+
+class Morphism:
+    """A pair of maps (on vertices and on edges) from one conditioned
+    transition system to another; `acdkit.morphism` checks them."""
+
+    def __init__(self, source_ts, source_cond, target_ts, target_cond,
+                 vertex_map, edge_map):
+        self.source_ts = source_ts
+        self.source_cond = source_cond
+        self.target_ts = target_ts
+        self.target_cond = target_cond
+        self.vertex_map = dict(vertex_map)
+        self.edge_map = dict(edge_map)
+
+    def apply_vertex(self, v):
+        try:
+            return self.vertex_map[v]
+        except KeyError:
+            raise InputError("vertex %r is not mapped" % v) from None
+
+    def apply_edge(self, eid):
+        try:
+            return self.edge_map[eid]
+        except KeyError:
+            raise InputError("edge %r is not mapped" % eid) from None
 
 
 @dataclass
@@ -494,7 +552,6 @@ def compose(automaton, ts, ts_condition=None):
     cond = _over(automaton.condition, "colours")
     projection = None
     if ts_condition is not None:
-        from .morphism import Morphism
         projection = Morphism(system, cond, ts, ts_condition, vmap, emap)
     return Product(system, cond, projection)
 
@@ -537,7 +594,6 @@ class Run:
 
     def same_run(self, other):
         """Do the two lassos denote the same infinite edge sequence?"""
-        import math
         p = max(len(self.prefix), len(other.prefix))
         n = p + math.lcm(len(self.cycle), len(other.cycle))
         return self.unfold(n) == other.unfold(n)

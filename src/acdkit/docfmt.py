@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .acd import acd_stats
 from .core import (BuchiCondition, CoBuchiCondition, InputError,
                    MullerCondition, ParityCondition, RabinCondition,
                    StreettCondition, TransitionSystem)
+from .zielonka import _node_name
 
 FORMAT = "acdkit/1"
 
@@ -171,10 +173,6 @@ def dumps(obj):
 # ---------------------------------------------------------------------------
 # Payloads for non-document command outputs.
 
-def _node_name(node):
-    return "r" if not node else "r." + ".".join(str(i) for i in node)
-
-
 def tree_to_obj(tree):
     nodes = []
     for n in tree.nodes:
@@ -193,7 +191,6 @@ def tree_to_obj(tree):
 
 
 def acd_to_obj(acd):
-    from .acd import acd_stats
     trees = []
     for t in acd.trees:
         nodes = []

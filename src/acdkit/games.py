@@ -13,16 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _reading, validate
-from .loops import _components
+from .core import InputError, _components, _reading, validate
 
 
 class Game:
     """A transition system where every vertex is owned by Eve or Adam;
-    Eve wins a play iff the acceptance condition accepts it."""
+    Eve wins a play iff the acceptance condition accepts it.  `key` gives
+    each edge's key under the condition (`core._reading`), read once."""
 
     def __init__(self, ts, condition):
-        problems = validate(ts, condition)
+        problems = validate(ts)
+        try:
+            self.key, _ = _reading(ts, condition)
+        except InputError as e:
+            problems.append(str(e))
         if problems:
             raise InputError("; ".join(problems))
         if ts.owners is None:
@@ -85,9 +89,8 @@ def solve_parity_game(game):
     names = [e.id for e in edges] + list(vertices)
     src = [vnode[e.source] for e in edges]
     tgt = [vnode[e.target] for e in edges]
-    key, _ = _reading(ts, game.condition)
     prio = list(map(game.condition.priorities.__getitem__,
-                    map(key, names[:first_vertex])))
+                    map(game.key, names[:first_vertex])))
     prio += [max(prio)] * len(vertices)
     owner = ["Eve"] * first_vertex + [ts.owners[v] for v in vertices]
     # a vertex node's out-edge nodes and in-edge nodes, each ascending
@@ -218,7 +221,6 @@ def verify_parity_solution(game, solution):
     Returns a list of problems, the unfavourable cycle minima of a region
     in ascending order."""
     ts = game.ts
-    key, _ = _reading(ts, game.condition)
     vertices = set(ts.vertices)
     problems = []
     regions = {"Eve": set(), "Adam": set()}
@@ -256,7 +258,8 @@ def verify_parity_solution(game, solution):
                 else:
                     allowed.append(e)
         good_parity = 0 if player == "Eve" else 1
-        prios = {e.id: game.condition.priorities[key(e.id)] for e in allowed}
+        prios = {e.id: game.condition.priorities[game.key(e.id)]
+                 for e in allowed}
         # Peel SCCs: a component's least inner priority d is the minimum of
         # some cycle in it, and every cycle avoiding the d-edges survives in
         # a component of what is left, so this finds exactly the minima of

@@ -1,12 +1,13 @@
-"""Loop algebra: strongly connected components, the loop predicate,
-maximal alternating subloops, the comparison of two decompositions and a
-loop enumeration oracle."""
+"""Loop algebra: maximal loops, the loop predicate, maximal alternating
+subloops, the comparison of two decompositions (`equivalent_over`) and a
+loop enumeration oracle (`to_explicit_muller`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapExceeded, InputError, _reach, _reading
+from .core import (CapExceeded, InputError, MullerCondition, _components,
+                   _over, _reach, _reading)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -36,74 +37,6 @@ class Loop:
 
     def __contains__(self, eid):
         return eid in self.edges
-
-
-def _tarjan(vertices, succ):
-    """Iterative Tarjan; returns SCCs as lists of vertices, in a
-    deterministic order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs_out = []
-    counter = [0]
-    for root in sorted(vertices):
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs_out.append(sorted(comp))
-    return sccs_out
-
-
-def _components(edges):
-    """The strongly connected components of the graph of `edges` (`Edge`
-    objects) that have an inner edge, as (sorted vertex list, inner edges
-    in the given order) pairs: one Tarjan pass over per-vertex target
-    lists, then one grouping pass over the edges."""
-    succ = {}
-    for e in edges:
-        succ.setdefault(e.source, []).append(e.target)
-        succ.setdefault(e.target, [])
-    comps = _tarjan(succ, succ.__getitem__)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    inner = {}
-    for e in edges:
-        i = comp_of[e.source]
-        if i == comp_of[e.target]:
-            inner.setdefault(i, []).append(e)
-    return [(comps[i], es) for i, es in inner.items()]
 
 
 def sccs(ts, edge_ids=None):
@@ -237,6 +170,22 @@ def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
     return True
 
 
+def equivalent_over(ts, cond1, cond2, loop_cap=None, explore_cap=None):
+    """True iff every reachable loop of `ts` has the same status under both
+    conditions.
+
+    Decided on the alternating cycle decomposition, not loop by loop: a
+    loop's status is the status of any deepest node of the labelled ACD
+    whose loop contains it, so two conditions agree on every reachable
+    loop exactly when the labelled ACDs of the reachable part are equal
+    (`_same_decomposition`).  `loop_cap`, when set, refuses a reachable
+    SCC of more edges; `explore_cap` bounds each node's subloop search as
+    in `build_acd`.
+    """
+    return _same_decomposition(ts, _side(ts, cond1), _side(ts, cond2),
+                               loop_cap=loop_cap, explore_cap=explore_cap)
+
+
 def enumerate_reachable_loops(ts, cap=None):
     """All loops lying inside SCCs reachable from the initial vertices.
 
@@ -264,6 +213,22 @@ def enumerate_reachable_loops(ts, cap=None):
                         bound[m.edges] = eid
                         stack.append((m.edges, eid))
     return [out[k] for k in sorted(out)]
+
+
+def to_explicit_muller(ts, cond, loop_cap=None):
+    """Re-express `cond` as a Muller condition over the edge ids of `ts`
+    (`over` is "edges").
+
+    The family lists exactly the reachable loops that are accepting under
+    `cond`; every loop keeps its status.  The condition is read once, after
+    the enumeration, and only when some loop was found.
+    """
+    found = enumerate_reachable_loops(ts, cap=loop_cap)
+    if found:
+        key, _ = _reading(ts, cond)
+        found = [l.edges for l in found
+                 if cond.accepts(frozenset(map(key, l.edges)))]
+    return _over(MullerCondition(found), "edges")
 
 
 def accessible_x_scc(automaton, letters):

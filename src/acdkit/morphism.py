@@ -1,5 +1,5 @@
-"""Morphisms of transition systems: structural checks, locality
-(surjective / injective / bijective on out-edges), acceptance
+"""Morphisms of transition systems (`core.Morphism`): structural checks,
+locality (surjective / injective / bijective on out-edges), acceptance
 preservation, and run transport."""
 
 from __future__ import annotations
@@ -7,33 +7,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import loops as _loops
-from .core import InputError, Run
-
-
-class Morphism:
-    """A pair of maps (on vertices and on edges) from one conditioned
-    transition system to another."""
-
-    def __init__(self, source_ts, source_cond, target_ts, target_cond,
-                 vertex_map, edge_map):
-        self.source_ts = source_ts
-        self.source_cond = source_cond
-        self.target_ts = target_ts
-        self.target_cond = target_cond
-        self.vertex_map = dict(vertex_map)
-        self.edge_map = dict(edge_map)
-
-    def apply_vertex(self, v):
-        try:
-            return self.vertex_map[v]
-        except KeyError:
-            raise InputError("vertex %r is not mapped" % v) from None
-
-    def apply_edge(self, eid):
-        try:
-            return self.edge_map[eid]
-        except KeyError:
-            raise InputError("edge %r is not mapped" % eid) from None
+from .core import InputError, Morphism, Run, _unroll
 
 
 def check_structural(m):
@@ -152,18 +126,5 @@ def lift_run(m, run):
         e = step(v, eid)
         prefix.append(e.id)
         v = e.target
-    seen = {}
-    wraps = []
-    while v not in seen:
-        seen[v] = len(wraps)
-        wrap = []
-        for eid in run.cycle:
-            e = step(v, eid)
-            wrap.append(e.id)
-            v = e.target
-        wraps.append(wrap)
-    entry = seen[v]
-    for wrap in wraps[:entry]:
-        prefix.extend(wrap)
-    cycle = [eid for wrap in wraps[entry:] for eid in wrap]
-    return Run(src, prefix, cycle)
+    lead, looped = _unroll(v, run.cycle, step)
+    return Run(src, prefix + [e.id for e in lead], [e.id for e in looped])

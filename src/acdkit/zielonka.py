@@ -4,10 +4,10 @@ from the branches of the tree."""
 from __future__ import annotations
 
 import functools
-from itertools import product as _iterproduct
+import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _reach)
+                   ParityCondition, TransitionSystem, _reach, _tarjan)
 
 
 class ZielonkaTree:
@@ -249,6 +249,10 @@ def state_name(leaf):
     return "b" if not leaf else "b" + ".".join(str(i) for i in leaf)
 
 
+def _node_name(node):
+    return "r" if not node else "r." + ".".join(str(i) for i in node)
+
+
 def build_zt_automaton(tree):
     states = {leaf: state_name(leaf) for leaf in tree.leaves}
     edges = []
@@ -299,11 +303,10 @@ def closure_oracle(family, gamma):
     intersection_closed means the union of two rejecting sets is rejecting
     (equivalently, accepting sets are closed under intersection within the
     lattice of statuses)."""
-    from itertools import chain, combinations
     gamma = sorted(set(gamma))
     fam = {frozenset(s) for s in family}
-    subsets = [frozenset(s) for s in chain.from_iterable(
-        combinations(gamma, r) for r in range(1, len(gamma) + 1))]
+    subsets = [frozenset(s) for s in itertools.chain.from_iterable(
+        itertools.combinations(gamma, r) for r in range(1, len(gamma) + 1))]
     accepting = [s for s in subsets if s in fam]
     rejecting = [s for s in subsets if s not in fam]
     union_closed = all(a | b in fam for a in accepting for b in accepting)
@@ -321,14 +324,11 @@ def _delta_loops(g, gamma, delta):
     (slot index tuple, letter set) pairs, computed once per structure so
     priority assignments can be screened cheaply.
     """
-    from itertools import combinations
-
-    from .loops import _tarjan
     reach = _reach([0], lambda q: delta[q * g:q * g + g])
     slots = [(q, i) for q in sorted(reach) for i in range(g)]
     found = []
     for r in range(1, len(slots) + 1):
-        for sub in combinations(slots, r):
+        for sub in itertools.combinations(slots, r):
             adj = {}
             for q, i in sub:
                 adj.setdefault(q, []).append(delta[q * g + i])
@@ -357,10 +357,10 @@ def min_parity_automaton_size(family, gamma, n_max, k_max=4,
         raise InputError("search budget exceeded")
     g = len(gamma)
     for n in range(1, n_max + 1):
-        for delta in _iterproduct(range(n), repeat=n * g):
+        for delta in itertools.product(range(n), repeat=n * g):
             targets = [(slots, letters in fam)
                        for slots, letters in _delta_loops(g, gamma, delta)]
-            for prios in _iterproduct(priority_values, repeat=n * g):
+            for prios in itertools.product(priority_values, repeat=n * g):
                 if all((min(prios[s] for s in slots) % 2 == 0) == want
                        for slots, want in targets):
                     return n

@@ -9,7 +9,7 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     compose, enumerate_reachable_loops, equivalent_over,
                     loop_status, loop_status_over, to_explicit_muller,
                     validate)
-from acdkit.loops import _tarjan
+from acdkit.core import _tarjan
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
 from oracles import kosaraju_components, loop_equivalent
@@ -217,6 +217,53 @@ def test_automaton_checks():
                            letters={"e": "0", "f": "0"})
     with pytest.raises(InputError):
         Automaton(bad, BuchiCondition({"e"}))
+
+
+def _letter_automaton(targets, cond):
+    """The automaton on states "0".."n-1" whose edge "<q><a>" reads `a`
+    from `q` to `targets[q + a]`; "0" is initial."""
+    return Automaton(TransitionSystem(
+        sorted({eid[:-1] for eid in targets}),
+        [(eid, eid[:-1], t) for eid, t in targets.items()], ["0"],
+        letters={eid: eid[-1] for eid in targets}), cond)
+
+
+def test_run_colours_reads_the_repeating_rounds():
+    # the period starts after the first round of the cycle
+    aut = _letter_automaton(
+        {"0a": "1", "0b": "0", "1a": "1", "1b": "2", "2a": "1", "2b": "2"},
+        MullerCondition([{"2a", "1b"}]))
+    assert aut.run_colours((), "ab") == ({"1b", "2a"}, {"a", "b"})
+    assert aut.accepts_word((), "ab")
+    # the period wraps the cycle twice, after a prefix and one round
+    aut = _letter_automaton(
+        {"0a": "1", "0b": "2", "1a": "2", "1b": "1", "2a": "2", "2b": "0"},
+        MullerCondition([{"0a"}]))
+    assert aut.run_colours("b", "ab") == ({"0a", "1a", "1b", "2b"},
+                                          {"a", "b"})
+
+
+def test_run_colours_matches_naive_unrolling():
+    """On random complete automata over two letters: the keys and letters
+    of the edges read in |states| rounds of the cycle after |states|
+    rounds, by then inside the period."""
+    rng = random.Random(83)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        targets = {"%d%s" % (q, a): str(rng.randrange(n))
+                   for q in range(n) for a in "ab"}
+        aut = _letter_automaton(targets, MullerCondition([{"0a"}]))
+        prefix = [rng.choice("ab") for _ in range(rng.randint(0, 2))]
+        cycle = [rng.choice("ab") for _ in range(rng.randint(1, 3))]
+        q = "0"
+        for a in prefix + cycle * n:
+            q = targets[q + a]
+        looped = []
+        for a in cycle * n:
+            looped.append(q + a)
+            q = targets[q + a]
+        assert aut.run_colours(prefix, cycle) == (
+            set(looped), {eid[-1] for eid in looped})
 
 
 def test_compose_with_one_state_automaton(sixstate):

@@ -64,6 +64,32 @@ def test_game_constructor_checks():
             TransitionSystem(["p"], [("e", "p", "p")], ["p"],
                              owners={"p": "Eve"}),
             MullerCondition([{"e"}])))
+    # the structural problems and the condition's, in one message
+    ts3 = TransitionSystem(["p", "q"], [("e", "p", "p")], ["p"],
+                           owners={"p": "Eve", "q": "Adam"})
+    with pytest.raises(InputError, match="^dead-end vertex 'q' has no "
+                       "outgoing edge; condition references unknown "
+                       "colour 'x'$"):
+        Game(ts3, ParityCondition({"e": 0, "x": 1}))
+
+
+def test_parity_game_reads_its_condition_once(monkeypatch):
+    """Building, solving and certifying a game read through its colours
+    computes the system's colour set once, in `Game`."""
+    ts = TransitionSystem(
+        ["u", "w"],
+        [("e1", "u", "u"), ("e2", "u", "w"),
+         ("e3", "w", "w"), ("e4", "w", "u")],
+        ["u"], owners={"u": "Eve", "w": "Adam"},
+        colours={"e1": "c1", "e2": "c2", "e3": "c2", "e4": "c3"})
+    calls = []
+    real = TransitionSystem.colour_set
+    monkeypatch.setattr(TransitionSystem, "colour_set",
+                        lambda self: calls.append(1) or real(self))
+    sol = solve_parity_game(Game(ts, ParityCondition(
+        {"c1": 1, "c2": 2, "c3": 3})))
+    assert sol.regions == {"u": "Eve", "w": "Eve"}
+    assert len(calls) == 1
 
 
 def test_verify_rejects_tampered_solution():
