@@ -4,10 +4,13 @@ import pytest
 
 from acdkit import (CapExceeded, InputError, MullerCondition, TransitionSystem, acd_stats,
                     acd_transform, build_acd, build_zielonka_tree,
-                    check_local, check_structural, induced_morphism,
-                    loop_status_over, multi_supp, subtree_for_state)
+                    check_local, check_structural, classify_acd,
+                    induced_morphism, loop_status_over, multi_supp,
+                    subtree_for_state)
+from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
-from conftest import random_muller_system
+from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
+                      random_system, recoloured)
 from oracles import loop_preserving
 
 
@@ -163,3 +166,43 @@ def test_transform_morphism_random():
         m = induced_morphism(res, ts, cond)
         assert check_structural(m)[0]
         assert check_local(m)["bijective"]
+
+
+def test_transient_part_under_every_tag():
+    """The transient part reads as a one-node tree under each tag: its
+    priority is the low end of the interval, its DOT cluster is one node,
+    its Rabin or Streett pair is there by the parity of that priority,
+    and its vertices have one branch and never offend."""
+    rng = random.Random(41)
+    tags = set()
+    for i in range(240):
+        ts = random_system(rng, max_vertices=5, max_edges=9)
+        if i % 3 == 0:
+            ts = recoloured(rng, ts, ["a", "b", "c", "d"])
+        kind = CONDITION_KINDS[i % len(CONDITION_KINDS)]
+        cond = random_condition(rng, kind, {ts.colour(e.id) for e in ts.edges})
+        acd = build_acd(ts, cond)
+        if not acd.t0_edges:
+            continue
+        tags.add(acd.tag)
+        p = acd.priority(0, ())
+        assert p == acd_stats(acd)["interval"][0]
+        lines = docfmt.dot_acd(acd).splitlines()
+        at = lines.index("  subgraph cluster_t0 {")
+        assert lines[at:at + 4] == [
+            "  subgraph cluster_t0 {",
+            '    label="t0";',
+            '    "t0:r" [shape=%s,label="{%s}\\\\n%s\\\\n%d"];'
+            % ("ellipse" if p % 2 == 0 else "box",
+               ",".join(sorted(acd.t0_edges)),
+               ",".join(sorted(acd.t0_states)), p),
+            "  }"]
+        pair = (acd.t0_edges,
+                frozenset(e.id for e in ts.edges) - acd.t0_edges)
+        assert (pair in relabel._node_pairs(acd, True)) == (p % 2 == 0)
+        assert (pair in relabel._node_pairs(acd, False)) == (p % 2 == 1)
+        offending = classify_acd(acd).offending
+        for v in acd.t0_states:
+            assert acd.subtree_for_state(v).branches == ((),)
+            assert v not in offending
+    assert tags == {"even", "odd", "ambiguous"}
