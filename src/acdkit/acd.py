@@ -50,8 +50,8 @@ class StateSubtree:
 
 
 class ACD:
-    """Forest of alternating trees, one per maximal loop, plus a single
-    special node for the transient part of the graph."""
+    """Forest of alternating trees: `trees`, one per maximal loop, and
+    tree 0, the transient part, a one-node tree labelled `t0_edges`."""
 
     def __init__(self, ts, cond, explore_cap=None):
         problems = validate(ts, cond)
@@ -75,8 +75,8 @@ class ACD:
                 self.vertex_index[v] = t.index
             for eid in t.label[()]:
                 self.edge_index[eid] = t.index
-        self.t0_states = frozenset(
-            v for v, i in self.vertex_index.items() if i == 0)
+        self.t0_states = frozenset(ts.vertices).difference(
+            *(t.states[()] for t in self.trees))
         maxh = max(t.height for t in self.trees)
         kinds = {t.even for t in self.trees if t.height == maxh}
         if kinds == {True}:
@@ -86,23 +86,23 @@ class ACD:
         else:
             self.tag = "ambiguous"
         self.max_height = maxh
+        t0 = _zielonka.ZielonkaTree(self.t0_edges, self.tag != "odd",
+                                    lambda edges: ())
+        t0.index, t0.states = 0, {(): self.t0_states}
+        self._forest = (t0,) + self.trees
         self._subtrees = {v: self._build_subtree(v) for v in ts.vertices}
 
     def tree(self, index):
-        return self.trees[index - 1]
+        return self._forest[index]
 
     def priority(self, index, node):
         """Priority attached to a node, under the global even/odd/ambiguous
         adjustment that keeps the overall range as tight as possible."""
-        if index == 0:
-            return 1 if self.tag == "odd" else 0
         t = self.tree(index)
         return t.priority(node) + (2 if t.even and self.tag == "odd" else 0)
 
     def _build_subtree(self, v):
         i = self.vertex_index[v]
-        if i == 0:
-            return StateSubtree(v, 0, {(): ()})
         t = self.tree(i)
         return StateSubtree(v, i, {
             n: tuple(c for c in t.children_map[n] if v in t.states[c])
@@ -121,7 +121,7 @@ class ACD:
 
         Returns (tree index, node)."""
         j = self.edge_index[eid]
-        if j == i and j != 0:
+        if j == i:
             return (j, _zielonka.supp(self.tree(i), leaf, eid))
         return (j, ())
 
@@ -133,7 +133,7 @@ class ACD:
         i = self.vertex_index[e.source]
         j, tau = self.multi_supp(leaf, i, e.id)
         target = self._subtrees[e.target]
-        if j == i != 0:
+        if j == i:
             leaf2 = _zielonka._next_branch(target.children, leaf, tau)
         else:
             leaf2 = target.leftmost_branch()

@@ -270,16 +270,7 @@ def dot_tree(tree, name="zielonka"):
 
 def dot_acd(acd, name="acd"):
     lines = ["digraph %s {" % name, "  node [fontsize=10];"]
-    if acd.t0_edges:
-        lines.append("  subgraph cluster_t0 {")
-        lines.append("    label=%s;" % _q("t0"))
-        p = acd.priority(0, ())
-        shape = "ellipse" if p % 2 == 0 else "box"
-        text = "{%s}\\n%s\\n%d" % (",".join(sorted(acd.t0_edges)),
-                                   ",".join(sorted(acd.t0_states)), p)
-        lines.append("    %s [shape=%s,label=%s];" % (_q("t0:r"), shape, _q(text)))
-        lines.append("  }")
-    for t in acd.trees:
+    for t in ((acd.tree(0),) if acd.t0_edges else ()) + acd.trees:
         lines.append("  subgraph cluster_t%d {" % t.index)
         lines.append("    label=%s;" % _q("t%d" % t.index))
         _dot_tree_nodes(

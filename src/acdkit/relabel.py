@@ -34,8 +34,6 @@ def classify_acd(acd):
     offending = {}
     for v in acd.ts.vertices:
         sub = acd.subtree_for_state(v)
-        if sub.tree_index == 0:
-            continue
         bad, flags = _zielonka._branching(acd.tree(sub.tree_index),
                                           sub.children)
         rabin = rabin and flags["rabin"]
@@ -56,7 +54,7 @@ def classify_acd(acd):
 def _node_pairs(acd, want_accepting):
     all_edges = frozenset(e.id for e in acd.ts.edges)
     pairs = []
-    for t in acd.trees:
+    for t in acd.trees + (acd.tree(0),):
         for node in t.nodes:
             if t.accepting(node) != want_accepting:
                 continue
@@ -67,8 +65,6 @@ def _node_pairs(acd, want_accepting):
             if not e_part:
                 continue
             pairs.append((e_part, all_edges - t.label[node]))
-    if acd.t0_edges and (acd.priority(0, ()) % 2 == 0) == want_accepting:
-        pairs.append((acd.t0_edges, all_edges - acd.t0_edges))
     return pairs
 
 

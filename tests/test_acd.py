@@ -169,7 +169,7 @@ def test_transform_morphism_random():
 
 
 def test_transient_part_under_every_tag():
-    """The transient part reads as a one-node tree under each tag: its
+    """The transient part is tree 0, a one-node tree, under each tag: its
     priority is the low end of the interval, its DOT cluster is one node,
     its Rabin or Streett pair is there by the parity of that priority,
     and its vertices have one branch and never offend."""
@@ -182,6 +182,9 @@ def test_transient_part_under_every_tag():
         kind = CONDITION_KINDS[i % len(CONDITION_KINDS)]
         cond = random_condition(rng, kind, {ts.colour(e.id) for e in ts.edges})
         acd = build_acd(ts, cond)
+        t0 = acd.tree(0)
+        assert (t0.label, t0.states, t0.height) == (
+            {(): acd.t0_edges}, {(): acd.t0_states}, 1)
         if not acd.t0_edges:
             continue
         tags.add(acd.tag)
