@@ -275,10 +275,6 @@ class ParityCondition(Condition):
     def referenced_colours(self):
         return frozenset(self.priorities)
 
-    def interval(self):
-        vals = self.priorities.values()
-        return (min(vals), max(vals))
-
 
 class _ColourSet(Condition):
     def __init__(self, colours):

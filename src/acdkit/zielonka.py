@@ -43,9 +43,6 @@ class ZielonkaTree:
         self.leaves = tuple(n for n in self.nodes if not self.children_map[n])
         self.height = 1 + max(len(n) for n in self.nodes)
 
-    def children(self, node):
-        return self.children_map[node]
-
     def priority(self, node):
         return len(node) if self.even else len(node) + 1
 
