@@ -32,6 +32,9 @@ def _read_doc(path):
             text = fh.read()
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror)) from None
+    except UnicodeDecodeError as e:
+        raise InputError("cannot read %s: not UTF-8 at byte %d"
+                         % (path, e.start)) from None
     return docfmt.parse(text)
 
 
@@ -43,8 +46,12 @@ def _write(args, text, dot=None):
         sys.stdout.write(text)
     for path, data in ((args.output, lambda: text), (dot and args.dot, dot)):
         if path:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data())
+            try:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(data())
+            except OSError as e:
+                raise InputError("cannot write %s: %s"
+                                 % (path, e.strerror)) from None
 
 
 def _require_condition(doc, kinds=None):

@@ -24,10 +24,18 @@ class Document:
 def parse(text):
     try:
         obj = json.loads(text)
+        if "\\u" in text:  # a lone surrogate parses but cannot be written
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as e:
         raise InputError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
         ) from None
+    except UnicodeEncodeError:
+        raise InputError("parse error: a lone surrogate escape") from None
+    except RecursionError:
+        raise InputError("parse error: too deeply nested") from None
+    except ValueError:  # CPython's limit on the digits of an int literal
+        raise InputError("parse error: an integer is too long") from None
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
     if obj.get("format") != FORMAT:

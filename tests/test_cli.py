@@ -505,6 +505,79 @@ def test_partial_owners_and_letters_fail_every_subcommand(
         assert "Traceback" not in proc.stderr
 
 
+def _valid_argvs(tmp_path):
+    """Every subcommand on inputs it accepts."""
+    six = fx("sixstate.json")
+    transformed = str(tmp_path / "transformed.json")
+    assert cli.main(["transform", six, "-o", transformed]) == 0
+    argvs = [["zielonka", fx("f1.json")], ["zt-automaton", fx("f1.json")],
+             ["acd", six], ["transform", six], ["stats", six], ["shape", six],
+             ["relabel", fx("paritygame.json"), "--target", "weak"],
+             ["compress", fx("paritygame.json")],
+             ["compose", fx("automatonA.json"), fx("host01.json")],
+             ["check-morphism", transformed, "--against", six],
+             ["solve", fx("paritygame.json")],
+             ["oracle-equiv", fx("f1.json"), fx("f1.json")]]
+    assert [a[0] for a in argvs] == list(SUBCOMMANDS)
+    return {a[0]: a for a in argvs}
+
+
+def test_unwritable_output_paths_are_input_errors(tmp_path):
+    """`-o` or `--dot` into a missing directory exits 2 with a message,
+    not with a traceback."""
+    missing = str(tmp_path / "missing" / "out")
+    argvs = _valid_argvs(tmp_path)
+    runs = [argv + ["-o", missing] for argv in argvs.values()]
+    runs += [argvs[sub] + ["-o", str(tmp_path / "out.json"), "--dot", missing]
+             for sub in sorted(DOT_SUBCOMMANDS)]
+    for argv in runs:
+        proc = run_process(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("input error: cannot write "), argv
+        assert "Traceback" not in proc.stderr
+
+
+with open(fx("sixstate.json"), "rb") as _fh:
+    SIXSTATE = _fh.read()
+BAD_TEXTS = {
+    "not UTF-8": b"\xff\xfe{}",
+    "nested 1000 deep": b'{"format": "acdkit/1", "x": %s%s}'
+                        % (b"[" * 1000, b"]" * 1000),
+    "long integer": SIXSTATE.rstrip()[:-1] + b', "n": ' + b"9" * 5000 + b"}",
+    "lone surrogate": SIXSTATE.replace(b'"q0"', b'"\\ud800"'),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BAD_TEXTS))
+def test_unreadable_documents_are_input_errors(tmp_path, what):
+    """Documents that Python cannot decode, nest too deeply, hold an
+    integer past the interpreter's digit limit or a lone surrogate exit 2
+    without a traceback, and nothing is written."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(BAD_TEXTS[what])
+    out = tmp_path / "out.json"
+    for argv in (["stats", str(doc)], ["transform", str(doc), "-o", str(out)]):
+        proc = run_process(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("input error: "), argv
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not out.exists(), argv
+
+
+def test_escaped_surrogate_pair_round_trips(tmp_path):
+    """An escaped pair outside the BMP is one character: it parses and
+    is written back as that character."""
+    text = SIXSTATE.decode("utf-8").replace('"q0"', '"\\ud83d\\ude00"')
+    doc = docfmt.parse(text)
+    assert "\U0001F600" in doc.system.vertices
+    again = docfmt.serialize(doc)
+    assert "\U0001F600" in again
+    assert docfmt.serialize(docfmt.parse(again)) == again
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(tmp_path, "transform", str(path))[0] == 0
+
+
 def test_dot_is_rendered_only_with_the_flag(tmp_path, monkeypatch):
     """The five DOT subcommands call their renderer once with `--dot`
     and never without it."""
