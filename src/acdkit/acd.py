@@ -128,8 +128,9 @@ class ACD:
     def edge_step(self, leaf, e):
         """Priority and target branch of the transform's edge from the
         copy of `e.source` on the branch `leaf` along `e`: the cyclic next
-        branch in the target's restriction inside one tree, else the
-        target's leftmost branch."""
+        branch in the target's restriction when `e` is in the source's
+        tree, else the target's leftmost branch.  From tree 0, whose one
+        branch is its root, the next branch is the leftmost one."""
         i = self.vertex_index[e.source]
         j, tau = self.multi_supp(leaf, i, e.id)
         target = self._subtrees[e.target]

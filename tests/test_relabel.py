@@ -218,11 +218,7 @@ def test_subtrees_and_offending_match_brute_force():
         acd = build_acd(ts, cond)
         offending = {}
         for v in ts.vertices:
-            index = acd.vertex_index[v]
-            if index == 0:
-                assert acd.subtree_for_state(v).branches == ((),)
-                continue
-            t = acd.tree(index)
+            t = acd.tree(acd.vertex_index[v])
             kept = [n for n in t.nodes if v in t.states[n]]
             kids = {n: [c for c in t.children_map[n] if v in t.states[c]]
                     for n in kept}
