@@ -301,6 +301,35 @@ def kosaraju_components(vertices, succ):
     return comp
 
 
+def recursive_tarjan(vertices, succ):
+    """Strongly connected components by the textbook recursive Tarjan:
+    roots in sorted order, successors in the order `succ(v)` lists them,
+    each component sorted and emitted when its root finishes."""
+    index, low, stack, on_stack, out = {}, {}, [], set(), []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in succ(v):
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while not comp or comp[-1] != v:
+                comp.append(stack.pop())
+                on_stack.discard(comp[-1])
+            out.append(sorted(comp))
+
+    for root in sorted(vertices):
+        if root not in index:
+            visit(root)
+    return out
+
+
 def _scc_edge_sets(edges):
     """SCC-internal edge groups of a list of (id, source, target) triples,
     by Kosaraju on the touched vertices."""

@@ -12,7 +12,7 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
 from acdkit.core import _tarjan
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
-from oracles import kosaraju_components, loop_equivalent
+from oracles import kosaraju_components, loop_equivalent, recursive_tarjan
 
 
 def two_state_parity():
@@ -129,6 +129,31 @@ def test_tarjan_matches_kosaraju_random():
         assert all(c == sorted(c) for c in comps)
         emitted = {v: i for i, c in enumerate(comps) for v in c}
         assert all(emitted[w] <= emitted[v] for v in succ for w in succ[v])
+
+
+def test_tarjan_emits_in_the_textbook_order():
+    """`_tarjan` returns exactly the list of the recursive textbook
+    Tarjan, order included: the ACD goldens rest on it.  The digraphs are
+    mostly forward edges along a shuffled order, with a few back edges and
+    self-loops, so most components are single vertices."""
+    rng = random.Random(72)
+    singles = total = 0
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        order = rng.sample(range(n), n)
+        succ = {v: [] for v in order}
+        for i, v in enumerate(order):
+            for _ in range(rng.randint(0, 3)):
+                if i + 1 < n and rng.random() < 0.9:
+                    w = order[rng.randrange(i + 1, n)]
+                else:
+                    w = order[rng.randrange(i + 1)]
+                succ[v].append(w)
+        comps = _tarjan(succ, succ.__getitem__)
+        assert comps == recursive_tarjan(succ, succ.__getitem__)
+        singles += sum(len(c) == 1 for c in comps)
+        total += len(comps)
+    assert 0.5 * total < singles < total, (singles, total)
 
 
 def test_colours_and_order_follow_their_definitions():

@@ -316,6 +316,27 @@ def test_verify_matches_naive_certificate_check():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def test_verify_matches_naive_check_at_benchmark_shape():
+    """The same agreement on games of the benchmark's shape (500 vertices,
+    out-degree 3, 20 priorities), where most allowed edges lie on no
+    cycle."""
+    rng = random.Random(15)
+    seen = {"clean": 0, "cycle": 0, "move": 0, "escape": 0}
+    for i in range(20):
+        game = _random_game(rng, shape=(500, 3, 20))
+        sol = solve_parity_game(game)
+        if i % 2:
+            sol = _tampered(rng, game, sol)
+        got = verify_parity_solution(game, sol)
+        assert got == naive_certificate_problems(game, sol)
+        seen["clean"] += not got
+        seen["cycle"] += any(p.startswith("cycle with minimum priority")
+                             for p in got)
+        seen["move"] += any(" has no move at " in p for p in got)
+        seen["escape"] += any(" escapes the " in p for p in got)
+    assert all(count >= 3 for count in seen.values()), seen
+
+
 def _pq_game():
     """Eve owns p and q; p has a self-loop a of priority 1 and q a
     self-loop b of priority 0, so Adam wins p and Eve wins q."""
