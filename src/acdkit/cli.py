@@ -39,19 +39,34 @@ def _read_doc(path):
 
 
 def _write(args, text, dot=None):
-    """Write the result `text` to `-o` or stdout, then, for the commands
+    """Write the result `text` to `-o` or stdout and, for the commands
     that have one, the DOT rendering that `dot()` gives to `--dot`; it is
-    rendered only when `--dot` is given."""
+    rendered only when `--dot` is given.  Both are rendered and every
+    path opened before anything is written, so an unwritable path leaves
+    nothing on stdout and no file that this call created."""
+    texts = {args.output: text} if args.output else {}
+    if dot and args.dot:
+        texts[args.dot] = dot()
+    files, created = [], []
+    try:
+        for path in texts:
+            try:
+                files.append(open(path, "x", encoding="utf-8", newline="\n"))
+                created.append(path)
+            except FileExistsError:
+                files.append(open(path, "w", encoding="utf-8", newline="\n"))
+        for path, fh in zip(texts, files):
+            with fh:
+                fh.write(texts[path])
+    except OSError as e:
+        for fh in files:
+            fh.close()
+        for made in created:
+            os.remove(made)
+        raise InputError("cannot write %s: %s"
+                         % (path, e.strerror)) from None
     if not args.output:
         sys.stdout.write(text)
-    for path, data in ((args.output, lambda: text), (dot and args.dot, dot)):
-        if path:
-            try:
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(data())
-            except OSError as e:
-                raise InputError("cannot write %s: %s"
-                                 % (path, e.strerror)) from None
 
 
 def _require_condition(doc, kinds=None):

@@ -537,6 +537,20 @@ def test_unwritable_output_paths_are_input_errors(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_unwritable_dot_path_leaves_no_output(tmp_path, capsys):
+    """`--dot` into a missing directory exits 2 before anything is
+    written: nothing on stdout, and no `-o` file."""
+    missing = str(tmp_path / "missing" / "x.dot")
+    out = tmp_path / "out.json"
+    argvs = _valid_argvs(tmp_path)
+    capsys.readouterr()
+    for sub in sorted(DOT_SUBCOMMANDS):
+        assert cli.main(argvs[sub] + ["--dot", missing]) == 2, sub
+        assert capsys.readouterr().out == "", sub
+        assert cli.main(argvs[sub] + ["-o", str(out), "--dot", missing]) == 2
+        assert capsys.readouterr().out == "" and not out.exists(), sub
+
+
 with open(fx("sixstate.json"), "rb") as _fh:
     SIXSTATE = _fh.read()
 BAD_TEXTS = {
