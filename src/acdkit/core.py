@@ -149,7 +149,8 @@ def _tarjan(vertices, succ):
     """Iterative Tarjan; returns SCCs as sorted lists of vertices, each
     after every component it reaches.  A low link is a stack position, a
     root's own one, and infinity once its component is emitted, so
-    `low[w] < low[v]` also says that a visited `w` is still on the stack."""
+    `low[w] < low[v]` also says that a visited `w` is still on the stack.
+    A root on top of the stack is a one-vertex component, emitted as is."""
     low = {}
     stack = []
     sccs_out = []
@@ -172,7 +173,11 @@ def _tarjan(vertices, succ):
             else:
                 work.pop()
                 at = low[v]
-                if stack[at] == v:
+                if at == len(stack) - 1:
+                    stack.pop()
+                    low[v] = math.inf
+                    sccs_out.append([v])
+                elif stack[at] == v:
                     comp = stack[at:]
                     del stack[at:]
                     low.update(dict.fromkeys(comp, math.inf))

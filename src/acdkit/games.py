@@ -11,6 +11,7 @@ connected components by least priority, independently of the solver."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
 from .core import InputError, _components, _reading, validate
@@ -86,24 +87,26 @@ def solve_parity_game(game):
     edges, vertices = ts.edges, ts.vertices
     first_vertex = len(edges)
     vnode = {v: first_vertex + i for i, v in enumerate(vertices)}
-    names = [e.id for e in edges] + list(vertices)
-    src = [vnode[e.source] for e in edges]
-    tgt = [vnode[e.target] for e in edges]
+    names = list(map(attrgetter("id"), edges)) + list(vertices)
+    src = list(map(vnode.__getitem__, map(attrgetter("source"), edges)))
+    tgt = list(map(vnode.__getitem__, map(attrgetter("target"), edges)))
     prio = list(map(game.condition.priorities.__getitem__,
                     map(game.key, names[:first_vertex])))
     prio += [max(prio)] * len(vertices)
     owner = ["Eve"] * first_vertex + [ts.owners[v] for v in vertices]
-    # a vertex node's out-edge nodes and in-edge nodes, each ascending
-    succ = [[] for _ in prio]
-    preds = [[] for _ in prio]
+    # a vertex node's out-edge and in-edge nodes, each ascending; an edge
+    # node has neither list: its one successor is tgt[n], its one pred src[n]
+    succ = [()] * first_vertex + [[] for _ in vertices]
+    preds = [()] * first_vertex + [[] for _ in vertices]
     for n, (s, t) in enumerate(zip(src, tgt)):
         succ[s].append(n)
         preds[t].append(n)
     levels = sorted(set(prio))
     level_of = {d: i for i, d in enumerate(levels)}
     buckets = [[] for _ in levels]
-    for n, d in enumerate(prio):
+    for n, d in enumerate(prio[:first_vertex]):
         buckets[level_of[d]].append(n)
+    buckets[-1] += range(first_vertex, len(prio))   # vertex nodes: the top
     alive = bytearray(b"\1") * len(prio)   # the current subgame's nodes
 
     def attract(player, base):
@@ -132,7 +135,7 @@ def solve_parity_game(game):
                 continue
             left = degree.get(p)
             if left is None:
-                left = sum(alive[m] for m in succ[p])
+                left = sum(map(alive.__getitem__, succ[p]))
             degree[p] = left - 1
             if left == 1:
                 region.add(p)
@@ -221,6 +224,8 @@ def verify_parity_solution(game, solution):
     Returns a list of problems, the unfavourable cycle minima of a region
     in ascending order."""
     ts = game.ts
+    owners, out = ts.owners, ts.out
+    key, priorities = game.key, game.condition.priorities
     vertices = set(ts.vertices)
     problems = []
     regions = {"Eve": set(), "Adam": set()}
@@ -234,23 +239,20 @@ def verify_parity_solution(game, solution):
     problems += ["vertex %r is in no region" % v
                  for v in sorted(vertices.difference(solution.regions))]
     for player, region in regions.items():
+        moves = solution.strategies.get(player, {})
         allowed = []
         for v in sorted(region):
-            if ts.owners[v] == player:
-                eid = solution.strategies.get(player, {}).get(v)
+            if owners[v] == player:
+                eid = moves.get(v)
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue
-                for e in ts.out(v):
-                    if e.id == eid:
-                        chosen = [e]
-                        break
-                else:
-                    chosen = []
+                chosen = [e for e in out(v) if e.id == eid]
+                if not chosen:
                     problems.append("%s's move %r at %r is not an out-edge "
                                     "of it" % (player, eid, v))
             else:
-                chosen = list(ts.out(v))
+                chosen = out(v)
             for e in chosen:
                 if e.target not in region:
                     problems.append(
@@ -258,22 +260,22 @@ def verify_parity_solution(game, solution):
                 else:
                     allowed.append(e)
         good_parity = 0 if player == "Eve" else 1
-        prios = {e.id: game.condition.priorities[game.key(e.id)]
-                 for e in allowed}
         # Peel SCCs: a component's least inner priority d is the minimum of
         # some cycle in it, and every cycle avoiding the d-edges survives in
         # a component of what is left, so this finds exactly the minima of
-        # the cycles.
+        # the cycles.  Only the edges of the first split's components lie
+        # on cycles, so only theirs have their priority read.
         bad = set()
-        work = [allowed]
+        work = [_components(allowed)]
+        prios = {e.id: priorities[key(e.id)] for _, es in work[0] for e in es}
         while work:
-            for _, es in _components(work.pop()):
+            for _, es in work.pop():
                 d = min(prios[e.id] for e in es)
                 if d % 2 != good_parity:
                     bad.add(d)
                 rest = [e for e in es if prios[e.id] != d]
                 if rest:
-                    work.append(rest)
+                    work.append(_components(rest))
         for d in sorted(bad):
             problems.append(
                 "cycle with minimum priority %d inside the %s region"
