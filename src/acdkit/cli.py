@@ -41,9 +41,8 @@ def _read_doc(path):
 def _write(args, text, dot=None):
     """Write the result `text` to `-o` or stdout and, for the commands
     that have one, the DOT rendering that `dot()` gives to `--dot`; it is
-    rendered only when `--dot` is given.  Both are rendered and every
-    path opened before anything is written, so an unwritable path leaves
-    nothing on stdout and no file that this call created."""
+    rendered only when `--dot` is given.  Every path is opened before
+    anything is written: an unwritable one leaves no output behind."""
     texts = {args.output: text} if args.output else {}
     if dot and args.dot:
         texts[args.dot] = dot()
@@ -63,8 +62,7 @@ def _write(args, text, dot=None):
             fh.close()
         for made in created:
             os.remove(made)
-        raise InputError("cannot write %s: %s"
-                         % (path, e.strerror)) from None
+        raise InputError("cannot write %s: %s" % (path, e.strerror)) from None
     if not args.output:
         sys.stdout.write(text)
 
