@@ -296,13 +296,13 @@ def _tampered(rng, game, sol):
     return sol
 
 
-def test_verify_matches_naive_certificate_check():
-    """The peeling check reports exactly what one SCC pass per losing
-    priority reports, on solved and on tampered certificates."""
-    rng = random.Random(8)
+def _problems_seen_with_naive_check(rng, count, shape=None):
+    """Solve `count` random games, tamper with two in three, require
+    the peeling check to report exactly what the naive check reports, and
+    count the certificates that are clean or show each kind of problem."""
     seen = {"clean": 0, "cycle": 0, "move": 0, "escape": 0}
-    for i in range(600):
-        game = _random_game(rng)
+    for i in range(count):
+        game = _random_game(rng, shape=shape)
         sol = solve_parity_game(game)
         if i % 3:
             sol = _tampered(rng, game, sol)
@@ -313,27 +313,22 @@ def test_verify_matches_naive_certificate_check():
                              for p in got)
         seen["move"] += any(" has no move at " in p for p in got)
         seen["escape"] += any(" escapes the " in p for p in got)
+    return seen
+
+
+def test_verify_matches_naive_certificate_check():
+    """The peeling check reports exactly what one SCC pass per losing
+    priority reports, on solved and on tampered certificates."""
+    seen = _problems_seen_with_naive_check(random.Random(8), 600)
     assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_verify_matches_naive_check_at_benchmark_shape():
-    """The same agreement on games of the benchmark's shape (500 vertices,
+    """The same on games of the benchmark's shape (500 vertices,
     out-degree 3, 20 priorities), where most allowed edges lie on no
     cycle."""
-    rng = random.Random(15)
-    seen = {"clean": 0, "cycle": 0, "move": 0, "escape": 0}
-    for i in range(20):
-        game = _random_game(rng, shape=(500, 3, 20))
-        sol = solve_parity_game(game)
-        if i % 2:
-            sol = _tampered(rng, game, sol)
-        got = verify_parity_solution(game, sol)
-        assert got == naive_certificate_problems(game, sol)
-        seen["clean"] += not got
-        seen["cycle"] += any(p.startswith("cycle with minimum priority")
-                             for p in got)
-        seen["move"] += any(" has no move at " in p for p in got)
-        seen["escape"] += any(" escapes the " in p for p in got)
+    seen = _problems_seen_with_naive_check(random.Random(15), 20,
+                                           (500, 3, 20))
     assert all(count >= 3 for count in seen.values()), seen
 
 
