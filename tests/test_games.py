@@ -73,6 +73,73 @@ def test_game_constructor_checks():
         Game(ts3, ParityCondition({"e": 0, "x": 1}))
 
 
+def _certified(edges, owners, prios):
+    """Solve the game of `edges` (id, source, target), its vertices owned
+    as `owners` says and each edge of the priority `prios` gives it, and
+    require the regions of the brute force and a clean certificate."""
+    ts = TransitionSystem(sorted(owners), edges, [sorted(owners)[0]],
+                          owners=owners)
+    game = Game(ts, ParityCondition(prios))
+    sol = solve_parity_game(game)
+    assert sol.regions == brute_force_parity_regions(
+        ts, owners, lambda e: prios[e.id])
+    assert verify_parity_solution(game, sol) == []
+    return sol
+
+
+def test_opponent_avoids_its_least_priority_edge():
+    """Adam at a has an edge of the least priority 0 into b, which Eve
+    wins, and an edge of priority 1 into c, where Adam wins: he takes the
+    second, so a is not attracted to the 0-edges."""
+    sol = _certified(
+        [("ab", "a", "b"), ("ac", "a", "c"), ("bb", "b", "b"),
+         ("cc", "c", "c"), ("ca", "c", "a")],
+        {"a": "Adam", "b": "Eve", "c": "Eve"},
+        {"ab": 0, "ac": 1, "bb": 0, "cc": 1, "ca": 3})
+    assert sol.regions == {"a": "Adam", "b": "Eve", "c": "Adam"}
+
+
+def test_player_takes_its_least_priority_self_loop():
+    """Eve's least-priority edge at p is a self-loop of priority 0; her
+    other edge leads to q, where Adam loops on priority 1."""
+    sol = _certified(
+        [("pp", "p", "p"), ("pq", "p", "q"), ("qp", "q", "p"),
+         ("qq", "q", "q")],
+        {"p": "Eve", "q": "Adam"},
+        {"pp": 0, "pq": 3, "qp": 2, "qq": 1})
+    assert sol.regions == {"p": "Eve", "q": "Adam"}
+    assert sol.strategies["Eve"] == {"p": "pp"}
+    assert sol.strategies["Adam"] == {"q": "qq"}
+
+
+@pytest.mark.parametrize("d,winner", [(0, "Eve"), (1, "Adam"), (4, "Eve")])
+def test_every_edge_of_one_priority(d, winner):
+    """With a single priority, its player wins everywhere and moves along
+    some out-edge at each of their vertices."""
+    edges = [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1"),
+             ("e4", "v1", "v4"), ("e5", "v4", "v4"), ("e6", "v3", "v3")]
+    owners = {"v1": "Eve", "v2": "Adam", "v3": "Adam", "v4": "Eve"}
+    sol = _certified(edges, owners, {e[0]: d for e in edges})
+    assert set(sol.regions.values()) == {winner}
+    assert sorted(sol.strategies[winner]) == sorted(
+        v for v, p in owners.items() if p == winner)
+
+
+def test_parallel_edges_of_different_priorities():
+    """u and w are joined both ways by two parallel edges each.  Eve at u
+    must take the even one; in the second game Adam has an edge of
+    priority 1 back and wins both vertices."""
+    edges = [("ua", "u", "w"), ("ub", "u", "w"), ("wa", "w", "u"),
+             ("wb", "w", "u")]
+    owners = {"u": "Eve", "w": "Adam"}
+    sol = _certified(edges, owners, {"ua": 1, "ub": 2, "wa": 4, "wb": 6})
+    assert sol.regions == {"u": "Eve", "w": "Eve"}
+    assert sol.strategies["Eve"] == {"u": "ub"}
+    sol = _certified(edges, owners, {"ua": 1, "ub": 2, "wa": 4, "wb": 1})
+    assert sol.regions == {"u": "Adam", "w": "Adam"}
+    assert sol.strategies["Adam"] == {"w": "wb"}
+
+
 def test_parity_game_reads_its_condition_once(monkeypatch):
     """Building, solving and certifying a game read through its colours
     computes the system's colour set once, in `Game`."""
