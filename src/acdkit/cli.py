@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import stat
 import sys
 
 from . import acd as _acd
@@ -38,13 +39,22 @@ def _read_doc(path):
     return docfmt.parse(text)
 
 
+def _untruncated(path, flags):
+    """Opener of an existing file that leaves its bytes in place."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(args, text, dot=None):
     """Write the result `text` to `-o` or stdout and, for the commands
     that have one, the DOT rendering that `dot()` gives to `--dot`; it is
     rendered only when `--dot` is given.  Every path is opened before
-    anything is written: an unwritable one leaves no output behind."""
+    anything is written or truncated: an unwritable one leaves no output
+    behind and every existing file as it was."""
     texts = {args.output: text} if args.output else {}
     if dot and args.dot:
+        if args.output and (os.path.realpath(args.output)
+                            == os.path.realpath(args.dot)):
+            raise InputError("-o and --dot name the same file %s" % args.dot)
         texts[args.dot] = dot()
     files, created = [], []
     try:
@@ -53,9 +63,12 @@ def _write(args, text, dot=None):
                 files.append(open(path, "x", encoding="utf-8", newline="\n"))
                 created.append(path)
             except FileExistsError:
-                files.append(open(path, "w", encoding="utf-8", newline="\n"))
+                files.append(open(path, "w", encoding="utf-8", newline="\n",
+                                  opener=_untruncated))
         for path, fh in zip(texts, files):
             with fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
                 fh.write(texts[path])
     except OSError as e:
         for fh in files:

@@ -551,6 +551,61 @@ def test_unwritable_dot_path_leaves_no_output(tmp_path, capsys):
         assert capsys.readouterr().out == "" and not out.exists(), sub
 
 
+def test_output_and_dot_naming_one_file_is_an_input_error(
+        tmp_path, capsys, monkeypatch):
+    """`-o` and `--dot` that resolve to the same file exit 2 and write
+    nothing: no stdout, no new file and an existing one untouched."""
+    argvs = _valid_argvs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    os.symlink("P", "link")
+    kept = tmp_path / "kept"
+    kept.write_bytes(b'{"keep": 1}')
+    capsys.readouterr()
+    for sub in sorted(DOT_SUBCOMMANDS):
+        for o, dot in [("P", "P"), ("P", "./P"), (str(tmp_path / "P"), "P"),
+                       ("link", "P"), ("kept", "./kept")]:
+            assert cli.main(argvs[sub] + ["-o", o, "--dot", dot]) == 2, sub
+            assert capsys.readouterr().out == "", sub
+            assert not (tmp_path / "P").exists(), (sub, o, dot)
+            assert kept.read_bytes() == b'{"keep": 1}', sub
+
+
+def test_failing_dot_keeps_an_existing_output_file(tmp_path, capsys):
+    """An unwritable `--dot` leaves an existing `-o` file's bytes and
+    mode as they were; a successful run replaces the bytes and keeps the
+    mode, and `-o /dev/null` still works."""
+    missing = str(tmp_path / "missing" / "x.dot")
+    pre = tmp_path / "pre.json"
+    argvs = _valid_argvs(tmp_path)
+    capsys.readouterr()
+    for sub in sorted(DOT_SUBCOMMANDS):
+        pre.write_bytes(b'{"keep": 1}' + b" " * 100000)
+        pre.chmod(0o640)
+        argv = argvs[sub] + ["-o", str(pre)]
+        assert cli.main(argv + ["--dot", missing]) == 2, sub
+        assert capsys.readouterr().out == "", sub
+        assert pre.read_bytes() == b'{"keep": 1}' + b" " * 100000, sub
+        assert pre.stat().st_mode & 0o777 == 0o640, sub
+        fresh = tmp_path / "fresh.json"
+        assert cli.main(argvs[sub] + ["-o", str(fresh)]) == 0, sub
+        assert cli.main(argv + ["--dot", str(tmp_path / "x.dot")]) == 0, sub
+        assert pre.read_bytes() == fresh.read_bytes(), sub
+        assert pre.stat().st_mode & 0o777 == 0o640, sub
+        assert cli.main(argv[:-1] + [os.devnull]) == 0, sub
+        assert capsys.readouterr().out == "", sub
+
+
+def test_new_output_files_get_the_default_mode(tmp_path):
+    """Files the CLI creates have the mode `open` gives a new file."""
+    made = tmp_path / "made"
+    made.write_text("")
+    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
+    assert cli.main(["acd", fx("sixstate.json"), "-o", str(out),
+                     "--dot", str(dot)]) == 0
+    want = made.stat().st_mode
+    assert out.stat().st_mode == dot.stat().st_mode == want
+
+
 with open(fx("sixstate.json"), "rb") as _fh:
     SIXSTATE = _fh.read()
 BAD_TEXTS = {
