@@ -1,12 +1,12 @@
 """Two-player games on transition systems: an attractor-based parity game
 solver with certified strategies, and Muller games solved through the
-parity transformation.  The solver walks Zielonka's decomposition on an
-explicit stack, with the subgame as alive marks that each level cuts and
-heals by its attractor, so paths are linear and deep games do not hit
-Python's recursion limit.  Each distinct subgame of the second recursive
-call is solved once per call, so the cycle family, exponential for plain
-Zielonka, stays polynomial.  The certificate check peels strongly
-connected components by least priority, independently of the solver."""
+parity transformation.  The solver walks Zielonka's decomposition on the
+system's vertices and edge priorities, on an explicit stack; a subgame is
+alive vertex marks, cut and healed by each level's attractor, and a floor
+on edge priorities, so paths are linear and deep games do not hit Python's
+recursion limit.  Each distinct subgame of the second recursive call is
+solved once per call, so the cycle family stays polynomial.  The
+certificate check peels SCCs by least priority, apart from the solver."""
 
 from __future__ import annotations
 
@@ -70,112 +70,108 @@ def solve_parity_game(game):
 
     The decomposition runs on an explicit stack of frames, one generator
     per subgame, so the size of the game is not limited by Python's
-    recursion depth.  The board's predecessor lists and its nodes bucketed
-    by priority are built once per game and shared by every subgame.  The
-    subgame is a bytearray of alive marks over the board: a frame marks
-    its attractor dead while its child runs and alive again after, so a
-    level costs its attractor.  A subgame's solution depends on its node
-    set alone, so the subgames of the second recursive call are solved
-    once per call, keyed by bytes(alive), and reused."""
+    recursion depth.  The board is the system's own vertices, with the
+    priorities on the edges; its edge lists are built once per game and
+    shared by every subgame.  A subgame is a bytearray of alive vertex
+    marks and a floor: its edges join alive vertices and have a level of
+    at least the floor.  A frame marks its attractor dead while its child
+    runs and alive again after, so a level costs its attractor.  The
+    subgames of the second recursive call are solved once per call,
+    keyed by (floor, bytes(alive)), and reused."""
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts
-    # bipartite board: vertex nodes and one midpoint node per edge, so
-    # priorities sit on the midpoints and never disturb the minimum.
-    # Edge nodes, all Eve's, come first and vertex nodes after, each in
-    # the system's own order: edges by id, vertices sorted.
+    # the board: vertices and edges numbered in the system's own order,
+    # vertices sorted and edges by id; an edge has its source, target and
+    # priority level, a vertex its out-edges and in-edges, each ascending
     edges, vertices = ts.edges, ts.vertices
-    first_vertex = len(edges)
-    vnode = {v: first_vertex + i for i, v in enumerate(vertices)}
-    names = list(map(attrgetter("id"), edges)) + list(vertices)
+    vnode = {v: i for i, v in enumerate(vertices)}
+    ids = list(map(attrgetter("id"), edges))
     src = list(map(vnode.__getitem__, map(attrgetter("source"), edges)))
     tgt = list(map(vnode.__getitem__, map(attrgetter("target"), edges)))
     prio = list(map(game.condition.priorities.__getitem__,
-                    map(game.key, names[:first_vertex])))
-    prio += [max(prio)] * len(vertices)
-    owner = ["Eve"] * first_vertex + [ts.owners[v] for v in vertices]
-    # a vertex node's out-edge and in-edge nodes, each ascending; an edge
-    # node has neither list: its one successor is tgt[n], its one pred src[n]
-    succ = [()] * first_vertex + [[] for _ in vertices]
-    preds = [()] * first_vertex + [[] for _ in vertices]
-    for n, (s, t) in enumerate(zip(src, tgt)):
-        succ[s].append(n)
-        preds[t].append(n)
+                    map(game.key, ids)))
     levels = sorted(set(prio))
-    level_of = {d: i for i, d in enumerate(levels)}
+    lvl = list(map({d: i for i, d in enumerate(levels)}.__getitem__, prio))
+    owner = list(map(ts.owners.__getitem__, vertices))
+    succ = [[] for _ in vertices]
+    preds = [[] for _ in vertices]
     buckets = [[] for _ in levels]
-    for n, d in enumerate(prio[:first_vertex]):
-        buckets[level_of[d]].append(n)
-    buckets[-1] += range(first_vertex, len(prio))   # vertex nodes: the top
-    alive = bytearray(b"\1") * len(prio)   # the current subgame's nodes
+    for e, (s, t, d) in enumerate(zip(src, tgt, lvl)):
+        succ[s].append(e)
+        preds[t].append(e)
+        buckets[d].append(e)
+    alive = bytearray(b"\1") * len(vertices)   # the current subgame's vertices
 
-    def attract(player, base):
-        """`player`'s attractor to `base` and its moves at vertex nodes;
-        an edge node's move is forced."""
+    def attract(player, d, low, base, seeds=()):
+        """`player`'s attractor, with its moves, to the vertices `base` and
+        the sources of the edges `seeds` in the subgame of the alive
+        vertices and the edges of level `d` or more.  The walk back takes
+        in-edges of level `low` or more: the first attractor's seeds are
+        all the d-edges, so each is counted once."""
         region = set(base)
         strat = {}
         pending = sorted(base)
-        degree = {}  # opponent vertices reached: successors left alive
-        while pending:
-            n = pending.pop()
-            if n >= first_vertex:
-                # Eve's edge nodes into n: n is their only successor
-                for p in preds[n]:
-                    if alive[p] and p not in region:
-                        region.add(p)
-                        pending.append(p)
-                continue
-            p = src[n]
-            if p in region or not alive[p]:
-                continue
-            if owner[p] == player:
-                region.add(p)
-                strat[p] = n
-                pending.append(p)
-                continue
-            left = degree.get(p)
-            if left is None:
-                left = sum(map(alive.__getitem__, succ[p]))
-            degree[p] = left - 1
-            if left == 1:
-                region.add(p)
-                pending.append(p)
-        return list(region), strat
+        degree = {}  # opponent vertices reached: out-edges left alive
+        todo, floor = seeds, d
+        while True:
+            for e in todo:
+                if lvl[e] < floor:
+                    continue
+                p = src[e]
+                if p in region or not alive[p]:
+                    continue
+                if owner[p] == player:
+                    region.add(p)
+                    strat[p] = e
+                    pending.append(p)
+                    continue
+                left = degree.get(p)
+                if left is None:
+                    left = 0
+                    for f in succ[p]:
+                        if lvl[f] >= d and alive[tgt[f]]:
+                            left += 1
+                degree[p] = left - 1
+                if left == 1:
+                    region.add(p)
+                    pending.append(p)
+            if not pending:
+                return list(region), strat
+            todo, floor = preds[pending.pop()], low
 
     def mark(region, flag):
         for n in region:
             alive[n] = flag
 
     def solve(level, size):
-        """Frame of the subgame of the `size` alive nodes: for each subgame
-        it needs solved, marks the others dead, yields (least priority
-        level, size), receives the solution and revives them.  Returns
-        (regions, strategies) for the caller to own.  A subgame's least
-        priority is never below its parent's, where the bucket search
-        starts."""
+        """Frame of the subgame of the `size` alive vertices and the edges
+        of level `level` or more: for each subgame it needs solved, marks
+        the others dead, yields (floor, size), receives the solution and
+        revives them.  Returns (regions, strategies) for the caller to
+        own.  The first child also drops the least level's remaining
+        edges, which leave the opponent's vertices outside the attractor."""
         if not size:
             return {"Eve": [], "Adam": []}, {"Eve": {}, "Adam": {}}
-        target = [n for n in buckets[level] if alive[n]]
+        target = [e for e in buckets[level]
+                  if alive[src[e]] and alive[tgt[e]]]
         while not target:
             level += 1
-            target = [n for n in buckets[level] if alive[n]]
+            target = [e for e in buckets[level]
+                      if alive[src[e]] and alive[tgt[e]]]
         player = "Eve" if levels[level] % 2 == 0 else "Adam"
         opp = _other(player)
-        attracted, astrat = attract(player, target)
+        attracted, astrat = attract(player, level, level + 1, (), target)
         mark(attracted, 0)
-        regions, strats = yield level, size - len(attracted)
+        regions, strats = yield level + 1, size - len(attracted)
         mark(attracted, 1)
         if not regions[opp]:
-            strat = strats[player]
-            strat.update(astrat)
-            for n in target:
-                if n >= first_vertex and owner[n] == player and n not in strat:
-                    strat[n] = min(m for m in succ[n] if alive[m])
+            strats[player].update(astrat)
             regions[player] += attracted
             return regions, strats
-        escape, bstrat = attract(opp, regions[opp])
+        escape, bstrat = attract(opp, level, level, regions[opp])
         mark(escape, 0)
-        rest = bytes(alive)
+        rest = level, bytes(alive)
         if rest not in memo:
             memo[rest] = yield level, size - len(escape)
         mark(escape, 1)
@@ -186,11 +182,11 @@ def solve_parity_game(game):
         ostrat.update(strats2[opp])
         return regions2, {player: strats2[player], opp: ostrat}
 
-    # Second-call solutions by alive marks: the cycle family reaches a few
-    # hundred distinct ones through 10^5 frames.  Parents extend what they
-    # receive in place, so the memo hands out copies.
+    # Second-call solutions by floor and alive marks: the cycle family
+    # reaches a few hundred distinct ones through 10^5 frames.  Parents
+    # extend what they receive in place, so the memo hands out copies.
     memo = {}
-    stack = [solve(0, len(prio))]
+    stack = [solve(0, len(vertices))]
     result = None
     while stack:
         try:
@@ -204,9 +200,9 @@ def solve_parity_game(game):
     regions, strats = result
     eve = set(regions["Eve"])
     out_regions = {v: "Eve" if vnode[v] in eve else "Adam"
-                   for v in ts.vertices}
-    out_strats = {player: {names[n]: names[m]
-                           for n, m in strats[player].items()}
+                   for v in vertices}
+    out_strats = {player: {vertices[n]: ids[e]
+                           for n, e in strats[player].items()}
                   for player in ("Eve", "Adam")}
     solution = ParitySolution(out_regions, out_strats)
     problems = verify_parity_solution(game, solution)

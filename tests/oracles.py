@@ -166,96 +166,111 @@ def brute_force_parity_regions(ts, owners, prio_of_edge):
 
 
 def set_based_parity_solution(game):
-    """Zielonka's attractor decomposition on the board and with the
-    tie-breaks of `solve_parity_game`, but with each subgame a frozenset of
-    board nodes, copied at every level, and plain recursion.  Returns the
+    """Zielonka's attractor decomposition on the system's vertices, with
+    priorities on the edges and the tie-breaks of `solve_parity_game`, but
+    with each subgame a floor and a frozenset of vertices, copied at every
+    level, and plain recursion.  A subgame's edges are those between its
+    vertices whose priority is at least its floor.  Returns the
     ParitySolution, whose regions and strategies, dict order included, the
-    solver must reproduce, and the number of frames that reached the
-    second recursive call."""
+    solver must reproduce, the number of frames that reached the second
+    recursive call, and the number of vertex sets that the memo of the
+    second call meets under two floors."""
     ts = game.ts
     edges = sorted(ts.edges, key=lambda e: e.id)
     vertices = sorted(ts.vertices)
-    enode = {e.id: i for i, e in enumerate(edges)}
-    vnode = {v: len(edges) + i for i, v in enumerate(vertices)}
-    names = [e.id for e in edges] + vertices
+    vnode = {v: i for i, v in enumerate(vertices)}
     key, _ = _reading(ts, game.condition)
     prio = [game.condition.priorities[key(e.id)] for e in edges]
-    prio += [max(prio)] * len(vertices)
-    owner = ["Eve"] * len(edges) + [ts.owners[v] for v in vertices]
-    succ = ([[vnode[e.target]] for e in edges]
-            + [[enode[e.id] for e in ts.out(v)] for v in vertices])
-    preds = [[] for _ in prio]
-    for n, ms in enumerate(succ):
-        for m in ms:
-            preds[m].append(n)
+    src = [vnode[e.source] for e in edges]
+    tgt = [vnode[e.target] for e in edges]
+    owner = [ts.owners[v] for v in vertices]
+    succ = [[] for _ in vertices]
+    preds = [[] for _ in vertices]
+    for i in range(len(edges)):
+        succ[src[i]].append(i)
+        preds[tgt[i]].append(i)
     memo = {}
+    floors = {}   # second-call vertex set -> the floors it met
     second_calls = [0]
 
-    def attract(player, base, nodes):
+    def attract(player, base, seeds, in_game):
+        """`player`'s attractor to the vertices `base` and the sources of
+        the edges `seeds`: the seeds first, in order, then the in-edges of
+        the attracted vertices, last attracted first.  An opponent's edge
+        counts once, as a seed or as a way into the region."""
         region = set(base)
         strat = {}
         pending = sorted(base)
         degree = {}
+        counted = set()
+
+        def reach(e):
+            p = src[e]
+            if p in region or not in_game(e) or e in counted:
+                return
+            if owner[p] == player:
+                region.add(p)
+                strat[p] = e
+                pending.append(p)
+                return
+            counted.add(e)
+            if p not in degree:
+                degree[p] = sum(1 for f in succ[p] if in_game(f))
+            degree[p] -= 1
+            if degree[p] == 0:
+                region.add(p)
+                pending.append(p)
+
+        for e in seeds:
+            reach(e)
         while pending:
-            n = pending.pop()
-            for p in preds[n]:
-                if p in region or p not in nodes:
-                    continue
-                if owner[p] == player:
-                    region.add(p)
-                    strat[p] = n
-                    pending.append(p)
-                    continue
-                left = degree.get(p)
-                if left is None:
-                    left = sum(1 for m in succ[p] if m in nodes)
-                degree[p] = left - 1
-                if left == 1:
-                    region.add(p)
-                    pending.append(p)
+            for e in preds[pending.pop()]:
+                reach(e)
         return region, strat
 
     def fresh(solution):
         regions, strats = solution
         return regions, {p: dict(s) for p, s in strats.items()}
 
-    def solve(nodes):
+    def solve(floor, nodes):
         if not nodes:
             return {"Eve": set(), "Adam": set()}, {"Eve": {}, "Adam": {}}
-        least = min(prio[n] for n in nodes)
-        target = [n for n in sorted(nodes) if prio[n] == least]
+
+        def in_game(e):
+            return src[e] in nodes and tgt[e] in nodes and prio[e] >= floor
+
+        inner = [e for e in range(len(edges)) if in_game(e)]
+        least = min(prio[e] for e in inner)
+        target = [e for e in inner if prio[e] == least]
         player = "Eve" if least % 2 == 0 else "Adam"
         opp = "Adam" if player == "Eve" else "Eve"
-        attracted, astrat = attract(player, target, nodes)
-        regions, strats = solve(nodes - attracted)
+        attracted, astrat = attract(player, (), target, in_game)
+        regions, strats = solve(least + 1, nodes - attracted)
         if not regions[opp]:
             strat = strats[player]
             strat.update(astrat)
-            for n in target:
-                if owner[n] == player and n not in strat:
-                    strat[n] = min(m for m in succ[n] if m in nodes)
             return {player: nodes, opp: set()}, {player: strat, opp: {}}
         second_calls[0] += 1
-        escape, bstrat = attract(opp, regions[opp], nodes)
+        escape, bstrat = attract(opp, regions[opp], (), in_game)
         rest = nodes - escape
-        if rest not in memo:
-            memo[rest] = fresh(solve(rest))
-        regions2, strats2 = fresh(memo[rest])
+        floors.setdefault(rest, set()).add(least)
+        if (least, rest) not in memo:
+            memo[least, rest] = fresh(solve(least, rest))
+        regions2, strats2 = fresh(memo[least, rest])
         ostrat = strats[opp]
         ostrat.update(bstrat)
         ostrat.update(strats2[opp])
         return ({player: regions2[player], opp: regions2[opp] | escape},
                 {player: strats2[player], opp: ostrat})
 
-    regions, strats = solve(frozenset(range(len(prio))))
+    regions, strats = solve(min(prio), frozenset(range(len(vertices))))
     out_regions = {v: "Eve" if vnode[v] in regions["Eve"] else "Adam"
                    for v in ts.vertices}
-    out_strats = {"Eve": {}, "Adam": {}}
-    for player in ("Eve", "Adam"):
-        for n, m in strats[player].items():
-            if n >= len(edges) > m:
-                out_strats[player][names[n]] = names[m]
-    return ParitySolution(out_regions, out_strats), second_calls[0]
+    out_strats = {player: {vertices[n]: edges[e].id
+                           for n, e in strats[player].items()}
+                  for player in ("Eve", "Adam")}
+    two_floors = sum(len(met) > 1 for met in floors.values())
+    return ParitySolution(out_regions, out_strats), second_calls[0], two_floors
 
 
 def kosaraju_components(vertices, succ):

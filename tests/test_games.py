@@ -250,16 +250,16 @@ def _ordered(sol):
                          + ["path50"])
 def test_families_match_set_based_walk(make):
     game = Game(*make())
-    want, _ = set_based_parity_solution(game)
+    want, _, _ = set_based_parity_solution(game)
     assert _ordered(solve_parity_game(game)) == _ordered(want)
 
 
 def test_random_games_match_set_based_walk():
     """Regions and strategies, dict order included, are those of the
     set-based walk, also where the second recursive call and its memo
-    run."""
+    run, and where the memo meets one vertex set under two floors."""
     rng = random.Random(12)
-    second = 0
+    second = two_floors = 0
     games = [_random_game(rng) for _ in range(300)]
     games += [_random_game(rng, reading) for reading in ("colours", "edges")
               for _ in range(100)]
@@ -267,10 +267,12 @@ def test_random_games_match_set_based_walk():
     games += [_random_game(rng, reading, (500, 3, 20))
               for reading in ("ids", "colours", "edges")]
     for game in games:
-        want, calls = set_based_parity_solution(game)
+        want, calls, twice = set_based_parity_solution(game)
         assert _ordered(solve_parity_game(game)) == _ordered(want)
         second += calls > 0
+        two_floors += twice
     assert second >= 50, second
+    assert two_floors >= 20, two_floors
 
 
 def _copy(sol):
@@ -298,7 +300,7 @@ def test_solutions_share_no_strategy_maps(make):
 def test_reused_subgames_bring_no_foreign_moves():
     """A subgame solved twice in one call is solved once and reused.  Had
     the reused strategy map been the one a parent extends in place, Eve
-    would get a move at v11, which Adam wins, between v10 and v7."""
+    would get a move at v11, which Adam wins, between v8 and v7."""
     succ = {0: [6, 4], 1: [9, 8], 2: [4, 6], 3: [0, 9], 4: [6, 6],
             5: [0, 11, 0], 6: [4], 7: [0, 7], 8: [5, 11], 9: [8, 3],
             10: [9, 5], 11: [1, 1], 12: [4, 5]}
@@ -316,9 +318,36 @@ def test_reused_subgames_bring_no_foreign_moves():
     for player, moves in sol.strategies.items():
         for v in moves:
             assert sol.regions[v] == player == ts.owners[v]
-    assert list(sol.strategies["Eve"]) == ["v6", "v0", "v5", "v8", "v10",
+    assert list(sol.strategies["Eve"]) == ["v0", "v6", "v5", "v10", "v8",
                                            "v7"]
     assert list(sol.strategies["Adam"]) == ["v9", "v3", "v1"]
+
+
+def test_memo_keeps_floors_apart():
+    """The second recursive call meets one vertex set under two floors,
+    and the lower floor leaves an edge of priority 1 in it.  Keyed by the
+    vertex set alone, the memo would hand one subgame's solution to the
+    other and give v0, v2, v3, v7 and v8 to Adam, whose region Eve's
+    edge e8_0 then escapes."""
+    table = [("e0_0", "v0", "v8", 5), ("e1_0", "v1", "v1", 2),
+             ("e1_1", "v1", "v4", 4), ("e2_0", "v2", "v0", 8),
+             ("e3_0", "v3", "v8", 8), ("e3_1", "v3", "v2", 0),
+             ("e3_2", "v3", "v1", 7), ("e4_0", "v4", "v4", 7),
+             ("e4_1", "v4", "v5", 2), ("e4_2", "v4", "v4", 3),
+             ("e5_0", "v5", "v1", 6), ("e6_0", "v6", "v4", 7),
+             ("e7_0", "v7", "v0", 5), ("e7_1", "v7", "v7", 6),
+             ("e8_0", "v8", "v1", 1), ("e8_1", "v8", "v3", 7),
+             ("e8_2", "v8", "v4", 2)]
+    adam = {"v2", "v3", "v4", "v6", "v7"}
+    owners = {"v%d" % i: "Adam" if "v%d" % i in adam else "Eve"
+              for i in range(9)}
+    edges = [row[:3] for row in table]
+    prios = {row[0]: row[3] for row in table}
+    sol = _certified(edges, owners, prios)
+    game = Game(TransitionSystem(sorted(owners), edges, ["v0"],
+                                 owners=owners), ParityCondition(prios))
+    assert set_based_parity_solution(game)[2] == 1
+    assert [v for v, p in sol.regions.items() if p == "Adam"] == ["v4", "v6"]
 
 
 def _random_game(rng, reading="ids", shape=None):
