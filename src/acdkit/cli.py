@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import functools
 import os
-import stat
 import sys
 
 from . import acd as _acd
@@ -67,7 +66,7 @@ def _write(args, text, dot=None):
                                   opener=_untruncated))
         for path, fh in zip(texts, files):
             with fh:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                if path not in created and os.path.isfile(path):
                     fh.truncate()
                 fh.write(texts[path])
     except OSError as e:
