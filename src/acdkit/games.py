@@ -183,8 +183,9 @@ def solve_parity_game(game):
         return regions2, {player: strats2[player], opp: ostrat}
 
     # Second-call solutions by floor and alive marks: the cycle family
-    # reaches a few hundred distinct ones through 10^5 frames.  Parents
-    # extend what they receive in place, so the memo hands out copies.
+    # meets a few hundred distinct ones (268 at n = 40), which plain
+    # Zielonka solves again and again.  Parents extend what they receive
+    # in place, so the memo hands out copies.
     memo = {}
     stack = [solve(0, len(vertices))]
     result = None
