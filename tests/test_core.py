@@ -61,6 +61,12 @@ def test_validate_dead_end():
     assert any("dead-end" in p for p in validate(ts2))
 
 
+def test_validate_lists_dead_ends_in_vertex_order():
+    ts = TransitionSystem(["z", "p", "b"], [("s", "p", "p")], ["p"])
+    assert validate(ts) == ["dead-end vertex 'b' has no outgoing edge",
+                            "dead-end vertex 'z' has no outgoing edge"]
+
+
 def test_validate_initial_and_colours():
     ts = TransitionSystem(["p"], [("s", "p", "p")], [])
     assert any("initial" in p for p in validate(ts))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -71,6 +72,27 @@ def test_game_constructor_checks():
                        "outgoing edge; condition references unknown "
                        "colour 'x'$"):
         Game(ts3, ParityCondition({"e": 0, "x": 1}))
+
+
+@pytest.mark.parametrize("over,priorities,message", [
+    ("colours", {"a": 0}, "no priority assigned to colour 'k'"),
+    ("colours", {"a": 0, "k": 1, "x": 2},
+     "condition references unknown colour 'x'"),
+    ("colours", {"a": 0, "x": 2}, "condition references unknown colour 'x'"),
+    ("edges", {"a": 0}, "no priority assigned to edge 'b'"),
+    ("edges", {"a": 0, "b": 1, "k": 2},
+     "condition references unknown edge 'k'"),
+    ("edges", {"a": 0, "k": 2}, "condition references unknown edge 'k'"),
+], ids=["colours-unpriced", "colours-unknown", "colours-both",
+        "edges-unpriced", "edges-unknown", "edges-both"])
+def test_game_names_the_condition_problem(over, priorities, message):
+    """A parity condition that leaves a key without a priority, or names
+    one outside the universe, is refused with that key named; when it
+    does both, the unknown key is reported."""
+    ts = TransitionSystem(["p"], [("a", "p", "p"), ("b", "p", "p")], ["p"],
+                          owners={"p": "Eve"}, colours={"b": "k"})
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+        Game(ts, _over(ParityCondition(priorities), over))
 
 
 def _certified(edges, owners, prios):
@@ -441,13 +463,18 @@ def _pq_game():
      ["Eve's move 'b' at 'p' is not an out-edge of it"]),
     ({"p": "Eve", "q": "Eve"}, {"p": "zz", "q": "b"},
      ["Eve's move 'zz' at 'p' is not an out-edge of it"]),
+    ({"p": "Eve", "q": "Eve"}, {"p": 7, "q": "b"},
+     ["Eve's move 7 at 'p' is not an out-edge of it"]),
+    ({"p": "Eve", "q": "Eve"}, {"p": ["a"], "q": "b"},
+     ["Eve's move ['a'] at 'p' is not an out-edge of it"]),
     ({}, {}, ["vertex 'p' is in no region", "vertex 'q' is in no region"]),
     ({"p": "Bob", "q": "Eve"}, {"q": "b"},
      ["region of 'p' is 'Bob', not Eve or Adam"]),
     ({"r": "Eve", "p": "Adam", "q": "Eve"}, {"q": "b"},
      ["region entry for unknown vertex 'r'"]),
     ({"p": "Adam", "q": "Eve"}, None, ["Eve has no move at 'q'"]),
-], ids=["foreign-move", "unknown-edge", "no-regions", "bad-player",
+], ids=["foreign-move", "unknown-edge", "int-move", "unhashable-move",
+        "no-regions", "bad-player",
         "unknown-vertex", "no-strategy-map"])
 def test_verify_reports_malformed_certificates(regions, moves, want):
     """`moves` is Eve's strategy, or None for a solution without one."""
