@@ -195,7 +195,9 @@ def _components(edges):
     succ = {}
     for e in edges:
         succ.setdefault(e.source, []).append(e.target)
-        succ.setdefault(e.target, [])
+    for e in edges:
+        if e.target not in succ:
+            succ[e.target] = ()
     comps = _tarjan(succ, succ.__getitem__)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     inner = {}
@@ -228,7 +230,7 @@ def _unroll(v, cycle, step):
 class Condition:
     """What every condition shares: `over` says what its ids name, the
     colours of the system it is read on (the default) or the system's
-    edge ids ("edges").  Only `_reading` interprets it."""
+    edge ids ("edges").  Only `_reading` and `_edge_keys` interpret it."""
 
     over = "colours"
 
@@ -348,21 +350,33 @@ def _reading(ts, cond):
     """How `cond` reads the loops of `ts`: the key of each edge and the
     universe of keys.  The keys are the system's colours, or its edge ids
     when the condition's `over` is "edges"; this is the only code that
-    looks at `over`.  Naming an id outside the universe, or giving some
-    key no priority, is an InputError."""
+    looks at `over`, with `_edge_keys`, its bulk form for the edges of
+    `ts`.  Naming an id outside the universe, or giving some key no
+    priority, is an InputError; `key` raises one for an unknown edge."""
     if cond.over == "edges":
         key, what = (lambda eid: ts.edge(eid).id), "edge"
         universe = frozenset(ts._by_id)
     else:
         key, universe, what = ts.colour, ts.colour_set(), "colour"
     named = cond.referenced_colours()
-    if not named <= universe:
-        raise InputError("condition references unknown %s %r"
-                         % (what, min(named - universe)))
-    if cond.kind == "parity" and not universe <= named:
-        raise InputError("no priority assigned to %s %r"
-                         % (what, min(universe - named)))
+    if named != universe:
+        if not named <= universe:
+            raise InputError("condition references unknown %s %r"
+                             % (what, min(named - universe)))
+        if cond.kind == "parity":
+            raise InputError("no priority assigned to %s %r"
+                             % (what, min(universe - named)))
     return key, universe
+
+
+def _edge_keys(ts, cond, ids):
+    """The keys `_reading` gives the edges `ids`, in one pass: their
+    colours, or the ids themselves for a condition over edges.  The ids
+    must be those of edges of `ts`; an id from outside goes through
+    `_reading`'s `key`, which checks it."""
+    if cond.over == "edges":
+        return ids
+    return map(ts._colours.get, ids, ids)
 
 
 def loop_status_over(ts, cond, edge_ids):
@@ -378,12 +392,9 @@ def loop_status_over(ts, cond, edge_ids):
 def validate(ts, cond=None):
     """Check the structural invariants; returns a list of violation
     messages, empty when everything holds."""
-    problems = []
-    if not ts.initial:
-        problems.append("initial set is empty")
-    for v in ts.vertices:
-        if not ts.out(v):
-            problems.append("dead-end vertex %r has no outgoing edge" % v)
+    problems = [] if ts.initial else ["initial set is empty"]
+    problems += ["dead-end vertex %r has no outgoing edge" % v
+                 for v, out in ts._out.items() if not out]
     if cond is not None:
         try:
             _reading(ts, cond)

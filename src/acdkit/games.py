@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _components, _reading, validate
+from .core import InputError, _components, _edge_keys, _reading, validate
 
 
 class Game:
@@ -90,7 +90,7 @@ def solve_parity_game(game):
     src = list(map(vnode.__getitem__, map(attrgetter("source"), edges)))
     tgt = list(map(vnode.__getitem__, map(attrgetter("target"), edges)))
     prio = list(map(game.condition.priorities.__getitem__,
-                    map(game.key, ids)))
+                    _edge_keys(ts, game.condition, ids)))
     levels = sorted(set(prio))
     lvl = list(map({d: i for i, d in enumerate(levels)}.__getitem__, prio))
     owner = list(map(ts.owners.__getitem__, vertices))
@@ -199,9 +199,10 @@ def solve_parity_game(game):
             stack.append(solve(*subgame))
             result = None
     regions, strats = result
-    eve = set(regions["Eve"])
-    out_regions = {v: "Eve" if vnode[v] in eve else "Adam"
-                   for v in vertices}
+    side = ["Adam"] * len(vertices)
+    for n in regions["Eve"]:
+        side[n] = "Eve"
+    out_regions = dict(zip(vertices, side))
     out_strats = {player: {vertices[n]: ids[e]
                            for n, e in strats[player].items()}
                   for player in ("Eve", "Adam")}
@@ -221,8 +222,8 @@ def verify_parity_solution(game, solution):
     Returns a list of problems, the unfavourable cycle minima of a region
     in ascending order."""
     ts = game.ts
-    owners, out = ts.owners, ts.out
-    key, priorities = game.key, game.condition.priorities
+    owners, out, by_id = ts.owners, ts.out, ts._by_id
+    cond, target = game.condition, attrgetter("target")
     vertices = set(ts.vertices)
     problems = []
     regions = {"Eve": set(), "Adam": set()}
@@ -238,18 +239,26 @@ def verify_parity_solution(game, solution):
     for player, region in regions.items():
         moves = solution.strategies.get(player, {})
         allowed = []
-        for v in sorted(region):
+        for v in filter(region.__contains__, ts.vertices):
             if owners[v] == player:
                 eid = moves.get(v)
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue
-                chosen = [e for e in out(v) if e.id == eid]
-                if not chosen:
+                try:
+                    e = by_id.get(eid)
+                except TypeError:   # an unhashable move names no edge
+                    e = None
+                if e is None or e.source != v:
                     problems.append("%s's move %r at %r is not an out-edge "
                                     "of it" % (player, eid, v))
+                    continue
+                chosen = (e,)
             else:
                 chosen = out(v)
+            if region.issuperset(map(target, chosen)):
+                allowed += chosen
+                continue
             for e in chosen:
                 if e.target not in region:
                     problems.append(
@@ -264,7 +273,9 @@ def verify_parity_solution(game, solution):
         # on cycles, so only theirs have their priority read.
         bad = set()
         work = [_components(allowed)]
-        prios = {e.id: priorities[key(e.id)] for _, es in work[0] for e in es}
+        inner = [e.id for _, es in work[0] for e in es]
+        prios = dict(zip(inner, map(cond.priorities.__getitem__,
+                                    _edge_keys(ts, cond, inner))))
         while work:
             for _, es in work.pop():
                 d = min(prios[e.id] for e in es)
