@@ -43,6 +43,17 @@ def _untruncated(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
+def _one_file(a, b):
+    """Do the paths `a` and `b` name one file: one path once symlinks
+    are resolved, or two hard links to one existing file?"""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:   # one of them does not exist yet
+        return False
+
+
 def _write(args, text, dot=None):
     """Write the result `text` to `-o` or stdout and, for the commands
     that have one, the DOT rendering that `dot()` gives to `--dot`; it is
@@ -51,8 +62,7 @@ def _write(args, text, dot=None):
     behind and every existing file as it was."""
     texts = {args.output: text} if args.output else {}
     if dot and args.dot:
-        if args.output and (os.path.realpath(args.output)
-                            == os.path.realpath(args.dot)):
+        if args.output and _one_file(args.output, args.dot):
             raise InputError("-o and --dot name the same file %s" % args.dot)
         texts[args.dot] = dot()
     files, created = [], []

@@ -570,6 +570,24 @@ def test_output_and_dot_naming_one_file_is_an_input_error(
             assert kept.read_bytes() == b'{"keep": 1}', sub
 
 
+def test_hard_links_to_one_file_are_an_input_error(tmp_path, capsys):
+    """`-o` and `--dot` naming two hard links to one file exit 2 and leave
+    its bytes in place; they used to exit 0 with only the DOT text in
+    it."""
+    argvs = _valid_argvs(tmp_path)
+    first, second = tmp_path / "P", tmp_path / "H"
+    first.write_bytes(b'{"keep": 1}')
+    os.link(first, second)
+    capsys.readouterr()
+    for sub in sorted(DOT_SUBCOMMANDS):
+        for o, dot in [(first, second), (second, first)]:
+            assert cli.main(argvs[sub] + ["-o", str(o), "--dot", str(dot)]) \
+                == 2, sub
+            assert capsys.readouterr().out == "", sub
+            assert first.read_bytes() == b'{"keep": 1}', sub
+            assert second.read_bytes() == b'{"keep": 1}', sub
+
+
 def test_failing_dot_keeps_an_existing_output_file(tmp_path, capsys):
     """An unwritable `--dot` leaves an existing `-o` file's bytes and
     mode as they were; a successful run replaces the bytes and keeps the
