@@ -349,9 +349,9 @@ def loop_status(cond, colours):
 def _reading(ts, cond):
     """How `cond` reads the loops of `ts`: the key of each edge and the
     universe of keys.  The keys are the system's colours, or its edge ids
-    when the condition's `over` is "edges"; this is the only code that
-    looks at `over`, with `_edge_keys`, its bulk form for the edges of
-    `ts`.  Naming an id outside the universe, or giving some key no
+    when the condition's `over` is "edges".  This and `_edge_keys`, its
+    bulk form for the edges of `ts`, are the only code that looks at
+    `over`.  Naming an id outside the universe, or giving some key no
     priority, is an InputError; `key` raises one for an unknown edge."""
     if cond.over == "edges":
         key, what = (lambda eid: ts.edge(eid).id), "edge"

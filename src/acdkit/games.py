@@ -19,13 +19,14 @@ from .core import InputError, _components, _edge_keys, _reading, validate
 
 class Game:
     """A transition system where every vertex is owned by Eve or Adam;
-    Eve wins a play iff the acceptance condition accepts it.  `key` gives
-    each edge's key under the condition (`core._reading`), read once."""
+    Eve wins a play iff the acceptance condition accepts it.  The
+    condition is checked against the system once, here (`core._reading`);
+    the solver and the certificate read edge keys with `core._edge_keys`."""
 
     def __init__(self, ts, condition):
         problems = validate(ts)
         try:
-            self.key, _ = _reading(ts, condition)
+            _reading(ts, condition)
         except InputError as e:
             problems.append(str(e))
         if problems:
