@@ -101,12 +101,14 @@ def _mutate(rng, doc, docs):
     else:
         places = list(_places(doc))
     if what == 0:     # a value of the wrong type
-        box, k = rng.choice(places)
-        box[k] = copy.deepcopy(rng.choice(ODD_VALUES))
+        if places:
+            box, k = rng.choice(places)
+            box[k] = copy.deepcopy(rng.choice(ODD_VALUES))
     elif what == 1:   # a deleted key
         dicts = [(box, k) for box, k in places if isinstance(box, dict)]
-        box, k = rng.choice(dicts)
-        del box[k]
+        if dicts:
+            box, k = rng.choice(dicts)
+            del box[k]
     elif what == 2:   # a foreign id, from any fixture
         leaves = [(box, k) for box, k in places if isinstance(box[k], str)]
         if leaves:
@@ -179,7 +181,7 @@ def _check_call(argv, tmp_path, capsys):
         assert written is None and not dot.exists(), argv
     else:
         json.loads(written)
-        assert not with_dot or code or dot.exists(), argv
+        assert code or not with_dot or dot.exists(), argv
     for made in (out, dot):
         if made.exists():
             made.unlink()
