@@ -9,7 +9,7 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     compose, enumerate_reachable_loops, equivalent_over,
                     loop_status, loop_status_over, to_explicit_muller,
                     validate)
-from acdkit.core import _tarjan
+from acdkit.core import Edge, _components, _tarjan
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
 from oracles import kosaraju_components, loop_equivalent, recursive_tarjan
@@ -137,13 +137,10 @@ def test_tarjan_matches_kosaraju_random():
         assert all(emitted[w] <= emitted[v] for v in succ for w in succ[v])
 
 
-def test_tarjan_emits_in_the_textbook_order():
-    """`_tarjan` returns exactly the list of the recursive textbook
-    Tarjan, order included: the ACD goldens rest on it.  The digraphs are
-    mostly forward edges along a shuffled order, with a few back edges and
-    self-loops, so most components are single vertices."""
-    rng = random.Random(72)
-    singles = total = 0
+def _textbook_digraphs(rng):
+    """300 digraphs of mostly forward edges along a shuffled order, with a
+    few back edges and self-loops, so most components are single
+    vertices."""
     for _ in range(300):
         n = rng.randint(1, 60)
         order = rng.sample(range(n), n)
@@ -155,11 +152,73 @@ def test_tarjan_emits_in_the_textbook_order():
                 else:
                     w = order[rng.randrange(i + 1)]
                 succ[v].append(w)
+        yield succ
+
+
+def test_tarjan_emits_in_the_textbook_order():
+    """`_tarjan` returns exactly the list of the recursive textbook
+    Tarjan, order included: the ACD goldens rest on it."""
+    singles = total = 0
+    for succ in _textbook_digraphs(random.Random(72)):
         comps = _tarjan(succ, succ.__getitem__)
         assert comps == recursive_tarjan(succ, succ.__getitem__)
         singles += sum(len(c) == 1 for c in comps)
         total += len(comps)
     assert 0.5 * total < singles < total, (singles, total)
+
+
+def test_tarjan_emits_in_the_textbook_order_on_names():
+    """The same digraphs with their vertices renamed to "v0", "v1", ...:
+    roots go in the names' sorted order ("v10" before "v9"), not in the
+    order of the numbers behind them, and components are sorted by name."""
+    for succ in _textbook_digraphs(random.Random(72)):
+        named = {"v%d" % v: ["v%d" % w for w in ws] for v, ws in succ.items()}
+        comps = _tarjan(named, named.__getitem__)
+        assert comps == recursive_tarjan(named, named.__getitem__)
+
+
+def test_components_match_kosaraju_on_names():
+    """`_components` of random edge lists over names whose sorted order
+    differs from the order they first appear in ("v10" < "v9"), with
+    self-loops, parallel edges and vertices that are only targets: the
+    Kosaraju oracle's components that have an inner edge, in the order of
+    their first inner edge, each as its sorted vertex list and its inner
+    edges in the given order."""
+    rng = random.Random(74)
+    seen = {"loop": 0, "parallel": 0, "target-only": 0, "unsorted": 0}
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        names = ["v%d" % i for i in rng.sample(range(n), n)]
+        edges = []
+        for i in range(rng.randint(0, 2 * n)):
+            r = rng.random()
+            if r < 0.15 and edges:
+                e = rng.choice(edges)
+                s, t = e.source, e.target
+            elif r < 0.3:
+                s = t = rng.choice(names)
+            else:
+                s, t = rng.choice(names), rng.choice(names)
+            edges.append(Edge("e%d" % i, s, t))
+        rng.shuffle(edges)
+        adj = {}
+        for e in edges:
+            adj.setdefault(e.source, []).append(e.target)
+            adj.setdefault(e.target, [])
+        comp = kosaraju_components(adj, adj.__getitem__)
+        inner = {}
+        for e in edges:
+            if comp[e.source] == comp[e.target]:
+                inner.setdefault(comp[e.source], []).append(e)
+        want = [(sorted(v for v in adj if comp[v] == root), es)
+                for root, es in inner.items()]
+        assert _components(edges) == want
+        pairs = [(e.source, e.target) for e in edges]
+        seen["loop"] += any(s == t for s, t in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["target-only"] += len(adj) > len({s for s, _ in pairs})
+        seen["unsorted"] += list(adj) != sorted(adj)
+    assert all(count >= 100 for count in seen.values()), seen
 
 
 def test_colours_and_order_follow_their_definitions():

@@ -450,6 +450,40 @@ def test_verify_matches_naive_check_at_benchmark_shape():
     assert all(count >= 3 for count in seen.values()), seen
 
 
+def test_extra_strategy_entries_change_nothing():
+    """Strategy entries at vertices of the other owner, at vertices of the
+    other region and at unknown vertices, and a map for no player, are not
+    read: both checks report the same with them as without, on solved
+    and on tampered certificates.  Some extra moves name no edge or are
+    unhashable."""
+    rng = random.Random(10)
+    seen = {"owner": 0, "region": 0, "unknown": 0}
+    for i in range(300):
+        game = _random_game(rng)
+        sol = solve_parity_game(game)
+        if i % 2:
+            sol = _tampered(rng, game, sol)
+        want = verify_parity_solution(game, sol)
+        assert want == naive_certificate_problems(game, sol)
+        ts = game.ts
+        extra = _copy(sol)
+        for v in ts.vertices:
+            move = rng.choice([rng.choice(ts.edges).id, "zz", 7, ["a"]])
+            player = rng.choice(["Eve", "Adam"])
+            if ts.owners[v] != player:
+                extra.strategies[player][v] = move
+                seen["owner"] += 1
+            elif sol.regions[v] != player:
+                extra.strategies[player][v] = move
+                seen["region"] += 1
+        for player in ("Eve", "Adam", "Bob"):
+            extra.strategies.setdefault(player, {})["v99"] = "zz"
+            seen["unknown"] += 1
+        assert verify_parity_solution(game, extra) == want
+        assert naive_certificate_problems(game, extra) == want
+    assert all(count >= 300 for count in seen.values()), seen
+
+
 def _pq_game():
     """Eve owns p and q; p has a self-loop a of priority 1 and q a
     self-loop b of priority 0, so Adam wins p and Eve wins q."""
