@@ -145,28 +145,32 @@ def _reach(starts, succ):
     return seen
 
 
-def _tarjan(vertices, succ):
-    """Iterative Tarjan; returns SCCs as sorted lists of vertices, each
-    after every component it reaches.  A low link is a stack position, a
-    root's own one, and infinity once its component is emitted, so
-    `low[w] < low[v]` also says that a visited `w` is still on the stack.
-    A root on top of the stack is a one-vertex component, emitted as is."""
-    low = {}
+def _tarjan_marks(succ, roots):
+    """The one iterative Tarjan of the package, over vertex numbers: `succ`
+    lists each vertex's successors, and the search roots at `roots` in
+    order, skipping visited ones.  Returns a list holding, for each vertex,
+    n (the number of vertices) plus the number of its component in
+    emission order, each component emitted after every component it
+    reaches, or -1 for a vertex not reached.  While a vertex is on the
+    stack its entry is its low link, a stack position, so `low[w] <
+    low[v]` also says that a visited `w` is still on the stack.  A root on
+    top of the stack is a one-vertex component, marked as is."""
+    low = [-1] * len(succ)
     stack = []
-    sccs_out = []
-    for root in sorted(vertices):
-        if root in low:
+    mark = len(succ)
+    for root in roots:
+        if low[root] >= 0:
             continue
         low[root] = 0
         stack.append(root)
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in low:
+                if low[w] < 0:
                     low[w] = len(stack)
                     stack.append(w)
-                    work.append((w, iter(succ(w))))
+                    work.append((w, iter(succ[w])))
                     break
                 if low[w] < low[v]:
                     low[v] = low[w]
@@ -175,37 +179,58 @@ def _tarjan(vertices, succ):
                 at = low[v]
                 if at == len(stack) - 1:
                     stack.pop()
-                    low[v] = math.inf
-                    sccs_out.append([v])
+                    low[v] = mark
+                    mark += 1
                 elif stack[at] == v:
-                    comp = stack[at:]
+                    for w in stack[at:]:
+                        low[w] = mark
                     del stack[at:]
-                    low.update(dict.fromkeys(comp, math.inf))
-                    sccs_out.append(sorted(comp))
+                    mark += 1
                 elif at < low[work[-1][0]]:
                     low[work[-1][0]] = at
-    return sccs_out
+    return low
 
 
-def _components(edges):
+def _tarjan(vertices, succ):
+    """SCCs as sorted lists of vertices, each after every component it
+    reaches, in the order of the recursive textbook Tarjan with roots in
+    sorted order: `_tarjan_marks` over the sorted vertices' numbers, its
+    marks then gathered into lists."""
+    names = sorted(vertices)
+    n = len(names)
+    number = dict(zip(names, range(n)))
+    marks = _tarjan_marks(
+        [list(map(number.__getitem__, succ(v))) for v in names], range(n))
+    comps = [[] for _ in names]   # at most one component per vertex
+    for v, m in zip(names, marks):
+        comps[m - n].append(v)
+    return [c for c in comps if c]
+
+
+def _components(edges, number=None):
     """The strongly connected components of the graph of `edges` (`Edge`
     objects) that have an inner edge, as (sorted vertex list, inner edges
-    in the given order) pairs: one Tarjan pass over per-vertex target
-    lists, then one grouping pass over the edges."""
-    succ = {}
-    for e in edges:
-        succ.setdefault(e.source, []).append(e.target)
-    for e in edges:
-        if e.target not in succ:
-            succ[e.target] = ()
-    comps = _tarjan(succ, succ.__getitem__)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    in the given order) pairs, in the order of their first inner edge.
+    `number` maps each endpoint to a distinct number below its length;
+    without it the endpoints are numbered by first appearance, sources
+    before targets.
+    `_tarjan_marks` runs over per-number target lists, rooted only at
+    edge sources, and one pass over the edges groups the inner ones."""
+    if number is None:
+        names = dict.fromkeys([e.source for e in edges]
+                              + [e.target for e in edges])
+        number = dict(zip(names, range(len(names))))
+    src = [number[e.source] for e in edges]
+    tgt = [number[e.target] for e in edges]
+    succ = [[] for _ in range(len(number))]
+    for s, t in zip(src, tgt):
+        succ[s].append(t)
+    marks = _tarjan_marks(succ, src)
     inner = {}
-    for e in edges:
-        i = comp_of[e.source]
-        if i == comp_of[e.target]:
-            inner.setdefault(i, []).append(e)
-    return [(comps[i], es) for i, es in inner.items()]
+    for e, s, t in zip(edges, src, tgt):
+        if marks[s] == marks[t]:
+            inner.setdefault(marks[s], []).append(e)
+    return [(sorted({e.source for e in es}), es) for es in inner.values()]
 
 
 def _unroll(v, cycle, step):

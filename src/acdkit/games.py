@@ -11,6 +11,7 @@ certificate check peels SCCs by least priority, apart from the solver."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
@@ -87,9 +88,9 @@ def solve_parity_game(game):
     # priority level, a vertex its out-edges and in-edges, each ascending
     edges, vertices = ts.edges, ts.vertices
     vnode = {v: i for i, v in enumerate(vertices)}
-    ids = list(map(attrgetter("id"), edges))
-    src = list(map(vnode.__getitem__, map(attrgetter("source"), edges)))
-    tgt = list(map(vnode.__getitem__, map(attrgetter("target"), edges)))
+    ids = [e.id for e in edges]
+    src = [vnode[e.source] for e in edges]
+    tgt = [vnode[e.target] for e in edges]
     prio = list(map(game.condition.priorities.__getitem__,
                     _edge_keys(ts, game.condition, ids)))
     levels = sorted(set(prio))
@@ -221,11 +222,21 @@ def verify_parity_solution(game, solution):
     must pick an out-edge at each of the winner's vertices, keep play in
     the region and make every cycle's minimum priority favourable.
     Returns a list of problems, the unfavourable cycle minima of a region
-    in ascending order."""
+    in ascending order.
+
+    A region is read in bulk: the winner's moves by lookup, their sources
+    in one comparison, the opponent's out-edges in one chain and every
+    target in one subset test.  Only when that fails does a per-vertex
+    walk name the problems, in the system's vertex order.  Strategy
+    entries outside the winner's own vertices of the region are not
+    read.  The first SCC split numbers vertices in the system's order."""
     ts = game.ts
     owners, out, by_id = ts.owners, ts.out, ts._by_id
     cond, target = game.condition, attrgetter("target")
     vertices = set(ts.vertices)
+    number = dict(zip(ts.vertices, range(len(ts.vertices))))
+    owned = {p: [v for v in ts.vertices if owners[v] == p]
+             for p in ("Eve", "Adam")}
     problems = []
     regions = {"Eve": set(), "Adam": set()}
     for v, w in solution.regions.items():
@@ -239,33 +250,18 @@ def verify_parity_solution(game, solution):
                  for v in sorted(vertices.difference(solution.regions))]
     for player, region in regions.items():
         moves = solution.strategies.get(player, {})
-        allowed = []
-        for v in filter(region.__contains__, ts.vertices):
-            if owners[v] == player:
-                eid = moves.get(v)
-                if eid is None:
-                    problems.append("%s has no move at %r" % (player, v))
-                    continue
-                try:
-                    e = by_id.get(eid)
-                except TypeError:   # an unhashable move names no edge
-                    e = None
-                if e is None or e.source != v:
-                    problems.append("%s's move %r at %r is not an out-edge "
-                                    "of it" % (player, eid, v))
-                    continue
-                chosen = (e,)
-            else:
-                chosen = out(v)
-            if region.issuperset(map(target, chosen)):
-                allowed += chosen
-                continue
-            for e in chosen:
-                if e.target not in region:
-                    problems.append(
-                        "edge %r escapes the %s region" % (e.id, player))
-                else:
-                    allowed.append(e)
+        own = list(filter(region.__contains__, owned[player]))
+        theirs = filter(region.__contains__, owned[_other(player)])
+        try:
+            allowed = list(map(by_id.__getitem__, map(moves.__getitem__, own)))
+            fits = [e.source for e in allowed] == own
+        except (AttributeError, KeyError, TypeError):
+            fits = False    # a missing, unknown or unhashable move, or no map
+        if fits:
+            allowed += chain.from_iterable(map(out, theirs))
+            fits = region.issuperset(map(target, allowed))
+        if not fits:
+            allowed = _allowed_edges(ts, player, region, moves, problems)
         good_parity = 0 if player == "Eve" else 1
         # Peel SCCs: a component's least inner priority d is the minimum of
         # some cycle in it, and every cycle avoiding the d-edges survives in
@@ -273,7 +269,7 @@ def verify_parity_solution(game, solution):
         # the cycles.  Only the edges of the first split's components lie
         # on cycles, so only theirs have their priority read.
         bad = set()
-        work = [_components(allowed)]
+        work = [_components(allowed, number)]
         inner = [e.id for _, es in work[0] for e in es]
         prios = dict(zip(inner, map(cond.priorities.__getitem__,
                                     _edge_keys(ts, cond, inner))))
@@ -290,6 +286,37 @@ def verify_parity_solution(game, solution):
                 "cycle with minimum priority %d inside the %s region"
                 % (d, player))
     return problems
+
+
+def _allowed_edges(ts, player, region, moves, problems):
+    """The edges that `player`'s strategy `moves` allows inside `region`,
+    vertex by vertex in the system's order, appending each missing or
+    foreign move and each escaping edge to `problems`."""
+    allowed = []
+    for v in filter(region.__contains__, ts.vertices):
+        if ts.owners[v] == player:
+            eid = moves.get(v)
+            if eid is None:
+                problems.append("%s has no move at %r" % (player, v))
+                continue
+            try:
+                e = ts._by_id.get(eid)
+            except TypeError:   # an unhashable move names no edge
+                e = None
+            if e is None or e.source != v:
+                problems.append("%s's move %r at %r is not an out-edge "
+                                "of it" % (player, eid, v))
+                continue
+            chosen = (e,)
+        else:
+            chosen = ts.out(v)
+        for e in chosen:
+            if e.target not in region:
+                problems.append(
+                    "edge %r escapes the %s region" % (e.id, player))
+            else:
+                allowed.append(e)
+    return allowed
 
 
 @dataclass
