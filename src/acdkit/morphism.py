@@ -22,6 +22,9 @@ def check_structural(m):
             problems.append("vertex %r unmapped" % v)
         elif w not in tvs:
             problems.append("vertex %r maps to unknown %r" % (v, w))
+        elif src.owners is not None and tgt.owners is not None:
+            if src.owners[v] != tgt.owners[w]:
+                problems.append("owner of %r not preserved" % v)
     for e in src.edges:
         f = m.edge_map.get(e.id)
         if f is None:

@@ -112,6 +112,24 @@ def test_transform_output_parses_and_checks(tmp_path):
     assert obj["acceptance_preserving"]
 
 
+def test_check_morphism_reports_a_flipped_owner(tmp_path):
+    """Flipping the owner of one vertex of a transformed game breaks the
+    morphism back to the original game: exit 1, not structural."""
+    code, out = run(tmp_path, "transform", fx("mullergame.json"))
+    assert code == 0
+    doc = json.loads(out)
+    owners = doc["system"]["owners"]
+    owners["q0|r"] = "Adam" if owners["q0|r"] == "Eve" else "Eve"
+    transformed = tmp_path / "t.json"
+    transformed.write_text(json.dumps(doc))
+    code, report = run(tmp_path, "check-morphism", str(transformed),
+                       "--against", fx("mullergame.json"))
+    assert code == 1
+    obj = json.loads(report)
+    assert obj["structural"] is False
+    assert obj["problems"] == ["owner of 'q0|r' not preserved"]
+
+
 def test_exit_code_input_error(tmp_path, capsys):
     code, out = run(tmp_path, "acd", fx("badref.json"))
     assert code == 2

@@ -50,6 +50,22 @@ def test_structural_checks_initial_and_letters():
     assert any("letter" in p for p in problems)
 
 
+def test_structural_checks_owners():
+    """A morphism of games keeps who owns each vertex; owners are checked
+    only when both systems carry them."""
+    src = TransitionSystem(["p"], [("e", "p", "p")], ["p"],
+                           owners={"p": "Eve"})
+    tgt = TransitionSystem(["q"], [("f", "q", "q")], ["q"],
+                           owners={"q": "Adam"})
+    m = Morphism(src, None, tgt, None, {"p": "q"}, {"e": "f"})
+    assert check_structural(m) == (False, ["owner of 'p' not preserved"])
+    plain_src = TransitionSystem(["p"], [("e", "p", "p")], ["p"])
+    plain_tgt = TransitionSystem(["q"], [("f", "q", "q")], ["q"])
+    for a, b in ((src, plain_tgt), (plain_src, tgt)):
+        m = Morphism(a, None, b, None, {"p": "q"}, {"e": "f"})
+        assert check_structural(m) == (True, [])
+
+
 def test_local_flags():
     m = folding_morphism()
     flags = check_local(m)
