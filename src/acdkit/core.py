@@ -207,22 +207,18 @@ def _tarjan(vertices, succ):
     return [c for c in comps if c]
 
 
-def _components(edges, number=None):
+def _components(edges):
     """The strongly connected components of the graph of `edges` (`Edge`
     objects) that have an inner edge, as (sorted vertex list, inner edges
     in the given order) pairs, in the order of their first inner edge.
-    `number` maps each endpoint to a distinct number below its length;
-    without it the endpoints are numbered by first appearance, sources
-    before targets.
-    `_tarjan_marks` runs over per-number target lists, rooted only at
-    edge sources, and one pass over the edges groups the inner ones."""
-    if number is None:
-        names = dict.fromkeys([e.source for e in edges]
-                              + [e.target for e in edges])
-        number = dict(zip(names, range(len(names))))
-    src = [number[e.source] for e in edges]
-    tgt = [number[e.target] for e in edges]
-    succ = [[] for _ in range(len(number))]
+    The endpoints are numbered as they first appear, sources before
+    targets; `_tarjan_marks` runs over per-number target lists, rooted
+    only at edge sources, and one pass over the edges groups the inner
+    ones."""
+    number = {}
+    src = [number.setdefault(e.source, len(number)) for e in edges]
+    tgt = [number.setdefault(e.target, len(number)) for e in edges]
+    succ = [[] for _ in number]
     for s, t in zip(src, tgt):
         succ[s].append(t)
     marks = _tarjan_marks(succ, src)

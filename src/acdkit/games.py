@@ -229,12 +229,11 @@ def verify_parity_solution(game, solution):
     target in one subset test.  Only when that fails does a per-vertex
     walk name the problems, in the system's vertex order.  Strategy
     entries outside the winner's own vertices of the region are not
-    read.  The first SCC split numbers vertices in the system's order."""
+    read."""
     ts = game.ts
     owners, out, by_id = ts.owners, ts.out, ts._by_id
     cond, target = game.condition, attrgetter("target")
     vertices = set(ts.vertices)
-    number = dict(zip(ts.vertices, range(len(ts.vertices))))
     owned = {p: [v for v in ts.vertices if owners[v] == p]
              for p in ("Eve", "Adam")}
     problems = []
@@ -269,7 +268,7 @@ def verify_parity_solution(game, solution):
         # the cycles.  Only the edges of the first split's components lie
         # on cycles, so only theirs have their priority read.
         bad = set()
-        work = [_components(allowed, number)]
+        work = [_components(allowed)]
         inner = [e.id for _, es in work[0] for e in es]
         prios = dict(zip(inner, map(cond.priorities.__getitem__,
                                     _edge_keys(ts, cond, inner))))
