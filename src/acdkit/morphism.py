@@ -11,7 +11,10 @@ from .core import InputError, Morphism, Run, _unroll
 
 
 def check_structural(m):
-    """All structural clauses; returns (ok, problems)."""
+    """All structural clauses; returns (ok, problems).  Both maps must be
+    defined and land in the target, and sources, targets and initial
+    vertices must be preserved, as must letters when both systems carry
+    them and owners when both are games."""
     problems = []
     src, tgt = m.source_ts, m.target_ts
     tvs = set(tgt.vertices)
