@@ -1,0 +1,32 @@
+"""Parity game families that the tests build at scale.  No test-framework
+import here, so a child process can import this module wherever pytest is
+installed."""
+
+from acdkit import ParityCondition, TransitionSystem
+
+
+def cycle_game(n):
+    """The cycle family: edge i -> i+1 has priority i, the self-loop at i
+    has priority n+i, and owners alternate with Adam at v0.  Exponential
+    for the classical attractor decomposition."""
+    vs = ["v%d" % i for i in range(n)]
+    edges, prios = [], {}
+    for i in range(n):
+        edges.append(("c%d" % i, vs[i], vs[(i + 1) % n]))
+        prios["c%d" % i] = i
+        edges.append(("s%d" % i, vs[i], vs[i]))
+        prios["s%d" % i] = n + i
+    owners = {v: "Adam" if i % 2 == 0 else "Eve" for i, v in enumerate(vs)}
+    return (TransitionSystem(vs, edges, [vs[0]], owners=owners),
+            ParityCondition(prios))
+
+
+def path_game(n):
+    """One-player Eve path with distinct even priorities 2i, closed by a
+    self-loop: Eve wins everywhere, and the attractor decomposition nests
+    one subgame per priority."""
+    vs = ["p%d" % i for i in range(n)]
+    edges = [("a%d" % i, vs[i], vs[min(i + 1, n - 1)]) for i in range(n)]
+    return (TransitionSystem(vs, edges, [vs[0]],
+                             owners={v: "Eve" for v in vs}),
+            ParityCondition({e[0]: 2 * i for i, e in enumerate(edges)}))

@@ -450,3 +450,10 @@ def naive_certificate_problems(game, solution):
                     "cycle with minimum priority %d inside the %s region"
                     % (d, player))
     return problems
+
+
+def deepest_holding_prefix(tree, leaf, x):
+    """The longest prefix of the branch `leaf` whose label in `tree`
+    contains `x`, by trying every prefix: the naive `supp`."""
+    return max((leaf[:k] for k in range(len(leaf) + 1)
+                if x in tree.label[leaf[:k]]), key=len)

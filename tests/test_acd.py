@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from acdkit import (CapExceeded, InputError, MullerCondition, TransitionSystem, acd_stats,
+from acdkit import (CapExceeded, InputError, MullerCondition,
+                    ParityCondition, TransitionSystem, acd_stats,
                     acd_transform, build_acd, build_zielonka_tree,
                     check_local, check_structural, classify_acd,
                     induced_morphism, loop_status_over, multi_supp,
@@ -11,7 +12,7 @@ from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
 from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
                       random_system, recoloured)
-from oracles import loop_preserving
+from oracles import deepest_holding_prefix, loop_preserving
 
 
 def edge_sets(tree):
@@ -168,20 +169,25 @@ def test_transform_morphism_random():
         assert check_local(m)["bijective"]
 
 
-def test_transient_part_under_every_tag():
-    """The transient part is tree 0, a one-node tree, under each tag: its
-    priority is the low end of the interval, its DOT cluster is one node,
-    its Rabin or Streett pair is there by the parity of that priority,
-    and its vertices have one branch and never offend."""
-    rng = random.Random(41)
-    tags = set()
-    for i in range(240):
+def random_acds(rng, count):
+    """Decompositions of random systems under conditions of the six kinds
+    in turn, a third of them over edges recoloured from four colours."""
+    for i in range(count):
         ts = random_system(rng, max_vertices=5, max_edges=9)
         if i % 3 == 0:
             ts = recoloured(rng, ts, ["a", "b", "c", "d"])
         kind = CONDITION_KINDS[i % len(CONDITION_KINDS)]
         cond = random_condition(rng, kind, {ts.colour(e.id) for e in ts.edges})
-        acd = build_acd(ts, cond)
+        yield ts, build_acd(ts, cond)
+
+
+def test_transient_part_under_every_tag():
+    """The transient part is tree 0, a one-node tree, under each tag: its
+    priority is the low end of the interval, its DOT cluster is one node,
+    its Rabin or Streett pair is there by the parity of that priority,
+    and its vertices have one branch and never offend."""
+    tags = set()
+    for ts, acd in random_acds(random.Random(41), 240):
         t0 = acd.tree(0)
         assert (t0.label, t0.states, t0.height) == (
             {(): acd.t0_edges}, {(): acd.t0_states}, 1)
@@ -209,3 +215,90 @@ def test_transient_part_under_every_tag():
             assert acd.subtree_for_state(v).branches == ((),)
             assert v not in offending
     assert tags == {"even", "odd", "ambiguous"}
+
+
+def naive_priority(acd, i, node):
+    t = acd.tree(i)
+    return len(node) + (0 if t.even else 1) + \
+        (2 if t.even and acd.tag == "odd" else 0)
+
+
+def test_priority_is_depth_plus_root_status_under_every_tag():
+    """A node's priority is its depth, plus 1 under a rejecting root, plus
+    2 under an accepting root when the tallest trees are rejecting."""
+    tags = set()
+    for ts, acd in random_acds(random.Random(43), 240):
+        tags.add(acd.tag)
+        for i in range(len(acd.trees) + 1):
+            for n in acd.tree(i).nodes:
+                assert acd.priority(i, n) == naive_priority(acd, i, n)
+    assert tags == {"even", "odd", "ambiguous"}
+
+
+def test_multi_supp_is_the_deepest_holding_prefix():
+    """For every branch of every tree and every edge: the deepest prefix of
+    the branch whose label holds the edge when the edge is in that tree,
+    else the root of the edge's own tree."""
+    for ts, acd in random_acds(random.Random(44), 240):
+        for i in range(len(acd.trees) + 1):
+            t = acd.tree(i)
+            for leaf in t.leaves:
+                for e in ts.edges:
+                    j = acd.edge_index[e.id]
+                    want = deepest_holding_prefix(t, leaf, e.id) \
+                        if j == i else ()
+                    assert multi_supp(acd, leaf, i, e.id) == (j, want)
+
+
+def naive_edge_step(acd, leaf, e):
+    """The transform's edge step read only from the full trees' `label`,
+    `children_map` and `states`: the support `tau` of `e` on the branch
+    (the edge's root when it leaves the tree), then the cyclically next
+    child of `tau` whose loop visits the target, then leftmost such
+    children down to a leaf; from another tree, leftmost such children
+    from the target tree's root."""
+    i, j = acd.vertex_index[e.source], acd.edge_index[e.id]
+    t, w = acd.tree(j), e.target
+    if j == i:
+        tau = max((leaf[:k] for k in range(len(leaf) + 1)
+                   if e.id in t.label[leaf[:k]]), key=len)
+    else:
+        tau = ()
+    t = acd.tree(acd.vertex_index[w])
+
+    def kept(n):
+        return [c for c in t.children_map[n] if w in t.states[c]]
+    node = tau
+    if j == i and kept(tau):
+        here = leaf[len(tau)] if len(leaf) > len(tau) else -1
+        later = [c for c in kept(tau) if c[-1] > here]
+        node = (later or kept(tau))[0]
+    while kept(node):
+        node = kept(node)[0]
+    return naive_priority(acd, j, tau), node
+
+
+def test_edge_step_matches_the_naive_step():
+    for ts, acd in random_acds(random.Random(45), 240):
+        for v in ts.vertices:
+            for leaf in acd.subtree_for_state(v).branches:
+                for e in ts.out(v):
+                    assert acd.edge_step(leaf, e) == \
+                        naive_edge_step(acd, leaf, e)
+
+
+def test_parity_chain_transform_is_the_system():
+    """One vertex with edges e0 .. e149, ei of priority i: the ACD is one
+    chain of height 150, and the transform keeps one vertex and gives
+    each edge its own priority."""
+    n = 150
+    ts = TransitionSystem(["z"], [("e%d" % i, "z", "z") for i in range(n)],
+                          ["z"])
+    cond = ParityCondition({"e%d" % i: i for i in range(n)})
+    res = acd_transform(ts, cond)
+    assert len(res.system.vertices) == 1
+    assert {res.edge_map[eid]: p
+            for eid, p in res.condition.priorities.items()} == \
+        cond.priorities
+    assert sorted(res.condition.priorities.values()) == list(range(n))
+    assert acd_stats(res.acd)["interval"] == (0, n - 1)

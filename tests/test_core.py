@@ -9,7 +9,8 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     compose, enumerate_reachable_loops, equivalent_over,
                     loop_status, loop_status_over, to_explicit_muller,
                     validate)
-from acdkit.core import Edge, _components, _tarjan
+from acdkit.core import (Edge, _components, _reach, _tarjan,
+                         _tarjan_marks)
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
 from oracles import kosaraju_components, loop_equivalent, recursive_tarjan
@@ -117,24 +118,27 @@ def test_reachable_vertices_is_the_edge_fixpoint():
 
 
 def test_tarjan_matches_kosaraju_random():
-    """On random digraphs with isolated vertices, self-loops and parallel
-    edges, `_tarjan` finds the components of the Kosaraju oracle, each as
-    a sorted list, and emits each after every component it reaches: no
-    edge runs from a component to one emitted later."""
+    """On random digraphs with self-loops and parallel edges, rooted at a
+    random part of the vertices in random order, `_tarjan_marks` marks
+    exactly the unreached vertices -1, gives two reached vertices equal
+    marks exactly when the Kosaraju oracle puts them in one component,
+    and marks each component after every component it reaches: no mark
+    is below that of a successor."""
     rng = random.Random(71)
     for _ in range(400):
         n = rng.randint(1, 9)
-        succ = {v: [] for v in range(n)}
+        succ = [[] for _ in range(n)]
         for _ in range(rng.randint(0, 2 * n)):
             succ[rng.randrange(n)].append(rng.randrange(n))
-        comps = _tarjan(succ, succ.__getitem__)
-        want = {}
-        for v, root in kosaraju_components(succ, succ.__getitem__).items():
-            want.setdefault(root, []).append(v)
-        assert sorted(comps) == sorted(sorted(c) for c in want.values())
-        assert all(c == sorted(c) for c in comps)
-        emitted = {v: i for i, c in enumerate(comps) for v in c}
-        assert all(emitted[w] <= emitted[v] for v in succ for w in succ[v])
+        roots = rng.sample(range(n), rng.randint(1, n))
+        marks = _tarjan_marks(succ, roots)
+        reached = _reach(roots, succ.__getitem__)
+        assert [v for v in range(n) if marks[v] >= n] == sorted(reached)
+        assert all(marks[v] == -1 for v in range(n) if v not in reached)
+        comp = kosaraju_components(range(n), succ.__getitem__)
+        assert all((marks[v] == marks[w]) == (comp[v] == comp[w])
+                   for v in reached for w in reached)
+        assert all(marks[v] >= marks[w] for v in reached for w in succ[v])
 
 
 def _textbook_digraphs(rng):

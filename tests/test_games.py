@@ -229,7 +229,7 @@ def test_cycle_game_40_in_subprocess():
     src = os.path.dirname(os.path.dirname(acdkit.__file__))
     code = ("from acdkit import Game, solve_parity_game, "
             "verify_parity_solution\n"
-            "from conftest import cycle_game\n"
+            "from families import cycle_game\n"
             "game = Game(*cycle_game(40))\n"
             "print(verify_parity_solution(game, solve_parity_game(game)))\n")
     proc = subprocess.run(
@@ -247,7 +247,7 @@ def test_long_path_game_in_subprocess():
     src = os.path.dirname(os.path.dirname(acdkit.__file__))
     code = ("from acdkit import Game, solve_parity_game, "
             "verify_parity_solution\n"
-            "from conftest import path_game\n"
+            "from families import path_game\n"
             "game = Game(*path_game(40000))\n"
             "sol = solve_parity_game(game)\n"
             "print(set(sol.regions.values()), "

@@ -13,7 +13,7 @@ from acdkit import (InputError, TransitionSystem, ZielonkaTree, build_acd,
 from acdkit.zielonka import (_flipped_colour_sets, _maximal_flipped,
                              _minus_one_colour, _zielonka_tree)
 from conftest import CONDITION_KINDS, random_condition, random_family
-from oracles import simulate_zt_output
+from oracles import deepest_holding_prefix, simulate_zt_output
 
 F1 = [{"a"}, {"b"}]
 G1 = {"a", "b", "c"}
@@ -63,6 +63,22 @@ def test_supp():
     assert supp(t2, (0, 0), "a") == (0, 0)
     t1 = build_zielonka_tree(F1, G1)
     assert supp(t1, (0,), "b") == ()
+
+
+def test_supp_is_the_deepest_holding_prefix():
+    """On random trees of all six condition kinds, `supp` of every branch
+    and colour is the deepest prefix of the branch whose label holds the
+    colour."""
+    rng = random.Random(47)
+    for i in range(120):
+        gamma = frozenset("abcde"[:rng.randint(1, 5)])
+        t = _zielonka_tree(
+            random_condition(rng, CONDITION_KINDS[i % 6], gamma), gamma)
+        for leaf in t.leaves:
+            for c in gamma:
+                assert supp(t, leaf, c) == deepest_holding_prefix(t, leaf, c)
+        with pytest.raises(InputError):
+            supp(t, t.leaves[0], "z")
 
 
 def test_nextbranch():
