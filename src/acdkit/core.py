@@ -191,22 +191,6 @@ def _tarjan_marks(succ, roots):
     return low
 
 
-def _tarjan(vertices, succ):
-    """SCCs as sorted lists of vertices, each after every component it
-    reaches, in the order of the recursive textbook Tarjan with roots in
-    sorted order: `_tarjan_marks` over the sorted vertices' numbers, its
-    marks then gathered into lists."""
-    names = sorted(vertices)
-    n = len(names)
-    number = dict(zip(names, range(n)))
-    marks = _tarjan_marks(
-        [list(map(number.__getitem__, succ(v))) for v in names], range(n))
-    comps = [[] for _ in names]   # at most one component per vertex
-    for v, m in zip(names, marks):
-        comps[m - n].append(v)
-    return [c for c in comps if c]
-
-
 def _components(edges):
     """The strongly connected components of the graph of `edges` (`Edge`
     objects) that have an inner edge, as (sorted vertex list, inner edges

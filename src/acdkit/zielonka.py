@@ -7,7 +7,7 @@ import functools
 import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _reach, _tarjan)
+                   ParityCondition, TransitionSystem, _reach, _tarjan_marks)
 
 
 class ZielonkaTree:
@@ -322,17 +322,18 @@ def _delta_loops(g, gamma, delta):
     priority assignments can be screened cheaply.
     """
     reach = _reach([0], lambda q: delta[q * g:q * g + g])
-    slots = [(q, i) for q in sorted(reach) for i in range(g)]
+    slots = [(q, i, delta[q * g + i]) for q in sorted(reach) for i in range(g)]
     found = []
     for r in range(1, len(slots) + 1):
         for sub in itertools.combinations(slots, r):
-            adj = {}
-            for q, i in sub:
-                adj.setdefault(q, []).append(delta[q * g + i])
-                adj.setdefault(delta[q * g + i], [])
-            if len(_tarjan(adj, adj.__getitem__)) == 1:
-                found.append((tuple(q * g + i for q, i in sub),
-                              frozenset(gamma[i] for q, i in sub)))
+            succ = [[] for _ in range(len(delta) // g)]
+            for q, i, t in sub:
+                succ[q].append(t)
+            marks = _tarjan_marks(succ, [sub[0][0]])
+            if all(marks[q] == marks[t] == marks[sub[0][0]]
+                   for q, i, t in sub):
+                found.append((tuple(q * g + i for q, i, t in sub),
+                              frozenset(gamma[i] for q, i, t in sub)))
     return found
 
 

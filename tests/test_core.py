@@ -9,11 +9,10 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     compose, enumerate_reachable_loops, equivalent_over,
                     loop_status, loop_status_over, to_explicit_muller,
                     validate)
-from acdkit.core import (Edge, _components, _reach, _tarjan,
-                         _tarjan_marks)
+from acdkit.core import Edge, _components, _reach, _tarjan_marks
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
-from oracles import kosaraju_components, loop_equivalent, recursive_tarjan
+from oracles import kosaraju_components, loop_equivalent
 
 
 def two_state_parity():
@@ -139,46 +138,6 @@ def test_tarjan_matches_kosaraju_random():
         assert all((marks[v] == marks[w]) == (comp[v] == comp[w])
                    for v in reached for w in reached)
         assert all(marks[v] >= marks[w] for v in reached for w in succ[v])
-
-
-def _textbook_digraphs(rng):
-    """300 digraphs of mostly forward edges along a shuffled order, with a
-    few back edges and self-loops, so most components are single
-    vertices."""
-    for _ in range(300):
-        n = rng.randint(1, 60)
-        order = rng.sample(range(n), n)
-        succ = {v: [] for v in order}
-        for i, v in enumerate(order):
-            for _ in range(rng.randint(0, 3)):
-                if i + 1 < n and rng.random() < 0.9:
-                    w = order[rng.randrange(i + 1, n)]
-                else:
-                    w = order[rng.randrange(i + 1)]
-                succ[v].append(w)
-        yield succ
-
-
-def test_tarjan_emits_in_the_textbook_order():
-    """`_tarjan` returns exactly the list of the recursive textbook
-    Tarjan, order included: the ACD goldens rest on it."""
-    singles = total = 0
-    for succ in _textbook_digraphs(random.Random(72)):
-        comps = _tarjan(succ, succ.__getitem__)
-        assert comps == recursive_tarjan(succ, succ.__getitem__)
-        singles += sum(len(c) == 1 for c in comps)
-        total += len(comps)
-    assert 0.5 * total < singles < total, (singles, total)
-
-
-def test_tarjan_emits_in_the_textbook_order_on_names():
-    """The same digraphs with their vertices renamed to "v0", "v1", ...:
-    roots go in the names' sorted order ("v10" before "v9"), not in the
-    order of the numbers behind them, and components are sorted by name."""
-    for succ in _textbook_digraphs(random.Random(72)):
-        named = {"v%d" % v: ["v%d" % w for w in ws] for v, ws in succ.items()}
-        comps = _tarjan(named, named.__getitem__)
-        assert comps == recursive_tarjan(named, named.__getitem__)
 
 
 def test_components_match_kosaraju_on_names():
