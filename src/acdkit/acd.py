@@ -27,28 +27,6 @@ def _acd_tree(index, ts, side, top, explore_cap=None):
     return tree
 
 
-@dataclass
-class StateSubtree:
-    """Restriction of one decomposition tree to the nodes whose label loop
-    visits a given vertex: `children` maps each kept node, in canonical
-    order, to its kept children."""
-
-    vertex: str
-    tree_index: int
-    children: dict
-
-    def __post_init__(self):
-        self.nodes = tuple(self.children)
-        self.branches = tuple(n for n, kids in self.children.items()
-                              if not kids)
-
-    def leftmost_branch(self):
-        return self.branches[0]
-
-    def __contains__(self, node):
-        return node in self.children
-
-
 class ACD:
     """Forest of alternating trees: `trees`, one per maximal loop, and
     tree 0, the transient part, a one-node tree labelled `t0_edges`."""
@@ -83,6 +61,10 @@ class ACD:
             self.tag = "even"
         elif kinds == {False}:
             self.tag = "odd"
+            # priorities start at 1: an accepting root takes 2, not 0
+            for t in self.trees:
+                if t.even:
+                    t.root_priority = 2
         else:
             self.tag = "ambiguous"
         self.max_height = maxh
@@ -96,34 +78,21 @@ class ACD:
         return self._forest[index]
 
     def priority(self, index, node):
-        """Priority attached to a node, under the global even/odd/ambiguous
-        adjustment that keeps the overall range as tight as possible."""
-        t = self.tree(index)
-        return t.priority(node) + (2 if t.even and self.tag == "odd" else 0)
+        """Priority of a node of tree `index` (`ZielonkaTree.priority`)."""
+        return self.tree(index).priority(node)
 
     def _build_subtree(self, v):
-        i = self.vertex_index[v]
-        t = self.tree(i)
-        return StateSubtree(v, i, {
-            n: tuple(c for c in t.children_map[n] if v in t.states[c])
-            for n in t.nodes if v in t.states[n]})
+        """The tree of `v` restricted to the nodes whose loop visits `v`."""
+        t = self.tree(self.vertex_index[v])
+        sub = t.restrict({n for n in t.nodes if v in t.states[n]})
+        sub.tree_index, sub.branches = t.index, sub.leaves
+        return sub
 
     def subtree_for_state(self, v):
         try:
             return self._subtrees[v]
         except KeyError:
             raise InputError("unknown vertex %r" % v) from None
-
-    def multi_supp(self, leaf, i, eid):
-        """Deepest node relevant to reading edge `eid` from a branch of
-        tree `i`: a node on the branch when the edge stays in the same
-        tree, the root of the edge's own tree otherwise.
-
-        Returns (tree index, node)."""
-        j = self.edge_index[eid]
-        if j == i:
-            return (j, _zielonka.supp(self.tree(i), leaf, eid))
-        return (j, ())
 
     def edge_step(self, leaf, e):
         """Priority and target branch of the transform's edge from the
@@ -132,13 +101,13 @@ class ACD:
         tree, else the target's leftmost branch.  From tree 0, whose one
         branch is its root, the next branch is the leftmost one."""
         i = self.vertex_index[e.source]
-        j, tau = self.multi_supp(leaf, i, e.id)
+        j, tau = multi_supp(self, leaf, i, e.id)
         target = self._subtrees[e.target]
         if j == i:
-            leaf2 = _zielonka._next_branch(target.children, leaf, tau)
+            leaf2 = _zielonka.nextbranch(target, leaf, tau)
         else:
-            leaf2 = target.leftmost_branch()
-        return self.priority(j, tau), leaf2
+            leaf2 = target.leaves[0]
+        return self.tree(j).priority(tau), leaf2
 
 
 def build_acd(ts, cond, explore_cap=None):
@@ -150,7 +119,13 @@ def subtree_for_state(acd, v):
 
 
 def multi_supp(acd, leaf, i, eid):
-    return acd.multi_supp(leaf, i, eid)
+    """Deepest node relevant to reading edge `eid` from a branch of
+    tree `i`: a node on the branch when the edge stays in the same
+    tree, the root of the edge's own tree otherwise.
+
+    Returns (tree index, node)."""
+    j = acd.edge_index[eid]
+    return (j, _zielonka.supp(acd.tree(i), leaf, eid) if j == i else ())
 
 
 def _state_id(q, leaf):
@@ -182,7 +157,7 @@ def acd_transform(ts, cond, explore_cap=None):
     letters = {}
     for q in ts.vertices:
         qcopies = []
-        for leaf in acd.subtree_for_state(q).branches:
+        for leaf in acd.subtree_for_state(q).leaves:
             vid = _state_id(q, leaf)
             vertices.append(vid)
             vmap[vid] = q
@@ -198,7 +173,7 @@ def acd_transform(ts, cond, explore_cap=None):
                 if ts.letters is not None:
                     letters[eid] = ts.letter(e.id)
         copies[q] = tuple(qcopies)
-    initial = [_state_id(v, acd.subtree_for_state(v).leftmost_branch())
+    initial = [_state_id(v, acd.subtree_for_state(v).leaves[0])
                for v in ts.initial]
     system = TransitionSystem(vertices, edges, initial,
                               owners=owners or None,
@@ -217,7 +192,7 @@ def induced_morphism(result, original_ts, original_cond):
 def acd_stats(acd):
     """Size and priority usage of the transformation, computed from the
     decomposition alone."""
-    size = sum(len(acd.subtree_for_state(v).branches) for v in acd.ts.vertices)
+    size = sum(len(acd.subtree_for_state(v).leaves) for v in acd.ts.vertices)
     heights = tuple(t.height for t in acd.trees)
     if acd.t0_edges:
         heights = (1,) + heights

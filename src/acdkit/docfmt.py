@@ -207,7 +207,7 @@ def acd_to_obj(acd):
                 "node": _node_name(n),
                 "edges": sorted(t.label[n]),
                 "states": sorted(t.states[n]),
-                "priority": acd.priority(t.index, n),
+                "priority": t.priority(n),
             })
         trees.append({
             "index": t.index,
@@ -220,7 +220,7 @@ def acd_to_obj(acd):
         obj["t0"] = {
             "edges": sorted(acd.t0_edges),
             "states": sorted(acd.t0_states),
-            "priority": acd.priority(0, ()),
+            "priority": acd.tree(0).priority(()),
         }
     return obj
 
@@ -253,13 +253,13 @@ def dot_system(ts, name="system"):
     return "\n".join(lines) + "\n"
 
 
-def _dot_tree_nodes(lines, indent, prefix, tree, priority_of, extra_of=None):
+def _dot_tree_nodes(lines, indent, prefix, tree, extra_of=None):
     for n in tree.nodes:
-        shape = "ellipse" if priority_of(n) % 2 == 0 else "box"
+        shape = "ellipse" if tree.accepting(n) else "box"
         text = "{%s}" % ",".join(sorted(tree.label[n]))
         if extra_of is not None:
             text += "\\n%s" % extra_of(n)
-        text += "\\n%d" % priority_of(n)
+        text += "\\n%d" % tree.priority(n)
         lines.append("%s%s [shape=%s,label=%s];"
                      % (indent, _q(prefix + _node_name(n)), shape, _q(text)))
     for n in tree.nodes:
@@ -271,7 +271,7 @@ def _dot_tree_nodes(lines, indent, prefix, tree, priority_of, extra_of=None):
 
 def dot_tree(tree, name="zielonka"):
     lines = ["digraph %s {" % name, "  node [fontsize=10];"]
-    _dot_tree_nodes(lines, "  ", "", tree, tree.priority)
+    _dot_tree_nodes(lines, "  ", "", tree)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -283,7 +283,6 @@ def dot_acd(acd, name="acd"):
         lines.append("    label=%s;" % _q("t%d" % t.index))
         _dot_tree_nodes(
             lines, "    ", "t%d:" % t.index, t,
-            lambda n, t=t: acd.priority(t.index, n),
             extra_of=lambda n, t=t: ",".join(sorted(t.states[n])))
         lines.append("  }")
     lines.append("}")

@@ -33,9 +33,7 @@ def classify_acd(acd):
     streett = True
     offending = {}
     for v in acd.ts.vertices:
-        sub = acd.subtree_for_state(v)
-        bad, flags = _zielonka._branching(acd.tree(sub.tree_index),
-                                          sub.children)
+        bad, flags = _zielonka._branching(acd.subtree_for_state(v))
         rabin = rabin and flags["rabin"]
         streett = streett and flags["streett"]
         if bad:
@@ -94,7 +92,7 @@ def parity_relabel(ts, acd):
         raise InputError("decomposition is not parity-shaped")
     priorities = {}
     for e in ts.edges:
-        leaf = acd.subtree_for_state(e.source).leftmost_branch()
+        leaf = acd.subtree_for_state(e.source).leaves[0]
         priorities[e.id] = acd.edge_step(leaf, e)[0]
     return _over(ParityCondition(priorities), "edges")
 

@@ -23,12 +23,14 @@ class ZielonkaTree:
     `children(label)` gives the labels of a node's children: the maximal
     sub-objects of its label whose status differs from the node's own, in
     canonical order (`_maximal_flipped`).  Statuses alternate with depth,
-    so a node's priority is its depth, shifted by one under a rejecting
-    root, and is even exactly when the node is accepting.
+    so a node's priority is its depth plus `root_priority`, the root's own:
+    0 or 1 by its status, to which the decomposition adds 2 once under its
+    "odd" tag.  A priority is even exactly when the node is accepting.
     """
 
     def __init__(self, root, even, children):
         self.even = even
+        self.root_priority = 0 if even else 1
         self.label = {(): root}
         self.children_map = {}
         stack = [()]
@@ -44,17 +46,26 @@ class ZielonkaTree:
         self.height = 1 + max(len(n) for n in self.nodes)
 
     def priority(self, node):
-        return len(node) if self.even else len(node) + 1
+        return len(node) + self.root_priority
 
     def accepting(self, node):
         return self.priority(node) % 2 == 0
 
-    def branch_nodes(self, leaf):
-        """The path of nodes from the root down to the given leaf."""
-        return tuple(leaf[:i] for i in range(len(leaf) + 1))
-
-    def leftmost_leaf(self, node=()):
-        return min(l for l in self.leaves if l[:len(node)] == node)
+    def restrict(self, kept):
+        """The subtree on the nodes in the set `kept`, which holds the root
+        and the parent of each of its nodes: the same labels, statuses and
+        node order, with children, nodes and leaves of its own."""
+        sub = ZielonkaTree.__new__(ZielonkaTree)
+        sub.even, sub.root_priority = self.even, self.root_priority
+        sub.label = self.label
+        sub.children_map = {
+            n: tuple(c for c in self.children_map[n] if c in kept)
+            for n in self.nodes if n in kept}
+        sub.nodes = tuple(sub.children_map)
+        sub.leaves = tuple(n for n, kids in sub.children_map.items()
+                           if not kids)
+        sub.height = 1 + max(map(len, sub.nodes))
+        return sub
 
 
 def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
@@ -178,22 +189,28 @@ def build_zielonka_tree(family, gamma):
 
 
 def supp(tree, leaf, colour):
-    """Deepest node on the branch through `leaf` whose label contains the
-    colour (for a decomposition tree: the edge); the root always does."""
-    if colour not in tree.label[()]:
+    """Deepest node on the path from the root to the node `leaf` of the
+    whole tree `tree` whose label contains the colour (for a decomposition
+    tree: the edge); the root always does.  Labels shrink down a path, so
+    the walk stops at the first label without the colour."""
+    label, children = tree.label, tree.children_map
+    if colour not in label[()]:
         raise InputError("unknown colour %r" % colour)
-    best = ()
-    for node in tree.branch_nodes(leaf):
-        if colour in tree.label[node]:
-            best = node
-    return best
+    node = ()
+    for i in leaf:
+        child = children[node][i]
+        if colour not in label[child]:
+            break
+        node = child
+    return node
 
 
-def _next_branch(children, leaf, node):
-    """Cyclic branch update in the tree `children` (node -> its children,
-    e.g. `StateSubtree.children`): from the branch `leaf`, move to the
-    next child of `node`, then descend leftmost.  `node` itself when it
-    has no child."""
+def nextbranch(tree, leaf, node):
+    """The branch of `tree`, a tree or a restriction, reached from the
+    branch `leaf` by moving to the cyclically next child of `node` after
+    the one on `leaf`, then down the leftmost children; `node` itself when
+    it has no child."""
+    children = tree.children_map
     kids = children[node]
     if not kids:
         return node
@@ -202,12 +219,6 @@ def _next_branch(children, leaf, node):
     while children[node]:
         node = children[node][0]
     return node
-
-
-def nextbranch(tree, leaf, node):
-    """The branch reached from `leaf` by moving to the cyclically next
-    child of `node` on its branch; `node` itself when it is a leaf."""
-    return _next_branch(tree.children_map, leaf, node)
 
 
 def _parity_interval(height, tag):
@@ -265,17 +276,17 @@ def build_zt_automaton(tree):
             priorities[eid] = tree.priority(tau)
     ts = TransitionSystem(
         sorted(states.values()), edges,
-        [states[tree.leftmost_leaf()]], letters=letters)
+        [states[tree.leaves[0]]], letters=letters)
     aut = Automaton(ts, ParityCondition(priorities))
     return ZTAutomaton(aut, tree, {v: k for k, v in states.items()},
                        optimal_parity_interval(tree))
 
 
-def _branching(tree, children):
-    """Nodes of the tree `children` (node -> its children) with more than
-    one child, and the shapes they allow: rabin when none is accepting in
-    `tree`, streett when none is rejecting, parity when both."""
-    bad = tuple(n for n, kids in children.items() if len(kids) > 1)
+def _branching(tree):
+    """Nodes of `tree`, a tree or a restriction, with more than one child,
+    and the shapes they allow: rabin when none is accepting, streett when
+    none is rejecting, parity when both."""
+    bad = tuple(n for n, kids in tree.children_map.items() if len(kids) > 1)
     rabin = not any(tree.accepting(n) for n in bad)
     streett = all(tree.accepting(n) for n in bad)
     return bad, {"rabin": rabin, "streett": streett,
@@ -287,7 +298,7 @@ def shape(tree):
     accepting node (rabin: rejecting sets closed under union), at every
     rejecting node (streett: accepting sets closed under union), or both
     (parity)."""
-    return _branching(tree, tree.children_map)[1]
+    return _branching(tree)[1]
 
 
 def optimal_parity_interval(tree):
