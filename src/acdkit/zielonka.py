@@ -53,8 +53,9 @@ class ZielonkaTree:
 
     def restrict(self, kept):
         """The subtree on the nodes in the set `kept`, which holds the root
-        and the parent of each of its nodes: the same labels, statuses and
-        node order, with children, nodes and leaves of its own."""
+        and the parent of each of its nodes: the same statuses, node order
+        and `label` map (shared, so it also names dropped nodes), with
+        children, nodes and leaves of its own."""
         sub = ZielonkaTree.__new__(ZielonkaTree)
         sub.even, sub.root_priority = self.even, self.root_priority
         sub.label = self.label
@@ -64,7 +65,6 @@ class ZielonkaTree:
         sub.nodes = tuple(sub.children_map)
         sub.leaves = tuple(n for n, kids in sub.children_map.items()
                            if not kids)
-        sub.height = 1 + max(map(len, sub.nodes))
         return sub
 
 
