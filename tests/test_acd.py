@@ -257,13 +257,8 @@ def naive_edge_step(acd, leaf, e):
     child of `tau` whose loop visits the target, then leftmost such
     children down to a leaf; from another tree, leftmost such children
     from the target tree's root."""
-    i, j = acd.vertex_index[e.source], acd.edge_index[e.id]
-    t, w = acd.tree(j), e.target
-    if j == i:
-        tau = max((leaf[:k] for k in range(len(leaf) + 1)
-                   if e.id in t.label[leaf[:k]]), key=len)
-    else:
-        tau = ()
+    i, j, w = acd.vertex_index[e.source], acd.edge_index[e.id], e.target
+    tau = deepest_holding_prefix(acd.tree(i), leaf, e.id) if j == i else ()
     t = acd.tree(acd.vertex_index[w])
 
     def kept(n):
