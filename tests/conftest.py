@@ -6,7 +6,8 @@ import pytest
 from acdkit import (BuchiCondition, CoBuchiCondition, MullerCondition,
                     ParityCondition, RabinCondition, StreettCondition,
                     TransitionSystem)
-from families import cycle_game, path_game  # noqa: F401  (re-exported)
+from families import (  # noqa: F401  (re-exported)
+    alternating_path_game, cycle_game, path_game)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -23,10 +23,21 @@ def cycle_game(n):
 
 def path_game(n):
     """One-player Eve path with distinct even priorities 2i, closed by a
-    self-loop: Eve wins everywhere, and the attractor decomposition nests
-    one subgame per priority."""
+    self-loop: Eve wins everywhere."""
+    return _path(n, 2)
+
+
+def alternating_path_game(n):
+    """The same path with priority i on edge i, so the priorities
+    alternate in parity: the player of the last priority, n - 1, wins
+    everywhere, and the attractor decomposition nests one subgame per
+    priority."""
+    return _path(n, 1)
+
+
+def _path(n, step):
     vs = ["p%d" % i for i in range(n)]
     edges = [("a%d" % i, vs[i], vs[min(i + 1, n - 1)]) for i in range(n)]
     return (TransitionSystem(vs, edges, [vs[0]],
                              owners={v: "Eve" for v in vs}),
-            ParityCondition({e[0]: 2 * i for i, e in enumerate(edges)}))
+            ParityCondition({e[0]: step * i for i, e in enumerate(edges)}))

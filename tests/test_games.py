@@ -10,10 +10,10 @@ import acdkit
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, solve_muller_game, solve_parity_game,
                     verify_parity_solution)
-from acdkit.core import _over
+from acdkit.core import _over, _reading
 from acdkit.games import ParitySolution
-from conftest import (cycle_game, path_game, random_muller_system,
-                      random_system)
+from conftest import (alternating_path_game, cycle_game, path_game,
+                      random_muller_system, random_system)
 from oracles import (brute_force_parity_regions, naive_certificate_problems,
                      set_based_parity_solution)
 
@@ -202,6 +202,36 @@ def test_parity_matches_brute_force_random():
         assert sol.regions == want
 
 
+# priority sets with gaps and with runs of one parity, such as 2, 4 or 8, 9
+GAPPED = [(0, 2, 4, 5, 8, 9, 11), (1, 3, 4, 6, 7, 10), (0, 1, 3, 5, 6),
+          (2, 3, 7, 9, 12, 14)]
+
+
+def test_gapped_priorities_match_brute_force():
+    """Small random games whose priorities come from sets with gaps and
+    with adjacent values of one parity, read through edge ids, colours
+    or a condition over edges: the regions are the brute force's and the
+    certificate is clean.  Most games have two priorities of one parity
+    next to each other among those present."""
+    rng = random.Random(20)
+    runs = 0
+    for reading in ("ids", "colours", "edges"):
+        for _ in range(150):
+            game = _random_game(rng, reading, values=rng.choice(GAPPED),
+                                most=6)
+            ts = game.ts
+            key, _ = _reading(ts, game.condition)
+            prios = {e.id: game.condition.priorities[key(e.id)]
+                     for e in ts.edges}
+            sol = solve_parity_game(game)
+            assert sol.regions == brute_force_parity_regions(
+                ts, ts.owners, lambda e: prios[e.id])
+            assert verify_parity_solution(game, sol) == []
+            present = sorted(set(prios.values()))
+            runs += any(a % 2 == b % 2 for a, b in zip(present, present[1:]))
+    assert runs >= 100, runs
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_cycle_games_match_brute_force(n):
     ts, cond = cycle_game(n)
@@ -219,6 +249,16 @@ def test_deep_path_game_in_process():
     game = Game(*path_game(2000))
     sol = solve_parity_game(game)
     assert set(sol.regions.values()) == {"Eve"}
+    assert verify_parity_solution(game, sol) == []
+
+
+def test_deep_alternating_path_in_process():
+    """Priority i on edge i: the decomposition nests one subgame per
+    priority, and 2000 of them are far beyond the default recursion
+    limit.  Adam wins through the odd self-loop at the end."""
+    game = Game(*alternating_path_game(2000))
+    sol = solve_parity_game(game)
+    assert set(sol.regions.values()) == {"Adam"}
     assert verify_parity_solution(game, sol) == []
 
 
@@ -372,13 +412,14 @@ def test_memo_keeps_floors_apart():
     assert [v for v, p in sol.regions.items() if p == "Adam"] == ["v4", "v6"]
 
 
-def _random_game(rng, reading="ids", shape=None):
-    """At most 25 vertices, 1-3 out-edges each, 1-9 priorities, or the
-    (vertices, out-degree, priorities) of `shape`.  The priorities name
+def _random_game(rng, reading="ids", shape=None, values=None, most=25):
+    """At most `most` vertices, 1-3 out-edges each, 1-9 priorities, or the
+    (vertices, out-degree, priorities) of `shape`; the priorities are
+    drawn from `values` when it is given.  The priorities name
     the edge ids ("ids"), the edge ids through a condition over edges
     ("edges"), or colours ("colours"): a partial colour map whose colours
     repeat, one of them named like an edge's id."""
-    n = shape[0] if shape else rng.randint(1, 25)
+    n = shape[0] if shape else rng.randint(1, most)
     vs = ["v%d" % i for i in range(n)]
     edges = [("e%d_%d" % (i, j), v, rng.choice(vs)) for i, v in enumerate(vs)
              for j in range(shape[1] if shape else rng.randint(1, 3))]
@@ -394,7 +435,8 @@ def _random_game(rng, reading="ids", shape=None):
                    if rng.random() < 0.7}
         ids = sorted({colours.get(eid, eid) for eid in ids})
     ts = TransitionSystem(vs, edges, [vs[0]], owners=owners, colours=colours)
-    cond = ParityCondition({c: rng.randrange(k) for c in ids})
+    draw = rng.choice if values else rng.randrange
+    cond = ParityCondition({c: draw(values or k) for c in ids})
     return Game(ts, _over(cond, "edges") if reading == "edges" else cond)
 
 
