@@ -229,7 +229,8 @@ def verify_parity_solution(game, solution):
     target in one subset test.  Only when that fails does a per-vertex
     walk name the problems, in the system's vertex order.  Strategy
     entries outside the winner's own vertices of the region are not
-    read."""
+    read, and a region or strategy container that is not a dict reads
+    as empty."""
     ts = game.ts
     owners, out, by_id = ts.owners, ts.out, ts._by_id
     cond, target = game.condition, attrgetter("target")
@@ -237,8 +238,10 @@ def verify_parity_solution(game, solution):
     owned = {p: [v for v in ts.vertices if owners[v] == p]
              for p in ("Eve", "Adam")}
     problems = []
+    given = _dict(solution.regions)
+    strategies = _dict(solution.strategies)
     regions = {"Eve": set(), "Adam": set()}
-    for v, w in solution.regions.items():
+    for v, w in given.items():
         if v not in vertices:
             problems.append("region entry for unknown vertex %r" % v)
         elif w not in ("Eve", "Adam"):
@@ -246,16 +249,16 @@ def verify_parity_solution(game, solution):
         else:
             regions[w].add(v)
     problems += ["vertex %r is in no region" % v
-                 for v in sorted(vertices.difference(solution.regions))]
+                 for v in sorted(vertices.difference(given))]
     for player, region in regions.items():
-        moves = solution.strategies.get(player, {})
+        moves = _dict(strategies.get(player))
         own = list(filter(region.__contains__, owned[player]))
         theirs = filter(region.__contains__, owned[_other(player)])
         try:
             allowed = list(map(by_id.__getitem__, map(moves.__getitem__, own)))
             fits = [e.source for e in allowed] == own
-        except (AttributeError, KeyError, TypeError):
-            fits = False    # a missing, unknown or unhashable move, or no map
+        except (KeyError, TypeError):
+            fits = False    # a missing, unknown or unhashable move
         if fits:
             allowed += chain.from_iterable(map(out, theirs))
             fits = region.issuperset(map(target, allowed))
@@ -285,6 +288,11 @@ def verify_parity_solution(game, solution):
                 "cycle with minimum priority %d inside the %s region"
                 % (d, player))
     return problems
+
+
+def _dict(container):
+    """`container` if it is a dict, else an empty one."""
+    return container if isinstance(container, dict) else {}
 
 
 def _allowed_edges(ts, player, region, moves, problems):

@@ -372,14 +372,19 @@ def naive_certificate_problems(game, solution):
     or Adam; within each region, the winner's strategy must pick an
     out-edge and keep play in the region, and a losing priority d is
     reported when some edge of priority d lies in an SCC of the allowed
-    edges of priority >= d, that is, when some cycle has minimum d.  SCCs
-    come from `_scc_edge_sets`, not from the library."""
+    edges of priority >= d, that is, when some cycle has minimum d.  A
+    region or strategy container that is not a dict counts as empty.
+    SCCs come from `_scc_edge_sets`, not from the library."""
     ts = game.ts
     key, _ = _reading(ts, game.condition)
     vertices = set(ts.vertices)
     problems = []
+    given = solution.regions if isinstance(solution.regions, dict) else {}
+    strategies = solution.strategies
+    if not isinstance(strategies, dict):
+        strategies = {}
     regions = {"Eve": set(), "Adam": set()}
-    for v, w in solution.regions.items():
+    for v, w in given.items():
         if v not in vertices:
             problems.append("region entry for unknown vertex %r" % v)
         elif w not in ("Eve", "Adam"):
@@ -387,12 +392,15 @@ def naive_certificate_problems(game, solution):
         else:
             regions[w].add(v)
     problems += ["vertex %r is in no region" % v for v in sorted(ts.vertices)
-                 if v not in solution.regions]
+                 if v not in given]
     for player, region in regions.items():
+        moves = strategies.get(player)
+        if not isinstance(moves, dict):
+            moves = {}
         allowed = []
         for v in sorted(region):
             if ts.owners[v] == player:
-                eid = solution.strategies.get(player, {}).get(v)
+                eid = moves.get(v)
                 if eid is None:
                     problems.append("%s has no move at %r" % (player, v))
                     continue

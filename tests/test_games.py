@@ -534,31 +534,38 @@ def _pq_game():
     return Game(ts, ParityCondition({"a": 1, "b": 0}))
 
 
-@pytest.mark.parametrize("regions,moves,want", [
-    ({"p": "Eve", "q": "Eve"}, {"p": "b", "q": "b"},
+@pytest.mark.parametrize("regions,strategies,want", [
+    ({"p": "Eve", "q": "Eve"}, {"Eve": {"p": "b", "q": "b"}},
      ["Eve's move 'b' at 'p' is not an out-edge of it"]),
-    ({"p": "Eve", "q": "Eve"}, {"p": "zz", "q": "b"},
+    ({"p": "Eve", "q": "Eve"}, {"Eve": {"p": "zz", "q": "b"}},
      ["Eve's move 'zz' at 'p' is not an out-edge of it"]),
-    ({"p": "Eve", "q": "Eve"}, {"p": 7, "q": "b"},
+    ({"p": "Eve", "q": "Eve"}, {"Eve": {"p": 7, "q": "b"}},
      ["Eve's move 7 at 'p' is not an out-edge of it"]),
-    ({"p": "Eve", "q": "Eve"}, {"p": ["a"], "q": "b"},
+    ({"p": "Eve", "q": "Eve"}, {"Eve": {"p": ["a"], "q": "b"}},
      ["Eve's move ['a'] at 'p' is not an out-edge of it"]),
-    ({}, {}, ["vertex 'p' is in no region", "vertex 'q' is in no region"]),
-    ({"p": "Bob", "q": "Eve"}, {"q": "b"},
+    ({}, {"Eve": {}}, ["vertex 'p' is in no region",
+                       "vertex 'q' is in no region"]),
+    ({"p": "Bob", "q": "Eve"}, {"Eve": {"q": "b"}},
      ["region of 'p' is 'Bob', not Eve or Adam"]),
-    ({"r": "Eve", "p": "Adam", "q": "Eve"}, {"q": "b"},
+    ({"r": "Eve", "p": "Adam", "q": "Eve"}, {"Eve": {"q": "b"}},
      ["region entry for unknown vertex 'r'"]),
+    ({"p": "Adam", "q": "Eve"}, {"Adam": {}}, ["Eve has no move at 'q'"]),
+    ({"p": "Adam", "q": "Eve"}, {"Eve": None}, ["Eve has no move at 'q'"]),
     ({"p": "Adam", "q": "Eve"}, None, ["Eve has no move at 'q'"]),
+    ({"p": "Adam", "q": "Eve"}, {"Eve": ["b"]}, ["Eve has no move at 'q'"]),
+    (None, {"Eve": {"q": "b"}}, ["vertex 'p' is in no region",
+                                 "vertex 'q' is in no region"]),
 ], ids=["foreign-move", "unknown-edge", "int-move", "unhashable-move",
-        "no-regions", "bad-player",
-        "unknown-vertex", "no-strategy-map"])
-def test_verify_reports_malformed_certificates(regions, moves, want):
-    """`moves` is Eve's strategy, or None for a solution without one."""
+        "no-regions", "bad-player", "unknown-vertex", "no-strategy-map",
+        "strategy-map-none", "strategies-none", "strategy-map-list",
+        "regions-none"])
+def test_verify_reports_malformed_certificates(regions, strategies, want):
+    """A region or strategy container that is not a dict reads as
+    empty."""
     game = _pq_game()
     sol = solve_parity_game(game)
     assert sol.regions == {"p": "Adam", "q": "Eve"}
     assert verify_parity_solution(game, sol) == []
-    strategies = {"Adam": {}} if moves is None else {"Eve": moves, "Adam": {}}
     bad = ParitySolution(regions, strategies)
     assert verify_parity_solution(game, bad) == want
     assert naive_certificate_problems(game, bad) == want
