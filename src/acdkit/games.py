@@ -1,12 +1,15 @@
 """Two-player games on transition systems: an attractor-based parity game
 solver with certified strategies, and Muller games solved through the
 parity transformation.  The solver walks Zielonka's decomposition on the
-system's vertices and edge priorities, on an explicit stack; a subgame is
-alive vertex marks, cut and healed by each level's attractor, and a floor
-on edge priorities, so paths are linear and deep games do not hit Python's
-recursion limit.  Each distinct subgame of the second recursive call is
-solved once per call, so the cycle family stays polynomial.  The
-certificate check peels SCCs by least priority, apart from the solver."""
+system's vertices and edge priorities, on an explicit stack; a level is a
+run of priorities of one parity, which no play can tell apart, and a
+subgame is alive vertex marks, cut and healed by each level's attractor,
+and a floor level, so deep games do not hit Python's recursion limit.  A
+frame also takes in the levels of its parity above its own while the
+subgame has no edge of the level between.  Each distinct subgame of the
+second recursive call is solved once per call, so the cycle family stays
+polynomial.  The certificate check peels SCCs by least priority, apart
+from the solver."""
 
 from __future__ import annotations
 
@@ -74,12 +77,21 @@ def solve_parity_game(game):
     per subgame, so the size of the game is not limited by Python's
     recursion depth.  The board is the system's own vertices, with the
     priorities on the edges; its edge lists are built once per game and
-    shared by every subgame.  A subgame is a bytearray of alive vertex
-    marks and a floor: its edges join alive vertices and have a level of
-    at least the floor.  A frame marks its attractor dead while its child
-    runs and alive again after, so a level costs its attractor.  The
-    subgames of the second recursive call are solved once per call,
-    keyed by (floor, bytes(alive)), and reused."""
+    shared by every subgame.  The sorted priorities are split wherever
+    the parity changes, and an edge's level is the index of its run.  A
+    subgame is a bytearray of alive vertex marks and a floor: its edges
+    join alive vertices and have a level of at least the floor.
+
+    A frame takes the lowest level d with an edge in its subgame, then
+    each level d + 2, d + 4, ... while the level below it has none: the
+    priorities of those levels are the subgame's least run of one
+    parity.  Their edges, in ascending edge index, seed the frame
+    player's attractor; its child gets the floor above the last level
+    taken, while the escape attractor and the second call keep floor d.
+    A frame marks its attractor dead while its child runs and alive
+    again after; where an attractor takes the whole subgame, the child
+    would be empty and the frame does not yield it.  The subgames of the second recursive call are solved once
+    per call, keyed by (floor, bytes(alive)), and reused."""
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts
@@ -93,12 +105,18 @@ def solve_parity_game(game):
     tgt = [vnode[e.target] for e in edges]
     prio = list(map(game.condition.priorities.__getitem__,
                     _edge_keys(ts, game.condition, ids)))
-    levels = sorted(set(prio))
-    lvl = list(map({d: i for i, d in enumerate(levels)}.__getitem__, prio))
+    players = []    # the player of each run of one parity, ascending
+    run = {}
+    for d in sorted(set(prio)):
+        player = "Adam" if d % 2 else "Eve"
+        if not players or players[-1] != player:
+            players.append(player)
+        run[d] = len(players) - 1
+    lvl = list(map(run.__getitem__, prio))
     owner = list(map(ts.owners.__getitem__, vertices))
     succ = [[] for _ in vertices]
     preds = [[] for _ in vertices]
-    buckets = [[] for _ in levels]
+    buckets = [[] for _ in players]
     for e, (s, t, d) in enumerate(zip(src, tgt, lvl)):
         succ[s].append(e)
         preds[t].append(e)
@@ -110,7 +128,7 @@ def solve_parity_game(game):
         the sources of the edges `seeds` in the subgame of the alive
         vertices and the edges of level `d` or more.  The walk back takes
         in-edges of level `low` or more: the first attractor's seeds are
-        all the d-edges, so each is counted once."""
+        all the subgame's edges below `low`, so each is counted once."""
         region = set(base)
         strat = {}
         pending = sorted(base)
@@ -146,32 +164,45 @@ def solve_parity_game(game):
         for n in region:
             alive[n] = flag
 
+    def live(level):
+        """The edges of `level` between alive vertices, ascending."""
+        return [e for e in buckets[level] if alive[src[e]] and alive[tgt[e]]]
+
     def solve(level, size):
         """Frame of the subgame of the `size` alive vertices and the edges
         of level `level` or more: for each subgame it needs solved, marks
         the others dead, yields (floor, size), receives the solution and
         revives them.  Returns (regions, strategies) for the caller to
-        own.  The first child also drops the least level's remaining
-        edges, which leave the opponent's vertices outside the attractor."""
-        if not size:
-            return {"Eve": [], "Adam": []}, {"Eve": {}, "Adam": {}}
-        target = [e for e in buckets[level]
-                  if alive[src[e]] and alive[tgt[e]]]
+        own.  The first child also drops the remaining edges of the levels
+        taken, which leave the opponent's vertices outside the attractor."""
+        target = live(level)
         while not target:
             level += 1
-            target = [e for e in buckets[level]
-                      if alive[src[e]] and alive[tgt[e]]]
-        player = "Eve" if levels[level] % 2 == 0 else "Adam"
+            target = live(level)
+        top = level
+        while top + 2 < len(buckets) and not any(
+                alive[src[e]] and alive[tgt[e]] for e in buckets[top + 1]):
+            top += 2
+            target += live(top)
+        if top > level:
+            target.sort()
+        player = players[level]
         opp = _other(player)
-        attracted, astrat = attract(player, level, level + 1, (), target)
+        attracted, astrat = attract(player, level, top + 1, (), target)
+        if len(attracted) == size:
+            return {player: attracted, opp: []}, {player: astrat, opp: {}}
         mark(attracted, 0)
-        regions, strats = yield level + 1, size - len(attracted)
+        regions, strats = yield top + 1, size - len(attracted)
         mark(attracted, 1)
         if not regions[opp]:
             strats[player].update(astrat)
             regions[player] += attracted
             return regions, strats
         escape, bstrat = attract(opp, level, level, regions[opp])
+        ostrat = strats[opp]
+        ostrat.update(bstrat)
+        if len(escape) == size:
+            return {player: [], opp: escape}, {player: {}, opp: ostrat}
         mark(escape, 0)
         rest = level, bytes(alive)
         if rest not in memo:
@@ -179,13 +210,11 @@ def solve_parity_game(game):
         mark(escape, 1)
         regions2, strats2 = _fresh(memo[rest])
         regions2[opp] += escape
-        ostrat = strats[opp]
-        ostrat.update(bstrat)
         ostrat.update(strats2[opp])
         return regions2, {player: strats2[player], opp: ostrat}
 
     # Second-call solutions by floor and alive marks: the cycle family
-    # meets a few hundred distinct ones (268 at n = 40), which plain
+    # meets a few hundred distinct ones (248 at n = 40), which plain
     # Zielonka solves again and again.  Parents extend what they receive
     # in place, so the memo hands out copies.
     memo = {}

@@ -244,8 +244,8 @@ def test_cycle_games_match_brute_force(n):
 
 
 def test_deep_path_game_in_process():
-    """The decomposition nests one subgame per priority; 2000 of them
-    are far beyond the default recursion limit."""
+    """The path's priorities are all even, one run, so one frame and its
+    attractor solve all 2000 vertices."""
     game = Game(*path_game(2000))
     sol = solve_parity_game(game)
     assert set(sol.regions.values()) == {"Eve"}
@@ -281,8 +281,9 @@ def test_cycle_game_40_in_subprocess():
 
 
 def test_long_path_game_in_subprocess():
-    """A level costs its attractor, not its subgame, so paths are linear;
-    the set-based walk took 5.3 s at n = 8000 and 4x per doubling."""
+    """One run of even priorities: the path is one frame and one
+    attractor, linear in its length: solving and checking 40000
+    vertices takes under a second."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(acdkit.__file__))
     code = ("from acdkit import Game, solve_parity_game, "
