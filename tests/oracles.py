@@ -170,7 +170,10 @@ def set_based_parity_solution(game):
     priorities on the edges and the tie-breaks of `solve_parity_game`, but
     with each subgame a floor and a frozenset of vertices, copied at every
     level, and plain recursion.  A subgame's edges are those between its
-    vertices whose priority is at least its floor.  Returns the
+    vertices whose priority is at least its floor.  A subgame's target is
+    its edges whose priority lies in the least run of one parity among
+    the priorities present, by edge index; the first child's floor is the
+    least present priority of the other parity.  Returns the
     ParitySolution, whose regions and strategies, dict order included, the
     solver must reproduce, the number of frames that reached the second
     recursive call, and the number of vertex sets that the memo of the
@@ -240,12 +243,14 @@ def set_based_parity_solution(game):
             return src[e] in nodes and tgt[e] in nodes and prio[e] >= floor
 
         inner = [e for e in range(len(edges)) if in_game(e)]
-        least = min(prio[e] for e in inner)
-        target = [e for e in inner if prio[e] == least]
+        present = sorted({prio[e] for e in inner})
+        least = present[0]
+        above = [d for d in present if d % 2 != least % 2] + [present[-1] + 1]
+        target = [e for e in inner if prio[e] < above[0]]
         player = "Eve" if least % 2 == 0 else "Adam"
         opp = "Adam" if player == "Eve" else "Eve"
         attracted, astrat = attract(player, (), target, in_game)
-        regions, strats = solve(least + 1, nodes - attracted)
+        regions, strats = solve(above[0], nodes - attracted)
         if not regions[opp]:
             strat = strats[player]
             strat.update(astrat)
