@@ -90,8 +90,9 @@ def solve_parity_game(game):
     taken, while the escape attractor and the second call keep floor d.
     A frame marks its attractor dead while its child runs and alive
     again after; where an attractor takes the whole subgame, the child
-    would be empty and the frame does not yield it.  The subgames of the second recursive call are solved once
-    per call, keyed by (floor, bytes(alive)), and reused."""
+    would be empty and the frame does not yield it.  The subgames of the
+    second recursive call are solved once per call, keyed by
+    (floor, bytes(alive)), and reused."""
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts

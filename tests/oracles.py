@@ -245,12 +245,13 @@ def set_based_parity_solution(game):
         inner = [e for e in range(len(edges)) if in_game(e)]
         present = sorted({prio[e] for e in inner})
         least = present[0]
-        above = [d for d in present if d % 2 != least % 2] + [present[-1] + 1]
-        target = [e for e in inner if prio[e] < above[0]]
+        other = [d for d in present if d % 2 != least % 2]
+        above = other[0] if other else present[-1] + 1
+        target = [e for e in inner if prio[e] < above]
         player = "Eve" if least % 2 == 0 else "Adam"
         opp = "Adam" if player == "Eve" else "Eve"
         attracted, astrat = attract(player, (), target, in_game)
-        regions, strats = solve(above[0], nodes - attracted)
+        regions, strats = solve(above, nodes - attracted)
         if not regions[opp]:
             strat = strats[player]
             strat.update(astrat)
@@ -385,9 +386,8 @@ def naive_certificate_problems(game, solution):
     vertices = set(ts.vertices)
     problems = []
     given = solution.regions if isinstance(solution.regions, dict) else {}
-    strategies = solution.strategies
-    if not isinstance(strategies, dict):
-        strategies = {}
+    strategies = (solution.strategies
+                  if isinstance(solution.strategies, dict) else {})
     regions = {"Eve": set(), "Adam": set()}
     for v, w in given.items():
         if v not in vertices:
