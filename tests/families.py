@@ -1,8 +1,10 @@
-"""Parity game families that the tests build at scale.  No test-framework
+"""Families of systems that the tests build at scale.  No test-framework
 import here, so a child process can import this module wherever pytest is
 installed."""
 
-from acdkit import ParityCondition, TransitionSystem
+import itertools
+
+from acdkit import MullerCondition, ParityCondition, TransitionSystem
 
 
 def cycle_game(n):
@@ -41,3 +43,14 @@ def _path(n, step):
     return (TransitionSystem(vs, edges, [vs[0]],
                              owners={v: "Eve" for v in vs}),
             ParityCondition({e[0]: step * i for i, e in enumerate(edges)}))
+
+
+def even_muller(k):
+    """even/k: one vertex with self-loops c0 .. c{k-1} under the Muller
+    family "an even number of colours".  Its Zielonka tree has k! branches
+    and height k, so its transform has k! vertices, k * k! edges and k
+    priorities."""
+    colours = ["c%d" % i for i in range(k)]
+    return (TransitionSystem(["v"], [(c, "v", "v") for c in colours], ["v"]),
+            MullerCondition(s for r in range(2, k + 1, 2)
+                            for s in itertools.combinations(colours, r)))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,13 +6,13 @@ import pytest
 from acdkit import (CapExceeded, InputError, MullerCondition,
                     ParityCondition, TransitionSystem, acd_stats,
                     acd_transform, build_acd, build_zielonka_tree,
-                    check_local, check_structural, classify_acd,
-                    induced_morphism, loop_status_over, multi_supp,
-                    subtree_for_state)
+                    build_zt_automaton, check_local, check_structural,
+                    classify_acd, compose, induced_morphism,
+                    loop_status_over, multi_supp, subtree_for_state)
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
-from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
-                      random_system, recoloured)
+from conftest import (CONDITION_KINDS, even_muller, random_condition,
+                      random_muller_system, random_system, recoloured)
 from oracles import deepest_holding_prefix, loop_preserving
 
 
@@ -297,3 +298,22 @@ def test_parity_chain_transform_is_the_system():
         cond.priorities
     assert sorted(res.condition.priorities.values()) == list(range(n))
     assert acd_stats(res.acd)["interval"] == (0, n - 1)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_even_muller_sizes_in_closed_form(k):
+    """even/k: the transform, the Zielonka-tree automaton and the product
+    of that automaton with the one-vertex host each have k! vertices,
+    k * k! edges and k priorities; the tree's root accepts iff k is even."""
+    ts, cond = even_muller(k)
+    res = acd_transform(ts, cond)
+    zt = build_zt_automaton(build_zielonka_tree(cond.family, ts.colour_set()))
+    product = compose(zt.automaton, ts, cond)
+    for system, parity in [(res.system, res.condition),
+                           (zt.automaton.ts, zt.automaton.condition),
+                           (product.system, product.condition)]:
+        assert len(system.vertices) == math.factorial(k)
+        assert len(system.edges) == k * math.factorial(k)
+        assert len({parity.priorities[system.colour(e.id)]
+                    for e in system.edges}) == k
+    assert zt.interval == ((0, k - 1) if k % 2 == 0 else (1, k))

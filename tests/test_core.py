@@ -6,9 +6,9 @@ import pytest
 from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     ParityCondition, RabinCondition, Run, StreettCondition,
                     TransitionSystem, build_zielonka_tree, build_zt_automaton,
-                    compose, enumerate_reachable_loops, equivalent_over,
-                    loop_status, loop_status_over, to_explicit_muller,
-                    validate)
+                    check_local, check_structural, compose,
+                    enumerate_reachable_loops, equivalent_over, loop_status,
+                    loop_status_over, to_explicit_muller, validate)
 from acdkit.core import Edge, _components, _reach, _tarjan_marks
 from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
                       random_system, recoloured)
@@ -339,6 +339,31 @@ def test_compose_zf2_with_singleton_system():
     product = compose(zt.automaton, host, MullerCondition(fam))
     assert len(product.system.vertices) == len(zt.states)
     assert len(product.system.edges) == len(zt.automaton.ts.edges)
+
+
+def test_compose_onto_a_game_keeps_owners_and_letters():
+    """A host with owners, letters and colours: each product vertex keeps
+    its owner, each product edge its letter, and the projection is a
+    locally bijective morphism."""
+    host = TransitionSystem(
+        ["u", "w"], [("e1", "u", "w"), ("e2", "w", "u"), ("e3", "w", "w")],
+        ["u"], owners={"u": "Eve", "w": "Adam"},
+        letters={"e1": "x", "e2": "y", "e3": "x"},
+        colours={"e1": "a", "e2": "b", "e3": "a"})
+    cond = MullerCondition([{"a"}, {"b"}])
+    zt = build_zt_automaton(build_zielonka_tree(cond.family, {"a", "b"}))
+    product = compose(zt.automaton, host, cond)
+    m = product.projection
+    ts = product.system
+    assert len(ts.vertices) > len(host.vertices)
+    for v in ts.vertices:
+        assert ts.owners[v] == host.owners[m.apply_vertex(v)]
+    for e in ts.edges:
+        assert ts.letter(e.id) == host.letter(m.apply_edge(e.id))
+        assert zt.automaton.ts.letter(ts.colour(e.id)) == \
+            host.colour(m.apply_edge(e.id))
+    assert check_structural(m) == (True, [])
+    assert check_local(m)["bijective"]
 
 
 def test_run_validation_and_colours(sixstate):
