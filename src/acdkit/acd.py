@@ -3,12 +3,13 @@ parity transformation read off from it."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import loops as _loops
 from . import zielonka as _zielonka
 from .core import (InputError, Morphism, ParityCondition, TransitionSystem,
-                   validate)
+                   _lift, validate)
 from .zielonka import _node_name
 
 
@@ -128,10 +129,6 @@ def multi_supp(acd, leaf, i, eid):
     return (j, _zielonka.supp(acd.tree(i), leaf, eid) if j == i else ())
 
 
-def _state_id(q, leaf):
-    return "%s|%s" % (q, _node_name(leaf))
-
-
 @dataclass
 class TransformResult:
     system: TransitionSystem
@@ -144,40 +141,22 @@ class TransformResult:
 
 def acd_transform(ts, cond, explore_cap=None):
     """Parity transition system with one copy of each vertex per branch of
-    its subtree; equivalent to the input and connected to it by a locally
-    bijective projection."""
+    its subtree: the input lifted along the branches (`core._lift`, whose
+    step is `ACD.edge_step`); equivalent to the input and connected to it
+    by a locally bijective projection."""
     acd = build_acd(ts, cond, explore_cap=explore_cap)
-    vertices = []
-    edges = []
-    priorities = {}
-    vmap = {}
-    emap = {}
-    copies = {}
-    owners = {}
-    letters = {}
-    for q in ts.vertices:
-        qcopies = []
-        for leaf in acd.subtree_for_state(q).leaves:
-            vid = _state_id(q, leaf)
-            vertices.append(vid)
-            vmap[vid] = q
-            qcopies.append(vid)
-            if ts.owners:
-                owners[vid] = ts.owners[q]
-            for e in ts.out(q):
-                prio, leaf2 = acd.edge_step(leaf, e)
-                eid = "%s|%s" % (e.id, _node_name(leaf))
-                edges.append((eid, vid, _state_id(e.target, leaf2)))
-                priorities[eid] = prio
-                emap[eid] = e.id
-                if ts.letters is not None:
-                    letters[eid] = ts.letter(e.id)
-        copies[q] = tuple(qcopies)
-    initial = [_state_id(v, acd.subtree_for_state(v).leaves[0])
-               for v in ts.initial]
-    system = TransitionSystem(vertices, edges, initial,
-                              owners=owners or None,
-                              letters=letters or None)
+    leaves = {q: acd.subtree_for_state(q).leaves for q in ts.vertices}
+    branch_name = functools.cache(_node_name)
+
+    def name(x, leaf):  # the copy of a vertex or an edge on a branch
+        return "%s|%s" % (x, branch_name(leaf))
+
+    system, priorities, vmap, emap = _lift(
+        ts, [(v, leaves[v][0]) for v in ts.initial],
+        [(q, leaf) for q in ts.vertices for leaf in leaves[q]],
+        acd.edge_step, name, name)
+    copies = {q: tuple(name(q, leaf) for leaf in leaves[q])
+              for q in ts.vertices}
     return TransformResult(system, ParityCondition(priorities), acd,
                            vmap, emap, copies)
 

@@ -509,8 +509,45 @@ class Product:
     projection: object  # Morphism onto the right-hand system, or None
 
 
-def _pair_vertex(v, q):
-    return "%s,%s" % (v, q)
+def _lift(ts, initial, starts, step, vertex_name, edge_name, coloured=False):
+    """`ts` lifted along a deterministic memory: one vertex per (vertex,
+    memory) pair reachable from the pairs `starts`, named once by
+    `vertex_name(v, m)`, and from it, for each edge `e` of `ts` leaving
+    `v`, an edge named `edge_name(e.id, m)` to (e.target, m2), where
+    `step(m, e)` is (label, m2).  Owners and letters are copied through
+    the projection; the pairs `initial`, reached from `starts`, are the
+    initial vertices.  Returns the lifted system, the label of each lifted
+    edge (also its colour when `coloured`), and the vertex and edge maps
+    of the projection onto `ts`."""
+    names = {}
+    stack = []
+    for p in starts:
+        if p not in names:
+            names[p] = vertex_name(*p)
+            stack.append(p)
+    stack.reverse()  # walk the starts in order: the edges come nearly sorted
+    vmap, emap, labels, edges = {}, {}, {}, []
+    while stack:
+        v, m = p = stack.pop()
+        vid = names[p]
+        vmap[vid] = v
+        for e in ts.out(v):
+            label, m2 = step(m, e)
+            q = (e.target, m2)
+            tid = names.get(q)
+            if tid is None:
+                tid = names[q] = vertex_name(*q)
+                stack.append(q)
+            eid = edge_name(e.id, m)
+            edges.append(Edge(eid, vid, tid))
+            emap[eid] = e.id
+            labels[eid] = label
+    system = TransitionSystem(
+        vmap, edges, [names[p] for p in initial],
+        owners=ts.owners and {u: ts.owners[v] for u, v in vmap.items()},
+        letters=ts.letters and {f: ts.letters[e] for f, e in emap.items()},
+        colours=labels if coloured else None)
+    return system, labels, vmap, emap
 
 
 def compose(automaton, ts, ts_condition=None):
@@ -519,53 +556,25 @@ def compose(automaton, ts, ts_condition=None):
     The automaton reads the colours of `ts` as its input letters.  Each
     product edge is coloured with the key the automaton's condition reads
     on the automaton edge taken, so the product carries that condition
-    over its colours.  When `ts_condition` is given, the returned
-    projection morphism targets (ts, ts_condition).
+    over its colours: `ts` lifted along the automaton's states
+    (`_lift`).  When `ts_condition` is given, the returned projection
+    morphism targets (ts, ts_condition).
     """
     missing = ts.colour_set() - automaton.alphabet
     if missing:
         raise InputError(
             "automaton alphabet misses colours: %s" % ", ".join(sorted(missing)))
-    vmap = {}
-    emap = {}
-    vertices = []
-    edges = []
-    letters = {}
-    colours = {}
-    owners = {}
-    initial = []
-    seen = set()
-    stack = []
-    for v in ts.initial:
-        pair = (v, automaton.initial)
-        initial.append(_pair_vertex(*pair))
-        if pair not in seen:
-            seen.add(pair)
-            stack.append(pair)
-    while stack:
-        v, q = stack.pop()
-        vid = _pair_vertex(v, q)
-        vertices.append(vid)
-        vmap[vid] = v
-        if ts.owners:
-            owners[vid] = ts.owners[v]
-        for e in ts.out(v):
-            ae = automaton.step(q, ts.colour(e.id))
-            eid = "%s,%s" % (e.id, q)
-            tgt = (e.target, ae.target)
-            edges.append((eid, vid, _pair_vertex(*tgt)))
-            emap[eid] = e.id
-            colours[eid] = automaton.key(ae.id)
-            if ts.letters is not None:
-                letters[eid] = ts.letter(e.id)
-            if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-    system = TransitionSystem(
-        vertices, edges, initial,
-        owners=owners or None,
-        letters=letters or None,
-        colours=colours)
+
+    def step(q, e):
+        ae = automaton.step(q, ts.colour(e.id))
+        return automaton.key(ae.id), ae.target
+
+    def name(x, q):
+        return "%s,%s" % (x, q)
+
+    pairs = [(v, automaton.initial) for v in ts.initial]
+    system, _, vmap, emap = _lift(ts, pairs, pairs, step, name, name,
+                                  coloured=True)
     cond = _over(automaton.condition, "colours")
     projection = None
     if ts_condition is not None:

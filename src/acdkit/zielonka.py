@@ -7,7 +7,8 @@ import functools
 import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _reach, _tarjan_marks)
+                   ParityCondition, TransitionSystem, _lift, _reach,
+                   _tarjan_marks)
 
 
 class ZielonkaTree:
@@ -215,7 +216,11 @@ def nextbranch(tree, leaf, node):
     if not kids:
         return node
     here = leaf[len(node)] if len(leaf) > len(node) else -1
-    node = next((c for c in kids if c[-1] > here), kids[0])
+    for node in kids:  # a loop, not next() over a generator: a hot path
+        if node[-1] > here:
+            break
+    else:
+        node = kids[0]
     while children[node]:
         node = children[node][0]
     return node
@@ -232,10 +237,9 @@ class ZTAutomaton:
     """Deterministic parity automaton whose states are the branches of a
     Zielonka tree."""
 
-    def __init__(self, automaton, tree, leaf_of_state, interval):
+    def __init__(self, automaton, tree, interval):
         self.automaton = automaton
         self.tree = tree
-        self.leaf_of_state = dict(leaf_of_state)
         self.interval = interval
 
     @property
@@ -262,23 +266,23 @@ def _node_name(node):
 
 
 def build_zt_automaton(tree):
-    states = {leaf: state_name(leaf) for leaf in tree.leaves}
-    edges = []
-    letters = {}
-    priorities = {}
-    for leaf in tree.leaves:
-        for a in sorted(tree.gamma):
-            tau = supp(tree, leaf, a)
-            tgt = nextbranch(tree, leaf, tau)
-            eid = "%s/%s" % (states[leaf], a)
-            edges.append((eid, states[leaf], states[tgt]))
-            letters[eid] = a
-            priorities[eid] = tree.priority(tau)
-    ts = TransitionSystem(
-        sorted(states.values()), edges,
-        [states[tree.leaves[0]]], letters=letters)
-    aut = Automaton(ts, ParityCondition(priorities))
-    return ZTAutomaton(aut, tree, {v: k for k, v in states.items()},
+    """The one-state automaton reading `tree.gamma`, lifted along the
+    branches of the tree (`core._lift`): a Zielonka tree is the
+    decomposition of a one-vertex system, and this automaton is that
+    system's transform, its states named by branch."""
+    one = TransitionSystem(["q"], [(a, "q", "q") for a in tree.gamma], ["q"],
+                           letters={str(a): a for a in tree.gamma})
+    names = {leaf: state_name(leaf) for leaf in tree.leaves}
+
+    def step(leaf, e):
+        tau = supp(tree, leaf, one.letters[e.id])
+        return tree.priority(tau), nextbranch(tree, leaf, tau)
+
+    ts, priorities, _, _ = _lift(
+        one, [("q", tree.leaves[0])], [("q", leaf) for leaf in tree.leaves],
+        step, lambda q, leaf: names[leaf],
+        lambda a, leaf: names[leaf] + "/" + a)
+    return ZTAutomaton(Automaton(ts, ParityCondition(priorities)), tree,
                        optimal_parity_interval(tree))
 
 
