@@ -12,6 +12,8 @@ from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
 DEFAULT_EXPLORE_CAP = 5000
+# a CapExceeded message names at most this many states of a loop
+_NAMED_STATES = 12
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,18 @@ def _flipped_subloops(ts, side, edges, explore_cap=None):
     return _maximal_flipped(
         edges, status(keys(edges)), shrink, lambda es: status(keys(es)),
         DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap,
-        lambda: "the loop on states {%s} with %d edges"
-        % (",".join(sorted(Loop.of(ts, edges).states)), len(edges)))
+        lambda: "the loop on states %s with %d edges"
+        % (_named(Loop.of(ts, edges).states), len(edges)))
+
+
+def _named(states):
+    """`{a,b,...}` listing the states, or past `_NAMED_STATES` of them the
+    least ones and the count, so that a message stays short."""
+    names = sorted(states)
+    if len(names) <= _NAMED_STATES:
+        return "{%s}" % ",".join(names)
+    return "{%s,...} (%d states)" % (",".join(names[:_NAMED_STATES]),
+                                     len(names))
 
 
 def alternating_children(ts, cond, loop, explore_cap=None):
@@ -137,9 +149,8 @@ def _reachable_maximal(ts, cap=None):
                            if e.source in reach and e.target in reach])
     for top in maximal:
         if cap is not None and len(top.edges) > cap:
-            raise CapExceeded(
-                "SCC %s has %d edges, above the loop cap %d"
-                % ("{%s}" % ",".join(sorted(top.states)), len(top.edges), cap))
+            raise CapExceeded("SCC %s has %d edges, above the loop cap %d"
+                              % (_named(top.states), len(top.edges), cap))
     return maximal
 
 

@@ -76,6 +76,29 @@ def test_alternating_children_cap(sixstate):
         alternating_children(ts, cond, big, explore_cap=2)
 
 
+def test_cap_messages_name_few_states_of_a_long_loop():
+    """A 200-vertex cycle with a self-loop at each vertex: both cap
+    messages name the loop's 12 least states and its state count, not all
+    200 states."""
+    vs = ["v%03d" % i for i in range(200)]
+    ts = TransitionSystem(
+        vs, [("c" + v, v, vs[(i + 1) % 200]) for i, v in enumerate(vs)]
+        + [("s" + v, v, v) for v in vs], [vs[0]],
+        colours=dict([("c" + v, "a") for v in vs]
+                     + [("s" + v, "b") for v in vs]))
+    cond = MullerCondition([{"a", "b"}])
+    states = "{%s,...} (200 states)" % ",".join(vs[:12])
+    with pytest.raises(CapExceeded) as err:
+        build_acd(ts, cond, explore_cap=1)
+    assert str(err.value) == (
+        "subloop exploration exceeded cap 1 in the loop on states %s with "
+        "400 edges: 2 subloops seen" % states)
+    with pytest.raises(CapExceeded) as err:
+        equivalent_over(ts, cond, cond, loop_cap=5)
+    assert str(err.value) == \
+        "SCC %s has 400 edges, above the loop cap 5" % states
+
+
 def test_enumerate_sixstate_small_scc(sixstate):
     ts, _ = sixstate
     found = {l.edges for l in enumerate_reachable_loops(ts)}
