@@ -18,21 +18,17 @@ from itertools import chain
 from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _components, _edge_keys, _reading, validate
+from .core import InputError, _components, _edge_keys, validate
 
 
 class Game:
     """A transition system where every vertex is owned by Eve or Adam;
     Eve wins a play iff the acceptance condition accepts it.  The
-    condition is checked against the system once, here (`core._reading`);
+    condition is checked against the system once, here (`core.validate`);
     the solver and the certificate read edge keys with `core._edge_keys`."""
 
     def __init__(self, ts, condition):
-        problems = validate(ts)
-        try:
-            _reading(ts, condition)
-        except InputError as e:
-            problems.append(str(e))
+        problems = validate(ts, condition)
         if problems:
             raise InputError("; ".join(problems))
         if ts.owners is None:
