@@ -297,16 +297,6 @@ def _cap(text):
         "a cap must be an integer of at least 1, got %r" % text)
 
 
-def _env_int(name):
-    v = os.environ.get(name)
-    if v is None:
-        return None
-    try:
-        return _cap(v)
-    except argparse.ArgumentTypeError as e:
-        raise InputError("%s: %s" % (name, e)) from None
-
-
 @functools.cache
 def build_parser():
     """The parser of COMMANDS, built on first use and kept: parsing leaves
@@ -337,10 +327,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.loop_cap is None:
-            args.loop_cap = _env_int("ACDKIT_LOOP_CAP")
-        if args.explore_cap is None:
-            args.explore_cap = _env_int("ACDKIT_EXPLORE_CAP")
         args.fn(args)
     except PropertyFalse as e:
         print("property check failed: %s" % e, file=sys.stderr)

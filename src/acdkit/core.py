@@ -436,11 +436,11 @@ class Automaton:
                     % (e.source, a))
             self._step[(e.source, a)] = e
         self.alphabet = frozenset(letters)
-        for q in ts.vertices:
-            for a in self.alphabet:
-                if (q, a) not in self._step:
-                    raise InputError(
-                        "automaton not complete at state %r, letter %r" % (q, a))
+        missing = min(((q, a) for q in ts.vertices for a in self.alphabet
+                       if (q, a) not in self._step), default=None)
+        if missing:
+            raise InputError(
+                "automaton not complete at state %r, letter %r" % missing)
         # each edge's key under the condition: its colour or its id
         self.key, _ = _reading(ts, condition)
 

@@ -232,8 +232,8 @@ def _q(s):
     return '"%s"' % str(s).replace("\\", "\\\\").replace('"', '\\"')
 
 
-def dot_system(ts, name="system"):
-    lines = ["digraph %s {" % name, "  rankdir=LR;"]
+def dot_system(ts):
+    lines = ["digraph system {", "  rankdir=LR;"]
     for v in ts.vertices:
         attrs = ["shape=circle"]
         if v in ts.initial:
@@ -269,15 +269,15 @@ def _dot_tree_nodes(lines, indent, prefix, tree, extra_of=None):
                             _q(prefix + _node_name(c))))
 
 
-def dot_tree(tree, name="zielonka"):
-    lines = ["digraph %s {" % name, "  node [fontsize=10];"]
+def dot_tree(tree):
+    lines = ["digraph zielonka {", "  node [fontsize=10];"]
     _dot_tree_nodes(lines, "  ", "", tree)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def dot_acd(acd, name="acd"):
-    lines = ["digraph %s {" % name, "  node [fontsize=10];"]
+def dot_acd(acd):
+    lines = ["digraph acd {", "  node [fontsize=10];"]
     for t in ((acd.tree(0),) if acd.t0_edges else ()) + acd.trees:
         lines.append("  subgraph cluster_t%d {" % t.index)
         lines.append("    label=%s;" % _q("t%d" % t.index))

@@ -42,7 +42,11 @@ class ZielonkaTree:
             self.label.update(zip(ids, kids))
             self.children_map[node] = ids
             stack.extend(ids)
-        self.nodes = tuple(sorted(self.label))
+        self._index()
+
+    def _index(self):
+        """Nodes, leaves and height, read off `children_map`."""
+        self.nodes = tuple(sorted(self.children_map))
         self.leaves = tuple(n for n in self.nodes if not self.children_map[n])
         self.height = 1 + max(len(n) for n in self.nodes)
 
@@ -56,16 +60,14 @@ class ZielonkaTree:
         """The subtree on the nodes in the set `kept`, which holds the root
         and the parent of each of its nodes: the same statuses, node order
         and `label` map (shared, so it also names dropped nodes), with
-        children, nodes and leaves of its own."""
+        children, nodes, leaves and height of its own."""
         sub = ZielonkaTree.__new__(ZielonkaTree)
         sub.even, sub.root_priority = self.even, self.root_priority
         sub.label = self.label
         sub.children_map = {
             n: tuple(c for c in self.children_map[n] if c in kept)
             for n in self.nodes if n in kept}
-        sub.nodes = tuple(sub.children_map)
-        sub.leaves = tuple(n for n, kids in sub.children_map.items()
-                           if not kids)
+        sub._index()
         return sub
 
 
@@ -352,19 +354,17 @@ def _delta_loops(g, gamma, delta):
     return found
 
 
-def min_parity_automaton_size(family, gamma, n_max, k_max=4,
-                              priority_values=None):
+def min_parity_automaton_size(family, gamma, n_max,
+                              priority_values=range(4)):
     """Smallest number of states of a deterministic complete parity
     automaton recognizing the family, found by exhaustive search; None when
     no automaton within the budget works.
 
-    Deliberately tiny budgets (n_max <= 3, |gamma| <= 3, k_max <= 4); this
-    is an oracle, not a construction.
+    Deliberately tiny budgets (n_max <= 3, |gamma| <= 3, at most 4
+    priority values); this is an oracle, not a construction.
     """
     gamma = sorted(gamma)
     fam = frozenset(frozenset(s) for s in family)
-    if priority_values is None:
-        priority_values = range(k_max)
     priority_values = list(priority_values)
     if n_max > 3 or len(gamma) > 3 or len(priority_values) > 4:
         raise InputError("search budget exceeded")
@@ -380,13 +380,13 @@ def min_parity_automaton_size(family, gamma, n_max, k_max=4,
     return None
 
 
-def min_parity_priority_count(family, gamma, n_max=2):
-    """Minimal number of distinct priorities any small deterministic parity
-    automaton needs to recognize the family (states bounded by n_max)."""
+def min_parity_priority_count(family, gamma):
+    """Minimal number of distinct priorities any deterministic parity
+    automaton of at most 2 states needs to recognize the family."""
     for count in range(1, 5):
         for base in (0, 1):
             values = list(range(base, base + count))
-            if min_parity_automaton_size(family, gamma, n_max,
+            if min_parity_automaton_size(family, gamma, 2,
                                          priority_values=values) is not None:
                 return count
     return None

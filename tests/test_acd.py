@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,7 +9,9 @@ from acdkit import (CapExceeded, InputError, MullerCondition,
                     acd_transform, build_acd, build_zielonka_tree,
                     build_zt_automaton, check_local, check_structural,
                     classify_acd, compose, induced_morphism,
-                    loop_status_over, multi_supp, subtree_for_state)
+                    loop_status_over, multi_supp, optimal_parity_interval,
+                    rabin_from_acd, shape, streett_from_acd,
+                    subtree_for_state)
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
 from conftest import (CONDITION_KINDS, even_muller, random_condition,
@@ -182,6 +185,24 @@ def random_acds(rng, count):
         yield ts, build_acd(ts, cond)
 
 
+def test_subtrees_are_whole_trees():
+    """A vertex's subtree is a full ZielonkaTree: its height is one more
+    than the depth of the deepest node whose loop visits the vertex, and
+    the interval and the serialiser read it."""
+    for ts, acd in random_acds(random.Random(43), 120):
+        for v in ts.vertices:
+            sub = acd.subtree_for_state(v)
+            t = acd.tree(sub.tree_index)
+            assert sub.height == 1 + max(len(n) for n in t.nodes
+                                         if v in t.states[n])
+            lo, hi = optimal_parity_interval(sub)
+            assert (lo, hi - lo) == (0 if sub.even else 1, sub.height - 1)
+            obj = docfmt.tree_to_obj(sub)
+            assert obj["height"] == sub.height
+            assert [n["node"] for n in obj["nodes"]] == \
+                [docfmt._node_name(n) for n in sub.nodes]
+
+
 def test_transient_part_under_every_tag():
     """The transient part is tree 0, a one-node tree, under each tag: its
     priority is the low end of the interval, its DOT cluster is one node,
@@ -317,3 +338,38 @@ def test_even_muller_sizes_in_closed_form(k):
         assert len({parity.priorities[system.colour(e.id)]
                     for e in system.edges}) == k
     assert zt.interval == ((0, k - 1) if k % 2 == 0 else (1, k))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_even_muller_tree_shapes_and_words(k):
+    """even/k: the Zielonka tree has height k and sum_{i<k} k!/(k-i)!
+    nodes; the ACD is that tree; only k = 2 has a shape (Streett, two
+    pairs); and the tree automaton accepts a lasso exactly when its cycle
+    uses an even number of distinct letters."""
+    ts, cond = even_muller(k)
+    tree = build_zielonka_tree(cond.family, ts.colour_set())
+    assert tree.height == k
+    assert len(tree.nodes) == sum(math.factorial(k) // math.factorial(k - i)
+                                  for i in range(k))
+    acd = build_acd(ts, cond)
+    stats = acd_stats(acd)
+    assert (stats["tree_heights"], stats["size"]) == ((k,), math.factorial(k))
+    streett = k == 2
+    report = classify_acd(acd)
+    assert (report.rabin_acd, report.streett_acd, report.parity_acd) == (
+        False, streett, False)
+    assert shape(tree) == {"rabin": False, "streett": streett,
+                           "parity": False}
+    with pytest.raises(InputError):
+        rabin_from_acd(ts, acd)
+    if streett:
+        assert len(streett_from_acd(ts, acd).pairs) == 2
+    else:
+        with pytest.raises(InputError):
+            streett_from_acd(ts, acd)
+    aut = build_zt_automaton(tree).automaton
+    words = [w for n in range(3)
+             for w in itertools.product(sorted(ts.colour_set()), repeat=n)]
+    for u in words:
+        for v in words[1:]:
+            assert aut.accepts_word(u, v) == (len(set(v)) % 2 == 0)

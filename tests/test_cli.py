@@ -234,17 +234,17 @@ def test_malformed_field_types(tmp_path, key, value):
     assert "Traceback" not in proc.stderr
 
 
-def test_cap_env_vars(tmp_path, monkeypatch):
-    monkeypatch.setenv("ACDKIT_LOOP_CAP", "2")
-    code, _ = run(tmp_path, "oracle-equiv", fx("sixstate.json"), fx("sixstate.json"))
-    assert code == 3
-    # explicit flag beats the environment
-    code, _ = run(tmp_path, "oracle-equiv", fx("sixstate.json"),
-                  fx("sixstate.json"), "--loop-cap", "50")
-    assert code == 0
-    monkeypatch.setenv("ACDKIT_LOOP_CAP", "notanint")
-    code, _ = run(tmp_path, "oracle-equiv", fx("sixstate.json"), fx("sixstate.json"))
-    assert code == 2
+def test_caps_ignore_the_environment(monkeypatch):
+    """Caps come only from their flags: variables named after them in the
+    environment, valid or not, change no output and no exit code."""
+    six = fx("sixstate.json")
+    for value in ("1", "x"):
+        monkeypatch.setenv("ACDKIT_LOOP_CAP", value)
+        monkeypatch.setenv("ACDKIT_EXPLORE_CAP", value)
+        proc = run_process("acd", six)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.encode("utf-8") == golden(("acd", six))
+        assert run_process("oracle-equiv", six, six).returncode == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -260,15 +260,54 @@ def test_cap_flags_below_one_are_input_errors(argv):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("name,value", [("ACDKIT_EXPLORE_CAP", "-3"),
-                                        ("ACDKIT_LOOP_CAP", "0")])
-def test_cap_env_vars_below_one_are_input_errors(monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    for sub in ("stats", "acd"):
-        proc = run_process(sub, fx("sixstate.json"))
+def test_incomplete_automaton_message_names_the_least_missing_pair(
+        tmp_path, monkeypatch):
+    """State q lacks the letters b and c: the message names ('q', 'b')
+    under every hash seed."""
+    aut = {"format": "acdkit/1",
+           "system": {"vertices": ["p", "q"], "initial": ["p"],
+                      "edges": [["pa", "p", "q"], ["pb", "p", "p"],
+                                ["pc", "p", "p"], ["qa", "q", "p"]],
+                      "letters": {"pa": "a", "pb": "b", "pc": "c",
+                                  "qa": "a"}},
+           "condition": {"type": "muller", "family": [["pa"]]}}
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(aut))
+    stderrs = set()
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_process("compose", str(path), fx("host01.json"))
         assert proc.returncode == 2
-        assert proc.stderr == "input error: %s: a cap must be an integer " \
-            "of at least 1, got '%s'\n" % (name, value)
+        stderrs.add(proc.stderr)
+    assert stderrs == {"input error: automaton not complete at state 'q', "
+                       "letter 'b'\n"}
+
+
+# one interpreter runs every invocation in turn; each one's stdout is
+# followed by NUL, its exit code and NUL (JSON output holds no raw NUL)
+ALL_IN_ONE = """
+import json, sys
+from acdkit import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    sys.stdout.write("\\0%d\\0" % code)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_every_golden_on_stdout_under_hash_seed(seed):
+    """The bytes the entry point writes to stdout equal every golden under
+    two hash seeds: no output follows set order."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", ALL_IN_ONE, json.dumps(ALL_INVOCATIONS)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == b""
+    parts = proc.stdout.split(b"\0")
+    assert len(parts) == 2 * len(ALL_INVOCATIONS) + 1 and parts[-1] == b""
+    for argv, out, code in zip(ALL_INVOCATIONS, parts[0::2], parts[1::2]):
+        assert (code, out) == (b"0", golden(argv)), argv
 
 
 # the copies of `p` in the transform of `eleven_self_loops`, one per branch
