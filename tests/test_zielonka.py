@@ -221,6 +221,21 @@ def test_min_parity_automaton_size():
                                      {"a", "b"}, n_max=1) == 1
 
 
+def test_min_parity_size_is_the_leaf_count():
+    # the size half of the minimality claim: no deterministic parity
+    # automaton is smaller than the tree's branch automaton
+    for fam_tuple in itertools.chain.from_iterable(
+            itertools.combinations([("a",), ("b",), ("a", "b")], r)
+            for r in range(0, 4)):
+        fam = [set(s) for s in fam_tuple]
+        leaves = build_zielonka_tree(fam, {"a", "b"}).leaves
+        assert min_parity_automaton_size(fam, {"a", "b"}, n_max=2) \
+            == len(leaves), fam
+    three = [{"a"}, {"b"}, {"c"}]
+    assert len(build_zielonka_tree(three, set("abc")).leaves) == 3
+    assert min_parity_automaton_size(three, set("abc"), n_max=2) is None
+
+
 def test_min_parity_size_budget():
     with pytest.raises(InputError):
         min_parity_automaton_size(F1, {"a", "b", "c", "d"}, n_max=2)
