@@ -47,32 +47,25 @@ class ACD:
             _acd_tree(i, ts, side, top, explore_cap=explore_cap)
             for i, top in enumerate(maximal, start=1))
         self.t0_edges = frozenset(transient)
-        self.vertex_index = {v: 0 for v in ts.vertices}
-        self.edge_index = {e.id: 0 for e in ts.edges}
-        for t in self.trees:
-            for v in t.states[()]:
-                self.vertex_index[v] = t.index
-            for eid in t.label[()]:
-                self.edge_index[eid] = t.index
         self.t0_states = frozenset(ts.vertices).difference(
             *(t.states[()] for t in self.trees))
-        maxh = max(t.height for t in self.trees)
-        kinds = {t.even for t in self.trees if t.height == maxh}
-        if kinds == {True}:
-            self.tag = "even"
-        elif kinds == {False}:
-            self.tag = "odd"
-            # priorities start at 1: an accepting root takes 2, not 0
-            for t in self.trees:
-                if t.even:
-                    t.root_priority = 2
-        else:
-            self.tag = "ambiguous"
-        self.max_height = maxh
+        self.max_height = max(t.height for t in self.trees)
+        kinds = {t.even for t in self.trees if t.height == self.max_height}
+        self.tag = ("ambiguous" if len(kinds) > 1
+                    else "even" if True in kinds else "odd")
+        for t in self.trees:
+            if self.tag == "odd" and t.even:
+                # priorities start at 1: an accepting root takes 2, not 0
+                t.root_priority = 2
         t0 = _zielonka.ZielonkaTree(self.t0_edges, self.tag != "odd",
                                     lambda edges: ())
         t0.index, t0.states = 0, {(): self.t0_states}
         self._forest = (t0,) + self.trees
+        # the roots' loops are disjoint, and tree 0's root holds the rest
+        self.vertex_index = {v: t.index for t in self._forest
+                             for v in t.states[()]}
+        self.edge_index = {eid: t.index for t in self._forest
+                           for eid in t.label[()]}
         self._subtrees = {v: self._build_subtree(v) for v in ts.vertices}
 
     def tree(self, index):

@@ -7,8 +7,7 @@ import functools
 import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _lift, _reach,
-                   _tarjan_marks)
+                   ParityCondition, TransitionSystem, _lift)
 
 
 class ZielonkaTree:
@@ -272,8 +271,8 @@ def build_zt_automaton(tree):
     branches of the tree (`core._lift`): a Zielonka tree is the
     decomposition of a one-vertex system, and this automaton is that
     system's transform, its states named by branch."""
-    one = TransitionSystem(["q"], [(a, "q", "q") for a in tree.gamma], ["q"],
-                           letters={str(a): a for a in tree.gamma})
+    one = TransitionSystem(["q"], [(str(a), "q", "q") for a in tree.gamma],
+                           ["q"], letters={str(a): a for a in tree.gamma})
     names = {leaf: state_name(leaf) for leaf in tree.leaves}
 
     def step(leaf, e):
@@ -329,64 +328,3 @@ def closure_oracle(family, gamma):
     return {"union_closed": union_closed,
             "intersection_closed": intersection_closed}
 
-
-def _delta_loops(g, gamma, delta):
-    """All loops of the transition structure reachable from state 0.
-
-    A loop is a set of transition slots (q, letter index) whose induced
-    graph on states is strongly connected.  Returns a list of
-    (slot index tuple, letter set) pairs, computed once per structure so
-    priority assignments can be screened cheaply.
-    """
-    reach = _reach([0], lambda q: delta[q * g:q * g + g])
-    slots = [(q, i, delta[q * g + i]) for q in sorted(reach) for i in range(g)]
-    found = []
-    for r in range(1, len(slots) + 1):
-        for sub in itertools.combinations(slots, r):
-            succ = [[] for _ in range(len(delta) // g)]
-            for q, i, t in sub:
-                succ[q].append(t)
-            marks = _tarjan_marks(succ, [sub[0][0]])
-            if all(marks[q] == marks[t] == marks[sub[0][0]]
-                   for q, i, t in sub):
-                found.append((tuple(q * g + i for q, i, t in sub),
-                              frozenset(gamma[i] for q, i, t in sub)))
-    return found
-
-
-def min_parity_automaton_size(family, gamma, n_max,
-                              priority_values=range(4)):
-    """Smallest number of states of a deterministic complete parity
-    automaton recognizing the family, found by exhaustive search; None when
-    no automaton within the budget works.
-
-    Deliberately tiny budgets (n_max <= 3, |gamma| <= 3, at most 4
-    priority values); this is an oracle, not a construction.
-    """
-    gamma = sorted(gamma)
-    fam = frozenset(frozenset(s) for s in family)
-    priority_values = list(priority_values)
-    if n_max > 3 or len(gamma) > 3 or len(priority_values) > 4:
-        raise InputError("search budget exceeded")
-    g = len(gamma)
-    for n in range(1, n_max + 1):
-        for delta in itertools.product(range(n), repeat=n * g):
-            targets = [(slots, letters in fam)
-                       for slots, letters in _delta_loops(g, gamma, delta)]
-            for prios in itertools.product(priority_values, repeat=n * g):
-                if all((min(prios[s] for s in slots) % 2 == 0) == want
-                       for slots, want in targets):
-                    return n
-    return None
-
-
-def min_parity_priority_count(family, gamma):
-    """Minimal number of distinct priorities any deterministic parity
-    automaton of at most 2 states needs to recognize the family."""
-    for count in range(1, 5):
-        for base in (0, 1):
-            values = list(range(base, base + count))
-            if min_parity_automaton_size(family, gamma, 2,
-                                         priority_values=values) is not None:
-                return count
-    return None
