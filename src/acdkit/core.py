@@ -33,6 +33,7 @@ class TransitionSystem:
     Vertices may optionally carry an owner tag (for games), edges may carry
     an input letter (for automata) and a colour (for acceptance conditions).
     Owners, when given, must cover every vertex, and letters every edge.
+    Vertex and edge ids must be strings: no other value is read as one.
     Colours default to the edge ids themselves.  `edges` is kept sorted by
     id and `vertices` sorted, whatever the input order; the parity solver
     numbers its board in that order.
@@ -42,17 +43,12 @@ class TransitionSystem:
 
     def __init__(self, vertices, edges, initial, owners=None, letters=None,
                  colours=None):
-        self.vertices = tuple(sorted(vertices))
+        self.vertices = tuple(sorted(_strings(vertices, "vertex")))
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         vset = set(self.vertices)
-        parsed = []
-        for e in edges:
-            if isinstance(e, Edge):
-                parsed.append(e)
-            else:
-                eid, src, tgt = e
-                parsed.append(Edge(str(eid), str(src), str(tgt)))
+        parsed = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        _strings((e.id for e in parsed), "edge id")
         parsed.sort(key=lambda e: e.id)
         self.edges = tuple(parsed)
         self._by_id = {}
@@ -64,7 +60,7 @@ class TransitionSystem:
             if e.target not in vset:
                 raise InputError("edge %r has undeclared target %r" % (e.id, e.target))
             self._by_id[e.id] = e
-        self.initial = tuple(sorted(set(initial)))
+        self.initial = tuple(sorted(set(_strings(initial, "initial vertex"))))
         for v in self.initial:
             if v not in vset:
                 raise InputError("initial vertex %r is not declared" % v)
@@ -130,6 +126,15 @@ class TransitionSystem:
     def reachable_vertices(self):
         return frozenset(_reach(
             self.initial, lambda v: (e.target for e in self._out[v])))
+
+
+def _strings(ids, what):
+    """The list of `ids`, after checking that each is a string."""
+    ids = list(ids)
+    for x in ids:
+        if not isinstance(x, str):
+            raise InputError("%s %r is not a string" % (what, x))
+    return ids
 
 
 def _reach(starts, succ):

@@ -89,6 +89,19 @@ def test_constructor_referential_integrity():
         TransitionSystem(["p"], [("s", "p", "p")], ["zz"])
 
 
+@pytest.mark.parametrize("vertices, edges, initial, message", [
+    ([0], [(0, 0, 0)], [0], "vertex 0 is not a string"),
+    (["a"], [(1, "a", "a")], ["a"], "edge id 1 is not a string"),
+    (["a", 0], [], ["a"], "vertex 0 is not a string"),
+    (["a"], [], ["a", 0], "initial vertex 0 is not a string"),
+    (["a"], [("x", "a", 0)], ["a"], "edge 'x' has undeclared target 0"),
+])
+def test_ids_are_never_reread_as_strings(vertices, edges, initial, message):
+    with pytest.raises(InputError) as err:
+        TransitionSystem(vertices, edges, initial)
+    assert str(err.value) == message
+
+
 def test_partial_owners_and_letters_are_input_errors():
     """Owners, when given, cover every vertex and letters every edge; the
     first one missing in sorted order is named."""
