@@ -11,7 +11,7 @@ from acdkit import (CapExceeded, Game, InputError, MullerCondition,
                     TransitionSystem, acd_stats, acd_transform, build_acd,
                     build_zielonka_tree, build_zt_automaton,
                     check_local, check_structural, classify_acd, cli,
-                    compose, induced_morphism, is_loop,
+                    compose, induced_morphism,
                     loop_status_over, min_parity_automaton_size,
                     min_parity_priority_count, optimal_parity_interval,
                     parity_relabel, rabin_from_acd, solve_muller_game,
@@ -229,12 +229,15 @@ def test_criterion_08_relabelling_characterizations():
             continue
         report_ = classify_acd(acd)
         rabin = streett = True
+        edge_sets = {l.edges for l in loops}
         for l1 in loops:
             for l2 in loops:
                 if not (l1.states & l2.states):
                     continue
                 both = l1.edges | l2.edges
-                if not is_loop(ts, both):
+                if both not in edge_sets:
+                    # two loops sharing a state make one loop
+                    failures += 1
                     continue
                 s1 = loop_status_over(ts, cond, l1.edges)
                 s2 = loop_status_over(ts, cond, l2.edges)
