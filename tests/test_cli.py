@@ -65,6 +65,10 @@ ALL_INVOCATIONS = [
     ("solve", fx("paritygame.json")),
     ("solve", fx("mullergame.json")),
     ("oracle-equiv", fx("f1.json"), fx("f1.json")),
+    ("check-morphism", os.path.join(GOLDEN, "transform-sixstate.json"),
+     "--against", fx("sixstate.json")),
+    ("check-morphism", os.path.join(GOLDEN, "transform-automatonA.json"),
+     "--against", fx("automatonA.json")),
 ]
 
 
