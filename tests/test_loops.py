@@ -76,6 +76,15 @@ def test_alternating_children_cap(sixstate):
         alternating_children(ts, cond, big, explore_cap=2)
 
 
+@pytest.mark.parametrize("edges", [{"nope"}, {"nope", "g"}])
+def test_alternating_children_unknown_edge(sixstate, edges):
+    """A loop naming an edge that `ts` lacks, alone or beside a real one,
+    is an InputError that names it."""
+    ts, cond = sixstate
+    with pytest.raises(InputError, match="^unknown edge 'nope'$"):
+        alternating_children(ts, cond, Loop(frozenset(edges), frozenset()))
+
+
 def test_cap_messages_name_few_states_of_a_long_loop():
     """A 200-vertex cycle with a self-loop at each vertex: both cap
     messages name the loop's 12 least states and its state count, not all
