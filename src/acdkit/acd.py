@@ -17,13 +17,15 @@ def _acd_tree(index, ts, side, top, explore_cap=None):
     """One tree of the decomposition: its root is the maximal loop `top`
     and the children of every node are its maximal flipped subloops under
     the reading `side` (`loops._flipped_subloops`).  Adds to the tree its
-    `index` in the forest and the `states` of each node's loop."""
+    `index` in the forest and the `states` of each node's loop: the
+    sources of its edges, since every state of a loop has an edge out."""
     key, _, status = side
+    by_id = ts._by_id
     tree = _zielonka.ZielonkaTree(
-        top.edges, status(frozenset(map(key, top.edges))),
+        top.edges, status(frozenset(map(key.__getitem__, top.edges))),
         lambda edges: _loops._flipped_subloops(ts, side, edges, explore_cap))
     tree.index = index
-    tree.states = {n: _loops.Loop.of(ts, edges).states
+    tree.states = {n: frozenset(by_id[e].source for e in edges)
                    for n, edges in tree.label.items()}
     return tree
 

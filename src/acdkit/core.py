@@ -198,8 +198,9 @@ def _tarjan_marks(succ, roots):
 
 def _components(edges):
     """The strongly connected components of the graph of `edges` (`Edge`
-    objects) that have an inner edge, as (sorted vertex list, inner edges
-    in the given order) pairs, in the order of their first inner edge.
+    objects) that have an inner edge, each as the list of its inner edges
+    in the given order, in the order of their first inner edge.  Every
+    vertex of such a component is the source of one of its inner edges.
     The endpoints are numbered as they first appear, sources before
     targets; `_tarjan_marks` runs over per-number target lists, rooted
     only at edge sources, and one pass over the edges groups the inner
@@ -215,7 +216,7 @@ def _components(edges):
     for e, s, t in zip(edges, src, tgt):
         if marks[s] == marks[t]:
             inner.setdefault(marks[s], []).append(e)
-    return [(sorted({e.source for e in es}), es) for es in inner.values()]
+    return list(inner.values())
 
 
 def _unroll(v, cycle, step):

@@ -298,11 +298,11 @@ def verify_parity_solution(game, solution):
         # on cycles, so only theirs have their priority read.
         bad = set()
         work = [_components(allowed)]
-        inner = [e.id for _, es in work[0] for e in es]
+        inner = [e.id for es in work[0] for e in es]
         prios = dict(zip(inner, map(cond.priorities.__getitem__,
                                     _edge_keys(ts, cond, inner))))
         while work:
-            for _, es in work.pop():
+            for es in work.pop():
                 d = min(prios[e.id] for e in es)
                 if d % 2 != good_parity:
                     bad.add(d)

@@ -9,7 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (CapExceeded, InputError, MullerCondition,
-                   TransitionSystem, _components, _over, _reach, _reading)
+                   TransitionSystem, _components, _edge_keys, _over, _reach,
+                   _reading)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -54,8 +55,9 @@ def sccs(ts, edge_ids=None):
         edge_set = frozenset(e.id for e in ts.edges)
     else:
         edge_set = frozenset(edge_ids)
-    found = [Loop(frozenset(e.id for e in es), frozenset(vs))
-             for vs, es in _components(list(map(ts.edge, edge_set)))]
+    found = [Loop(frozenset(e.id for e in es),
+                  frozenset(e.source for e in es))
+             for es in _components(list(map(ts.edge, edge_set)))]
     found.sort(key=lambda l: l.key)
     return found, edge_set.difference(*(l.edges for l in found))
 
@@ -81,37 +83,42 @@ def _cap(value, name):
 
 
 def _side(ts, cond):
-    """How the decomposition reads `cond` on `ts`: the key of each edge
-    (`core._reading`), the Zielonka-tree children read of key sets
-    (`_children_read`) and the status of a key set."""
-    key, _ = _reading(ts, cond)
-    return key, _children_read(cond), cond.accepts
+    """How the decomposition reads `cond` on `ts`: a dict from each edge
+    id to its key (`core._reading`, read in one pass by `_edge_keys`),
+    the Zielonka-tree children read of key sets (`_children_read`) and
+    the status of a key set."""
+    _reading(ts, cond)
+    ids = list(ts._by_id)
+    return (dict(zip(ids, _edge_keys(ts, cond, ids))), _children_read(cond),
+            cond.accepts)
 
 
 def _flipped_subloops(ts, side, edges, explore_cap=None):
-    """Inclusion-maximal subloops of the loop `edges` whose status differs
-    from its own, in canonical order: descending size, then edge-id list.
-    `side` is a reading (`_side`): a loop's status is `status` of the set
-    of its edges' keys.
+    """Inclusion-maximal subloops of the loop `edges`, a frozenset of edge
+    ids, whose status differs from its own, as frozensets of edge ids in
+    canonical order: descending size, then edge-id list.  `side` is a
+    reading (`_side`): a loop's status is `status` of the set of its
+    edges' keys.
 
     Worklist exploration (`_maximal_flipped`) guided by the Zielonka tree
     that `read` gives: below a subloop with key set C, take each child K
     of C in that tree (a maximal subset of C whose status differs),
     restrict the subloop to the edges keyed in K and split the
-    restriction into maximal subloops.  Every flipped subloop has its keys
-    inside some K, so it lies inside one of these strictly smaller
-    subloops; the walk descends only through subloops that still share the
-    parent's status.
+    restriction into maximal subloops (`core._components`).  Every flipped
+    subloop has its keys inside some K, so it lies inside one of these
+    strictly smaller subloops; the walk descends only through subloops
+    that still share the parent's status.
     """
     key, read, status = side
+    by_id = ts._by_id
 
     def keys(es):
-        return frozenset(map(key, es))
+        return frozenset(map(key.__getitem__, es))
 
     def shrink(sub):
         for kept in read(keys(sub)):
-            for m in sccs(ts, [e for e in sub if key(e) in kept])[0]:
-                yield m.edges
+            for es in _components([by_id[e] for e in sub if key[e] in kept]):
+                yield frozenset(e.id for e in es)
 
     return _maximal_flipped(
         edges, status(keys(edges)), shrink, lambda es: status(keys(es)),
@@ -135,10 +142,15 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     differs from the status of `loop` itself, in canonical order:
     descending size, then edge-id list (`_flipped_subloops`, guided by the
     Zielonka tree of `cond`).  Edges are keyed as `core._reading` keys
-    them: by colour, or by id for a condition over edges.
+    them: by colour, or by id for a condition over edges.  A loop naming
+    an edge that `ts` lacks is an InputError naming the least such id.
     """
-    kids = _flipped_subloops(ts, _side(ts, cond), loop.edges,
-                             _cap(explore_cap, "explore_cap"))
+    side = _side(ts, cond)
+    explore_cap = _cap(explore_cap, "explore_cap")
+    unknown = loop.edges.difference(ts._by_id)
+    if unknown:
+        raise InputError("unknown edge %r" % min(unknown, key=str))
+    kids = _flipped_subloops(ts, side, loop.edges, explore_cap)
     return [Loop.of(ts, edges) for edges in kids]
 
 
@@ -170,8 +182,8 @@ def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
     (key1, _, status1), (key2, _, status2) = side1, side2
     _cap(explore_cap, "explore_cap")
     for top in _reachable_maximal(ts, _cap(loop_cap, "loop_cap")):
-        if status1(frozenset(map(key1, top.edges))) != \
-                status2(frozenset(map(key2, top.edges))):
+        if status1(frozenset(map(key1.__getitem__, top.edges))) != \
+                status2(frozenset(map(key2.__getitem__, top.edges))):
             return False
         stack = [top.edges]
         while stack:
@@ -307,7 +319,8 @@ def accessible_x_scc(automaton, letters):
         return frozenset(reach)
     # a component holding all of its states' letter edges is closed under
     # the letters: these are exactly the letter-closed strongly connected sets
-    closed = [vs for vs, es in _components(
+    closed = [sorted(vs) for es in _components(
         [automaton.step(q, a) for q in reach for a in letters])
+        for vs in [{e.source for e in es}]
         if len(es) == len(vs) * len(letters)]
     return frozenset(min(closed))

@@ -106,9 +106,13 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
 
 def _canonical_maximal(sets):
     """The inclusion-maximal members of `sets`, without repeats, by
-    descending size, then the sorted member list."""
-    sets = set(sets)
-    maximal = [s for s in sets if not any(s < o for o in sets)]
+    descending size, then the sorted member list.  A strict superset is
+    larger, so taking the sets by descending size, each one only needs
+    testing against the maximal ones kept before it."""
+    maximal = []
+    for s in sorted(set(sets), key=len, reverse=True):
+        if not any(s < m for m in maximal):
+            maximal.append(s)
     return sorted(maximal, key=lambda s: (-len(s), sorted(s)))
 
 

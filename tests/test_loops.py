@@ -76,10 +76,11 @@ def test_alternating_children_cap(sixstate):
         alternating_children(ts, cond, big, explore_cap=2)
 
 
-@pytest.mark.parametrize("edges", [{"nope"}, {"nope", "g"}])
+@pytest.mark.parametrize("edges", [{"nope"}, {"nope", "g"},
+                                   {"zz", "nope", "g"}])
 def test_alternating_children_unknown_edge(sixstate, edges):
     """A loop naming an edge that `ts` lacks, alone or beside a real one,
-    is an InputError that names it."""
+    is an InputError that names the least such id."""
     ts, cond = sixstate
     with pytest.raises(InputError, match="^unknown edge 'nope'$"):
         alternating_children(ts, cond, Loop(frozenset(edges), frozenset()))

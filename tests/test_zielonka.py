@@ -10,8 +10,9 @@ from acdkit import (InputError, TransitionSystem, ZielonkaTree, build_acd,
                     enumerate_reachable_loops, min_parity_automaton_size,
                     min_parity_priority_count, nextbranch,
                     optimal_parity_interval, shape, supp)
-from acdkit.zielonka import (_flipped_colour_sets, _maximal_flipped,
-                             _minus_one_colour, _zielonka_tree)
+from acdkit.zielonka import (_canonical_maximal, _flipped_colour_sets,
+                             _maximal_flipped, _minus_one_colour,
+                             _zielonka_tree)
 from conftest import CONDITION_KINDS, random_condition, random_family
 from oracles import deepest_holding_prefix, simulate_zt_output
 
@@ -114,6 +115,26 @@ def test_zt_automaton_single_node():
     zt = build_zt_automaton(build_zielonka_tree([{"a"}], {"a"}))
     assert len(zt.states) == 1
     assert zt.move(zt.initial, "a") == (zt.initial, 0)
+
+
+def test_canonical_maximal_matches_all_pairs_filter():
+    """On random families of up to three of five colours, with repeated
+    sets and maximal sets of one size, `_canonical_maximal` keeps what the
+    all-pairs filter keeps (a set that no other set strictly contains),
+    in canonical order."""
+    rng = random.Random(25)
+    seen = {"repeat": 0, "tie": 0, "dropped": 0}
+    for _ in range(500):
+        sets = [frozenset(rng.sample("abcde", rng.randint(0, 3)))
+                for _ in range(rng.randint(0, 8))]
+        unique = set(sets)
+        kept = [s for s in unique if not any(s < o for o in unique)]
+        want = sorted(kept, key=lambda s: (-len(s), sorted(s)))
+        assert _canonical_maximal(iter(sets)) == want
+        seen["repeat"] += len(unique) < len(sets)
+        seen["tie"] += len({len(s) for s in kept}) < len(kept)
+        seen["dropped"] += len(kept) < len(unique)
+    assert all(count >= 100 for count in seen.values()), seen
 
 
 def test_shape():
