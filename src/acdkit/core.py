@@ -47,7 +47,7 @@ class TransitionSystem:
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         vset = set(self.vertices)
-        parsed = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        parsed = list(map(_edge, edges))
         _strings((e.id for e in parsed), "edge id")
         parsed.sort(key=lambda e: e.id)
         self.edges = tuple(parsed)
@@ -126,6 +126,20 @@ class TransitionSystem:
     def reachable_vertices(self):
         return frozenset(_reach(
             self.initial, lambda v: (e.target for e in self._out[v])))
+
+
+def _edge(e):
+    """`e` if it is an `Edge`, else the `Edge` of the (id, source, target)
+    triple `e`; anything else, a string included, is an InputError that
+    names it."""
+    if isinstance(e, Edge):
+        return e
+    try:
+        if not isinstance(e, str):
+            return Edge(*e)
+    except TypeError:
+        pass
+    raise InputError("edge %r is not an (id, source, target) triple" % (e,))
 
 
 def _strings(ids, what):

@@ -102,6 +102,19 @@ def test_ids_are_never_reread_as_strings(vertices, edges, initial, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("edge, named", [
+    (("x", "a"), "('x', 'a')"),
+    (("x", "a", "a", "a"), "('x', 'a', 'a', 'a')"),
+    (5, "5"),
+    ("xaa", "'xaa'"),
+])
+def test_an_edge_that_is_not_a_triple_is_an_input_error(edge, named):
+    with pytest.raises(InputError) as err:
+        TransitionSystem(["a"], [edge], ["a"])
+    assert str(err.value) == \
+        "edge %s is not an (id, source, target) triple" % named
+
+
 def test_partial_owners_and_letters_are_input_errors():
     """Owners, when given, cover every vertex and letters every edge; the
     first one missing in sorted order is named."""
