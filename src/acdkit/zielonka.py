@@ -274,7 +274,17 @@ def build_zt_automaton(tree):
     """The one-state automaton reading `tree.gamma`, lifted along the
     branches of the tree (`core._lift`): a Zielonka tree is the
     decomposition of a one-vertex system, and this automaton is that
-    system's transform, its states named by branch."""
+    system's transform, its states named by branch.  The edge of a
+    colour is named by its string form, so two colours with one string
+    form are an InputError that names them."""
+    forms = {}
+    for a in tree.gamma:
+        forms.setdefault(str(a), []).append(repr(a))
+    clash = min((sorted(c) for c in forms.values() if len(c) > 1),
+                default=None)
+    if clash:
+        raise InputError("colours %s have one string form"
+                         % " and ".join(clash))
     one = TransitionSystem(["q"], [(str(a), "q", "q") for a in tree.gamma],
                            ["q"], letters={str(a): a for a in tree.gamma})
     names = {leaf: state_name(leaf) for leaf in tree.leaves}

@@ -117,6 +117,12 @@ def test_zt_automaton_single_node():
     assert zt.move(zt.initial, "a") == (zt.initial, 0)
 
 
+def test_zt_automaton_refuses_colours_with_one_string_form():
+    with pytest.raises(InputError) as err:
+        build_zt_automaton(build_zielonka_tree([{1}], {1, "1"}))
+    assert str(err.value) == "colours '1' and 1 have one string form"
+
+
 def test_canonical_maximal_matches_all_pairs_filter():
     """On random families of up to three of five colours, with repeated
     sets and maximal sets of one size, `_canonical_maximal` keeps what the
