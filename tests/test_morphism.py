@@ -196,7 +196,8 @@ def test_acceptance_preserving_matches_loop_oracle():
 
 def test_acceptance_preserving_maps_only_reachable_loop_edges():
     # the unreachable self-loop `u` and the transient edge `t` need no
-    # image; an unmapped edge on a reachable loop is an input error
+    # image; an unmapped edge on a reachable loop, or one mapped to an
+    # edge the target lacks, is an input error
     src = TransitionSystem(
         ["p", "q", "r"],
         [("t", "p", "q"), ("e", "q", "q"), ("u", "r", "r")], ["p"])
@@ -205,5 +206,8 @@ def test_acceptance_preserving_maps_only_reachable_loop_edges():
                  {"p": "s", "q": "s", "r": "s"}, {"e": "f"})
     assert check_acceptance_preserving(m)
     del m.edge_map["e"]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^edge 'e' is not mapped$"):
+        check_acceptance_preserving(m)
+    m.edge_map["e"] = "zz"
+    with pytest.raises(InputError, match="^unknown edge 'zz'$"):
         check_acceptance_preserving(m)
