@@ -134,11 +134,11 @@ def _edge(e):
     names it."""
     if isinstance(e, Edge):
         return e
-    try:
-        if not isinstance(e, str):
+    if not isinstance(e, str):
+        try:
             return Edge(*e)
-    except TypeError:
-        pass
+        except TypeError:
+            pass
     raise InputError("edge %r is not an (id, source, target) triple" % (e,))
 
 

@@ -277,16 +277,14 @@ def build_zt_automaton(tree):
     system's transform, its states named by branch.  The edge of a
     colour is named by its string form, so two colours with one string
     form are an InputError that names them."""
-    forms = {}
-    for a in tree.gamma:
-        forms.setdefault(str(a), []).append(repr(a))
-    clash = min((sorted(c) for c in forms.values() if len(c) > 1),
-                default=None)
-    if clash:
-        raise InputError("colours %s have one string form"
-                         % " and ".join(clash))
-    one = TransitionSystem(["q"], [(str(a), "q", "q") for a in tree.gamma],
-                           ["q"], letters={str(a): a for a in tree.gamma})
+    letters = {}
+    for a in sorted(tree.gamma, key=repr):
+        if str(a) in letters:
+            raise InputError("colours %r and %r have one string form"
+                             % (letters[str(a)], a))
+        letters[str(a)] = a
+    one = TransitionSystem(["q"], [(e, "q", "q") for e in letters], ["q"],
+                           letters=letters)
     names = {leaf: state_name(leaf) for leaf in tree.leaves}
 
     def step(leaf, e):
