@@ -130,15 +130,12 @@ class TransitionSystem:
 
 def _edge(e):
     """`e` if it is an `Edge`, else the `Edge` of the (id, source, target)
-    triple `e`; anything else, a string included, is an InputError that
-    names it."""
+    triple `e`, a tuple or a list; anything else, such as a string, a set
+    or a dict of three, is an InputError that names it."""
     if isinstance(e, Edge):
         return e
-    if not isinstance(e, str):
-        try:
-            return Edge(*e)
-        except TypeError:
-            pass
+    if isinstance(e, (tuple, list)) and len(e) == 3:
+        return Edge(*e)
     raise InputError("edge %r is not an (id, source, target) triple" % (e,))
 
 

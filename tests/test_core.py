@@ -107,7 +107,9 @@ def test_ids_are_never_reread_as_strings(vertices, edges, initial, message):
     (("x", "a", "a", "a"), "('x', 'a', 'a', 'a')"),
     (5, "5"),
     ("xaa", "'xaa'"),
-], ids=["pair", "four", "non-iterable", "string"])
+    ({"x": 0, "a": 1, "b": 2}, "{'x': 0, 'a': 1, 'b': 2}"),
+    (frozenset({"x"}), "frozenset({'x'})"),
+], ids=["pair", "four", "non-iterable", "string", "dict", "set"])
 def test_an_edge_that_is_not_a_triple_is_an_input_error(edge, named):
     with pytest.raises(InputError) as err:
         TransitionSystem(["a"], [edge], ["a"])
