@@ -22,7 +22,7 @@ def _acd_tree(index, ts, side, top, explore_cap=None):
     key, _, status = side
     by_id = ts._by_id
     tree = _zielonka.ZielonkaTree(
-        top.edges, status(frozenset(map(key.__getitem__, top.edges))),
+        top.edges, status(frozenset(map(key, top.edges))),
         lambda edges: _loops._flipped_subloops(ts, side, edges, explore_cap))
     tree.index = index
     tree.states = {n: frozenset(by_id[e].source for e in edges)

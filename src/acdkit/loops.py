@@ -83,14 +83,14 @@ def _cap(value, name):
 
 
 def _side(ts, cond):
-    """How the decomposition reads `cond` on `ts`: a dict from each edge
-    id to its key (`core._reading`, read in one pass by `_edge_keys`),
-    the Zielonka-tree children read of key sets (`_children_read`) and
-    the status of a key set."""
+    """How the decomposition reads `cond` on `ts`: the key of each edge
+    (`core._reading`), looked up in a dict that `_edge_keys` fills in one
+    pass, the Zielonka-tree children read of key sets (`_children_read`)
+    and the status of a key set."""
     _reading(ts, cond)
     ids = list(ts._by_id)
-    return (dict(zip(ids, _edge_keys(ts, cond, ids))), _children_read(cond),
-            cond.accepts)
+    return (dict(zip(ids, _edge_keys(ts, cond, ids))).__getitem__,
+            _children_read(cond), cond.accepts)
 
 
 def _flipped_subloops(ts, side, edges, explore_cap=None):
@@ -113,11 +113,11 @@ def _flipped_subloops(ts, side, edges, explore_cap=None):
     by_id = ts._by_id
 
     def keys(es):
-        return frozenset(map(key.__getitem__, es))
+        return frozenset(map(key, es))
 
     def shrink(sub):
         for kept in read(keys(sub)):
-            for es in _components([by_id[e] for e in sub if key[e] in kept]):
+            for es in _components([by_id[e] for e in sub if key(e) in kept]):
                 yield frozenset(e.id for e in es)
 
     return _maximal_flipped(
@@ -182,8 +182,8 @@ def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
     (key1, _, status1), (key2, _, status2) = side1, side2
     _cap(explore_cap, "explore_cap")
     for top in _reachable_maximal(ts, _cap(loop_cap, "loop_cap")):
-        if status1(frozenset(map(key1.__getitem__, top.edges))) != \
-                status2(frozenset(map(key2.__getitem__, top.edges))):
+        if status1(frozenset(map(key1, top.edges))) != \
+                status2(frozenset(map(key2, top.edges))):
             return False
         stack = [top.edges]
         while stack:

@@ -4,6 +4,8 @@ preservation, and run transport."""
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import loops as _loops
 from .core import InputError, Morphism, Run, _unroll
 
@@ -92,25 +94,13 @@ def check_acceptance_preserving(m, loop_cap=None, explore_cap=None):
     node's subloop search as in `build_acd`.
     """
     key, read, status = _loops._side(m.target_ts, m.target_cond)
-    pulled = _PulledKeys(m, key), read, status
+    # each source edge's key is pulled back once per check, when first
+    # read; `edge` refuses an image that the target lacks
+    pulled = cache(lambda eid: key(m.target_ts.edge(m.apply_edge(eid)).id)), \
+        read, status
     return _loops._same_decomposition(
         m.source_ts, _loops._side(m.source_ts, m.source_cond), pulled,
         loop_cap=loop_cap, explore_cap=explore_cap)
-
-
-class _PulledKeys(dict):
-    """Source edge id -> the target's key (`key`, from `loops._side`) of
-    its image under `m`: each one pulled back once per check, when first
-    read, so an unmapped edge fails only if the check reads it."""
-
-    def __init__(self, m, key):
-        super().__init__()
-        self._m, self._key = m, key
-
-    def __missing__(self, eid):
-        f = self._m.target_ts.edge(self._m.apply_edge(eid)).id
-        value = self[eid] = self._key[f]
-        return value
 
 
 def map_run(m, run):
