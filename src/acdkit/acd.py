@@ -17,15 +17,15 @@ def _acd_tree(index, ts, side, top, explore_cap=None):
     """One tree of the decomposition: its root is the maximal loop `top`
     and the children of every node are its maximal flipped subloops under
     the reading `side` (`loops._flipped_subloops`).  Adds to the tree its
-    `index` in the forest and the `states` of each node's loop: the
-    sources of its edges, since every state of a loop has an edge out."""
+    `index` in the forest and the `states` of each node's loop
+    (`loops._states`)."""
     key, _, status = side
-    by_id = ts._by_id
+    edge = ts._by_id.__getitem__
     tree = _zielonka.ZielonkaTree(
         top.edges, status(frozenset(map(key, top.edges))),
         lambda edges: _loops._flipped_subloops(ts, side, edges, explore_cap))
     tree.index = index
-    tree.states = {n: frozenset(by_id[e].source for e in edges)
+    tree.states = {n: _loops._states(map(edge, edges))
                    for n, edges in tree.label.items()}
     return tree
 

@@ -28,13 +28,11 @@ class Loop:
 
     @staticmethod
     def of(ts, edge_ids):
+        """The loop on the edges `edge_ids` of `ts`.  Naming an edge that
+        `ts` lacks is an InputError naming the least such id."""
         es = frozenset(edge_ids)
-        states = set()
-        for eid in es:
-            e = ts.edge(eid)
-            states.add(e.source)
-            states.add(e.target)
-        return Loop(es, frozenset(states))
+        _check_known(ts, es)
+        return Loop(es, _states(map(ts._by_id.__getitem__, es)))
 
     @property
     def key(self):
@@ -42,6 +40,21 @@ class Loop:
 
     def __contains__(self, eid):
         return eid in self.edges
+
+
+def _check_known(ts, edge_ids):
+    """Refuse a set of edge ids naming an edge that `ts` lacks, naming the
+    least such id."""
+    unknown = edge_ids.difference(ts._by_id)
+    if unknown:
+        raise InputError("unknown edge %r" % min(unknown, key=str))
+
+
+def _states(edges):
+    """The states of a loop, or of a strongly connected component, given
+    its inner edges as `Edge`s: their sources, since every state of a loop
+    has an edge out of it inside the loop."""
+    return frozenset(e.source for e in edges)
 
 
 def sccs(ts, edge_ids=None):
@@ -55,8 +68,7 @@ def sccs(ts, edge_ids=None):
         edge_set = frozenset(e.id for e in ts.edges)
     else:
         edge_set = frozenset(edge_ids)
-    found = [Loop(frozenset(e.id for e in es),
-                  frozenset(e.source for e in es))
+    found = [Loop(frozenset(e.id for e in es), _states(es))
              for es in _components(list(map(ts.edge, edge_set)))]
     found.sort(key=lambda l: l.key)
     return found, edge_set.difference(*(l.edges for l in found))
@@ -147,9 +159,7 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     """
     side = _side(ts, cond)
     explore_cap = _cap(explore_cap, "explore_cap")
-    unknown = loop.edges.difference(ts._by_id)
-    if unknown:
-        raise InputError("unknown edge %r" % min(unknown, key=str))
+    _check_known(ts, loop.edges)
     kids = _flipped_subloops(ts, side, loop.edges, explore_cap)
     return [Loop.of(ts, edges) for edges in kids]
 
@@ -321,6 +331,6 @@ def accessible_x_scc(automaton, letters):
     # the letters: these are exactly the letter-closed strongly connected sets
     closed = [sorted(vs) for es in _components(
         [automaton.step(q, a) for q in reach for a in letters])
-        for vs in [{e.source for e in es}]
+        for vs in [_states(es)]
         if len(es) == len(vs) * len(letters)]
     return frozenset(min(closed))

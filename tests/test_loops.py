@@ -86,6 +86,28 @@ def test_alternating_children_unknown_edge(sixstate, edges):
         alternating_children(ts, cond, Loop(frozenset(edges), frozenset()))
 
 
+@pytest.mark.parametrize("edges", [{"nope"}, {"nope", "g"},
+                                   {"zz", "nope", "g"}])
+def test_loop_of_unknown_edge(sixstate, edges):
+    """`Loop.of` names the least edge id that `ts` lacks."""
+    ts, _ = sixstate
+    with pytest.raises(InputError, match="^unknown edge 'nope'$"):
+        Loop.of(ts, edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_loop_of_states_hold_every_endpoint(seed):
+    """The states `Loop.of` reads off the edge sources of a loop are
+    exactly its edges' endpoints, and equal those of the loop `sccs`
+    returns, for every loop of a random system."""
+    ts = random_system(random.Random(seed))
+    for loop in enumerate_reachable_loops(ts, cap=12):
+        ends = {v for eid in loop.edges
+                for v in (ts.edge(eid).source, ts.edge(eid).target)}
+        assert Loop.of(ts, loop.edges) == loop
+        assert loop.states == ends
+
+
 def test_cap_messages_name_few_states_of_a_long_loop():
     """A 200-vertex cycle with a self-loop at each vertex: both cap
     messages name the loop's 12 least states and its state count, not all
