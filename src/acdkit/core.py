@@ -394,8 +394,10 @@ def _reading(ts, cond):
 def _edge_keys(ts, cond, ids):
     """The keys `_reading` gives the edges `ids`, in one pass: their
     colours, or the ids themselves for a condition over edges.  The ids
-    must be those of edges of `ts`; an id from outside goes through
-    `_reading`'s `key`, which checks it."""
+    must be those of edges of `ts`: neither this nor the key map that
+    `loops._side` builds from it checks them.  `alternating_children`
+    checks a loop's ids before its search, and the morphism check reads
+    its target edges through `ts.edge`."""
     if cond.over == "edges":
         return ids
     return map(ts._colours.get, ids, ids)

@@ -108,14 +108,12 @@ def _canonical_maximal(sets):
     """The inclusion-maximal members of `sets`, without repeats, by
     descending size, then the sorted member list.  A strict superset is
     larger, so taking the sets by descending size, each one only needs
-    testing against the maximal ones kept before it.  Most calls keep at
-    most one set, which needs no sort key."""
+    testing against the maximal ones kept before it."""
     maximal = []
     for s in sorted(set(sets), key=len, reverse=True):
         if not any(map(s.__lt__, maximal)):
             maximal.append(s)
-    if len(maximal) > 1:
-        maximal.sort(key=lambda s: (-len(s), sorted(s)))
+    maximal.sort(key=lambda s: (-len(s), sorted(s)))
     return maximal
 
 
