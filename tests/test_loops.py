@@ -80,17 +80,11 @@ def test_alternating_children_cap(sixstate):
                                    {"zz", "nope", "g"}])
 def test_alternating_children_unknown_edge(sixstate, edges):
     """A loop naming an edge that `ts` lacks, alone or beside a real one,
-    is an InputError that names the least such id."""
+    is an InputError that names the least such id, in
+    `alternating_children` and in `Loop.of`."""
     ts, cond = sixstate
     with pytest.raises(InputError, match="^unknown edge 'nope'$"):
         alternating_children(ts, cond, Loop(frozenset(edges), frozenset()))
-
-
-@pytest.mark.parametrize("edges", [{"nope"}, {"nope", "g"},
-                                   {"zz", "nope", "g"}])
-def test_loop_of_unknown_edge(sixstate, edges):
-    """`Loop.of` names the least edge id that `ts` lacks."""
-    ts, _ = sixstate
     with pytest.raises(InputError, match="^unknown edge 'nope'$"):
         Loop.of(ts, edges)
 
