@@ -2,16 +2,21 @@
 
 Everything here is deliberately naive: powerset enumeration, matrix-style
 reachability, positional strategy enumeration, loop-by-loop status
-comparison, and the parity solver's earlier set-based frame walk as the
-reference for its tie-breaks.  Nothing imports the algorithms under test
-beyond the plain data types, the loop status, the loop enumeration
-(itself checked against `naive_loops`) and the one reading of a
-condition's keys.
+comparison, the parity solver's earlier set-based frame walk as the
+reference for its tie-breaks, and the exhaustive searches that
+`min_parity_automaton_size`, `min_parity_priority_count` and
+`closure_oracle` once ran in `acdkit`: every small deterministic parity
+automaton, and every pair of colour sets.  They are the reference for the
+closed forms that `acdkit` now reads off the Zielonka tree.  Nothing
+imports the algorithms under test beyond the plain data types, the loop
+status, the loop enumeration (itself checked against `naive_loops`) and
+the one reading of a condition's keys.
 """
 
 import itertools
 
-from acdkit import enumerate_reachable_loops, loop_status_over
+from acdkit import (InputError, TransitionSystem, enumerate_reachable_loops,
+                    loop_status_over)
 from acdkit.core import _reading
 from acdkit.games import ParitySolution
 
@@ -441,3 +446,70 @@ def deepest_holding_prefix(tree, leaf, x):
     contains `x`, by trying every prefix: the naive `supp`."""
     return max((leaf[:k] for k in range(len(leaf) + 1)
                 if x in tree.label[leaf[:k]]), key=len)
+
+
+def min_parity_automaton_size(family, gamma, n_max,
+                              priority_values=range(4)):
+    """Smallest number of states of a deterministic complete parity
+    automaton recognizing the family, found by exhaustive search; None when
+    no automaton within the budget works.
+
+    A candidate moves state q on the i-th colour along the edge
+    `str(q*g+i)` to state `str(delta[q*g+i])`.  Its loops, read once from
+    `enumerate_reachable_loops`, screen the priority assignments.
+
+    Deliberately tiny budgets (n_max <= 3, |gamma| <= 3, at most 4
+    priority values, so at most 9 edges, within the default loop cap);
+    this is an oracle, not a construction.
+    """
+    gamma = sorted(gamma)
+    fam = frozenset(frozenset(s) for s in family)
+    priority_values = list(priority_values)
+    if n_max > 3 or len(gamma) > 3 or len(priority_values) > 4:
+        raise InputError("search budget exceeded")
+    g = len(gamma)
+    for n in range(1, n_max + 1):
+        for delta in itertools.product(range(n), repeat=n * g):
+            arcs = [(str(s), str(s // g), str(t)) for s, t in enumerate(delta)]
+            ts = TransitionSystem(map(str, range(n)), arcs, ["0"])
+            # the smaller loops first: they fail sooner
+            slot_sets = sorted(([int(eid) for eid in loop.edges]
+                                for loop in enumerate_reachable_loops(ts)),
+                               key=len)
+            targets = [(slots, frozenset(gamma[s % g] for s in slots) in fam)
+                       for slots in slot_sets]
+            for prios in itertools.product(priority_values, repeat=n * g):
+                if all((min(prios[s] for s in slots) % 2 == 0) == want
+                       for slots, want in targets):
+                    return n
+    return None
+
+
+def min_parity_priority_count(family, gamma):
+    """Minimal number of distinct priorities any deterministic parity
+    automaton of at most 2 states needs to recognize the family."""
+    for count, base in itertools.product(range(1, 5), (0, 1)):
+        values = range(base, base + count)
+        if min_parity_automaton_size(family, gamma, 2, values) is not None:
+            return count
+    return None
+
+
+def closure_oracle(family, gamma):
+    """Brute-force closure flags over all nonempty subsets of the colour
+    set: union_closed means the union of two accepting sets is accepting,
+    intersection_closed means the union of two rejecting sets is rejecting
+    (equivalently, accepting sets are closed under intersection within the
+    lattice of statuses)."""
+    gamma = sorted(set(gamma))
+    fam = {frozenset(s) for s in family}
+    subsets = [frozenset(s) for s in itertools.chain.from_iterable(
+        itertools.combinations(gamma, r) for r in range(1, len(gamma) + 1))]
+    accepting = [s for s in subsets if s in fam]
+    rejecting = [s for s in subsets if s not in fam]
+    union_closed = all(a | b in fam for a in accepting for b in accepting)
+    intersection_closed = all(
+        a | b not in fam for a in rejecting for b in rejecting)
+    return {"union_closed": union_closed,
+            "intersection_closed": intersection_closed}
+

@@ -12,15 +12,15 @@ from acdkit import (CapExceeded, Game, InputError, MullerCondition,
                     build_zielonka_tree, build_zt_automaton,
                     check_local, check_structural, classify_acd, cli,
                     compose, induced_morphism,
-                    loop_status_over, min_parity_automaton_size,
-                    min_parity_priority_count, optimal_parity_interval,
+                    loop_status_over, optimal_parity_interval,
                     parity_relabel, rabin_from_acd, solve_muller_game,
                     streett_from_acd)
 from acdkit.loops import enumerate_reachable_loops
 from conftest import (SIXSTATE_EDGES, SIXSTATE_FAMILY, FIXTURES, random_family,
                       random_sparse_muller_system)
 from oracles import (brute_force_parity_regions, loop_equivalent,
-                     loop_preserving, parity_criterion_violation)
+                     loop_preserving, min_parity_automaton_size,
+                     min_parity_priority_count, parity_criterion_violation)
 
 F1 = [{"a"}, {"b"}]
 G1 = {"a", "b", "c"}

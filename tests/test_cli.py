@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from acdkit import cli, closure_oracle, docfmt
+from acdkit import cli, docfmt
 from acdkit.core import _reading
 from conftest import path_game, random_condition, random_system, recoloured
+from oracles import closure_oracle
 
 F = os.path.join(os.path.dirname(__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

@@ -14,6 +14,7 @@ from acdkit.zielonka import (_canonical_maximal, _flipped_colour_sets,
                              _maximal_flipped, _minus_one_colour,
                              _zielonka_tree)
 from conftest import CONDITION_KINDS, random_condition, random_family
+import oracles
 from oracles import deepest_holding_prefix, simulate_zt_output
 
 F1 = [{"a"}, {"b"}]
@@ -182,7 +183,7 @@ def test_shape_matches_closure_on_random_families():
         fam = random_family(rng, gamma)
         t = build_zielonka_tree(fam, gamma)
         s = shape(t)
-        c = closure_oracle(fam, gamma)
+        c = oracles.closure_oracle(fam, gamma)
         assert s["rabin"] == c["intersection_closed"]
         assert s["streett"] == c["union_closed"]
 
@@ -256,11 +257,12 @@ def test_min_parity_size_is_the_leaf_count():
             for r in range(0, 4)):
         fam = [set(s) for s in fam_tuple]
         leaves = build_zielonka_tree(fam, {"a", "b"}).leaves
-        assert min_parity_automaton_size(fam, {"a", "b"}, n_max=2) \
+        assert oracles.min_parity_automaton_size(fam, {"a", "b"}, n_max=2) \
             == len(leaves), fam
     three = [{"a"}, {"b"}, {"c"}]
     assert len(build_zielonka_tree(three, set("abc")).leaves) == 3
-    assert min_parity_automaton_size(three, set("abc"), n_max=2) is None
+    assert oracles.min_parity_automaton_size(three, set("abc"), n_max=2) \
+        is None
 
 
 def test_min_parity_size_budget():
@@ -275,7 +277,51 @@ def test_min_priority_count_two_colours():
         fam = [set(s) for s in fam_tuple]
         t = build_zielonka_tree(fam, {"a", "b"})
         lo, hi = optimal_parity_interval(t)
-        assert min_parity_priority_count(fam, {"a", "b"}) == hi - lo + 1
+        assert oracles.min_parity_priority_count(fam, {"a", "b"}) \
+            == hi - lo + 1
+
+
+def _all_families(gamma):
+    """Every Muller family over the colour set `gamma`, as lists of sets."""
+    subsets = [set(s) for r in range(1, len(gamma) + 1)
+               for s in itertools.combinations(sorted(gamma), r)]
+    return [[subsets[i] for i in range(len(subsets)) if mask >> i & 1]
+            for mask in range(1 << len(subsets))]
+
+
+def test_min_parity_closed_forms_match_the_searches_over_two_colours():
+    # every family over two colours, every set of at most 4 priority values
+    # within range(6), gaps included, and automata of at most 1 and 2 states
+    gamma = {"a", "b"}
+    for fam in _all_families(gamma):
+        assert min_parity_priority_count(fam, gamma) \
+            == oracles.min_parity_priority_count(fam, gamma), fam
+        for r in range(1, 5):
+            for values in itertools.combinations(range(6), r):
+                for n_max in (1, 2):
+                    assert min_parity_automaton_size(fam, gamma, n_max, values) \
+                        == oracles.min_parity_automaton_size(
+                            fam, gamma, n_max, values), (fam, values, n_max)
+
+
+@pytest.mark.parametrize("fam", [
+    [{"a"}, {"b"}],                                           # two leaves
+    [{"a"}, {"b"}, {"c"}],                                    # three leaves
+    [{"a"}, {"a", "b"}, {"a", "c"}, {"a", "b", "c"}],        # Büchi on a
+    [{"a"}, {"a", "b"}, {"a", "c"}, {"a", "b", "c"}, {"c"}],  # parity 0 1 2
+])
+def test_min_parity_closed_forms_match_the_searches_over_three_colours(fam):
+    gamma = {"a", "b", "c"}
+    assert min_parity_automaton_size(fam, gamma, 2) \
+        == oracles.min_parity_automaton_size(fam, gamma, 2)
+
+
+def test_closure_closed_form_matches_the_search():
+    # every family over one, two and three colours: 2, 8 and 128 of them
+    for gamma in ({"a"}, {"a", "b"}, {"a", "b", "c"}):
+        for fam in _all_families(gamma):
+            assert closure_oracle(fam, gamma) \
+                == oracles.closure_oracle(fam, gamma), fam
 
 
 @settings(max_examples=300, deadline=None)
