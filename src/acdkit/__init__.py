@@ -9,11 +9,11 @@ from .core import (AcdkitError, Automaton, BuchiCondition, CapExceeded,
                    loop_status_over, validate)
 from .loops import (Loop, accessible_x_scc, alternating_children,
                     enumerate_reachable_loops, equivalent_over, is_loop,
-                    min_parity_automaton_size, min_parity_priority_count,
                     sccs, to_explicit_muller)
 from .zielonka import (ZielonkaTree, build_zielonka_tree, build_zt_automaton,
-                       closure_oracle, nextbranch, optimal_parity_interval,
-                       shape, supp)
+                       closure_oracle, min_parity_automaton_size,
+                       min_parity_priority_count, nextbranch,
+                       optimal_parity_interval, shape, supp)
 from .acd import (ACD, acd_stats, acd_transform, build_acd, induced_morphism,
                   multi_supp, subtree_for_state)
 from .morphism import (check_acceptance_preserving, check_local,

@@ -165,8 +165,7 @@ def cmd_shape(args):
     if cond.kind == "muller":
         flags = zielonka.shape(_build_tree(ts, cond))
         obj["condition_shape"] = flags
-        obj["closure"] = {"union_closed": flags["streett"],
-                          "intersection_closed": flags["rabin"]}
+        obj["closure"] = zielonka._closure(flags)
     _write(args, docfmt.dumps(obj))
 
 

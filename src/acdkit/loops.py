@@ -1,16 +1,14 @@
 """Loop algebra: maximal loops, the loop predicate, maximal alternating
 subloops, the comparison of two decompositions (`equivalent_over`), and
-loop enumeration with the oracles read from it (`to_explicit_muller`,
-`min_parity_automaton_size`)."""
+loop enumeration with the explicit Muller form read from it
+(`to_explicit_muller`)."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import (CapExceeded, InputError, MullerCondition,
-                   TransitionSystem, _components, _edge_keys, _over, _reach,
-                   _reading)
+from .core import (CapExceeded, InputError, MullerCondition, _components,
+                   _edge_keys, _over, _reach, _reading)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -264,53 +262,6 @@ def to_explicit_muller(ts, cond, loop_cap=None):
         found = [l.edges for l in found
                  if cond.accepts(frozenset(map(key, l.edges)))]
     return _over(MullerCondition(found), "edges")
-
-
-def min_parity_automaton_size(family, gamma, n_max,
-                              priority_values=range(4)):
-    """Smallest number of states of a deterministic complete parity
-    automaton recognizing the family, found by exhaustive search; None when
-    no automaton within the budget works.
-
-    A candidate moves state q on the i-th colour along the edge
-    `str(q*g+i)` to state `str(delta[q*g+i])`.  Its loops, read once from
-    `enumerate_reachable_loops`, screen the priority assignments.
-
-    Deliberately tiny budgets (n_max <= 3, |gamma| <= 3, at most 4
-    priority values, so at most 9 edges, within the default loop cap);
-    this is an oracle, not a construction.
-    """
-    gamma = sorted(gamma)
-    fam = frozenset(frozenset(s) for s in family)
-    priority_values = list(priority_values)
-    if n_max > 3 or len(gamma) > 3 or len(priority_values) > 4:
-        raise InputError("search budget exceeded")
-    g = len(gamma)
-    for n in range(1, n_max + 1):
-        for delta in itertools.product(range(n), repeat=n * g):
-            arcs = [(str(s), str(s // g), str(t)) for s, t in enumerate(delta)]
-            ts = TransitionSystem(map(str, range(n)), arcs, ["0"])
-            # the smaller loops first: they fail sooner
-            slot_sets = sorted(([int(eid) for eid in loop.edges]
-                                for loop in enumerate_reachable_loops(ts)),
-                               key=len)
-            targets = [(slots, frozenset(gamma[s % g] for s in slots) in fam)
-                       for slots in slot_sets]
-            for prios in itertools.product(priority_values, repeat=n * g):
-                if all((min(prios[s] for s in slots) % 2 == 0) == want
-                       for slots, want in targets):
-                    return n
-    return None
-
-
-def min_parity_priority_count(family, gamma):
-    """Minimal number of distinct priorities any deterministic parity
-    automaton of at most 2 states needs to recognize the family."""
-    for count, base in itertools.product(range(1, 5), (0, 1)):
-        values = range(base, base + count)
-        if min_parity_automaton_size(family, gamma, 2, values) is not None:
-            return count
-    return None
 
 
 def accessible_x_scc(automaton, letters):

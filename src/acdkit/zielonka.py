@@ -4,7 +4,6 @@ from the branches of the tree."""
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
                    ParityCondition, TransitionSystem, _lift)
@@ -323,21 +322,47 @@ def optimal_parity_interval(tree):
     return _parity_interval(tree.height, "even" if tree.even else "odd")
 
 
-def closure_oracle(family, gamma):
-    """Brute-force closure flags over all nonempty subsets of the colour
-    set: union_closed means the union of two accepting sets is accepting,
-    intersection_closed means the union of two rejecting sets is rejecting
-    (equivalently, accepting sets are closed under intersection within the
-    lattice of statuses)."""
-    gamma = sorted(set(gamma))
-    fam = {frozenset(s) for s in family}
-    subsets = [frozenset(s) for s in itertools.chain.from_iterable(
-        itertools.combinations(gamma, r) for r in range(1, len(gamma) + 1))]
-    accepting = [s for s in subsets if s in fam]
-    rejecting = [s for s in subsets if s not in fam]
-    union_closed = all(a | b in fam for a in accepting for b in accepting)
-    intersection_closed = all(
-        a | b not in fam for a in rejecting for b in rejecting)
-    return {"union_closed": union_closed,
-            "intersection_closed": intersection_closed}
+def _budgeted_tree(family, gamma, n_max, n_values=0):
+    """The Zielonka tree, within the budget of the searches kept in
+    `tests/oracles.py`: 3 states, 3 colours and 4 priority values."""
+    gamma = frozenset(gamma)
+    if n_max > 3 or len(gamma) > 3 or n_values > 4:
+        raise InputError("search budget exceeded")
+    return build_zielonka_tree(family, gamma)
 
+
+def min_parity_automaton_size(family, gamma, n_max, priority_values=range(4)):
+    """Fewest states, at most `n_max`, of a deterministic parity automaton
+    recognising the family with priorities among `priority_values`, else
+    None.  The Zielonka tree's branch automaton is least in states, one per
+    leaf, and in priorities, one per level alternating in parity from the
+    root's, so the sorted values must hold such a chain."""
+    values = list(priority_values)
+    tree = _budgeted_tree(family, gamma, n_max, len(values))
+    want, chain = tree.root_priority % 2, 0
+    for v in sorted(set(values)):
+        if v % 2 == want:
+            want, chain = 1 - want, chain + 1
+    n = len(tree.leaves)
+    return n if n <= n_max and chain >= tree.height else None
+
+
+def min_parity_priority_count(family, gamma):
+    """Fewest distinct priorities of a deterministic parity automaton of at
+    most 2 states that recognises the family: the Zielonka tree's height,
+    when it has at most 2 leaves; None otherwise."""
+    tree = _budgeted_tree(family, gamma, 2)
+    return tree.height if len(tree.leaves) <= 2 else None
+
+
+def _closure(flags):
+    """`shape` flags as closure flags (Zielonka, TCS 1998)."""
+    return {"union_closed": flags["streett"],
+            "intersection_closed": flags["rabin"]}
+
+
+def closure_oracle(family, gamma):
+    """Closure flags of the family: union_closed when the union of two
+    accepting sets is accepting, intersection_closed when the union of two
+    rejecting sets is rejecting; read off the Zielonka tree's `shape`."""
+    return _closure(shape(build_zielonka_tree(family, gamma)))

@@ -316,6 +316,22 @@ def test_min_parity_closed_forms_match_the_searches_over_three_colours(fam):
         == oracles.min_parity_automaton_size(fam, gamma, 2)
 
 
+def test_closed_forms_refuse_malformed_families():
+    # the searches read none of these as an error: a family set outside
+    # gamma was never met, so min_parity_automaton_size([{"d"}], {"a"}, 1)
+    # was 1 and closure_oracle gave both flags True
+    for family, gamma, message in [
+            ([{"d"}], {"a"}, "family set {d} not within the colour set"),
+            ([set()], {"a"}, "empty set in Muller family"),
+            ([{"a"}], set(), "colour set must be nonempty")]:
+        for answer in (lambda: min_parity_automaton_size(family, gamma, 1),
+                       lambda: min_parity_priority_count(family, gamma),
+                       lambda: closure_oracle(family, gamma)):
+            with pytest.raises(InputError) as err:
+                answer()
+            assert str(err.value) == message
+
+
 def test_closure_closed_form_matches_the_search():
     # every family over one, two and three colours: 2, 8 and 128 of them
     for gamma in ({"a"}, {"a", "b"}, {"a", "b", "c"}):
