@@ -54,3 +54,12 @@ def even_muller(k):
     return (TransitionSystem(["v"], [(c, "v", "v") for c in colours], ["v"]),
             MullerCondition(s for r in range(2, k + 1, 2)
                             for s in itertools.combinations(colours, r)))
+
+
+def parity_chain(n, base):
+    """parity/N: one vertex with self-loops e0 .. e{n-1}, where ei has
+    priority base + i.  Its ACD is one chain of height n, and its
+    transform is the system itself."""
+    edges = ["e%d" % i for i in range(n)]
+    return (TransitionSystem(["v"], [(e, "v", "v") for e in edges], ["v"]),
+            ParityCondition({e: base + i for i, e in enumerate(edges)}))

@@ -5,17 +5,17 @@ import random
 import pytest
 
 from acdkit import (CapExceeded, InputError, MullerCondition,
-                    ParityCondition, TransitionSystem, acd_stats,
-                    acd_transform, build_acd, build_zielonka_tree,
-                    build_zt_automaton, check_local, check_structural,
-                    classify_acd, compose, induced_morphism,
-                    loop_status_over, multi_supp, optimal_parity_interval,
-                    rabin_from_acd, shape, streett_from_acd,
-                    subtree_for_state)
+                    TransitionSystem, acd_stats, acd_transform, build_acd,
+                    build_zielonka_tree, build_zt_automaton, check_local,
+                    check_structural, classify_acd, compose,
+                    induced_morphism, loop_status_over, multi_supp,
+                    optimal_parity_interval, parity_relabel, rabin_from_acd,
+                    sccs, shape, streett_from_acd, subtree_for_state)
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
-from conftest import (CONDITION_KINDS, even_muller, random_condition,
-                      random_muller_system, random_system, recoloured)
+from conftest import (CONDITION_KINDS, even_muller, parity_chain,
+                      random_condition, random_muller_system, random_system,
+                      recoloured)
 from oracles import deepest_holding_prefix, loop_preserving
 
 
@@ -309,9 +309,7 @@ def test_parity_chain_transform_is_the_system():
     chain of height 150, and the transform keeps one vertex and gives
     each edge its own priority."""
     n = 150
-    ts = TransitionSystem(["z"], [("e%d" % i, "z", "z") for i in range(n)],
-                          ["z"])
-    cond = ParityCondition({"e%d" % i: i for i in range(n)})
+    ts, cond = parity_chain(n, 0)
     res = acd_transform(ts, cond)
     assert len(res.system.vertices) == 1
     assert {res.edge_map[eid]: p
@@ -319,6 +317,63 @@ def test_parity_chain_transform_is_the_system():
         cond.priorities
     assert sorted(res.condition.priorities.values()) == list(range(n))
     assert acd_stats(res.acd)["interval"] == (0, n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+@pytest.mark.parametrize("base", [0, 1])
+def test_parity_chain_in_closed_form(n, base):
+    """parity/N: the ACD is one chain of height n; the transform has one
+    vertex, and its priorities pulled back through the edge map are the
+    input's, as are parity_relabel's; the interval is (base, base+n-1)."""
+    ts, cond = parity_chain(n, base)
+    acd = build_acd(ts, cond)
+    assert [(t.height, len(t.nodes)) for t in acd.trees] == [(n, n)]
+    res = acd_transform(ts, cond)
+    assert len(res.system.vertices) == 1
+    assert {res.edge_map[eid]: p
+            for eid, p in res.condition.priorities.items()} == \
+        cond.priorities
+    assert parity_relabel(ts, acd).priorities == cond.priorities
+    assert classify_acd(acd).parity_acd
+    assert acd_stats(acd)["interval"] == (base, base + n - 1)
+
+
+def _loop_priorities(system, parity):
+    """The distinct priorities on the edges of the reachable SCCs of
+    `system`, whose colours `parity` maps."""
+    reach = system.reachable_vertices()
+    loops, _ = sccs(system, [e.id for e in system.edges
+                             if e.source in reach and e.target in reach])
+    return {parity.priorities[system.colour(eid)]
+            for l in loops for eid in l.edges}
+
+
+def test_transform_is_no_larger_than_the_zielonka_product():
+    """The minimality claim against Zielonka's own construction: the
+    product of the Zielonka-tree automaton with the system admits a
+    morphism into it, so the transform's reachable part has no more
+    vertices and uses no more priorities on reachable loops.  Every vertex
+    of the system is reachable: an unreachable loop can set the priority
+    of the transient edges to one that no reachable loop uses."""
+    rng = random.Random(26)
+    checked = smaller = 0
+    while checked < 300:
+        ts = recoloured(rng, random_system(rng, max_vertices=6,
+                                           max_edges=12), "abcd")
+        if ts.reachable_vertices() != frozenset(ts.vertices):
+            continue
+        gamma = ts.colour_set()
+        cond = random_condition(rng, "muller", gamma)
+        res = acd_transform(ts, cond)
+        zt = build_zt_automaton(build_zielonka_tree(cond.family, gamma))
+        product = compose(zt.automaton, ts)
+        size = len(res.system.reachable_vertices())
+        assert size <= len(product.system.vertices)
+        smaller += size < len(product.system.vertices)
+        assert len(_loop_priorities(res.system, res.condition)) <= \
+            len(_loop_priorities(product.system, product.condition))
+        checked += 1
+    assert smaller
 
 
 @pytest.mark.parametrize("k", range(2, 7))
