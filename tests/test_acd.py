@@ -304,22 +304,7 @@ def test_edge_step_matches_the_naive_step():
                         naive_edge_step(acd, leaf, e)
 
 
-def test_parity_chain_transform_is_the_system():
-    """One vertex with edges e0 .. e149, ei of priority i: the ACD is one
-    chain of height 150, and the transform keeps one vertex and gives
-    each edge its own priority."""
-    n = 150
-    ts, cond = parity_chain(n, 0)
-    res = acd_transform(ts, cond)
-    assert len(res.system.vertices) == 1
-    assert {res.edge_map[eid]: p
-            for eid, p in res.condition.priorities.items()} == \
-        cond.priorities
-    assert sorted(res.condition.priorities.values()) == list(range(n))
-    assert acd_stats(res.acd)["interval"] == (0, n - 1)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 50])
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 150])
 @pytest.mark.parametrize("base", [0, 1])
 def test_parity_chain_in_closed_form(n, base):
     """parity/N: the ACD is one chain of height n; the transform has one
