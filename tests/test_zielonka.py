@@ -299,9 +299,9 @@ def test_min_parity_closed_forms_match_the_searches_over_two_colours():
         for r in range(1, 5):
             for values in itertools.combinations(range(6), r):
                 for n_max in (1, 2):
-                    assert min_parity_automaton_size(fam, gamma, n_max, values) \
-                        == oracles.min_parity_automaton_size(
-                            fam, gamma, n_max, values), (fam, values, n_max)
+                    case = (fam, gamma, n_max, values)
+                    assert min_parity_automaton_size(*case) \
+                        == oracles.min_parity_automaton_size(*case), case
 
 
 @pytest.mark.parametrize("fam", [
@@ -317,9 +317,8 @@ def test_min_parity_closed_forms_match_the_searches_over_three_colours(fam):
 
 
 def test_closed_forms_refuse_malformed_families():
-    # the searches read none of these as an error: a family set outside
-    # gamma was never met, so min_parity_automaton_size([{"d"}], {"a"}, 1)
-    # was 1 and closure_oracle gave both flags True
+    # an exhaustive search never meets a family set outside gamma, so it
+    # answers as if the set were absent; the tree refuses all three inputs
     for family, gamma, message in [
             ([{"d"}], {"a"}, "family set {d} not within the colour set"),
             ([set()], {"a"}, "empty set in Muller family"),
