@@ -4,12 +4,11 @@ parity transformation read off from it."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import loops as _loops
 from . import zielonka as _zielonka
-from .core import (InputError, Morphism, ParityCondition, TransitionSystem,
-                   _lift, validate)
+from .core import (InputError, Morphism, ParityCondition, _lift, _Record,
+                   validate)
 from .zielonka import _node_name
 
 
@@ -124,14 +123,17 @@ def multi_supp(acd, leaf, i, eid):
     return (j, _zielonka.supp(acd.tree(i), leaf, eid) if j == i else ())
 
 
-@dataclass
-class TransformResult:
-    system: TransitionSystem
-    condition: ParityCondition
-    acd: ACD
-    vertex_map: dict  # transform vertex -> original vertex
-    edge_map: dict    # transform edge -> original edge
-    copies: dict      # original vertex -> tuple of transform vertices
+class TransformResult(_Record):
+    _fields = ("system", "condition", "acd", "vertex_map", "edge_map",
+               "copies")
+
+    def __init__(self, system, condition, acd, vertex_map, edge_map, copies):
+        self.system = system
+        self.condition = condition
+        self.acd = acd
+        self.vertex_map = vertex_map  # transform vertex -> original vertex
+        self.edge_map = edge_map      # transform edge -> original edge
+        self.copies = copies  # original vertex -> tuple of transform vertices
 
 
 def acd_transform(ts, cond, explore_cap=None):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -159,7 +158,7 @@ def cmd_stats(args):
 
 def cmd_shape(args):
     ts, cond, acd = _build_acd(args)
-    obj = dataclasses.asdict(relabel.classify_acd(acd))
+    obj = dict(vars(relabel.classify_acd(acd)))
     obj["offending"] = {v: [docfmt._node_name(n) for n in nodes]
                         for v, nodes in obj["offending"].items()}
     if cond.kind == "muller":

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 
 class AcdkitError(Exception):
@@ -20,11 +19,63 @@ class CapExceeded(AcdkitError):
     """An enumeration grew past its configured cap."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    source: str
-    target: str
+class _Record:
+    """A record of the fields that `_fields` names: equal to a record of
+    its own class with equal fields, shown as `Name(field=value, ...)`,
+    and unhashable.  Written out rather than made by `dataclasses`, which
+    generates and compiles code for each class when the package is
+    imported."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class _Frozen(_Record):
+    """A `_Record` in slots that `__init__` sets once, through the slots'
+    own descriptors: it hashes as the tuple of its fields, refuses
+    assignment and deletion, and copies and pickles through its
+    constructor."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Edge(_Frozen):
+    __slots__ = _fields = ("id", "source", "target")
+
+    def __init__(self, id, source, target):
+        _set_id(self, id)
+        _set_source(self, source)
+        _set_target(self, target)
+
+
+_set_id, _set_source, _set_target = (
+    Edge.id.__set__, Edge.source.__set__, Edge.target.__set__)
 
 
 class TransitionSystem:
@@ -521,11 +572,14 @@ class Morphism:
             raise InputError("edge %r is not mapped" % eid) from None
 
 
-@dataclass
-class Product:
-    system: TransitionSystem
-    condition: object
-    projection: object  # Morphism onto the right-hand system, or None
+class Product(_Record):
+    _fields = ("system", "condition", "projection")
+
+    def __init__(self, system, condition, projection):
+        self.system = system
+        self.condition = condition
+        # the Morphism onto the right-hand system, or None
+        self.projection = projection
 
 
 def _lift(ts, initial, starts, step, vertex_name, edge_name, coloured=False):

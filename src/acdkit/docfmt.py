@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .acd import acd_stats
 from .core import (BuchiCondition, CoBuchiCondition, InputError,
                    MullerCondition, ParityCondition, RabinCondition,
-                   StreettCondition, TransitionSystem)
+                   StreettCondition, TransitionSystem, _Record)
 from .zielonka import _node_name
 
 FORMAT = "acdkit/1"
 
 
-@dataclass
-class Document:
-    system: TransitionSystem
-    condition: object = None
-    morphism: dict = None  # {"vertices": {...}, "edges": {...}}
+class Document(_Record):
+    _fields = ("system", "condition", "morphism")
+
+    def __init__(self, system, condition=None, morphism=None):
+        self.system = system
+        self.condition = condition
+        self.morphism = morphism  # {"vertices": {...}, "edges": {...}}
 
 
 def parse(text):

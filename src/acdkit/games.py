@@ -13,12 +13,11 @@ from the solver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _components, _edge_keys, validate
+from .core import InputError, _components, _edge_keys, _Record, validate
 
 
 class Game:
@@ -47,10 +46,12 @@ def _other(player):
     return "Adam" if player == "Eve" else "Eve"
 
 
-@dataclass
-class ParitySolution:
-    regions: dict      # vertex -> winning player
-    strategies: dict   # player -> {vertex -> edge id}
+class ParitySolution(_Record):
+    _fields = ("regions", "strategies")
+
+    def __init__(self, regions, strategies):
+        self.regions = regions        # vertex -> winning player
+        self.strategies = strategies  # player -> {vertex -> edge id}
 
     def winner(self, v):
         return self.regions[v]
@@ -352,12 +353,14 @@ def _allowed_edges(ts, player, region, moves, problems):
     return allowed
 
 
-@dataclass
-class MullerSolution:
-    regions: dict           # original vertex -> winning player
-    transform: object       # the parity transformation used
-    parity_solution: ParitySolution
-    morphism: object
+class MullerSolution(_Record):
+    _fields = ("regions", "transform", "parity_solution", "morphism")
+
+    def __init__(self, regions, transform, parity_solution, morphism):
+        self.regions = regions      # original vertex -> winning player
+        self.transform = transform  # the parity transformation used
+        self.parity_solution = parity_solution
+        self.morphism = morphism
 
     def winner(self, v):
         return self.regions[v]

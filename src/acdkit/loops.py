@@ -5,10 +5,8 @@ loop enumeration with the explicit Muller form read from it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (CapExceeded, InputError, MullerCondition, _components,
-                   _edge_keys, _over, _reach, _reading)
+                   _edge_keys, _Frozen, _over, _reach, _reading)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -17,12 +15,14 @@ DEFAULT_EXPLORE_CAP = 5000
 _NAMED_STATES = 12
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(_Frozen):
     """A nonempty edge set whose induced subgraph is strongly connected."""
 
-    edges: frozenset
-    states: frozenset
+    __slots__ = _fields = ("edges", "states")
+
+    def __init__(self, edges, states):
+        _set_edges(self, edges)
+        _set_states(self, states)
 
     @staticmethod
     def of(ts, edge_ids):
@@ -38,6 +38,9 @@ class Loop:
 
     def __contains__(self, eid):
         return eid in self.edges
+
+
+_set_edges, _set_states = Loop.edges.__set__, Loop.states.__set__
 
 
 def _check_known(ts, edge_ids):
@@ -121,17 +124,19 @@ def _flipped_subloops(ts, side, edges, explore_cap=None):
     """
     key, read, status = side
     by_id = ts._by_id
+    key_sets = {}  # subloop -> its key set, from its status read
 
-    def keys(es):
-        return frozenset(map(key, es))
+    def status_of(es):
+        ks = key_sets[es] = frozenset(map(key, es))
+        return status(ks)
 
-    def shrink(sub):
-        for kept in read(keys(sub)):
+    def shrink(sub):  # a subloop is shrunk once, after its status read
+        for kept in read(key_sets.pop(sub)):
             for es in _components([by_id[e] for e in sub if key(e) in kept]):
                 yield frozenset(e.id for e in es)
 
     return _maximal_flipped(
-        edges, status(keys(edges)), shrink, lambda es: status(keys(es)),
+        edges, status_of(edges), shrink, status_of,
         DEFAULT_EXPLORE_CAP if explore_cap is None else explore_cap,
         lambda: "the loop on states %s with %d edges"
         % (_named(Loop.of(ts, edges).states), len(edges)))

@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import loops as _loops
-from .core import InputError, Morphism, Run, _unroll
+from .core import InputError, Run, _unroll
 
 
 def check_structural(m):

@@ -5,22 +5,26 @@ allows it."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 
 from . import loops as _loops
 from . import zielonka as _zielonka
 from .core import (InputError, ParityCondition, RabinCondition,
-                   StreettCondition, _over, _reading)
+                   StreettCondition, _over, _reading, _Record)
 
 
-@dataclass
-class AcdShapeReport:
-    rabin_acd: bool
-    streett_acd: bool
-    parity_acd: bool
-    interval: tuple = None  # priority interval when parity-shaped
-    weak_k: int = None      # smallest k when parity-shaped
-    offending: dict = field(default_factory=dict)  # vertex -> bad nodes
+class AcdShapeReport(_Record):
+    _fields = ("rabin_acd", "streett_acd", "parity_acd", "interval",
+               "weak_k", "offending")
+
+    def __init__(self, rabin_acd, streett_acd, parity_acd, interval=None,
+                 weak_k=None, offending=None):
+        self.rabin_acd = rabin_acd
+        self.streett_acd = streett_acd
+        self.parity_acd = parity_acd
+        self.interval = interval  # priority interval when parity-shaped
+        self.weak_k = weak_k      # smallest k when parity-shaped
+        # vertex -> bad nodes
+        self.offending = {} if offending is None else offending
 
 
 def classify_acd(acd):

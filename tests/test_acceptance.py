@@ -2,13 +2,12 @@
 single pass/fail line with its timing."""
 
 import json
-import os
 import random
 import time
 from itertools import chain, combinations
 
 from acdkit import (CapExceeded, Game, InputError, MullerCondition,
-                    TransitionSystem, acd_stats, acd_transform, build_acd,
+                    TransitionSystem, acd_transform, build_acd,
                     build_zielonka_tree, build_zt_automaton,
                     check_local, check_structural, classify_acd, cli,
                     compose, induced_morphism,

@@ -150,7 +150,6 @@ def test_exit_code_property_false(tmp_path):
                     "--target", "rabin")
     assert code == 1
     # two inequivalent conditions over the same system
-    import shutil
     other = tmp_path / "f1b.json"
     with open(fx("f1.json"), encoding="utf-8") as fh:
         obj = json.load(fh)

@@ -10,8 +10,8 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     enumerate_reachable_loops, equivalent_over, loop_status,
                     loop_status_over, to_explicit_muller, validate)
 from acdkit.core import Edge, _components, _reach, _tarjan_marks
-from conftest import (CONDITION_KINDS, SIXSTATE_EDGES, random_condition,
-                      random_system, recoloured)
+from conftest import (CONDITION_KINDS, random_condition, random_system,
+                      recoloured)
 from oracles import kosaraju_components, loop_equivalent
 
 

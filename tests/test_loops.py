@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdkit import (Automaton, BuchiCondition, CapExceeded, InputError,
-                    Loop, MullerCondition, TransitionSystem, accessible_x_scc,
+from acdkit import (Automaton, CapExceeded, InputError, Loop,
+                    MullerCondition, TransitionSystem, accessible_x_scc,
                     acd_transform, alternating_children, build_acd,
                     build_zielonka_tree, build_zt_automaton,
                     check_acceptance_preserving, classify_acd,

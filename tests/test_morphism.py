@@ -3,7 +3,7 @@ import random
 import pytest
 
 from acdkit import (BuchiCondition, CapExceeded, InputError, Morphism,
-                    MullerCondition, ParityCondition, Run, TransitionSystem,
+                    ParityCondition, Run, TransitionSystem,
                     acd_transform, build_zielonka_tree, build_zt_automaton,
                     check_acceptance_preserving, check_local,
                     check_structural, compose, induced_morphism, lift_run,

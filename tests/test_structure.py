@@ -3,6 +3,9 @@ and the modules importing each other down one layer order, `core` at the
 bottom and the command line at the top."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import acdkit
@@ -49,3 +52,20 @@ def test_imports_point_down_one_layer_order():
         above = {m for m in _package_imports(SRC / (name + ".py"))
                  if RANK[m] >= rank}
         assert above == set(), name
+
+
+def test_import_generates_no_code_in_subprocess():
+    """Importing the package and its command line pulls in neither
+    `dataclasses`, which generates and compiles code for each record
+    class, nor `inspect`, which `dataclasses` imports."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import acdkit, acdkit.cli\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout))
+    assert {"acdkit", "acdkit.cli"} <= added
+    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
