@@ -22,12 +22,11 @@ class CapExceeded(AcdkitError):
 class _Record:
     """A record of the fields that `_fields` names: equal to a record of
     its own class with equal fields, shown as `Name(field=value, ...)`,
-    and unhashable.  Written out rather than made by `dataclasses`, which
-    generates and compiles code for each class when the package is
-    imported."""
+    and unhashable, since it defines `__eq__` alone.  Written out rather
+    than made by `dataclasses`, which generates and compiles code for
+    each class when the package is imported."""
 
     __slots__ = ()
-    _fields = ()
 
     def _values(self):
         return tuple(getattr(self, f) for f in self._fields)
@@ -36,8 +35,6 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
-
-    __hash__ = None
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
