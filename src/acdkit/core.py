@@ -42,10 +42,10 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A `_Record` in slots that `__init__` sets once, through the slots'
-    own descriptors: it hashes as the tuple of its fields, refuses
-    assignment and deletion, and copies and pickles through its
-    constructor."""
+    """A `_Record` whose fields are slots that `__init__` sets once,
+    through the slots' own descriptors: it hashes as the tuple of its
+    fields, refuses assignment and deletion, and copies and pickles
+    through its constructor."""
 
     __slots__ = ()
 
