@@ -8,7 +8,7 @@ import functools
 from . import loops as _loops
 from . import zielonka as _zielonka
 from .core import (InputError, Morphism, ParityCondition, _lift, _Record,
-                   validate)
+                   _valid_reading)
 from .zielonka import _node_name
 
 
@@ -34,16 +34,14 @@ class ACD:
     tree 0, the transient part, a one-node tree labelled `t0_edges`."""
 
     def __init__(self, ts, cond, explore_cap=None):
-        problems = validate(ts, cond)
-        if problems:
-            raise InputError("; ".join(problems))
+        key, _ = _valid_reading(ts, cond)
         _loops._cap(explore_cap, "explore_cap")
         self.ts = ts
         self.cond = cond
         maximal, transient = _loops.sccs(ts)
         if not maximal:
             raise InputError("system has no loop")
-        side = _loops._side(ts, cond)
+        side = _loops._side(cond, key)
         self.trees = tuple(
             _acd_tree(i, ts, side, top, explore_cap=explore_cap)
             for i, top in enumerate(maximal, start=1))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 
 
 class AcdkitError(Exception):
@@ -134,6 +135,9 @@ class TransitionSystem:
         for eid in self._colours:
             if eid not in self._by_id:
                 raise InputError("colour given for unknown edge %r" % eid)
+        if 0 < len(self._colours) < len(self._by_id):
+            # the colour map is empty or total: the other edges keep their ids
+            self._colours = {e: self._colours.get(e, e) for e in self._by_id}
         self._out = {v: [] for v in self.vertices}
         for e in self.edges:
             self._out[e.source].append(e)
@@ -158,10 +162,7 @@ class TransitionSystem:
         return self._colours.get(eid, eid)
 
     def colour_set(self):
-        if not self._colours:
-            return frozenset(self._by_id)
-        return frozenset(self._by_id.keys() - self._colours.keys()).union(
-            self._colours.values())
+        return frozenset(self._colours.values() or self._by_id)
 
     def letter(self, eid):
         if self.letters is None:
@@ -300,7 +301,7 @@ def _unroll(v, cycle, step):
 class Condition:
     """What every condition shares: `over` says what its ids name, the
     colours of the system it is read on (the default) or the system's
-    edge ids ("edges").  Only `_reading` and `_edge_keys` interpret it."""
+    edge ids ("edges").  Only `_reading` interprets it."""
 
     over = "colours"
 
@@ -416,18 +417,23 @@ def loop_status(cond, colours):
     return cond.accepts(colours)
 
 
+# the key of an edge read by its id: `eid[:]` is the string `eid` itself,
+# from a C-level call as cheap in bulk as the lookup of a colour map
+_ID = operator.itemgetter(slice(None))
+
+
 def _reading(ts, cond):
-    """How `cond` reads the loops of `ts`: the key of each edge and the
-    universe of keys.  The keys are the system's colours, or its edge ids
-    when the condition's `over` is "edges".  This and `_edge_keys`, its
-    bulk form for the edges of `ts`, are the only code that looks at
-    `over`.  Naming an id outside the universe, or giving some key no
-    priority, is an InputError; `key` raises one for an unknown edge."""
-    if cond.over == "edges":
-        key, what = (lambda eid: ts.edge(eid).id), "edge"
-        universe = frozenset(ts._by_id)
+    """How `cond` reads the loops of `ts`, the only code that decides an
+    edge's key: the system's colour, or its id when the condition's `over`
+    is "edges".  Returns a lookup from edge ids of `ts` to keys, which
+    does not check its ids (`_check_known` does), and the universe of
+    keys.  Naming an id outside the universe, or giving some key no
+    priority, is an InputError."""
+    what = "edge" if cond.over == "edges" else "colour"
+    if what == "edge" or not ts._colours:
+        key, universe = _ID, frozenset(ts._by_id)
     else:
-        key, universe, what = ts.colour, ts.colour_set(), "colour"
+        key, universe = ts._colours.__getitem__, ts.colour_set()
     named = cond.referenced_colours()
     if named != universe:
         if not named <= universe:
@@ -439,25 +445,22 @@ def _reading(ts, cond):
     return key, universe
 
 
-def _edge_keys(ts, cond, ids):
-    """The keys `_reading` gives the edges `ids`, in one pass: their
-    colours, or the ids themselves for a condition over edges.  The ids
-    must be those of edges of `ts`: neither this nor the key map that
-    `loops._side` builds from it checks them.  `alternating_children`
-    checks a loop's ids before its search, and the morphism check reads
-    its target edges through `ts.edge`."""
-    if cond.over == "edges":
-        return ids
-    return map(ts._colours.get, ids, ids)
+def _check_known(ts, edge_ids):
+    """Refuse a set of edge ids naming an edge that `ts` lacks, naming the
+    least such id."""
+    unknown = edge_ids.difference(ts._by_id)
+    if unknown:
+        raise InputError("unknown edge %r" % min(unknown, key=str))
 
 
 def loop_status_over(ts, cond, edge_ids):
     """Status of the loop given by `edge_ids` within `ts`, read through
-    `_reading`."""
+    `_reading`; the least edge that `ts` lacks is an InputError."""
     edge_ids = frozenset(edge_ids)
     if not edge_ids:
         raise InputError("loop edge set must be nonempty")
     key, _ = _reading(ts, cond)
+    _check_known(ts, edge_ids)
     return cond.accepts(frozenset(map(key, edge_ids)))
 
 
@@ -473,6 +476,14 @@ def validate(ts, cond=None):
         except InputError as e:
             problems.append(str(e))
     return problems
+
+
+def _valid_reading(ts, cond):
+    """`_reading(ts, cond)` where `validate(ts, cond)` finds no problem,
+    else an InputError that lists the problems."""
+    if validate(ts):
+        raise InputError("; ".join(validate(ts, cond)))
+    return _reading(ts, cond)
 
 
 # ---------------------------------------------------------------------------

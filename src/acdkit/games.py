@@ -17,19 +17,17 @@ from itertools import chain
 from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _components, _edge_keys, _Record, validate
+from .core import InputError, _components, _Record, _valid_reading
 
 
 class Game:
     """A transition system where every vertex is owned by Eve or Adam;
     Eve wins a play iff the acceptance condition accepts it.  The
-    condition is checked against the system once, here (`core.validate`);
-    the solver and the certificate read edge keys with `core._edge_keys`."""
+    condition is read once, here (`core._valid_reading`); the solver and
+    the certificate key edges with its lookup, `_key`."""
 
     def __init__(self, ts, condition):
-        problems = validate(ts, condition)
-        if problems:
-            raise InputError("; ".join(problems))
+        self._key, _ = _valid_reading(ts, condition)
         if ts.owners is None:
             raise InputError("game vertices must carry owners")
         if len(ts.initial) != 1:
@@ -102,7 +100,7 @@ def solve_parity_game(game):
     src = [vnode[e.source] for e in edges]
     tgt = [vnode[e.target] for e in edges]
     prio = list(map(game.condition.priorities.__getitem__,
-                    _edge_keys(ts, game.condition, ids)))
+                    map(game._key, ids)))
     players = []    # the player of each run of one parity, ascending
     run = {}
     for d in sorted(set(prio)):
@@ -257,10 +255,12 @@ def verify_parity_solution(game, solution):
     walk name the problems, in the system's vertex order.  Strategy
     entries outside the winner's own vertices of the region are not
     read, and a region or strategy container that is not a dict reads
-    as empty."""
+    as empty.  A game whose condition is not parity is an InputError."""
+    if game.condition.kind != "parity":
+        raise InputError("expected a parity condition")
     ts = game.ts
     owners, out, by_id = ts.owners, ts.out, ts._by_id
-    cond, target = game.condition, attrgetter("target")
+    prio, target = game.condition.priorities.__getitem__, attrgetter("target")
     vertices = set(ts.vertices)
     owned = {p: [v for v in ts.vertices if owners[v] == p]
              for p in ("Eve", "Adam")}
@@ -300,8 +300,7 @@ def verify_parity_solution(game, solution):
         bad = set()
         work = [_components(allowed)]
         inner = [e.id for es in work[0] for e in es]
-        prios = dict(zip(inner, map(cond.priorities.__getitem__,
-                                    _edge_keys(ts, cond, inner))))
+        prios = dict(zip(inner, map(prio, map(game._key, inner))))
         while work:
             for es in work.pop():
                 d = min(prios[e.id] for e in es)

@@ -5,8 +5,8 @@ loop enumeration with the explicit Muller form read from it
 
 from __future__ import annotations
 
-from .core import (CapExceeded, InputError, MullerCondition, _components,
-                   _edge_keys, _Frozen, _over, _reach, _reading)
+from .core import (CapExceeded, InputError, MullerCondition, _check_known,
+                   _components, _Frozen, _over, _reach, _reading)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -41,14 +41,6 @@ class Loop(_Frozen):
 
 
 _set_edges, _set_states = Loop.edges.__set__, Loop.states.__set__
-
-
-def _check_known(ts, edge_ids):
-    """Refuse a set of edge ids naming an edge that `ts` lacks, naming the
-    least such id."""
-    unknown = edge_ids.difference(ts._by_id)
-    if unknown:
-        raise InputError("unknown edge %r" % min(unknown, key=str))
 
 
 def _states(edges):
@@ -95,15 +87,11 @@ def _cap(value, name):
     return value
 
 
-def _side(ts, cond):
-    """How the decomposition reads `cond` on `ts`: the key of each edge
-    (`core._reading`), looked up in a dict that `_edge_keys` fills in one
-    pass, the Zielonka-tree children read of key sets (`_children_read`)
-    and the status of a key set."""
-    _reading(ts, cond)
-    ids = list(ts._by_id)
-    return (dict(zip(ids, _edge_keys(ts, cond, ids))).__getitem__,
-            _children_read(cond), cond.accepts)
+def _side(cond, key):
+    """How the decomposition reads `cond`: `key`, the key of each edge
+    (the lookup of `core._reading`), the Zielonka-tree children read of
+    key sets (`_children_read`) and the status of a key set."""
+    return key, _children_read(cond), cond.accepts
 
 
 def _flipped_subloops(ts, side, edges, explore_cap=None):
@@ -160,7 +148,7 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     them: by colour, or by id for a condition over edges.  A loop naming
     an edge that `ts` lacks is an InputError naming the least such id.
     """
-    side = _side(ts, cond)
+    side = _side(cond, _reading(ts, cond)[0])
     explore_cap = _cap(explore_cap, "explore_cap")
     _check_known(ts, loop.edges)
     kids = _flipped_subloops(ts, side, loop.edges, explore_cap)
@@ -181,20 +169,18 @@ def _reachable_maximal(ts, cap=None):
     return maximal
 
 
-def _same_decomposition(ts, side1, side2, loop_cap=None, explore_cap=None):
-    """True iff the two readings (`_side`) give every reachable maximal
-    loop of `ts` the same labelled decomposition tree.
+def _same_decomposition(ts, tops, side1, side2, explore_cap=None):
+    """True iff the two readings (`_side`) give each maximal loop in
+    `tops` of `ts` the same labelled decomposition tree.
 
     A loop's status is the status of any deepest tree node whose label
-    contains it, so the labelled trees fix the status of every reachable
-    loop and are fixed by it: equal trees mean equal statuses.  The two
+    contains it, so the labelled trees fix the status of every loop below
+    `tops` and are fixed by it: equal trees mean equal statuses.  The two
     trees are grown in step and compared node by node, so the walk stops
-    at the first root status or children list that differs.  With a
-    `loop_cap`, a reachable SCC of more edges raises CapExceeded.
+    at the first root status or children list that differs.
     """
     (key1, _, status1), (key2, _, status2) = side1, side2
-    _cap(explore_cap, "explore_cap")
-    for top in _reachable_maximal(ts, _cap(loop_cap, "loop_cap")):
+    for top in tops:
         if status1(frozenset(map(key1, top.edges))) != \
                 status2(frozenset(map(key2, top.edges))):
             return False
@@ -220,8 +206,11 @@ def equivalent_over(ts, cond1, cond2, loop_cap=None, explore_cap=None):
     SCC of more edges; `explore_cap` bounds each node's subloop search as
     in `build_acd`.
     """
-    return _same_decomposition(ts, _side(ts, cond1), _side(ts, cond2),
-                               loop_cap=loop_cap, explore_cap=explore_cap)
+    side1 = _side(cond1, _reading(ts, cond1)[0])
+    side2 = _side(cond2, _reading(ts, cond2)[0])
+    _cap(explore_cap, "explore_cap")
+    tops = _reachable_maximal(ts, _cap(loop_cap, "loop_cap"))
+    return _same_decomposition(ts, tops, side1, side2, explore_cap)
 
 
 def enumerate_reachable_loops(ts, cap=None):

@@ -4,10 +4,8 @@ preservation, and run transport."""
 
 from __future__ import annotations
 
-from functools import cache
-
 from . import loops as _loops
-from .core import InputError, Run, _unroll
+from .core import InputError, Run, _reading, _unroll
 
 
 def check_structural(m):
@@ -89,18 +87,22 @@ def check_acceptance_preserving(m, loop_cap=None, explore_cap=None):
     every reachable loop exactly when they give the reachable part of the
     source the same labelled ACD, since a loop's status is the status of
     any deepest node whose loop contains it.  Only edges of reachable
-    SCCs are mapped; an unmapped one raises InputError.  `loop_cap`, when
-    set, refuses a reachable SCC of more edges; `explore_cap` bounds each
-    node's subloop search as in `build_acd`.
+    SCCs are mapped; the least unmapped one, or one whose image the target
+    lacks, raises InputError.  `loop_cap`, when set, refuses a reachable
+    SCC of more edges; `explore_cap` bounds each node's subloop search as
+    in `build_acd`.
     """
-    key, read, status = _loops._side(m.target_ts, m.target_cond)
-    # each source edge's key is pulled back once per check, when first
-    # read; `edge` refuses an image that the target lacks
-    pulled = cache(lambda eid: key(m.target_ts.edge(m.apply_edge(eid)).id)), \
-        read, status
+    key, _ = _reading(m.target_ts, m.target_cond)
+    source = _loops._side(m.source_cond,
+                          _reading(m.source_ts, m.source_cond)[0])
+    _loops._cap(explore_cap, "explore_cap")
+    tops = _loops._reachable_maximal(
+        m.source_ts, _loops._cap(loop_cap, "loop_cap"))
+    pulled = {eid: key(m.target_ts.edge(m.apply_edge(eid)).id)
+              for eid in sorted(frozenset().union(*(t.edges for t in tops)))}
     return _loops._same_decomposition(
-        m.source_ts, _loops._side(m.source_ts, m.source_cond), pulled,
-        loop_cap=loop_cap, explore_cap=explore_cap)
+        m.source_ts, tops, source,
+        _loops._side(m.target_cond, pulled.__getitem__), explore_cap)
 
 
 def map_run(m, run):

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import acdkit
 from acdkit import (BuchiCondition, CoBuchiCondition, MullerCondition,
                     ParityCondition, RabinCondition, StreettCondition,
                     TransitionSystem)
@@ -9,6 +13,38 @@ from families import (  # noqa: F401  (re-exported)
     alternating_path_game, cycle_game, even_muller, parity_chain, path_game)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def under_hash_seeds(code, seeds=("0", "1")):
+    """The stdout of `code` run by a fresh interpreter under each
+    PYTHONHASHSEED of `seeds`, with the package on its path, in order."""
+    src = os.path.dirname(os.path.dirname(acdkit.__file__))
+    out = []
+    for seed in seeds:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONHASHSEED=seed,
+                                 PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    return out
+
+
+def count_readings(monkeypatch):
+    """A list that gains one entry per call of `core._reading`, wrapped in
+    every acdkit module that binds it."""
+    calls = []
+    real = acdkit.core._reading
+
+    def counted(ts, cond):
+        calls.append(cond)
+        return real(ts, cond)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acdkit") and \
+                getattr(module, "_reading", None) is real:
+            monkeypatch.setattr(module, "_reading", counted)
+    return calls
 
 SIXSTATE_EDGES = [
     ("a", "q0", "q1"), ("b", "q0", "q3"), ("c", "q1", "q2"),

@@ -13,9 +13,9 @@ from acdkit import (CapExceeded, InputError, MullerCondition,
                     sccs, shape, streett_from_acd, subtree_for_state)
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
-from conftest import (CONDITION_KINDS, even_muller, parity_chain,
-                      random_condition, random_muller_system, random_system,
-                      recoloured)
+from conftest import (FIXTURES, CONDITION_KINDS, count_readings,
+                      even_muller, parity_chain, random_condition,
+                      random_muller_system, random_system, recoloured)
 from oracles import deepest_holding_prefix, loop_preserving
 
 
@@ -124,6 +124,13 @@ def test_transform_rejects_invalid_input():
     ts = TransitionSystem(["p", "q"], [("s", "p", "q")], ["p"])
     with pytest.raises(InputError):
         acd_transform(ts, MullerCondition([{"s"}]))
+
+
+def test_acd_reads_its_condition_once(monkeypatch):
+    doc = docfmt.parse((FIXTURES / "sixstate.json").read_text())
+    calls = count_readings(monkeypatch)
+    build_acd(doc.system, doc.condition)
+    assert calls == [doc.condition]
 
 
 def test_one_vertex_acd_is_zielonka_tree():

@@ -11,7 +11,7 @@ from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     loop_status_over, to_explicit_muller, validate)
 from acdkit.core import Edge, _components, _reach, _tarjan_marks
 from conftest import (CONDITION_KINDS, random_condition, random_system,
-                      recoloured)
+                      recoloured, under_hash_seeds)
 from oracles import kosaraju_components, loop_equivalent
 
 
@@ -47,6 +47,27 @@ def test_loop_status_rabin_streett():
 def test_loop_status_rejects_empty():
     with pytest.raises(InputError):
         loop_status(BuchiCondition({"a"}), set())
+
+
+UNKNOWN_LOOP_EDGES = """
+from acdkit import InputError, MullerCondition, TransitionSystem
+from acdkit import loop_status_over
+from acdkit.core import _over
+ts = TransitionSystem(["p"], [("a", "p", "p")], ["p"])
+cond = MullerCondition([{"a"}])
+for reading in (cond, _over(cond, "edges")):
+    try:
+        loop_status_over(ts, reading, ["zz", "bb", "yy", "cc"])
+    except InputError as e:
+        print(e)
+"""
+
+
+def test_loop_status_over_names_the_least_unknown_edge_in_subprocess():
+    """Under either reading, a loop naming several edges that the system
+    lacks is refused naming the least of them, whatever the hash seed."""
+    assert under_hash_seeds(UNKNOWN_LOOP_EDGES) == \
+        ["unknown edge 'bb'\n" * 2] * 2
 
 
 def test_validate_ok():

@@ -12,8 +12,8 @@ from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     verify_parity_solution)
 from acdkit.core import _over, _reading
 from acdkit.games import ParitySolution
-from conftest import (alternating_path_game, cycle_game, path_game,
-                      random_muller_system, random_system)
+from conftest import (alternating_path_game, count_readings, cycle_game,
+                      path_game, random_muller_system, random_system)
 from oracles import (brute_force_parity_regions, naive_certificate_problems,
                      set_based_parity_solution)
 
@@ -164,21 +164,31 @@ def test_parallel_edges_of_different_priorities():
 
 def test_parity_game_reads_its_condition_once(monkeypatch):
     """Building, solving and certifying a game read through its colours
-    computes the system's colour set once, in `Game`."""
+    reads its condition once (`core._reading`), in `Game`."""
     ts = TransitionSystem(
         ["u", "w"],
         [("e1", "u", "u"), ("e2", "u", "w"),
          ("e3", "w", "w"), ("e4", "w", "u")],
         ["u"], owners={"u": "Eve", "w": "Adam"},
         colours={"e1": "c1", "e2": "c2", "e3": "c2", "e4": "c3"})
-    calls = []
-    real = TransitionSystem.colour_set
-    monkeypatch.setattr(TransitionSystem, "colour_set",
-                        lambda self: calls.append(1) or real(self))
-    sol = solve_parity_game(Game(ts, ParityCondition(
-        {"c1": 1, "c2": 2, "c3": 3})))
+    calls = count_readings(monkeypatch)
+    game = Game(ts, ParityCondition({"c1": 1, "c2": 2, "c3": 3}))
+    sol = solve_parity_game(game)
     assert sol.regions == {"u": "Eve", "w": "Eve"}
+    assert verify_parity_solution(game, sol) == []
     assert len(calls) == 1
+
+
+def test_certificate_check_refuses_a_condition_that_is_not_parity():
+    """Like the solver, the certificate check refuses a game whose
+    condition is not parity with an InputError."""
+    game = Game(TransitionSystem(["p"], [("e", "p", "p")], ["p"],
+                                 owners={"p": "Eve"}),
+                MullerCondition([{"e"}]))
+    sol = ParitySolution({"p": "Eve"}, {"Eve": {"p": "e"}, "Adam": {}})
+    for check in (solve_parity_game, lambda g: verify_parity_solution(g, sol)):
+        with pytest.raises(InputError, match="^expected a parity condition$"):
+            check(game)
 
 
 def test_verify_rejects_tampered_solution():

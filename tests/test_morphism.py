@@ -8,8 +8,9 @@ from acdkit import (BuchiCondition, CapExceeded, InputError, Morphism,
                     check_acceptance_preserving, check_local,
                     check_structural, compose, induced_morphism, lift_run,
                     map_run, to_explicit_muller)
-from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
-                      random_system, recoloured)
+from conftest import (CONDITION_KINDS, count_readings, random_condition,
+                      random_muller_system, random_system, recoloured,
+                      under_hash_seeds)
 from oracles import loop_preserving
 
 
@@ -211,3 +212,34 @@ def test_acceptance_preserving_maps_only_reachable_loop_edges():
     m.edge_map["e"] = "zz"
     with pytest.raises(InputError, match="^unknown edge 'zz'$"):
         check_acceptance_preserving(m)
+
+
+def test_acceptance_preserving_reads_each_side_once(monkeypatch):
+    calls = count_readings(monkeypatch)
+    m = folding_morphism()
+    assert check_acceptance_preserving(m)
+    assert calls == [m.target_cond, m.source_cond]
+
+
+BAD_EDGE_MAPS = """
+from acdkit import (BuchiCondition, InputError, Morphism, TransitionSystem,
+                    check_acceptance_preserving)
+src = TransitionSystem(["p"], [(e, "p", "p") for e in "abcd"], ["p"])
+tgt = TransitionSystem(["q"], [("x", "q", "q")], ["q"])
+for edge_map in ({"a": "x", "b": "x"},
+                 {"a": "x", "b": "yy", "c": "xx", "d": "x"}):
+    m = Morphism(src, BuchiCondition({"a"}), tgt, BuchiCondition({"x"}),
+                 {"p": "q"}, edge_map)
+    try:
+        check_acceptance_preserving(m)
+    except InputError as e:
+        print(e)
+"""
+
+
+def test_acceptance_preserving_names_the_least_bad_edge_in_subprocess():
+    """Of several unmapped edges of a reachable loop, or several edges
+    whose images the target lacks, the check names the least source edge,
+    whatever the hash seed."""
+    assert under_hash_seeds(BAD_EDGE_MAPS) == \
+        ["edge 'c' is not mapped\nunknown edge 'yy'\n"] * 2

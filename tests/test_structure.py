@@ -69,3 +69,21 @@ def test_import_generates_no_code_in_subprocess():
     added = set(ast.literal_eval(proc.stdout))
     assert {"acdkit", "acdkit.cli"} <= added
     assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
+
+
+def test_only_core_reads_how_a_condition_keys_edges():
+    """Outside `core`, no module reads a condition's `over` or a system's
+    `_colours`, so that `core._reading` alone decides the key of an edge.
+    `docfmt` parses and writes the `over` field of a document."""
+    allowed = {("docfmt", "condition_from_obj", "over"),
+               ("docfmt", "condition_to_obj", "over")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for top in _parse(path).body:
+            found.update((path.stem, getattr(top, "name", None), node.attr)
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.Attribute)
+                         and node.attr in ("over", "_colours"))
+    assert found == allowed
