@@ -87,10 +87,10 @@ def check_acceptance_preserving(m, loop_cap=None, explore_cap=None):
     every reachable loop exactly when they give the reachable part of the
     source the same labelled ACD, since a loop's status is the status of
     any deepest node whose loop contains it.  Only edges of reachable
-    SCCs are mapped; the least unmapped one, or one whose image the target
-    lacks, raises InputError.  `loop_cap`, when set, refuses a reachable
-    SCC of more edges; `explore_cap` bounds each node's subloop search as
-    in `build_acd`.
+    SCCs are mapped: an unmapped one, or one whose image the target lacks,
+    raises an InputError naming the least such edge.  `loop_cap`, when
+    set, refuses a reachable SCC of more edges; `explore_cap` bounds each
+    node's subloop search as in `build_acd`.
     """
     key, _ = _reading(m.target_ts, m.target_cond)
     source = _loops._side(m.source_cond,

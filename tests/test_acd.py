@@ -13,7 +13,7 @@ from acdkit import (CapExceeded, InputError, MullerCondition,
                     sccs, shape, streett_from_acd, subtree_for_state)
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
-from conftest import (FIXTURES, CONDITION_KINDS, count_readings,
+from conftest import (CONDITION_KINDS, FIXTURES, count_readings,
                       even_muller, parity_chain, random_condition,
                       random_muller_system, random_system, recoloured)
 from oracles import deepest_holding_prefix, loop_preserving

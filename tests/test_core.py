@@ -50,8 +50,8 @@ def test_loop_status_rejects_empty():
 
 
 UNKNOWN_LOOP_EDGES = """
-from acdkit import InputError, MullerCondition, TransitionSystem
-from acdkit import loop_status_over
+from acdkit import (InputError, MullerCondition, TransitionSystem,
+                    loop_status_over)
 from acdkit.core import _over
 ts = TransitionSystem(["p"], [("a", "p", "p")], ["p"])
 cond = MullerCondition([{"a"}])
