@@ -252,38 +252,6 @@ def cmd_oracle_equiv(args):
         raise PropertyFalse("conditions are not equivalent over the system")
 
 
-# the flags some subcommands take beyond `-o` and the two caps
-FLAGS = {"--dot": {"help": "also write a DOT rendering here"},
-         "--target": {"required": True,
-                      "choices": ["rabin", "streett", "parity", "weak"]},
-         "--against": {"required": True}}
-
-# name -> (handler, its positional arguments and FLAGS, help), in the
-# order help lists them
-COMMANDS = {
-    "zielonka": (cmd_zielonka, "file --dot",
-                 "Zielonka tree of a Muller condition"),
-    "zt-automaton": (cmd_zt_automaton, "file --dot",
-                     "parity automaton built on the branches of the tree"),
-    "acd": (cmd_acd, "file --dot", "alternating cycle decomposition"),
-    "transform": (cmd_transform, "file --dot",
-                  "parity transformation of the system"),
-    "stats": (cmd_stats, "file", "transformation size and priority usage"),
-    "shape": (cmd_shape, "file", "shape classification of the decomposition"),
-    "relabel": (cmd_relabel, "file --target",
-                "equivalent condition of the requested class"),
-    "compress": (cmd_compress, "file", "remove unused priority values"),
-    "compose": (cmd_compose, "automaton file --dot",
-                "product of a deterministic automaton with a system"),
-    "check-morphism": (cmd_check_morphism, "file --against",
-                       "verify the morphism block of a document"),
-    "solve": (cmd_solve, "file", "solve a parity or Muller game"),
-    "oracle-equiv": (cmd_oracle_equiv, "file other",
-                     "equivalence of two conditions on every reachable "
-                     "loop, by comparing their decompositions"),
-}
-
-
 def _cap(text):
     """A cap given on the command line: an integer of at least 1."""
     try:
@@ -295,19 +263,54 @@ def _cap(text):
         "a cap must be an integer of at least 1, got %r" % text)
 
 
+# the flags some subcommands take beyond `-o`
+FLAGS = {"--dot": {"help": "also write a DOT rendering here"},
+         "--target": {"required": True,
+                      "choices": ["rabin", "streett", "parity", "weak"]},
+         "--against": {"required": True},
+         "--loop-cap": {"type": _cap, "help": "largest reachable SCC edge "
+                        "count to accept (default: no limit)"},
+         "--explore-cap": {"type": _cap,
+                           "help": "cap on subloop exploration"}}
+
+# name -> (handler, the positional arguments and FLAGS it reads, help), in
+# the order help lists them
+COMMANDS = {
+    "zielonka": (cmd_zielonka, "file --dot",
+                 "Zielonka tree of a Muller condition"),
+    "zt-automaton": (cmd_zt_automaton, "file --dot",
+                     "parity automaton built on the branches of the tree"),
+    "acd": (cmd_acd, "file --dot --explore-cap",
+            "alternating cycle decomposition"),
+    "transform": (cmd_transform, "file --dot --explore-cap",
+                  "parity transformation of the system"),
+    "stats": (cmd_stats, "file --explore-cap",
+              "transformation size and priority usage"),
+    "shape": (cmd_shape, "file --explore-cap",
+              "shape classification of the decomposition"),
+    "relabel": (cmd_relabel, "file --target --explore-cap",
+                "equivalent condition of the requested class"),
+    "compress": (cmd_compress, "file", "remove unused priority values"),
+    "compose": (cmd_compose, "automaton file --dot",
+                "product of a deterministic automaton with a system"),
+    "check-morphism": (cmd_check_morphism,
+                       "file --against --loop-cap --explore-cap",
+                       "verify the morphism block of a document"),
+    "solve": (cmd_solve, "file --explore-cap",
+              "solve a parity or Muller game"),
+    "oracle-equiv": (cmd_oracle_equiv, "file other --loop-cap --explore-cap",
+                     "equivalence of two conditions on every reachable "
+                     "loop, by comparing their decompositions"),
+}
+
+
 @functools.cache
 def build_parser():
     """The parser of COMMANDS, built on first use and kept: parsing leaves
-    no state in it.  Every subcommand inherits `-o` and the two caps."""
+    no state in it.  Every subcommand inherits `-o`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", help="write the result here "
                         "instead of stdout")
-    common.add_argument("--loop-cap", type=_cap, default=None,
-                        help="largest reachable SCC edge count that "
-                        "oracle-equiv and check-morphism accept (default: "
-                        "no limit)")
-    common.add_argument("--explore-cap", type=_cap, default=None,
-                        help="cap on subloop exploration")
     parser = argparse.ArgumentParser(
         prog="acdkit",
         description="Acceptance condition toolbox: Zielonka trees, "

@@ -104,9 +104,9 @@ class TransitionSystem:
         for e in self.edges:
             if e.id in self._by_id:
                 raise InputError("duplicate edge id %r" % e.id)
-            if e.source not in vset:
+            if not (isinstance(e.source, str) and e.source in vset):
                 raise InputError("edge %r has undeclared source %r" % (e.id, e.source))
-            if e.target not in vset:
+            if not (isinstance(e.target, str) and e.target in vset):
                 raise InputError("edge %r has undeclared target %r" % (e.id, e.target))
             self._by_id[e.id] = e
         self.initial = tuple(sorted(set(_strings(initial, "initial vertex"))))
@@ -131,6 +131,7 @@ class TransitionSystem:
             for e in self.edges:
                 if e.id not in self.letters:
                     raise InputError("edge %r has no letter" % e.id)
+            _hashable(self.letters, "letter")
         self._colours = dict(colours) if colours else {}
         for eid in self._colours:
             if eid not in self._by_id:
@@ -138,6 +139,7 @@ class TransitionSystem:
         if 0 < len(self._colours) < len(self._by_id):
             # the colour map is empty or total: the other edges keep their ids
             self._colours = {e: self._colours.get(e, e) for e in self._by_id}
+        _hashable(self._colours, "colour")
         self._out = {v: [] for v in self.vertices}
         for e in self.edges:
             self._out[e.source].append(e)
@@ -186,6 +188,34 @@ def _edge(e):
     if isinstance(e, (tuple, list)) and len(e) == 3:
         return Edge(*e)
     raise InputError("edge %r is not an (id, source, target) triple" % (e,))
+
+
+def _hashable(labels, what):
+    """Refuse an unhashable value of `labels`, a letter or colour map on
+    edge ids, naming the least edge that carries one: every set of letters
+    or colours is built on these values."""
+    try:
+        frozenset(labels.values())
+    except TypeError:
+        for eid in sorted(labels):
+            try:
+                hash(labels[eid])
+            except TypeError:
+                raise InputError("%s of edge %r is not hashable: %r"
+                                 % (what, eid, labels[eid])) from None
+
+
+def _named(x):
+    """The order in which a message names values, whatever their types:
+    the strings as they are, then any other value by its repr."""
+    return (0, x) if isinstance(x, str) else (1, repr(x))
+
+
+def _listing(values):
+    """`values` in `_named` order, joined by ", ": a string as it is, any
+    other value by its repr."""
+    return ", ".join(x if isinstance(x, str) else repr(x)
+                     for x in sorted(values, key=_named))
 
 
 def _strings(ids, what):
@@ -341,7 +371,8 @@ class ParityCondition(Condition):
     def __init__(self, priorities):
         self.priorities = dict(priorities)
         for c, p in self.priorities.items():
-            if not isinstance(p, int) or p < 0:
+            # bool is a subclass of int, and True must not read as priority 1
+            if type(p) is not int or p < 0:
                 raise InputError("priority of %r must be a nonnegative integer" % c)
 
     def accepts(self, colours):
@@ -438,10 +469,10 @@ def _reading(ts, cond):
     if named != universe:
         if not named <= universe:
             raise InputError("condition references unknown %s %r"
-                             % (what, min(named - universe)))
+                             % (what, min(named - universe, key=_named)))
         if cond.kind == "parity":
             raise InputError("no priority assigned to %s %r"
-                             % (what, min(universe - named)))
+                             % (what, min(universe - named, key=_named)))
     return key, universe
 
 
@@ -450,7 +481,7 @@ def _check_known(ts, edge_ids):
     least such id."""
     unknown = edge_ids.difference(ts._by_id)
     if unknown:
-        raise InputError("unknown edge %r" % min(unknown, key=str))
+        raise InputError("unknown edge %r" % min(unknown, key=_named))
 
 
 def loop_status_over(ts, cond, edge_ids):
@@ -515,7 +546,8 @@ class Automaton:
             self._step[(e.source, a)] = e
         self.alphabet = frozenset(letters)
         missing = min(((q, a) for q in ts.vertices for a in self.alphabet
-                       if (q, a) not in self._step), default=None)
+                       if (q, a) not in self._step),
+                      key=lambda qa: (qa[0], _named(qa[1])), default=None)
         if missing:
             raise InputError(
                 "automaton not complete at state %r, letter %r" % missing)
@@ -644,7 +676,7 @@ def compose(automaton, ts, ts_condition=None):
     missing = ts.colour_set() - automaton.alphabet
     if missing:
         raise InputError(
-            "automaton alphabet misses colours: %s" % ", ".join(sorted(missing)))
+            "automaton alphabet misses colours: %s" % _listing(missing))
 
     def step(q, e):
         ae = automaton.step(q, ts.colour(e.id))

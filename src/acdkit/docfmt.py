@@ -44,14 +44,11 @@ def parse(text):
     sysobj = obj.get("system")
     if not isinstance(sysobj, dict):
         raise InputError("missing system block")
-    edges = [_strings(e, "an edge")
-             for e in _list(sysobj.get("edges", []), "edges")]
-    if any(len(e) != 3 for e in edges):
-        raise InputError("edges must be [id, source, target] triples")
+    # the system checks its own values; this checks only the JSON shapes
     system = TransitionSystem(
-        _strings(sysobj.get("vertices", []), "vertices"),
-        edges,
-        _strings(sysobj.get("initial", []), "initial"),
+        _list(sysobj.get("vertices", []), "vertices"),
+        _list(sysobj.get("edges", []), "edges"),
+        _list(sysobj.get("initial", []), "initial"),
         owners=_string_map(sysobj.get("owners"), "owners"),
         letters=_string_map(sysobj.get("letters"), "letters"),
         colours=_string_map(sysobj.get("colours"), "colours"))
@@ -104,9 +101,7 @@ def condition_from_obj(obj):
              for s in _list(obj.get("family", []), "family")])
     elif kind == "parity":
         prios = obj.get("priorities", {})
-        # bool is a subclass of int, and true must not read as priority 1
-        if not isinstance(prios, dict) or \
-                any(type(p) is not int for p in prios.values()):
+        if not isinstance(prios, dict):
             raise InputError("priorities must map colours to integers")
         cond = ParityCondition(prios)
     elif kind in ("buchi", "cobuchi"):

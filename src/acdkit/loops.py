@@ -6,7 +6,7 @@ loop enumeration with the explicit Muller form read from it
 from __future__ import annotations
 
 from .core import (CapExceeded, InputError, MullerCondition, _check_known,
-                   _components, _Frozen, _over, _reach, _reading)
+                   _components, _Frozen, _listing, _over, _reach, _reading)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -267,7 +267,7 @@ def accessible_x_scc(automaton, letters):
     letters = frozenset(letters)
     unknown = letters - automaton.alphabet
     if unknown:
-        raise InputError("letters not in alphabet: %s" % ", ".join(sorted(unknown)))
+        raise InputError("letters not in alphabet: %s" % _listing(unknown))
     reach = _reach([automaton.initial],
                    lambda q: (automaton.step(q, a).target for a in letters))
     if not letters:

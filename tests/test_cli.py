@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -535,6 +536,21 @@ def test_every_subcommand_on_every_fixture(tmp_path):
         assert code in (0, 1, 2, 3), argv
 
 
+# every subcommand on inputs of its goldens, with the positional arguments
+# and required flags it takes: on these its handler reads every option
+READING_INPUTS = {
+    "zielonka": [fx("f1.json")], "zt-automaton": [fx("f1.json")],
+    "acd": [fx("sixstate.json")], "transform": [fx("sixstate.json")],
+    "stats": [fx("sixstate.json")], "shape": [fx("sixstate.json")],
+    "relabel": [fx("automatonA.json"), "--target", "rabin"],
+    "compress": [fx("paritygame.json")],
+    "compose": [fx("automatonA.json"), fx("host01.json")],
+    "check-morphism": [os.path.join(GOLDEN, "transform-sixstate.json"),
+                       "--against", fx("sixstate.json")],
+    "solve": [fx("mullergame.json")],
+    "oracle-equiv": [fx("f1.json"), fx("f1.json")]}
+
+
 def _partial_document(tmp_path, block, value):
     """A two-vertex Muller document whose `owners` or `letters` block
     misses vertex q or edge y."""
@@ -558,36 +574,24 @@ def test_partial_owners_and_letters_fail_every_subcommand(
     traceback; `acd`, `zielonka`, `stats`, `shape` and `relabel` used to
     accept one."""
     doc = _partial_document(tmp_path, block, value)
-    for sub, words in SUBCOMMANDS.items():
-        argv = [sub] + [doc if w in ("a", "f", "g") else w for w in words]
+    for sub, words in READING_INPUTS.items():
+        argv = [sub] + [doc if w.endswith(".json") else w for w in words]
         proc = run_process(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr == "input error: %s\n" % message, argv
         assert "Traceback" not in proc.stderr
 
 
-def _valid_argvs(tmp_path):
+def _valid_argvs():
     """Every subcommand on inputs it accepts."""
-    six = fx("sixstate.json")
-    transformed = str(tmp_path / "transformed.json")
-    assert cli.main(["transform", six, "-o", transformed]) == 0
-    argvs = [["zielonka", fx("f1.json")], ["zt-automaton", fx("f1.json")],
-             ["acd", six], ["transform", six], ["stats", six], ["shape", six],
-             ["relabel", fx("paritygame.json"), "--target", "weak"],
-             ["compress", fx("paritygame.json")],
-             ["compose", fx("automatonA.json"), fx("host01.json")],
-             ["check-morphism", transformed, "--against", six],
-             ["solve", fx("paritygame.json")],
-             ["oracle-equiv", fx("f1.json"), fx("f1.json")]]
-    assert [a[0] for a in argvs] == list(SUBCOMMANDS)
-    return {a[0]: a for a in argvs}
+    return {sub: [sub] + words for sub, words in READING_INPUTS.items()}
 
 
 def test_unwritable_output_paths_are_input_errors(tmp_path):
     """`-o` or `--dot` into a missing directory exits 2 with a message,
     not with a traceback."""
     missing = str(tmp_path / "missing" / "out")
-    argvs = _valid_argvs(tmp_path)
+    argvs = _valid_argvs()
     runs = [argv + ["-o", missing] for argv in argvs.values()]
     runs += [argvs[sub] + ["-o", str(tmp_path / "out.json"), "--dot", missing]
              for sub in sorted(DOT_SUBCOMMANDS)]
@@ -603,7 +607,7 @@ def test_unwritable_dot_path_leaves_no_output(tmp_path, capsys):
     written: nothing on stdout, and no `-o` file."""
     missing = str(tmp_path / "missing" / "x.dot")
     out = tmp_path / "out.json"
-    argvs = _valid_argvs(tmp_path)
+    argvs = _valid_argvs()
     capsys.readouterr()
     for sub in sorted(DOT_SUBCOMMANDS):
         assert cli.main(argvs[sub] + ["--dot", missing]) == 2, sub
@@ -616,7 +620,7 @@ def test_output_and_dot_naming_one_file_is_an_input_error(
         tmp_path, capsys, monkeypatch):
     """`-o` and `--dot` that resolve to the same file exit 2 and write
     nothing: no stdout, no new file and an existing one untouched."""
-    argvs = _valid_argvs(tmp_path)
+    argvs = _valid_argvs()
     monkeypatch.chdir(tmp_path)
     os.symlink("P", "link")
     kept = tmp_path / "kept"
@@ -635,7 +639,7 @@ def test_hard_links_to_one_file_are_an_input_error(tmp_path, capsys):
     """`-o` and `--dot` naming two hard links to one file exit 2 and leave
     its bytes in place; they used to exit 0 with only the DOT text in
     it."""
-    argvs = _valid_argvs(tmp_path)
+    argvs = _valid_argvs()
     first, second = tmp_path / "P", tmp_path / "H"
     first.write_bytes(b'{"keep": 1}')
     os.link(first, second)
@@ -655,7 +659,7 @@ def test_failing_dot_keeps_an_existing_output_file(tmp_path, capsys):
     mode, and `-o /dev/null` still works."""
     missing = str(tmp_path / "missing" / "x.dot")
     pre = tmp_path / "pre.json"
-    argvs = _valid_argvs(tmp_path)
+    argvs = _valid_argvs()
     capsys.readouterr()
     for sub in sorted(DOT_SUBCOMMANDS):
         pre.write_bytes(b'{"keep": 1}' + b" " * 100000)
@@ -748,36 +752,41 @@ def test_dot_is_rendered_only_with_the_flag(tmp_path, monkeypatch):
         dot.unlink()
 
 
-# every subcommand with the positional arguments and required flags it
-# takes; the five that also write a DOT rendering take --dot
-SUBCOMMANDS = {
-    "zielonka": ["f"], "zt-automaton": ["f"], "acd": ["f"],
-    "transform": ["f"], "stats": ["f"], "shape": ["f"],
-    "relabel": ["f", "--target", "weak"], "compress": ["f"],
-    "compose": ["a", "f"], "check-morphism": ["f", "--against", "g"],
-    "solve": ["f"], "oracle-equiv": ["f", "g"]}
 DOT_SUBCOMMANDS = {"zielonka", "zt-automaton", "acd", "transform", "compose"}
+@pytest.mark.parametrize("sub", sorted(cli.COMMANDS))
+def test_each_subcommand_takes_exactly_the_options_it_reads(sub, tmp_path):
+    """A subcommand takes `-o` and the options that COMMANDS lists for it,
+    and its handler reads each of them, and each positional argument, on
+    an input of its goldens.  Any other option, an ignored cap among
+    them, is a usage error (exit 2), and so is a required flag left out."""
+    read = set()
 
+    class Reads(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
 
-@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
-def test_every_subcommand_takes_the_common_flags(sub):
-    parser = cli.build_parser()
-    args = parser.parse_args([sub] + SUBCOMMANDS[sub] + [
-        "-o", "out", "--loop-cap", "4", "--explore-cap", "5"])
-    assert (args.output, args.loop_cap, args.explore_cap) == ("out", 4, 5)
-    args = parser.parse_args([sub] + SUBCOMMANDS[sub])
-    assert (args.output, args.loop_cap, args.explore_cap) == (None,) * 3
-    if sub in DOT_SUBCOMMANDS:
-        assert parser.parse_args(
-            [sub] + SUBCOMMANDS[sub] + ["--dot", "d"]).dot == "d"
-    else:
-        with pytest.raises(SystemExit):
-            parser.parse_args([sub] + SUBCOMMANDS[sub] + ["--dot", "d"])
-    for flag in ("--target", "--against"):
-        if flag in SUBCOMMANDS[sub]:
-            i = SUBCOMMANDS[sub].index(flag)
-            with pytest.raises(SystemExit):  # the flag is required
-                parser.parse_args([sub] + SUBCOMMANDS[sub][:i])
+    takes = cli.COMMANDS[sub][1].split()
+    values = {"-o": str(tmp_path / "out"), "--dot": str(tmp_path / "out.dot"),
+              "--loop-cap": "1000", "--explore-cap": "1000"}
+    argv = [sub] + READING_INPUTS[sub] + [
+        x for flag in values if flag == "-o" or flag in takes
+        for x in (flag, values[flag])]
+    args = cli.build_parser().parse_args(argv, namespace=Reads())
+    arguments = set(vars(args)) - {"command", "fn"}
+    read.clear()
+    cli.COMMANDS[sub][0](args)
+    assert {name for name in read if not name.startswith("_")} == arguments
+    for flag in sorted(set(cli.FLAGS) - set(takes)):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + [flag, values.get(flag, "x")])
+        assert err.value.code == 2, flag
+    for flag in takes:
+        if cli.FLAGS.get(flag, {}).get("required"):
+            i = argv.index(flag)
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv[:i] + argv[i + 2:])
+            assert err.value.code == 2, flag
 
 
 def test_calls_in_one_process_share_no_arguments(tmp_path, monkeypatch):

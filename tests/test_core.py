@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -5,10 +6,11 @@ import pytest
 
 from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
                     ParityCondition, RabinCondition, Run, StreettCondition,
-                    TransitionSystem, build_zielonka_tree, build_zt_automaton,
-                    check_local, check_structural, compose,
-                    enumerate_reachable_loops, equivalent_over, loop_status,
-                    loop_status_over, to_explicit_muller, validate)
+                    TransitionSystem, accessible_x_scc, build_zielonka_tree,
+                    build_zt_automaton, check_local, check_structural,
+                    compose, docfmt, enumerate_reachable_loops,
+                    equivalent_over, loop_status, loop_status_over,
+                    to_explicit_muller, validate)
 from acdkit.core import Edge, _components, _reach, _tarjan_marks
 from conftest import (CONDITION_KINDS, random_condition, random_system,
                       recoloured, under_hash_seeds)
@@ -116,11 +118,70 @@ def test_constructor_referential_integrity():
     (["a", 0], [], ["a"], "vertex 0 is not a string"),
     (["a"], [], ["a", 0], "initial vertex 0 is not a string"),
     (["a"], [("x", "a", 0)], ["a"], "edge 'x' has undeclared target 0"),
+    (["a", ["b"]], [], ["a"], "vertex ['b'] is not a string"),
+    (["a"], [], [None], "initial vertex None is not a string"),
+    (["a"], [("x", ["a"], "a")], ["a"], "edge 'x' has undeclared source ['a']"),
+    (["a"], [("x", "a", True)], ["a"], "edge 'x' has undeclared target True"),
+    (["a"], [["x", "a"]], ["a"],
+     "edge ['x', 'a'] is not an (id, source, target) triple"),
 ])
 def test_ids_are_never_reread_as_strings(vertices, edges, initial, message):
+    """The constructor is the one checker of these values: `docfmt.parse`
+    of the document that holds them gives its message."""
     with pytest.raises(InputError) as err:
         TransitionSystem(vertices, edges, initial)
     assert str(err.value) == message
+    block = {"vertices": vertices, "edges": edges, "initial": initial}
+    with pytest.raises(InputError) as err:
+        docfmt.parse(json.dumps({"format": docfmt.FORMAT, "system": block}))
+    assert str(err.value) == message
+
+
+def test_a_bool_priority_has_one_checker():
+    message = "priority of 'a' must be a nonnegative integer"
+    with pytest.raises(InputError, match=message):
+        ParityCondition({"a": True})
+    with pytest.raises(InputError, match=message):
+        docfmt.condition_from_obj({"type": "parity", "priorities": {"a": True}})
+
+
+@pytest.mark.parametrize("what", ["colour", "letter"])
+def test_an_unhashable_colour_or_letter_is_refused(what):
+    """The message names the least edge with such a value."""
+    labels = {"x": "a", "y": ["c"], "z": {}}
+    with pytest.raises(InputError) as err:
+        TransitionSystem(["a"], [(e, "a", "a") for e in "zyx"], ["a"],
+                         **{what + "s": labels})
+    assert str(err.value) == "%s of edge 'y' is not hashable: ['c']" % what
+
+
+def test_messages_name_values_of_any_type():
+    """Strings come first as they are, then other values by their repr."""
+    aut = Automaton(TransitionSystem(["q"], [("e", "q", "q")], ["q"],
+                                     letters={"e": "a"}),
+                    BuchiCondition(["e"]))
+    host = TransitionSystem(["p"], [("g", "p", "p"), ("h", "p", "p")], ["p"],
+                            colours={"g": 1, "h": "zz"})
+    with pytest.raises(InputError) as err:
+        compose(aut, host)
+    assert str(err.value) == "automaton alphabet misses colours: zz, 1"
+    with pytest.raises(InputError) as err:
+        accessible_x_scc(aut, [None, 1, "b"])
+    assert str(err.value) == "letters not in alphabet: b, 1, None"
+    ts = TransitionSystem(["p"], [("g", "p", "p")], ["p"])
+    assert validate(ts, MullerCondition([[1, "zz", None]])) == [
+        "condition references unknown colour 'zz'"]
+    assert validate(ts, ParityCondition({"g": 0, 2: 0, "zz": 1})) == [
+        "condition references unknown colour 'zz'"]
+    letters = {"g": "a", "h": 1, "i": "b"}
+    with pytest.raises(InputError) as err:
+        Automaton(TransitionSystem(["p", "q"], [("g", "p", "q"),
+                                                ("h", "q", "p"),
+                                                ("i", "q", "q")],
+                                   ["p"], letters=letters),
+                  BuchiCondition(["g"]))
+    assert str(err.value) == \
+        "automaton not complete at state 'p', letter 'b'"
 
 
 @pytest.mark.parametrize("edge, named", [

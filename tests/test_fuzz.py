@@ -3,8 +3,8 @@
 Each seed mutates a fixture document (a value of the wrong JSON type, a
 deleted key, a foreign id, a duplicated entry, a condition of another
 kind, another `over`) and runs it in process through every subcommand,
-with small caps, once with `-o` (and `--dot`) under a temporary directory
-and once to stdout.  For every call:
+with small caps where it takes them, once with `-o` (and `--dot`) under a
+temporary directory and once to stdout.  For every call:
 - the exit code is 0-3, and no exception escapes `cli.main`;
 - nothing goes to stdout with `-o`, and a failing exit leaves no `-o` or
   `--dot` file behind;
@@ -12,17 +12,24 @@ and once to stdout.  For every call:
   the two check commands, one JSON report;
 - exit 0 writes one JSON document, the same bytes in both runs;
 and `docfmt.serialize(docfmt.parse(t))` is a fixed point for every
-document text t that parses, the inputs and the documents written."""
+document text t that parses, the inputs and the documents written.
+
+Beside it, a library fuzzer puts each of ODD_VALUES into each slot of a
+small system and its parity condition: the constructors raise nothing but
+InputError, and `validate` returns a list."""
 
 import copy
 import json
 import random
 
-from acdkit import InputError, cli, docfmt
+import pytest
+
+from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
+                    ParityCondition, TransitionSystem, cli, docfmt, validate)
 from conftest import FIXTURES
 
 SEEDS = range(200)
-CAPS = ["--explore-cap", "40", "--loop-cap", "8"]
+CAPS = {"--explore-cap": "40", "--loop-cap": "8"}
 KINDS = ["muller", "parity", "buchi", "cobuchi", "rabin", "streett"]
 ODD_VALUES = [None, 0, -1, 1.5, True, "", "zz", [], ["zz"], {}, {"zz": "q"},
               [["zz", "q0", "q0"]], 10 ** 30]
@@ -171,9 +178,10 @@ def _check_call(argv, tmp_path, capsys):
     """Run `argv` with `-o` and to stdout and require the output rules;
     returns the exit code."""
     out, dot = tmp_path / "out.json", tmp_path / "out.dot"
-    with_dot = ["--dot", str(dot)] if "--dot" in cli.COMMANDS[argv[0]][1] \
-        else []
-    code = cli.main(argv + CAPS + ["-o", str(out)] + with_dot)
+    takes = cli.COMMANDS[argv[0]][1].split()
+    with_dot = ["--dot", str(dot)] if "--dot" in takes else []
+    argv = argv + [x for cap in CAPS if cap in takes for x in (cap, CAPS[cap])]
+    code = cli.main(argv + ["-o", str(out)] + with_dot)
     assert code in (0, 1, 2, 3), argv
     assert capsys.readouterr().out == "", argv
     written = out.read_text(encoding="utf-8") if out.exists() else None
@@ -185,7 +193,7 @@ def _check_call(argv, tmp_path, capsys):
     for made in (out, dot):
         if made.exists():
             made.unlink()
-    again = cli.main(argv + CAPS)
+    again = cli.main(argv)
     printed = capsys.readouterr().out
     assert again == code, argv
     if code == 0:
@@ -226,3 +234,57 @@ def test_cli_output_rules_on_mutated_documents(tmp_path, capsys):
                   for argv in _argvs(*paths)]
     assert {sub for sub, code in codes if code == 0} == set(cli.COMMANDS)
     assert {code for _, code in codes} == {0, 1, 2, 3}
+
+
+# A library-level fuzzer beside the CLI one: each of ODD_VALUES in each
+# element slot of a small game automaton (owners, letters and colours on
+# two states), and in a priority of its parity condition.
+BASE = {"vertices": ["p", "q"],
+        "edges": [["w", "p", "q"], ["x", "q", "p"], ["y", "p", "p"],
+                  ["z", "q", "q"]],
+        "initial": ["p"],
+        "owners": {"p": "Eve", "q": "Adam"},
+        "letters": {"w": "a", "x": "a", "y": "b", "z": "b"},
+        "colours": {"w": "c", "x": "d", "y": "c", "z": "d"},
+        "priorities": {"c": 0, "d": 1}}
+# slot -> the path in BASE to the value it replaces
+SLOTS = {"vertex": ("vertices", 0), "initial vertex": ("initial", 0),
+         "edge id": ("edges", 0, 0), "source": ("edges", 1, 1),
+         "target": ("edges", 2, 2), "owner": ("owners", "q"),
+         "letter": ("letters", "x"), "colour": ("colours", "y"),
+         "priority": ("priorities", "d")}
+
+
+def _placed(slot, value):
+    """A deep copy of BASE with `value` in `slot`."""
+    obj = copy.deepcopy(BASE)
+    *path, last = SLOTS[slot]
+    box = obj
+    for key in path:
+        box = box[key]
+    box[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("slot", sorted(SLOTS))
+def test_library_constructors_on_odd_values(slot):
+    """Every construction succeeds or raises InputError, and `validate`
+    returns a list for each condition of a system that was built."""
+    for value in ODD_VALUES:
+        obj = _placed(slot, value)
+        try:
+            ts = TransitionSystem(
+                obj["vertices"], obj["edges"], obj["initial"],
+                owners=obj["owners"], letters=obj["letters"],
+                colours=obj["colours"])
+            conds = [MullerCondition([["c"], ["c", "d"]]),
+                     BuchiCondition(["d"]),
+                     ParityCondition(obj["priorities"])]
+        except InputError:
+            continue
+        for cond in conds:
+            assert isinstance(validate(ts, cond), list), (slot, value)
+            try:
+                Automaton(ts, cond)
+            except InputError:
+                pass
