@@ -210,6 +210,48 @@ def test_partial_owners_and_letters_are_input_errors():
         TransitionSystem(vs, edges, ["p"], letters={"x": "a", "z": "b"})
 
 
+@pytest.mark.parametrize("what, labels, message", [
+    ("owners", {"p": "Eve", "q": "Eve", "r": "Eve", "s": "Adam"},
+     "owner given for unknown vertex 's'"),
+    ("owners", {"p": "Eve", "q": "Eve", "r": "Eve", 1: "Adam"},
+     "owner given for unknown vertex 1"),
+    ("owners", {"p": "Eve", "r": "Adam"}, "vertex 'q' has no owner"),
+    ("owners", {"p": "Eve", "q": "Bob", "r": "Adam"},
+     "owner of 'q' must be Eve or Adam"),
+    ("owners", {"p": "Eve", "q": ["Eve"], "r": "Adam"},
+     "owner of 'q' must be Eve or Adam"),
+    # two faults: the map's order between a bad key and a bad value, and
+    # either before a missing vertex
+    ("owners", {"q": "Bob", "s": "Eve"}, "owner of 'q' must be Eve or Adam"),
+    ("owners", {"s": "Eve", "q": "Bob"}, "owner given for unknown vertex 's'"),
+    ("owners", {"p": "Eve", "r": "Bob"}, "owner of 'r' must be Eve or Adam"),
+    ("letters", {"x": "a", "y": "a", "z": "a", "w": "b"},
+     "letter given for unknown edge 'w'"),
+    ("letters", {"x": "a", "z": "b"}, "edge 'y' has no letter"),
+    ("letters", {"x": "a", "y": ["c"], "z": "b"},
+     "letter of edge 'y' is not hashable: ['c']"),
+    # two faults: an unknown key, then a missing edge, then an unhashable
+    # value
+    ("letters", {"x": ["c"], "w": "a"}, "letter given for unknown edge 'w'"),
+    ("letters", {"x": ["c"], "z": "b"}, "edge 'y' has no letter"),
+    ("colours", {"w": "a"}, "colour given for unknown edge 'w'"),
+    ("colours", {"x": "a", "y": ["c"]},
+     "colour of edge 'y' is not hashable: ['c']"),
+    # two faults: an unknown key before an unhashable value, and the least
+    # of two unhashable edges
+    ("colours", {"y": ["c"], "w": "a"}, "colour given for unknown edge 'w'"),
+    ("colours", {"z": {}, "y": ["c"]},
+     "colour of edge 'y' is not hashable: ['c']"),
+])
+def test_labelling_messages(what, labels, message):
+    """Each fault of an owner, letter or colour map has one message, and
+    of two faults in one map the same one is named first."""
+    edges = [("x", "p", "q"), ("y", "q", "r"), ("z", "r", "p")]
+    with pytest.raises(InputError) as err:
+        TransitionSystem(["p", "q", "r"], edges, ["p"], **{what: labels})
+    assert str(err.value) == message
+
+
 def test_reachable_vertices_is_the_edge_fixpoint():
     rng = random.Random(59)
     for _ in range(100):
