@@ -93,9 +93,9 @@ class TransitionSystem:
     def __init__(self, vertices, edges, initial, owners=None, letters=None,
                  colours=None):
         self.vertices = tuple(sorted(_strings(vertices, "vertex")))
-        if len(set(self.vertices)) != len(self.vertices):
+        out = {v: [] for v in self.vertices}
+        if len(out) != len(self.vertices):
             raise InputError("duplicate vertex ids")
-        vset = set(self.vertices)
         parsed = list(map(_edge, edges))
         _strings((e.id for e in parsed), "edge id")
         parsed.sort(key=lambda e: e.id)
@@ -104,47 +104,26 @@ class TransitionSystem:
         for e in self.edges:
             if e.id in self._by_id:
                 raise InputError("duplicate edge id %r" % e.id)
-            if not (isinstance(e.source, str) and e.source in vset):
+            if not (isinstance(e.source, str) and e.source in out):
                 raise InputError("edge %r has undeclared source %r" % (e.id, e.source))
-            if not (isinstance(e.target, str) and e.target in vset):
+            if not (isinstance(e.target, str) and e.target in out):
                 raise InputError("edge %r has undeclared target %r" % (e.id, e.target))
             self._by_id[e.id] = e
+            out[e.source].append(e)
+        self._out = {v: tuple(es) for v, es in out.items()}
         self.initial = tuple(sorted(set(_strings(initial, "initial vertex"))))
         for v in self.initial:
-            if v not in vset:
+            if v not in out:
                 raise InputError("initial vertex %r is not declared" % v)
-        self.owners = dict(owners) if owners else None
-        if self.owners:
-            for v, o in self.owners.items():
-                if v not in vset:
-                    raise InputError("owner given for unknown vertex %r" % v)
-                if o not in ("Eve", "Adam"):
-                    raise InputError("owner of %r must be Eve or Adam" % v)
-            for v in self.vertices:
-                if v not in self.owners:
-                    raise InputError("vertex %r has no owner" % v)
-        self.letters = dict(letters) if letters else None
-        if self.letters:
-            for eid in self.letters:
-                if eid not in self._by_id:
-                    raise InputError("letter given for unknown edge %r" % eid)
-            for e in self.edges:
-                if e.id not in self.letters:
-                    raise InputError("edge %r has no letter" % e.id)
-            _hashable(self.letters, "letter")
-        self._colours = dict(colours) if colours else {}
-        for eid in self._colours:
-            if eid not in self._by_id:
-                raise InputError("colour given for unknown edge %r" % eid)
+        self.owners = _labelling(owners, self._out, "owner", "vertex",
+                                 ("Eve", "Adam")) if owners else None
+        self.letters = _labelling(letters, self._by_id, "letter",
+                                  "edge") if letters else None
+        self._colours = _labelling(colours, self._by_id, "colour", "edge",
+                                   total=False) if colours else {}
         if 0 < len(self._colours) < len(self._by_id):
             # the colour map is empty or total: the other edges keep their ids
             self._colours = {e: self._colours.get(e, e) for e in self._by_id}
-        _hashable(self._colours, "colour")
-        self._out = {v: [] for v in self.vertices}
-        for e in self.edges:
-            self._out[e.source].append(e)
-        for v in self._out:
-            self._out[v] = tuple(self._out[v])
 
     def edge(self, eid):
         try:
@@ -190,19 +169,35 @@ def _edge(e):
     raise InputError("edge %r is not an (id, source, target) triple" % (e,))
 
 
-def _hashable(labels, what):
-    """Refuse an unhashable value of `labels`, a letter or colour map on
-    edge ids, naming the least edge that carries one: every set of letters
-    or colours is built on these values."""
+def _labelling(labels, ids, what, whose, allowed=None, total=True):
+    """A copy of `labels`, an owner, letter or colour map on `ids`, a dict
+    keyed by the system's vertex or edge ids in sorted order, checked in
+    the order its faults are named: in the map's order, a key outside
+    `ids` or a value outside `allowed` when that is given; when `total`,
+    the first id without a value; then the least id whose value is
+    unhashable, since every set of letters or colours is built on these
+    values."""
+    labels = dict(labels)
+    for x, value in labels.items():
+        if x not in ids:
+            raise InputError("%s given for unknown %s %r" % (what, whose, x))
+        if allowed and value not in allowed:
+            raise InputError("%s of %r must be %s"
+                             % (what, x, " or ".join(allowed)))
+    if total:
+        for x in ids:
+            if x not in labels:
+                raise InputError("%s %r has no %s" % (whose, x, what))
     try:
         frozenset(labels.values())
     except TypeError:
-        for eid in sorted(labels):
+        for x in sorted(labels):
             try:
-                hash(labels[eid])
+                hash(labels[x])
             except TypeError:
-                raise InputError("%s of edge %r is not hashable: %r"
-                                 % (what, eid, labels[eid])) from None
+                raise InputError("%s of %s %r is not hashable: %r"
+                                 % (what, whose, x, labels[x])) from None
+    return labels
 
 
 def _named(x):
@@ -211,11 +206,25 @@ def _named(x):
     return (0, x) if isinstance(x, str) else (1, repr(x))
 
 
-def _listing(values):
-    """`values` in `_named` order, joined by ", ": a string as it is, any
+def _text(x):
+    """How a message or a writer names a value: a string as it is, any
     other value by its repr."""
-    return ", ".join(x if isinstance(x, str) else repr(x)
-                     for x in sorted(values, key=_named))
+    return x if isinstance(x, str) else repr(x)
+
+
+def _listing(values):
+    """`values` in `_named` order, each as `_text` names it, joined by
+    ", "."""
+    return ", ".join(map(_text, sorted(values, key=_named)))
+
+
+def _ordered(values):
+    """`values` sorted: in their own order when they compare, as strings
+    or numbers alone do, else in `_named` order."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=_named)
 
 
 def _strings(ids, what):
@@ -537,7 +546,7 @@ class Automaton:
         self._step = {}
         letters = set()
         for e in ts.edges:
-            a = ts.letter(e.id)
+            a = ts.letters[e.id]
             letters.add(a)
             if (e.source, a) in self._step:
                 raise InputError(
@@ -578,7 +587,7 @@ class Automaton:
             q = self.step(q, a).target
         _, looped = _unroll(q, cycle, self.step)
         cols = frozenset(self.key(e.id) for e in looped)
-        lets = frozenset(self.ts.letter(e.id) for e in looped)
+        lets = frozenset(self.ts.letters[e.id] for e in looped)
         return cols, lets
 
     def accepts_word(self, prefix, cycle):

@@ -7,7 +7,8 @@ import json
 from .acd import acd_stats
 from .core import (BuchiCondition, CoBuchiCondition, InputError,
                    MullerCondition, ParityCondition, RabinCondition,
-                   StreettCondition, TransitionSystem, _Record)
+                   StreettCondition, TransitionSystem, _ordered, _Record,
+                   _text)
 from .zielonka import _node_name
 
 FORMAT = "acdkit/1"
@@ -122,19 +123,25 @@ def condition_from_obj(obj):
     return cond
 
 
+def _names(colours):
+    """A set of colours as written: in `core._ordered` order, each named
+    as `core._text` names it, so a string is written as it is."""
+    return list(map(_text, _ordered(colours)))
+
+
 def condition_to_obj(cond):
     obj = {"type": cond.kind}
     if cond.over == "edges":
         obj["over"] = "edges"
     if cond.kind == "muller":
-        obj["family"] = sorted((sorted(s) for s in cond.family),
+        obj["family"] = sorted(map(_names, cond.family),
                                key=lambda s: (len(s), s))
     elif cond.kind == "parity":
         obj["priorities"] = dict(cond.priorities)
     elif cond.kind in ("buchi", "cobuchi"):
-        obj["colours"] = sorted(cond.colours)
+        obj["colours"] = _names(cond.colours)
     elif cond.kind in ("rabin", "streett"):
-        obj["pairs"] = sorted(([sorted(e), sorted(f)] for e, f in cond.pairs),
+        obj["pairs"] = sorted(([_names(e), _names(f)] for e, f in cond.pairs),
                               key=lambda p: (p[0], p[1]))
     else:
         raise InputError("cannot serialize condition of kind %r" % cond.kind)
@@ -151,8 +158,8 @@ def system_to_obj(ts):
         obj["owners"] = dict(ts.owners)
     if ts.letters:
         obj["letters"] = dict(ts.letters)
-    colours = {e.id: ts.colour(e.id) for e in ts.edges
-               if ts.colour(e.id) != e.id}
+    colours = {e.id: _text(c) for e in ts.edges
+               for c in [ts.colour(e.id)] if c != e.id}
     if colours:
         obj["colours"] = colours
     return obj
@@ -182,7 +189,7 @@ def tree_to_obj(tree):
     for n in tree.nodes:
         nodes.append({
             "node": _node_name(n),
-            "label": sorted(tree.label[n]),
+            "label": _names(tree.label[n]),
             "priority": tree.priority(n),
             "children": [_node_name(c) for c in tree.children_map[n]],
         })
@@ -240,9 +247,10 @@ def dot_system(ts):
     for e in ts.edges:
         label = e.id
         if ts.letters is not None:
-            label += ":" + ts.letter(e.id)
-        if ts.colour(e.id) != e.id:
-            label += "/" + ts.colour(e.id)
+            label += ":" + _text(ts.letters[e.id])
+        colour = ts.colour(e.id)
+        if colour != e.id:
+            label += "/" + _text(colour)
         lines.append("  %s -> %s [label=%s];"
                      % (_q(e.source), _q(e.target), _q(label)))
     lines.append("}")
@@ -252,7 +260,7 @@ def dot_system(ts):
 def _dot_tree_nodes(lines, indent, prefix, tree, extra_of=None):
     for n in tree.nodes:
         shape = "ellipse" if tree.accepting(n) else "box"
-        text = "{%s}" % ",".join(sorted(tree.label[n]))
+        text = "{%s}" % ",".join(_names(tree.label[n]))
         if extra_of is not None:
             text += "\\n%s" % extra_of(n)
         text += "\\n%d" % tree.priority(n)

@@ -58,11 +58,12 @@ def sccs(ts, edge_ids=None):
     maximal loop or in `transient`.
     """
     if edge_ids is None:
-        edge_set = frozenset(e.id for e in ts.edges)
+        edges, edge_set = ts.edges, frozenset(ts._by_id)
     else:
         edge_set = frozenset(edge_ids)
+        edges = list(map(ts.edge, edge_set))
     found = [Loop(frozenset(e.id for e in es), _states(es))
-             for es in _components(list(map(ts.edge, edge_set)))]
+             for es in _components(edges)]
     found.sort(key=lambda l: l.key)
     return found, edge_set.difference(*(l.edges for l in found))
 

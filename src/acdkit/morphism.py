@@ -15,13 +15,11 @@ def check_structural(m):
     them and owners when both are games."""
     problems = []
     src, tgt = m.source_ts, m.target_ts
-    tvs = set(tgt.vertices)
-    tes = {e.id for e in tgt.edges}
     for v in src.vertices:
         w = m.vertex_map.get(v)
         if w is None:
             problems.append("vertex %r unmapped" % v)
-        elif w not in tvs:
+        elif w not in tgt._out:
             problems.append("vertex %r maps to unknown %r" % (v, w))
         elif src.owners is not None and tgt.owners is not None:
             if src.owners[v] != tgt.owners[w]:
@@ -31,19 +29,20 @@ def check_structural(m):
         if f is None:
             problems.append("edge %r unmapped" % e.id)
             continue
-        if f not in tes:
+        fe = tgt._by_id.get(f)
+        if fe is None:
             problems.append("edge %r maps to unknown %r" % (e.id, f))
             continue
-        fe = tgt.edge(f)
         if m.vertex_map.get(e.source) != fe.source:
             problems.append("source of %r not preserved" % e.id)
         if m.vertex_map.get(e.target) != fe.target:
             problems.append("target of %r not preserved" % e.id)
         if src.letters is not None and tgt.letters is not None:
-            if src.letter(e.id) != tgt.letter(f):
+            if src.letters[e.id] != tgt.letters[f]:
                 problems.append("letter of %r not preserved" % e.id)
+    initial = set(tgt.initial)
     for v in src.initial:
-        if m.vertex_map.get(v) not in set(tgt.initial):
+        if m.vertex_map.get(v) not in initial:
             problems.append("initial vertex %r not sent to an initial vertex" % v)
     return (not problems, problems)
 

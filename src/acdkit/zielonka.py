@@ -6,7 +6,8 @@ from __future__ import annotations
 import functools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _lift)
+                   ParityCondition, TransitionSystem, _lift, _named, _ordered,
+                   _text)
 
 
 class ZielonkaTree:
@@ -105,19 +106,24 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
 
 def _canonical_maximal(sets):
     """The inclusion-maximal members of `sets`, without repeats, by
-    descending size, then the sorted member list.  A strict superset is
+    descending size, then the sorted member list, whose members are in
+    `core._named` order when they do not compare.  A strict superset is
     larger, so taking the sets by descending size, each one only needs
     testing against the maximal ones kept before it."""
     maximal = []
     for s in sorted(set(sets), key=len, reverse=True):
         if not any(map(s.__lt__, maximal)):
             maximal.append(s)
-    maximal.sort(key=lambda s: (-len(s), sorted(s)))
+    try:  # the plain sort, which a key of `_named` would slow down
+        maximal.sort(key=lambda s: (-len(s), sorted(s)))
+    except TypeError:
+        maximal.sort(key=lambda s: (-len(s), sorted(map(_named, s))))
     return maximal
 
 
 def _minus_one_colour(colours):
-    return (colours - {c} for c in sorted(colours) if len(colours) > 1)
+    """Each set of `colours` less one, in any order: the answer is sorted."""
+    return (colours - {c} for c in colours if len(colours) > 1)
 
 
 def _flipped_colour_sets(cond, colours):
@@ -187,8 +193,8 @@ def build_zielonka_tree(family, gamma):
     for s in cond.family:
         if not s <= gamma:
             raise InputError(
-                "family set %s not within the colour set"
-                % "{%s}" % ",".join(sorted(s)))
+                "family set {%s} not within the colour set"
+                % ",".join(map(_text, _ordered(s))))
     tree = _zielonka_tree(cond, gamma)
     tree.gamma, tree.family = gamma, cond.family
     return tree

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdkit import (InputError, TransitionSystem, ZielonkaTree, build_acd,
+from acdkit import (InputError, MullerCondition, TransitionSystem,
+                    ZielonkaTree, acd_transform, build_acd,
                     build_zielonka_tree, build_zt_automaton, closure_oracle,
-                    enumerate_reachable_loops, min_parity_automaton_size,
-                    min_parity_priority_count, nextbranch,
+                    docfmt, enumerate_reachable_loops,
+                    min_parity_automaton_size, min_parity_priority_count,
+                    nextbranch,
                     optimal_parity_interval, shape, supp)
 from acdkit.zielonka import (_canonical_maximal, _flipped_colour_sets,
                              _maximal_flipped, _minus_one_colour,
@@ -314,6 +316,33 @@ def test_min_parity_closed_forms_match_the_searches_over_three_colours(fam):
     gamma = {"a", "b", "c"}
     assert min_parity_automaton_size(fam, gamma, 2) \
         == oracles.min_parity_automaton_size(fam, gamma, 2)
+
+
+def test_colours_of_any_type_are_ordered_and_written():
+    """Colours that compare keep their own order; others take strings
+    first, then the rest by repr.  A writer names a string as it is and
+    any other colour by its repr."""
+    with pytest.raises(InputError) as err:
+        build_zielonka_tree([[1, 2]], {1})
+    assert str(err.value) == "family set {1,2} not within the colour set"
+    tree = build_zielonka_tree([[1], [1, "a"]], {1, "a"})
+    assert tree.even and tree.label == {(): {1, "a"}, (0,): {"a"}}
+    assert docfmt.tree_to_obj(tree)["nodes"][0]["label"] == ["a", "1"]
+    sets = [frozenset([c]) for c in [1, "a", 10, 2]]
+    assert _canonical_maximal(sets) == [{"a"}, {1}, {10}, {2}]
+    assert _canonical_maximal(sets[2:]) == [{2}, {10}]
+    assert docfmt.dot_tree(build_zielonka_tree([[2], [10]], {2, 10})) == (
+        'digraph zielonka {\n  node [fontsize=10];\n'
+        '  "r" [shape=box,label="{2,10}\\\\n1"];\n'
+        '  "r.0" [shape=ellipse,label="{2}\\\\n2"];\n'
+        '  "r.1" [shape=ellipse,label="{10}\\\\n2"];\n'
+        '  "r" -> "r.0";\n  "r" -> "r.1";\n}\n')
+    assert docfmt.condition_to_obj(MullerCondition([[1, "a"]])) == {
+        "type": "muller", "family": [["a", "1"]]}
+    ts = TransitionSystem(["p"], [("x", "p", "p"), ("y", "p", "p")], ["p"],
+                          colours={"x": 1, "y": "a"})
+    result = acd_transform(ts, MullerCondition([[1], [1, "a"]]))
+    assert result.condition.priorities == {"x|r.0": 0, "y|r.0": 1}
 
 
 def test_closed_forms_refuse_malformed_families():
