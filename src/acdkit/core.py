@@ -218,13 +218,15 @@ def _listing(values):
     return ", ".join(map(_text, sorted(values, key=_named)))
 
 
-def _ordered(values):
-    """`values` sorted: in their own order when they compare, as strings
-    or numbers alone do, else in `_named` order."""
+def _names(values):
+    """`values` as a writer lists them, each as `_text` names it: in their
+    own order when they compare, as strings or numbers alone do, else in
+    `_named` order."""
     try:
-        return sorted(values)
+        values = sorted(values)
     except TypeError:
-        return sorted(values, key=_named)
+        values = sorted(values, key=_named)
+    return list(map(_text, values))
 
 
 def _strings(ids, what):

@@ -7,7 +7,7 @@ import json
 from .acd import acd_stats
 from .core import (BuchiCondition, CoBuchiCondition, InputError,
                    MullerCondition, ParityCondition, RabinCondition,
-                   StreettCondition, TransitionSystem, _ordered, _Record,
+                   StreettCondition, TransitionSystem, _names, _Record,
                    _text)
 from .zielonka import _node_name
 
@@ -121,12 +121,6 @@ def condition_from_obj(obj):
         raise InputError("unknown condition type %r" % kind)
     cond.over = over
     return cond
-
-
-def _names(colours):
-    """A set of colours as written: in `core._ordered` order, each named
-    as `core._text` names it, so a string is written as it is."""
-    return list(map(_text, _ordered(colours)))
 
 
 def condition_to_obj(cond):

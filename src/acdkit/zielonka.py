@@ -6,8 +6,7 @@ from __future__ import annotations
 import functools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _lift, _named, _ordered,
-                   _text)
+                   ParityCondition, TransitionSystem, _lift, _named, _names)
 
 
 class ZielonkaTree:
@@ -194,7 +193,7 @@ def build_zielonka_tree(family, gamma):
         if not s <= gamma:
             raise InputError(
                 "family set {%s} not within the colour set"
-                % ",".join(map(_text, _ordered(s))))
+                % ",".join(_names(s)))
     tree = _zielonka_tree(cond, gamma)
     tree.gamma, tree.family = gamma, cond.family
     return tree
