@@ -55,13 +55,15 @@ def sccs(ts, edge_ids=None):
     plus the set of transient edges.
 
     Returns (loops, transient) where every edge lies either in exactly one
-    maximal loop or in `transient`.
+    maximal loop or in `transient`.  Naming an edge that `ts` lacks is an
+    InputError naming the least such id.
     """
     if edge_ids is None:
         edges, edge_set = ts.edges, frozenset(ts._by_id)
     else:
         edge_set = frozenset(edge_ids)
-        edges = list(map(ts.edge, edge_set))
+        _check_known(ts, edge_set)
+        edges = list(map(ts._by_id.__getitem__, edge_set))
     found = [Loop(frozenset(e.id for e in es), _states(es))
              for es in _components(edges)]
     found.sort(key=lambda l: l.key)

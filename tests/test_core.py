@@ -52,24 +52,27 @@ def test_loop_status_rejects_empty():
 
 
 UNKNOWN_LOOP_EDGES = """
-from acdkit import (InputError, MullerCondition, TransitionSystem,
-                    loop_status_over)
+from acdkit import (InputError, MullerCondition, TransitionSystem, is_loop,
+                    loop_status_over, sccs)
 from acdkit.core import _over
 ts = TransitionSystem(["p"], [("a", "p", "p")], ["p"])
 cond = MullerCondition([{"a"}])
-for reading in (cond, _over(cond, "edges")):
+for check in (lambda es: loop_status_over(ts, cond, es),
+              lambda es: loop_status_over(ts, _over(cond, "edges"), es),
+              lambda es: sccs(ts, es), lambda es: is_loop(ts, es)):
     try:
-        loop_status_over(ts, reading, ["zz", "bb", "yy", "cc"])
+        check(["zz", "bb", "yy", "cc"])
     except InputError as e:
         print(e)
 """
 
 
 def test_loop_status_over_names_the_least_unknown_edge_in_subprocess():
-    """Under either reading, a loop naming several edges that the system
-    lacks is refused naming the least of them, whatever the hash seed."""
-    assert under_hash_seeds(UNKNOWN_LOOP_EDGES) == \
-        ["unknown edge 'bb'\n" * 2] * 2
+    """Under either reading, and in `sccs` and `is_loop`, an edge set
+    naming several edges that the system lacks is refused naming the
+    least of them, whatever the hash seed."""
+    assert under_hash_seeds(UNKNOWN_LOOP_EDGES, ("0", "1", "2", "3")) == \
+        ["unknown edge 'bb'\n" * 4] * 4
 
 
 def test_validate_ok():
