@@ -105,10 +105,10 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
 
 def _canonical_maximal(sets):
     """The inclusion-maximal members of `sets`, without repeats, by
-    descending size, then the sorted member list, whose members are in
-    `core._named` order when they do not compare.  A strict superset is
-    larger, so taking the sets by descending size, each one only needs
-    testing against the maximal ones kept before it."""
+    descending size, then the sorted member list, in `core._named` order
+    when colours of mixed types make the lists incomparable.  A strict
+    superset is larger, so taking the sets by descending size, each one
+    only needs testing against the maximal ones kept before it."""
     maximal = []
     for s in sorted(set(sets), key=len, reverse=True):
         if not any(map(s.__lt__, maximal)):
