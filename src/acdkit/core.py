@@ -201,9 +201,19 @@ def _labelling(labels, ids, what, whose, allowed=None, total=True):
 
 
 def _named(x):
-    """The order in which a message names values, whatever their types:
-    the strings as they are, then any other value by its repr."""
+    """A sort key for values of any types: the strings as they are, then
+    any other value by its repr."""
     return (0, x) if isinstance(x, str) else (1, repr(x))
+
+
+def _key(values):
+    """The sort key of the one order in which messages, writers and the
+    Zielonka layer name `values`: none, their own order, when all are
+    strings or all are numbers, which compare totally; else `_named`, as
+    other values may not compare (str and int) or compare partly
+    (frozensets by inclusion)."""
+    kinds = set(map(type, values))
+    return None if kinds <= {str} or kinds <= {int, float} else _named
 
 
 def _text(x):
@@ -212,21 +222,21 @@ def _text(x):
     return x if isinstance(x, str) else repr(x)
 
 
-def _listing(values):
-    """`values` in `_named` order, each as `_text` names it, joined by
-    ", "."""
-    return ", ".join(map(_text, sorted(values, key=_named)))
-
-
 def _names(values):
-    """`values` as a writer lists them, each as `_text` names it: in their
-    own order when they compare, as strings or numbers alone do, else in
-    `_named` order."""
-    try:
-        values = sorted(values)
-    except TypeError:
-        values = sorted(values, key=_named)
-    return list(map(_text, values))
+    """The `_text` of each of `values`, in `_key` order.  Two values with
+    one text would be read back as one, an InputError."""
+    named = {}
+    for x in sorted(values, key=_key(values)):
+        other = named.setdefault(_text(x), x)
+        if other != x:
+            raise InputError("%r and %r are both written %r"
+                             % (other, x, _text(x)))
+    return list(named)
+
+
+def _least(values):
+    """The first of `values` in `_key` order."""
+    return min(values, key=_key(values))
 
 
 def _strings(ids, what):
@@ -480,10 +490,10 @@ def _reading(ts, cond):
     if named != universe:
         if not named <= universe:
             raise InputError("condition references unknown %s %r"
-                             % (what, min(named - universe, key=_named)))
+                             % (what, _least(named - universe)))
         if cond.kind == "parity":
             raise InputError("no priority assigned to %s %r"
-                             % (what, min(universe - named, key=_named)))
+                             % (what, _least(universe - named)))
     return key, universe
 
 
@@ -492,7 +502,7 @@ def _check_known(ts, edge_ids):
     least such id."""
     unknown = edge_ids.difference(ts._by_id)
     if unknown:
-        raise InputError("unknown edge %r" % min(unknown, key=_named))
+        raise InputError("unknown edge %r" % _least(unknown))
 
 
 def loop_status_over(ts, cond, edge_ids):
@@ -556,9 +566,9 @@ class Automaton:
                     % (e.source, a))
             self._step[(e.source, a)] = e
         self.alphabet = frozenset(letters)
-        missing = min(((q, a) for q in ts.vertices for a in self.alphabet
-                       if (q, a) not in self._step),
-                      key=lambda qa: (qa[0], _named(qa[1])), default=None)
+        order = sorted(letters, key=_key(letters))
+        missing = next(((q, a) for q in ts.vertices for a in order
+                        if (q, a) not in self._step), None)
         if missing:
             raise InputError(
                 "automaton not complete at state %r, letter %r" % missing)
@@ -687,7 +697,8 @@ def compose(automaton, ts, ts_condition=None):
     missing = ts.colour_set() - automaton.alphabet
     if missing:
         raise InputError(
-            "automaton alphabet misses colours: %s" % _listing(missing))
+            "automaton alphabet misses colours: %s"
+            % ", ".join(_names(missing)))
 
     def step(q, e):
         ae = automaton.step(q, ts.colour(e.id))

@@ -127,6 +127,8 @@ def condition_to_obj(cond):
     obj = {"type": cond.kind}
     if cond.over == "edges":
         obj["over"] = "edges"
+    if cond.kind != "parity":  # whose keys are copied as they are
+        _names(cond.referenced_colours())  # refuses two written alike
     if cond.kind == "muller":
         obj["family"] = sorted(map(_names, cond.family),
                                key=lambda s: (len(s), s))
@@ -152,10 +154,11 @@ def system_to_obj(ts):
         obj["owners"] = dict(ts.owners)
     if ts.letters:
         obj["letters"] = dict(ts.letters)
-    colours = {e.id: _text(c) for e in ts.edges
+    colours = {e.id: c for e in ts.edges
                for c in [ts.colour(e.id)] if c != e.id}
     if colours:
-        obj["colours"] = colours
+        _names(set(colours.values()))  # refuses two written alike
+        obj["colours"] = {x: _text(c) for x, c in colours.items()}
     return obj
 
 

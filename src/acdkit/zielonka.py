@@ -4,9 +4,10 @@ from the branches of the tree."""
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _lift, _named, _names)
+                   ParityCondition, TransitionSystem, _key, _lift, _names)
 
 
 class ZielonkaTree:
@@ -105,18 +106,17 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
 
 def _canonical_maximal(sets):
     """The inclusion-maximal members of `sets`, without repeats, by
-    descending size, then the sorted member list, in `core._named` order
-    when colours of mixed types make the lists incomparable.  A strict
-    superset is larger, so taking the sets by descending size, each one
-    only needs testing against the maximal ones kept before it."""
+    descending size, then the member list in `core._key` order of all
+    their colours.  A strict superset is larger, so taking the sets by
+    descending size, each one only needs testing against the maximal ones
+    kept before it."""
     maximal = []
     for s in sorted(set(sets), key=len, reverse=True):
         if not any(map(s.__lt__, maximal)):
             maximal.append(s)
-    try:  # the plain sort, which a key of `_named` would slow down
-        maximal.sort(key=lambda s: (-len(s), sorted(s)))
-    except TypeError:
-        maximal.sort(key=lambda s: (-len(s), sorted(map(_named, s))))
+    key = _key(itertools.chain.from_iterable(maximal))
+    members = sorted if key is None else lambda s: sorted(map(key, s))
+    maximal.sort(key=lambda s: (-len(s), members(s)))
     return maximal
 
 

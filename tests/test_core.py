@@ -159,7 +159,8 @@ def test_an_unhashable_colour_or_letter_is_refused(what):
 
 
 def test_messages_name_values_of_any_type():
-    """Strings come first as they are, then other values by their repr."""
+    """Strings or numbers alone come in their own order; a mix has the
+    strings first as they are, then other values by their repr."""
     aut = Automaton(TransitionSystem(["q"], [("e", "q", "q")], ["q"],
                                      letters={"e": "a"}),
                     BuchiCondition(["e"]))
@@ -185,6 +186,16 @@ def test_messages_name_values_of_any_type():
                   BuchiCondition(["g"]))
     assert str(err.value) == \
         "automaton not complete at state 'p', letter 'b'"
+    numbered = TransitionSystem(["p"], [("g", "p", "p"), ("h", "p", "p")],
+                                ["p"], colours={"g": 10, "h": 2})
+    with pytest.raises(InputError) as err:
+        compose(aut, numbered)
+    assert str(err.value) == "automaton alphabet misses colours: 2, 10"
+    with pytest.raises(InputError) as err:
+        accessible_x_scc(aut, [10, 2])
+    assert str(err.value) == "letters not in alphabet: 2, 10"
+    assert validate(ts, MullerCondition([[10, 2]])) == [
+        "condition references unknown colour 2"]
 
 
 @pytest.mark.parametrize("edge, named", [

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from acdkit import (InputError, MullerCondition, TransitionSystem,
 from acdkit.zielonka import (_canonical_maximal, _flipped_colour_sets,
                              _maximal_flipped, _minus_one_colour,
                              _zielonka_tree)
-from conftest import CONDITION_KINDS, random_condition, random_family
+from conftest import (CONDITION_KINDS, random_condition, random_family,
+                      under_hash_seeds)
 import oracles
 from oracles import deepest_holding_prefix, simulate_zt_output
 
@@ -343,6 +345,38 @@ def test_colours_of_any_type_are_ordered_and_written():
                           colours={"x": 1, "y": "a"})
     result = acd_transform(ts, MullerCondition([[1], [1, "a"]]))
     assert result.condition.priorities == {"x|r.0": 0, "y|r.0": 1}
+
+
+FROZENSET_COLOURS = """
+from acdkit import build_zielonka_tree, docfmt
+cs = [frozenset({c}) for c in "abcdefg"]
+tree = build_zielonka_tree([cs[:3], cs[2:5], cs], cs)
+print(docfmt.dumps(docfmt.tree_to_obj(tree)))
+"""
+
+
+def test_colours_that_compare_only_in_part_are_ordered_by_repr():
+    """Frozensets compare by inclusion, which orders no two of these, so
+    the tree takes them by repr, under every hash seed."""
+    first, second = under_hash_seeds(FROZENSET_COLOURS)
+    assert first == second
+    assert json.loads(first)["nodes"][0]["label"] == [
+        "frozenset({'%s'})" % c for c in "abcdefg"]
+
+
+def test_two_colours_written_alike_are_refused():
+    """1 and "1" would both be written "1" and read back as one colour."""
+    ts = TransitionSystem(["p"], [("x", "p", "p"), ("y", "p", "p")], ["p"],
+                          colours={"x": 1, "y": "1"})
+    message = "'1' and 1 are both written '1'"
+    for write in (lambda: docfmt.system_to_obj(ts),
+                  lambda: docfmt.condition_to_obj(MullerCondition([[1],
+                                                                  ["1"]])),
+                  lambda: docfmt.tree_to_obj(build_zielonka_tree([[1]],
+                                                                 [1, "1"]))):
+        with pytest.raises(InputError) as err:
+            write()
+        assert str(err.value) == message
 
 
 def test_closed_forms_refuse_malformed_families():
