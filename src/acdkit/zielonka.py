@@ -114,9 +114,10 @@ def _canonical_maximal(sets):
     for s in sorted(set(sets), key=len, reverse=True):
         if not any(map(s.__lt__, maximal)):
             maximal.append(s)
-    key = _key(itertools.chain.from_iterable(maximal))
-    members = sorted if key is None else lambda s: sorted(map(key, s))
-    maximal.sort(key=lambda s: (-len(s), members(s)))
+    if len(maximal) > 1:  # most calls keep one set or none
+        key = _key(itertools.chain.from_iterable(maximal))
+        members = sorted if key is None else lambda s: sorted(map(key, s))
+        maximal.sort(key=lambda s: (-len(s), members(s)))
     return maximal
 
 
