@@ -223,12 +223,12 @@ def _text(x):
 
 
 def _names(values):
-    """The `_text` of each of `values`, in `_key` order.  Two values with
-    one text would be read back as one, an InputError."""
+    """The `_text` of each of `values`, a set, in `_key` order.  Two
+    values with one text would be read back as one, an InputError."""
     named = {}
     for x in sorted(values, key=_key(values)):
         other = named.setdefault(_text(x), x)
-        if other != x:
+        if other is not x:
             raise InputError("%r and %r are both written %r"
                              % (other, x, _text(x)))
     return list(named)
