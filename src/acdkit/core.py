@@ -82,7 +82,8 @@ class TransitionSystem:
     Vertices may optionally carry an owner tag (for games), edges may carry
     an input letter (for automata) and a colour (for acceptance conditions).
     Owners, when given, must cover every vertex, and letters every edge.
-    Vertex and edge ids must be strings: no other value is read as one.
+    Vertex and edge ids, letters and colours must be strings: no other
+    value is read as one.
     Colours default to the edge ids themselves.  `edges` is kept sorted by
     id and `vertices` sorted, whatever the input order; the parity solver
     numbers its board in that order.
@@ -174,9 +175,8 @@ def _labelling(labels, ids, what, whose, allowed=None, total=True):
     keyed by the system's vertex or edge ids in sorted order, checked in
     the order its faults are named: in the map's order, a key outside
     `ids` or a value outside `allowed` when that is given; when `total`,
-    the first id without a value; then the least id whose value is
-    unhashable, since every set of letters or colours is built on these
-    values."""
+    the first id without a value; then, in the map's order, a value that
+    is not a string."""
     labels = dict(labels)
     for x, value in labels.items():
         if x not in ids:
@@ -188,55 +188,8 @@ def _labelling(labels, ids, what, whose, allowed=None, total=True):
         for x in ids:
             if x not in labels:
                 raise InputError("%s %r has no %s" % (whose, x, what))
-    try:
-        frozenset(labels.values())
-    except TypeError:
-        for x in sorted(labels):
-            try:
-                hash(labels[x])
-            except TypeError:
-                raise InputError("%s of %s %r is not hashable: %r"
-                                 % (what, whose, x, labels[x])) from None
+    _strings(labels.values(), what)
     return labels
-
-
-def _named(x):
-    """A sort key for values of any types: the strings as they are, then
-    any other value by its repr."""
-    return (0, x) if isinstance(x, str) else (1, repr(x))
-
-
-def _key(values):
-    """The sort key of the one order in which messages, writers and the
-    Zielonka layer name `values`: none, their own order, when all are
-    strings or all are numbers, which compare totally; else `_named`, as
-    other values may not compare (str and int) or compare partly
-    (frozensets by inclusion)."""
-    kinds = set(map(type, values))
-    return None if kinds <= {str} or kinds <= {int, float} else _named
-
-
-def _text(x):
-    """How a message or a writer names a value: a string as it is, any
-    other value by its repr."""
-    return x if isinstance(x, str) else repr(x)
-
-
-def _names(values):
-    """The `_text` of each of `values`, a set, in `_key` order.  Two
-    values with one text would be read back as one, an InputError."""
-    named = {}
-    for x in sorted(values, key=_key(values)):
-        other = named.setdefault(_text(x), x)
-        if other is not x:
-            raise InputError("%r and %r are both written %r"
-                             % (other, x, _text(x)))
-    return list(named)
-
-
-def _least(values):
-    """The first of `values` in `_key` order."""
-    return min(values, key=_key(values))
 
 
 def _strings(ids, what):
@@ -246,6 +199,17 @@ def _strings(ids, what):
         if not isinstance(x, str):
             raise InputError("%s %r is not a string" % (what, x))
     return ids
+
+
+def _colour_set(colours, what):
+    """The frozenset of `colours`, a collection of strings other than a
+    string, which would read as the set of its characters; anything else
+    is an InputError naming `what`, or the first colour that is not a
+    string."""
+    if isinstance(colours, str) or not hasattr(colours, "__iter__"):
+        raise InputError("%s %r is not a collection of strings"
+                         % (what, colours))
+    return frozenset(_strings(colours, "colour"))
 
 
 def _reach(starts, succ):
@@ -370,7 +334,7 @@ class MullerCondition(Condition):
     def __init__(self, family):
         sets = set()
         for s in family:
-            fs = frozenset(s)
+            fs = _colour_set(s, "family set")
             if not fs:
                 raise InputError("empty set in Muller family")
             sets.add(fs)
@@ -391,6 +355,7 @@ class ParityCondition(Condition):
 
     def __init__(self, priorities):
         self.priorities = dict(priorities)
+        _strings(self.priorities, "colour")
         for c, p in self.priorities.items():
             # bool is a subclass of int, and True must not read as priority 1
             if type(p) is not int or p < 0:
@@ -408,7 +373,7 @@ class ParityCondition(Condition):
 
 class _ColourSet(Condition):
     def __init__(self, colours):
-        self.colours = frozenset(colours)
+        self.colours = _colour_set(colours, "colour set")
 
     def referenced_colours(self):
         return self.colours
@@ -430,10 +395,18 @@ class CoBuchiCondition(_ColourSet):
 
 class _Pairs(Condition):
     def __init__(self, pairs):
-        self.pairs = tuple((frozenset(e), frozenset(f)) for e, f in pairs)
+        self.pairs = tuple(map(_pair, pairs))
 
     def referenced_colours(self):
         return frozenset().union(*(e | f for e, f in self.pairs))
+
+
+def _pair(p):
+    """The pair `p`, a tuple or list of two colour collections, as two
+    frozensets; anything else is an InputError that names it."""
+    if not (isinstance(p, (tuple, list)) and len(p) == 2):
+        raise InputError("pair %r is not an (E, F) pair" % (p,))
+    return _colour_set(p[0], "pair side"), _colour_set(p[1], "pair side")
 
 
 class RabinCondition(_Pairs):
@@ -490,19 +463,20 @@ def _reading(ts, cond):
     if named != universe:
         if not named <= universe:
             raise InputError("condition references unknown %s %r"
-                             % (what, _least(named - universe)))
+                             % (what, min(named - universe)))
         if cond.kind == "parity":
             raise InputError("no priority assigned to %s %r"
-                             % (what, _least(universe - named)))
+                             % (what, min(universe - named)))
     return key, universe
 
 
 def _check_known(ts, edge_ids):
-    """Refuse a set of edge ids naming an edge that `ts` lacks, naming the
-    least such id."""
+    """Refuse a set of edge ids naming an edge that `ts` lacks, naming an
+    id that is not a string, else the least such id."""
     unknown = edge_ids.difference(ts._by_id)
     if unknown:
-        raise InputError("unknown edge %r" % _least(unknown))
+        raise InputError("unknown edge %r"
+                         % min(_strings(unknown, "edge id")))
 
 
 def loop_status_over(ts, cond, edge_ids):
@@ -566,7 +540,7 @@ class Automaton:
                     % (e.source, a))
             self._step[(e.source, a)] = e
         self.alphabet = frozenset(letters)
-        order = sorted(letters, key=_key(letters))
+        order = sorted(letters)
         missing = next(((q, a) for q in ts.vertices for a in order
                         if (q, a) not in self._step), None)
         if missing:
@@ -698,7 +672,7 @@ def compose(automaton, ts, ts_condition=None):
     if missing:
         raise InputError(
             "automaton alphabet misses colours: %s"
-            % ", ".join(_names(missing)))
+            % ", ".join(sorted(missing)))
 
     def step(q, e):
         ae = automaton.step(q, ts.colour(e.id))

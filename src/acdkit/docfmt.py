@@ -7,8 +7,7 @@ import json
 from .acd import acd_stats
 from .core import (BuchiCondition, CoBuchiCondition, InputError,
                    MullerCondition, ParityCondition, RabinCondition,
-                   StreettCondition, TransitionSystem, _names, _Record,
-                   _text)
+                   StreettCondition, TransitionSystem, _Record)
 from .zielonka import _node_name
 
 FORMAT = "acdkit/1"
@@ -51,8 +50,8 @@ def parse(text):
         _list(sysobj.get("edges", []), "edges"),
         _list(sysobj.get("initial", []), "initial"),
         owners=_string_map(sysobj.get("owners"), "owners"),
-        letters=_string_map(sysobj.get("letters"), "letters"),
-        colours=_string_map(sysobj.get("colours"), "colours"))
+        letters=_object(sysobj.get("letters"), "letters"),
+        colours=_object(sysobj.get("colours"), "colours"))
     condition = None
     if obj.get("condition") is not None:
         condition = condition_from_obj(obj["condition"])
@@ -74,9 +73,10 @@ def _list(value, what):
     return value
 
 
-def _strings(value, what):
-    if not all(isinstance(x, str) for x in _list(value, what)):
-        raise InputError("%s must be a list of strings" % what)
+def _object(value, what):
+    """`value` when it is absent or an object."""
+    if value is not None and not isinstance(value, dict):
+        raise InputError("%s must be an object" % what)
     return value
 
 
@@ -90,7 +90,8 @@ def _string_map(value, what):
 
 def condition_from_obj(obj):
     """The condition of a condition block; its optional `over` says
-    whether the block names colours (the default) or edge ids."""
+    whether the block names colours (the default) or edge ids.  The
+    condition checks its own colours; this checks only the JSON shapes."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("condition block needs a type")
     kind, over = obj["type"], obj.get("over", "colours")
@@ -98,7 +99,7 @@ def condition_from_obj(obj):
         raise InputError('over must be "colours" or "edges"')
     if kind == "muller":
         cond = MullerCondition(
-            [_strings(s, "a family set")
+            [_list(s, "a family set")
              for s in _list(obj.get("family", []), "family")])
     elif kind == "parity":
         prios = obj.get("priorities", {})
@@ -107,14 +108,14 @@ def condition_from_obj(obj):
         cond = ParityCondition(prios)
     elif kind in ("buchi", "cobuchi"):
         cls = BuchiCondition if kind == "buchi" else CoBuchiCondition
-        cond = cls(_strings(obj.get("colours", []), "colours"))
+        cond = cls(_list(obj.get("colours", []), "colours"))
     elif kind in ("rabin", "streett"):
         pairs = []
         for p in _list(obj.get("pairs", []), "pairs"):
             if not isinstance(p, list) or len(p) != 2:
                 raise InputError("%s pairs must be [E, F] lists" % kind)
-            pairs.append((_strings(p[0], "a %s pair side" % kind),
-                          _strings(p[1], "a %s pair side" % kind)))
+            pairs.append((_list(p[0], "a %s pair side" % kind),
+                          _list(p[1], "a %s pair side" % kind)))
         cls = RabinCondition if kind == "rabin" else StreettCondition
         cond = cls(pairs)
     else:
@@ -127,18 +128,15 @@ def condition_to_obj(cond):
     obj = {"type": cond.kind}
     if cond.over == "edges":
         obj["over"] = "edges"
-    if cond.kind != "parity":  # whose keys are copied as they are
-        _names(cond.referenced_colours())  # refuses two written alike
     if cond.kind == "muller":
-        obj["family"] = sorted(map(_names, cond.family),
+        obj["family"] = sorted(map(sorted, cond.family),
                                key=lambda s: (len(s), s))
     elif cond.kind == "parity":
         obj["priorities"] = dict(cond.priorities)
     elif cond.kind in ("buchi", "cobuchi"):
-        obj["colours"] = _names(cond.colours)
+        obj["colours"] = sorted(cond.colours)
     elif cond.kind in ("rabin", "streett"):
-        obj["pairs"] = sorted(([_names(e), _names(f)] for e, f in cond.pairs),
-                              key=lambda p: (p[0], p[1]))
+        obj["pairs"] = sorted([sorted(e), sorted(f)] for e, f in cond.pairs)
     else:
         raise InputError("cannot serialize condition of kind %r" % cond.kind)
     return obj
@@ -157,8 +155,7 @@ def system_to_obj(ts):
     colours = {e.id: c for e in ts.edges
                for c in [ts.colour(e.id)] if c != e.id}
     if colours:
-        _names(set(colours.values()))  # refuses two written alike
-        obj["colours"] = {x: _text(c) for x, c in colours.items()}
+        obj["colours"] = colours
     return obj
 
 
@@ -186,7 +183,7 @@ def tree_to_obj(tree):
     for n in tree.nodes:
         nodes.append({
             "node": _node_name(n),
-            "label": _names(tree.label[n]),
+            "label": sorted(tree.label[n]),
             "priority": tree.priority(n),
             "children": [_node_name(c) for c in tree.children_map[n]],
         })
@@ -244,10 +241,10 @@ def dot_system(ts):
     for e in ts.edges:
         label = e.id
         if ts.letters is not None:
-            label += ":" + _text(ts.letters[e.id])
+            label += ":" + ts.letters[e.id]
         colour = ts.colour(e.id)
         if colour != e.id:
-            label += "/" + _text(colour)
+            label += "/" + colour
         lines.append("  %s -> %s [label=%s];"
                      % (_q(e.source), _q(e.target), _q(label)))
     lines.append("}")
@@ -257,7 +254,7 @@ def dot_system(ts):
 def _dot_tree_nodes(lines, indent, prefix, tree, extra_of=None):
     for n in tree.nodes:
         shape = "ellipse" if tree.accepting(n) else "box"
-        text = "{%s}" % ",".join(_names(tree.label[n]))
+        text = "{%s}" % ",".join(sorted(tree.label[n]))
         if extra_of is not None:
             text += "\\n%s" % extra_of(n)
         text += "\\n%d" % tree.priority(n)

@@ -6,7 +6,7 @@ loop enumeration with the explicit Muller form read from it
 from __future__ import annotations
 
 from .core import (CapExceeded, InputError, MullerCondition, _check_known,
-                   _components, _Frozen, _names, _over, _reach, _reading)
+                   _components, _Frozen, _over, _reach, _reading, _strings)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -271,7 +271,7 @@ def accessible_x_scc(automaton, letters):
     unknown = letters - automaton.alphabet
     if unknown:
         raise InputError("letters not in alphabet: %s"
-                         % ", ".join(_names(unknown)))
+                         % ", ".join(sorted(_strings(unknown, "letter"))))
     reach = _reach([automaton.initial],
                    lambda q: (automaton.step(q, a).target for a in letters))
     if not letters:

@@ -4,10 +4,9 @@ from the branches of the tree."""
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _key, _lift, _names)
+                   ParityCondition, TransitionSystem, _colour_set, _lift)
 
 
 class ZielonkaTree:
@@ -106,18 +105,15 @@ def _maximal_flipped(top, base, shrink, status, cap=None, where=None):
 
 def _canonical_maximal(sets):
     """The inclusion-maximal members of `sets`, without repeats, by
-    descending size, then the member list in `core._key` order of all
-    their colours.  A strict superset is larger, so taking the sets by
-    descending size, each one only needs testing against the maximal ones
-    kept before it."""
+    descending size, then sorted member list.  A strict superset is
+    larger, so taking the sets by descending size, each one only needs
+    testing against the maximal ones kept before it."""
     maximal = []
     for s in sorted(set(sets), key=len, reverse=True):
         if not any(map(s.__lt__, maximal)):
             maximal.append(s)
     if len(maximal) > 1:  # most calls keep one set or none
-        key = _key(itertools.chain.from_iterable(maximal))
-        members = sorted if key is None else lambda s: sorted(map(key, s))
-        maximal.sort(key=lambda s: (-len(s), members(s)))
+        maximal.sort(key=lambda s: (-len(s), sorted(s)))
     return maximal
 
 
@@ -186,7 +182,7 @@ def _zielonka_tree(cond, gamma):
 
 
 def build_zielonka_tree(family, gamma):
-    gamma = frozenset(gamma)
+    gamma = _colour_set(gamma, "colour set")
     if not gamma:
         raise InputError("colour set must be nonempty")
     cond = MullerCondition(family)
@@ -194,7 +190,7 @@ def build_zielonka_tree(family, gamma):
         if not s <= gamma:
             raise InputError(
                 "family set {%s} not within the colour set"
-                % ",".join(_names(s)))
+                % ",".join(sorted(s)))
     tree = _zielonka_tree(cond, gamma)
     tree.gamma, tree.family = gamma, cond.family
     return tree
@@ -281,20 +277,13 @@ def build_zt_automaton(tree):
     branches of the tree (`core._lift`): a Zielonka tree is the
     decomposition of a one-vertex system, and this automaton is that
     system's transform, its states named by branch.  The edge of a
-    colour is named by its string form, so two colours with one string
-    form are an InputError that names them."""
-    letters = {}
-    for a in sorted(tree.gamma, key=repr):
-        if str(a) in letters:
-            raise InputError("colours %r and %r have one string form"
-                             % (letters[str(a)], a))
-        letters[str(a)] = a
-    one = TransitionSystem(["q"], [(e, "q", "q") for e in letters], ["q"],
-                           letters=letters)
+    colour is named by the colour."""
+    one = TransitionSystem(["q"], [(c, "q", "q") for c in tree.gamma], ["q"],
+                           letters={c: c for c in tree.gamma})
     names = {leaf: state_name(leaf) for leaf in tree.leaves}
 
     def step(leaf, e):
-        tau = supp(tree, leaf, one.letters[e.id])
+        tau = supp(tree, leaf, e.id)
         return tree.priority(tau), nextbranch(tree, leaf, tau)
 
     ts, priorities, _, _ = _lift(

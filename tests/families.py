@@ -4,7 +4,8 @@ installed."""
 
 import itertools
 
-from acdkit import MullerCondition, ParityCondition, TransitionSystem
+from acdkit import (MullerCondition, ParityCondition, RabinCondition,
+                    StreettCondition, TransitionSystem)
 
 
 def cycle_game(n):
@@ -63,3 +64,17 @@ def parity_chain(n, base):
     edges = ["e%d" % i for i in range(n)]
     return (TransitionSystem(["v"], [(e, "v", "v") for e in edges], ["v"]),
             ParityCondition({e: base + i for i, e in enumerate(edges)}))
+
+
+def nested_pairs(n, kind):
+    """One vertex with self-loops c0 .. c{2n-1} under n nested pairs of
+    the given kind, "rabin" or "streett", pair i being ({c{2i}}, {c0 ..
+    c{2i-1}}).  Read as Rabin, a run accepts iff the least index it sees
+    infinitely often is even; read as Streett, iff it is odd.  So the
+    condition is a parity condition with priority i on ci: its Zielonka
+    tree is a chain of height 2n, accepting at the root for Rabin and
+    rejecting for Streett."""
+    colours = ["c%d" % i for i in range(2 * n)]
+    cls = RabinCondition if kind == "rabin" else StreettCondition
+    return (TransitionSystem(["v"], [(c, "v", "v") for c in colours], ["v"]),
+            cls(({colours[2 * i]}, colours[:2 * i]) for i in range(n)))

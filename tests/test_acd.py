@@ -13,8 +13,10 @@ from acdkit import (CapExceeded, InputError, MullerCondition,
                     sccs, shape, streett_from_acd, subtree_for_state)
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
+from acdkit.zielonka import _zielonka_tree
 from conftest import (CONDITION_KINDS, FIXTURES, count_readings,
-                      even_muller, parity_chain, random_condition,
+                      even_muller, nested_pairs, parity_chain,
+                      random_condition,
                       random_muller_system, random_system, recoloured)
 from oracles import deepest_holding_prefix, loop_preserving
 
@@ -328,6 +330,33 @@ def test_parity_chain_in_closed_form(n, base):
     assert parity_relabel(ts, acd).priorities == cond.priorities
     assert classify_acd(acd).parity_acd
     assert acd_stats(acd)["interval"] == (base, base + n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["rabin", "streett"])
+def test_nested_pairs_in_closed_form(n, kind):
+    """n nested Rabin or Streett pairs over 2n colours read as parity with
+    priority i on colour ci (even for Rabin, shifted by one for Streett):
+    the Zielonka tree, which is the ACD's one tree, is a chain of 2n
+    nodes, one leaf and height 2n, accepting at the root for Rabin only,
+    and the one-vertex transform has one copy."""
+    ts, cond = nested_pairs(n, kind)
+    rabin = kind == "rabin"
+    for r in range(1, min(2 * n, 4) + 1):
+        for seen in itertools.combinations(range(2 * n), r):
+            assert loop_status_over(ts, cond, ["c%d" % i for i in seen]) \
+                == (seen[0] % 2 == (0 if rabin else 1)), seen
+    tree = _zielonka_tree(cond, ts.colour_set())
+    assert (tree.height, len(tree.nodes), len(tree.leaves)) == \
+        (2 * n, 2 * n, 1)
+    assert tree.even == rabin
+    acd = build_acd(ts, cond)
+    assert [t.label for t in acd.trees] == [tree.label]
+    stats = acd_stats(acd)
+    assert (stats["size"], stats["tree_heights"]) == (1, (2 * n,))
+    assert (stats["interval"], stats["tag"]) == (
+        ((0, 2 * n - 1), "even") if rabin else ((1, 2 * n), "odd"))
+    assert classify_acd(acd).parity_acd
 
 
 def _loop_priorities(system, parity):

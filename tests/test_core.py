@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
-                    ParityCondition, RabinCondition, Run, StreettCondition,
-                    TransitionSystem, accessible_x_scc, build_zielonka_tree,
-                    build_zt_automaton, check_local, check_structural,
-                    compose, docfmt, enumerate_reachable_loops,
-                    equivalent_over, loop_status, loop_status_over,
-                    to_explicit_muller, validate)
+from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, InputError,
+                    MullerCondition, ParityCondition, RabinCondition, Run,
+                    StreettCondition, TransitionSystem, accessible_x_scc,
+                    build_zielonka_tree, build_zt_automaton, check_local,
+                    check_structural, compose, docfmt,
+                    enumerate_reachable_loops, equivalent_over, loop_status,
+                    loop_status_over, to_explicit_muller, validate)
 from acdkit.core import Edge, _components, _reach, _tarjan_marks
 from conftest import (CONDITION_KINDS, random_condition, random_system,
                       recoloured, under_hash_seeds)
@@ -150,34 +150,55 @@ def test_a_bool_priority_has_one_checker():
 
 @pytest.mark.parametrize("what", ["colour", "letter"])
 def test_an_unhashable_colour_or_letter_is_refused(what):
-    """The message names the least edge with such a value."""
-    labels = {"x": "a", "y": ["c"], "z": {}}
+    """An unhashable value is not a string: the message names the first
+    value that is not one, in the map's order."""
+    labels = {"x": "a", "z": {}, "y": ["c"]}
     with pytest.raises(InputError) as err:
         TransitionSystem(["a"], [(e, "a", "a") for e in "zyx"], ["a"],
                          **{what + "s": labels})
-    assert str(err.value) == "%s of edge 'y' is not hashable: ['c']" % what
+    assert str(err.value) == "%s {} is not a string" % what
 
 
 def test_messages_name_values_of_any_type():
-    """Strings or numbers alone come in their own order; a mix has the
-    strings first as they are, then other values by their repr."""
+    """A letter, colour or edge id of another type than a string is
+    refused where it is given, by a message that names it by its repr;
+    a list of string values in a message comes sorted.  The first two
+    cases would otherwise build a condition or system that `docfmt`
+    could not write or read back."""
     aut = Automaton(TransitionSystem(["q"], [("e", "q", "q")], ["q"],
                                      letters={"e": "a"}),
                     BuchiCondition(["e"]))
+    ts = TransitionSystem(["p"], [("g", "p", "p")], ["p"])
+    for build, message in [
+            (lambda: ParityCondition({"x": 0, 1: 1}),
+             "colour 1 is not a string"),
+            (lambda: TransitionSystem(["p"], [("x", "p", "p")], ["p"],
+                                      letters={"x": 1}),
+             "letter 1 is not a string"),
+            (lambda: TransitionSystem(["p"], [("g", "p", "p"),
+                                              ("h", "p", "p")], ["p"],
+                                      colours={"g": "zz", "h": None}),
+             "colour None is not a string"),
+            (lambda: MullerCondition([["zz", 1, None]]),
+             "colour 1 is not a string"),
+            (lambda: accessible_x_scc(aut, ["b", 10]),
+             "letter 10 is not a string"),
+            (lambda: loop_status_over(ts, BuchiCondition(["g"]), ["zz", 2]),
+             "edge id 2 is not a string")]:
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
     host = TransitionSystem(["p"], [("g", "p", "p"), ("h", "p", "p")], ["p"],
-                            colours={"g": 1, "h": "zz"})
+                            colours={"g": "zz", "h": "10"})
     with pytest.raises(InputError) as err:
         compose(aut, host)
-    assert str(err.value) == "automaton alphabet misses colours: zz, 1"
+    assert str(err.value) == "automaton alphabet misses colours: 10, zz"
     with pytest.raises(InputError) as err:
-        accessible_x_scc(aut, [None, 1, "b"])
-    assert str(err.value) == "letters not in alphabet: b, 1, None"
-    ts = TransitionSystem(["p"], [("g", "p", "p")], ["p"])
-    assert validate(ts, MullerCondition([[1, "zz", None]])) == [
-        "condition references unknown colour 'zz'"]
-    assert validate(ts, ParityCondition({"g": 0, 2: 0, "zz": 1})) == [
-        "condition references unknown colour 'zz'"]
-    letters = {"g": "a", "h": 1, "i": "b"}
+        accessible_x_scc(aut, ["zz", "b", "10"])
+    assert str(err.value) == "letters not in alphabet: 10, b, zz"
+    assert validate(ts, MullerCondition([["zz", "g", "b"]])) == [
+        "condition references unknown colour 'b'"]
+    letters = {"g": "a", "h": "c", "i": "b"}
     with pytest.raises(InputError) as err:
         Automaton(TransitionSystem(["p", "q"], [("g", "p", "q"),
                                                 ("h", "q", "p"),
@@ -186,16 +207,64 @@ def test_messages_name_values_of_any_type():
                   BuchiCondition(["g"]))
     assert str(err.value) == \
         "automaton not complete at state 'p', letter 'b'"
-    numbered = TransitionSystem(["p"], [("g", "p", "p"), ("h", "p", "p")],
-                                ["p"], colours={"g": 10, "h": 2})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MullerCondition([1]),
+     "family set 1 is not a collection of strings"),
+    (lambda: MullerCondition([["a"], 7]),
+     "family set 7 is not a collection of strings"),
+    (lambda: MullerCondition(["ab"]),
+     "family set 'ab' is not a collection of strings"),
+    (lambda: CoBuchiCondition([[1]]), "colour [1] is not a string"),
+    (lambda: BuchiCondition(None),
+     "colour set None is not a collection of strings"),
+    (lambda: RabinCondition([("a",)]), "pair ('a',) is not an (E, F) pair"),
+    (lambda: StreettCondition(["ab"]), "pair 'ab' is not an (E, F) pair"),
+    (lambda: RabinCondition([(["a"], "b")]),
+     "pair side 'b' is not a collection of strings"),
+    (lambda: StreettCondition([(["a"], [0.5])]),
+     "colour 0.5 is not a string"),
+], ids=["muller-int", "muller-late-int", "muller-string", "cobuchi-list",
+        "buchi-none", "rabin-one-side", "streett-string-pair",
+        "rabin-string-side", "streett-float"])
+def test_condition_constructors_refuse_malformed_members(build, message):
+    """A condition names the member it cannot read, never raising a bare
+    TypeError or ValueError; a string is not read as its characters."""
     with pytest.raises(InputError) as err:
-        compose(aut, numbered)
-    assert str(err.value) == "automaton alphabet misses colours: 2, 10"
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"system": {"colours": {"x": 1}}}, "colour 1 is not a string"),
+    ({"system": {"letters": {"x": None}}}, "letter None is not a string"),
+    ({"system": {"colours": ["x"]}}, "colours must be an object"),
+    ({"condition": {"type": "muller", "family": [["x", 2]]}},
+     "colour 2 is not a string"),
+    ({"condition": {"type": "buchi", "colours": [["x"]]}},
+     "colour ['x'] is not a string"),
+    ({"condition": {"type": "rabin", "pairs": [[["x"], [True]]]}},
+     "colour True is not a string"),
+    ({"condition": {"type": "parity", "priorities": {"x": 0, "y": "1"}}},
+     "priority of 'y' must be a nonnegative integer"),
+    ({"condition": {"type": "muller", "family": ["x"]}},
+     "a family set must be a list"),
+], ids=["colour", "letter", "colour-map", "family-member", "buchi-colour",
+        "pair-side-member", "priority", "family-set"])
+def test_letters_and_colours_have_one_checker(block, message):
+    """`docfmt.parse` checks the JSON shapes of the system's letter and
+    colour maps and of a condition's members; the system and the
+    condition check the values inside, so a document gives the message
+    of the constructor."""
+    obj = {"format": docfmt.FORMAT,
+           "system": {"vertices": ["p"], "edges": [["x", "p", "p"]],
+                      "initial": ["p"]}}
+    obj["system"].update(block.get("system", {}))
+    obj["condition"] = block.get("condition")
     with pytest.raises(InputError) as err:
-        accessible_x_scc(aut, [10, 2])
-    assert str(err.value) == "letters not in alphabet: 2, 10"
-    assert validate(ts, MullerCondition([[10, 2]])) == [
-        "condition references unknown colour 2"]
+        docfmt.parse(json.dumps(obj))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("edge, named", [
@@ -243,19 +312,19 @@ def test_partial_owners_and_letters_are_input_errors():
      "letter given for unknown edge 'w'"),
     ("letters", {"x": "a", "z": "b"}, "edge 'y' has no letter"),
     ("letters", {"x": "a", "y": ["c"], "z": "b"},
-     "letter of edge 'y' is not hashable: ['c']"),
-    # two faults: an unknown key, then a missing edge, then an unhashable
-    # value
+     "letter ['c'] is not a string"),
+    # two faults: an unknown key, then a missing edge, then a value that
+    # is not a string
     ("letters", {"x": ["c"], "w": "a"}, "letter given for unknown edge 'w'"),
     ("letters", {"x": ["c"], "z": "b"}, "edge 'y' has no letter"),
     ("colours", {"w": "a"}, "colour given for unknown edge 'w'"),
-    ("colours", {"x": "a", "y": ["c"]},
-     "colour of edge 'y' is not hashable: ['c']"),
-    # two faults: an unknown key before an unhashable value, and the least
-    # of two unhashable edges
+    ("colours", {"x": "a", "y": ["c"]}, "colour ['c'] is not a string"),
+    # two faults: an unknown key before a value that is not a string, and
+    # the first of two such values in the map's order
     ("colours", {"y": ["c"], "w": "a"}, "colour given for unknown edge 'w'"),
-    ("colours", {"z": {}, "y": ["c"]},
-     "colour of edge 'y' is not hashable: ['c']"),
+    ("colours", {"z": {}, "y": ["c"]}, "colour {} is not a string"),
+    ("letters", {"x": "a", "y": 1, "z": "b"}, "letter 1 is not a string"),
+    ("colours", {"z": "y", "x": 0}, "colour 0 is not a string"),
 ])
 def test_labelling_messages(what, labels, message):
     """Each fault of an owner, letter or colour map has one message, and

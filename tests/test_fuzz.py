@@ -15,7 +15,7 @@ and `docfmt.serialize(docfmt.parse(t))` is a fixed point for every
 document text t that parses, the inputs and the documents written.
 
 Beside it, a library fuzzer puts each of ODD_VALUES into each slot of a
-small system and its parity condition: the constructors raise nothing but
+small system and its conditions: the constructors raise nothing but
 InputError, and `validate` returns a list."""
 
 import copy
@@ -24,8 +24,10 @@ import random
 
 import pytest
 
-from acdkit import (Automaton, BuchiCondition, InputError, MullerCondition,
-                    ParityCondition, TransitionSystem, cli, docfmt, validate)
+from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, InputError,
+                    MullerCondition, ParityCondition, RabinCondition,
+                    StreettCondition, TransitionSystem, cli, docfmt,
+                    validate)
 from conftest import FIXTURES
 
 SEEDS = range(200)
@@ -238,7 +240,8 @@ def test_cli_output_rules_on_mutated_documents(tmp_path, capsys):
 
 # A library-level fuzzer beside the CLI one: each of ODD_VALUES in each
 # element slot of a small game automaton (owners, letters and colours on
-# two states), and in a priority of its parity condition.
+# two states), and in a member of each of its conditions: a family set, a
+# Büchi colour, a pair, a pair side and a priority.
 BASE = {"vertices": ["p", "q"],
         "edges": [["w", "p", "q"], ["x", "q", "p"], ["y", "p", "p"],
                   ["z", "q", "q"]],
@@ -246,12 +249,15 @@ BASE = {"vertices": ["p", "q"],
         "owners": {"p": "Eve", "q": "Adam"},
         "letters": {"w": "a", "x": "a", "y": "b", "z": "b"},
         "colours": {"w": "c", "x": "d", "y": "c", "z": "d"},
-        "priorities": {"c": 0, "d": 1}}
+        "family": [["c"], ["c", "d"]], "buchi": ["d"],
+        "pairs": [[["c"], ["d"]]], "priorities": {"c": 0, "d": 1}}
 # slot -> the path in BASE to the value it replaces
 SLOTS = {"vertex": ("vertices", 0), "initial vertex": ("initial", 0),
          "edge id": ("edges", 0, 0), "source": ("edges", 1, 1),
          "target": ("edges", 2, 2), "owner": ("owners", "q"),
          "letter": ("letters", "x"), "colour": ("colours", "y"),
+         "family member": ("family", 0), "buchi colour": ("buchi", 0),
+         "pair": ("pairs", 0), "pair side": ("pairs", 0, 1),
          "priority": ("priorities", "d")}
 
 
@@ -277,8 +283,11 @@ def test_library_constructors_on_odd_values(slot):
                 obj["vertices"], obj["edges"], obj["initial"],
                 owners=obj["owners"], letters=obj["letters"],
                 colours=obj["colours"])
-            conds = [MullerCondition([["c"], ["c", "d"]]),
-                     BuchiCondition(["d"]),
+            conds = [MullerCondition(obj["family"]),
+                     BuchiCondition(obj["buchi"]),
+                     CoBuchiCondition(obj["buchi"]),
+                     RabinCondition(obj["pairs"]),
+                     StreettCondition(obj["pairs"]),
                      ParityCondition(obj["priorities"])]
         except InputError:
             continue

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -7,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdkit import (InputError, MullerCondition, TransitionSystem,
-                    ZielonkaTree, acd_transform, build_acd,
-                    build_zielonka_tree, build_zt_automaton, closure_oracle,
-                    docfmt, enumerate_reachable_loops,
-                    min_parity_automaton_size, min_parity_priority_count,
-                    nextbranch,
+                    ZielonkaTree, build_acd, build_zielonka_tree,
+                    build_zt_automaton, closure_oracle,
+                    enumerate_reachable_loops, min_parity_automaton_size,
+                    min_parity_priority_count, nextbranch,
                     optimal_parity_interval, shape, supp)
 from acdkit.zielonka import (_canonical_maximal, _flipped_colour_sets,
                              _maximal_flipped, _minus_one_colour,
                              _zielonka_tree)
-from conftest import (CONDITION_KINDS, random_condition, random_family,
-                      under_hash_seeds)
+from conftest import CONDITION_KINDS, random_condition, random_family
 import oracles
 from oracles import deepest_holding_prefix, simulate_zt_output
 
@@ -123,9 +120,12 @@ def test_zt_automaton_single_node():
 
 
 def test_zt_automaton_refuses_colours_with_one_string_form():
+    """1 and "1" would name one edge of the automaton's one-state system:
+    the tree refuses the colour that is not a string, so no automaton
+    meets the two."""
     with pytest.raises(InputError) as err:
         build_zt_automaton(build_zielonka_tree([{1}], {1, "1"}))
-    assert str(err.value) == "colours '1' and 1 have one string form"
+    assert str(err.value) == "colour 1 is not a string"
 
 
 def test_canonical_maximal_matches_all_pairs_filter():
@@ -320,63 +320,39 @@ def test_min_parity_closed_forms_match_the_searches_over_three_colours(fam):
         == oracles.min_parity_automaton_size(fam, gamma, 2)
 
 
-def test_colours_of_any_type_are_ordered_and_written():
-    """Colours that compare keep their own order; others take strings
-    first, then the rest by repr.  A writer names a string as it is and
-    any other colour by its repr."""
-    with pytest.raises(InputError) as err:
-        build_zielonka_tree([[1, 2]], {1})
-    assert str(err.value) == "family set {1,2} not within the colour set"
-    tree = build_zielonka_tree([[1], [1, "a"]], {1, "a"})
-    assert tree.even and tree.label == {(): {1, "a"}, (0,): {"a"}}
-    assert docfmt.tree_to_obj(tree)["nodes"][0]["label"] == ["a", "1"]
-    sets = [frozenset([c]) for c in [1, "a", 10, 2]]
-    assert _canonical_maximal(sets) == [{"a"}, {1}, {10}, {2}]
-    assert _canonical_maximal(sets[2:]) == [{2}, {10}]
-    assert docfmt.dot_tree(build_zielonka_tree([[2], [10]], {2, 10})) == (
-        'digraph zielonka {\n  node [fontsize=10];\n'
-        '  "r" [shape=box,label="{2,10}\\\\n1"];\n'
-        '  "r.0" [shape=ellipse,label="{2}\\\\n2"];\n'
-        '  "r.1" [shape=ellipse,label="{10}\\\\n2"];\n'
-        '  "r" -> "r.0";\n  "r" -> "r.1";\n}\n')
-    assert docfmt.condition_to_obj(MullerCondition([[1, "a"]])) == {
-        "type": "muller", "family": [["a", "1"]]}
-    ts = TransitionSystem(["p"], [("x", "p", "p"), ("y", "p", "p")], ["p"],
-                          colours={"x": 1, "y": "a"})
-    result = acd_transform(ts, MullerCondition([[1], [1, "a"]]))
-    assert result.condition.priorities == {"x|r.0": 0, "y|r.0": 1}
-
-
-FROZENSET_COLOURS = """
-from acdkit import build_zielonka_tree, docfmt
-cs = [frozenset({c}) for c in "abcdefg"]
-tree = build_zielonka_tree([cs[:3], cs[2:5], cs], cs)
-print(docfmt.dumps(docfmt.tree_to_obj(tree)))
-"""
-
-
-def test_colours_that_compare_only_in_part_are_ordered_by_repr():
-    """Frozensets compare by inclusion, which orders no two of these, so
-    the tree takes them by repr, under every hash seed."""
-    first, second = under_hash_seeds(FROZENSET_COLOURS)
-    assert first == second
-    assert json.loads(first)["nodes"][0]["label"] == [
-        "frozenset({'%s'})" % c for c in "abcdefg"]
+def test_colours_of_other_types_are_refused():
+    """A colour must be a string, in the colour set and the family of a
+    Zielonka tree and in every condition: numbers and frozensets are
+    refused where they are given, as is a colour set given as a string."""
+    cs = [frozenset({c}) for c in "abcdefg"]
+    for build, message in [
+            (lambda: build_zielonka_tree([[1, 2]], {1}),
+             "colour 1 is not a string"),
+            (lambda: build_zielonka_tree([[10]], ["2", "10"]),
+             "colour 10 is not a string"),
+            (lambda: build_zielonka_tree([cs[:3], cs], cs),
+             "colour frozenset({'a'}) is not a string"),
+            (lambda: build_zielonka_tree([["a"]], "ab"),
+             "colour set 'ab' is not a collection of strings"),
+            (lambda: MullerCondition([cs[:3]]),
+             "colour frozenset({'a'}) is not a string")]:
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_two_colours_written_alike_are_refused():
-    """1 and "1" would both be written "1" and read back as one colour."""
-    ts = TransitionSystem(["p"], [("x", "p", "p"), ("y", "p", "p")], ["p"],
-                          colours={"x": 1, "y": "1"})
-    message = "'1' and 1 are both written '1'"
-    for write in (lambda: docfmt.system_to_obj(ts),
-                  lambda: docfmt.condition_to_obj(MullerCondition([[1],
-                                                                  ["1"]])),
-                  lambda: docfmt.tree_to_obj(build_zielonka_tree([[1]],
-                                                                 [1, "1"]))):
+    """1 and "1" would both be written "1" and read back as one colour:
+    the system, the condition and the tree refuse the colour 1 where it
+    is given, before a writer could meet it."""
+    for build in (lambda: TransitionSystem(["p"], [("x", "p", "p"),
+                                                   ("y", "p", "p")], ["p"],
+                                           colours={"x": 1, "y": "1"}),
+                  lambda: MullerCondition([[1], ["1"]]),
+                  lambda: build_zielonka_tree([["1"]], ["1", 1])):
         with pytest.raises(InputError) as err:
-            write()
-        assert str(err.value) == message
+            build()
+        assert str(err.value) == "colour 1 is not a string"
 
 
 def test_closed_forms_refuse_malformed_families():
