@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acdkit import docfmt
 from acdkit import (InputError, MullerCondition, TransitionSystem,
                     ZielonkaTree, build_acd, build_zielonka_tree,
                     build_zt_automaton, closure_oracle,
@@ -320,25 +321,38 @@ def test_min_parity_closed_forms_match_the_searches_over_three_colours(fam):
         == oracles.min_parity_automaton_size(fam, gamma, 2)
 
 
-def test_colours_of_other_types_are_refused():
+def test_colours_of_any_type_are_ordered_and_written():
     """A colour must be a string, in the colour set and the family of a
-    Zielonka tree and in every condition: numbers and frozensets are
-    refused where they are given, as is a colour set given as a string."""
-    cs = [frozenset({c}) for c in "abcdefg"]
+    Zielonka tree and in every condition: numbers are refused where they
+    are given, as is a colour set given as a string.  Strings keep their
+    own order and are written as they are."""
     for build, message in [
             (lambda: build_zielonka_tree([[1, 2]], {1}),
              "colour 1 is not a string"),
             (lambda: build_zielonka_tree([[10]], ["2", "10"]),
              "colour 10 is not a string"),
-            (lambda: build_zielonka_tree([cs[:3], cs], cs),
-             "colour frozenset({'a'}) is not a string"),
             (lambda: build_zielonka_tree([["a"]], "ab"),
              "colour set 'ab' is not a collection of strings"),
-            (lambda: MullerCondition([cs[:3]]),
-             "colour frozenset({'a'}) is not a string")]:
+            (lambda: MullerCondition([[1, "a"]]),
+             "colour 1 is not a string")]:
         with pytest.raises(InputError) as err:
             build()
         assert str(err.value) == message
+    tree = build_zielonka_tree([["2"], ["10"]], {"2", "10"})
+    assert tree.label == {(): {"2", "10"}, (0,): {"10"}, (1,): {"2"}}
+    assert docfmt.tree_to_obj(tree)["nodes"][0]["label"] == ["10", "2"]
+
+
+def test_colours_that_compare_only_in_part_are_ordered_by_repr():
+    """Frozensets compare only by inclusion and have no string form of
+    their own: as colours of a tree or a condition they are refused where
+    they are given, naming the first in the order given."""
+    cs = [frozenset({c}) for c in "abcdefg"]
+    for build in (lambda: build_zielonka_tree([cs[:3], cs], cs),
+                  lambda: MullerCondition([cs[:3]])):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == "colour frozenset({'a'}) is not a string"
 
 
 def test_two_colours_written_alike_are_refused():
