@@ -93,11 +93,12 @@ class TransitionSystem:
 
     def __init__(self, vertices, edges, initial, owners=None, letters=None,
                  colours=None):
-        self.vertices = tuple(sorted(_strings(vertices, "vertex")))
+        self.vertices = tuple(sorted(_strings(
+            _collection(vertices, "vertices"), "vertex")))
         out = {v: [] for v in self.vertices}
         if len(out) != len(self.vertices):
             raise InputError("duplicate vertex ids")
-        parsed = list(map(_edge, edges))
+        parsed = list(map(_edge, _collection(edges, "edges", "edges")))
         _strings((e.id for e in parsed), "edge id")
         parsed.sort(key=lambda e: e.id)
         self.edges = tuple(parsed)
@@ -112,16 +113,16 @@ class TransitionSystem:
             self._by_id[e.id] = e
             out[e.source].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
-        self.initial = tuple(sorted(set(_strings(initial, "initial vertex"))))
+        self.initial = tuple(sorted(set(_strings(
+            _collection(initial, "initial"), "initial vertex"))))
         for v in self.initial:
             if v not in out:
                 raise InputError("initial vertex %r is not declared" % v)
         self.owners = _labelling(owners, self._out, "owner", "vertex",
-                                 ("Eve", "Adam")) if owners else None
-        self.letters = _labelling(letters, self._by_id, "letter",
-                                  "edge") if letters else None
+                                 ("Eve", "Adam"))
+        self.letters = _labelling(letters, self._by_id, "letter", "edge")
         self._colours = _labelling(colours, self._by_id, "colour", "edge",
-                                   total=False) if colours else {}
+                                   total=False) or {}
         if 0 < len(self._colours) < len(self._by_id):
             # the colour map is empty or total: the other edges keep their ids
             self._colours = {e: self._colours.get(e, e) for e in self._by_id}
@@ -172,12 +173,18 @@ def _edge(e):
 
 def _labelling(labels, ids, what, whose, allowed=None, total=True):
     """A copy of `labels`, an owner, letter or colour map on `ids`, a dict
-    keyed by the system's vertex or edge ids in sorted order, checked in
-    the order its faults are named: in the map's order, a key outside
-    `ids` or a value outside `allowed` when that is given; when `total`,
-    the first id without a value; then, in the map's order, a value that
-    is not a string."""
-    labels = dict(labels)
+    keyed by the system's vertex or edge ids in sorted order, or None when
+    `labels` is None or an empty map: no labelling.  Checked in the order
+    its faults are named: that it is a map (`_map`, named as the argument:
+    owners, letters or colours); in the map's order, a key outside `ids`
+    or a value outside `allowed` when that is given; when `total`, the
+    first id without a value; then, in the map's order, a value that is
+    not a string."""
+    if labels is None:
+        return None
+    labels = _map(labels, what + "s")
+    if not labels:
+        return None
     for x, value in labels.items():
         if x not in ids:
             raise InputError("%s given for unknown %s %r" % (what, whose, x))
@@ -201,15 +208,32 @@ def _strings(ids, what):
     return ids
 
 
+def _collection(values, what, of="strings"):
+    """`values`, if it is a collection other than a string, which would
+    read as its characters: the one check of an argument's shape, made
+    once per argument.  Anything else is an InputError that names `what`
+    and the value, and says what the collection should hold: `of`."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise InputError("%s %r is not a collection of %s"
+                         % (what, values, of))
+    return values
+
+
+def _map(values, what):
+    """A dict of `values`, a map or a collection of (key, value) pairs
+    (`_collection`); a collection that is not one is refused alike."""
+    try:
+        return dict(_collection(values, what, "pairs"))
+    except (TypeError, ValueError):
+        raise InputError("%s %r is not a collection of pairs"
+                         % (what, values)) from None
+
+
 def _colour_set(colours, what):
-    """The frozenset of `colours`, a collection of strings other than a
-    string, which would read as the set of its characters; anything else
-    is an InputError naming `what`, or the first colour that is not a
-    string."""
-    if isinstance(colours, str) or not hasattr(colours, "__iter__"):
-        raise InputError("%s %r is not a collection of strings"
-                         % (what, colours))
-    return frozenset(_strings(colours, "colour"))
+    """The frozenset of `colours`, a collection of strings (`_collection`,
+    naming `what`); a colour that is not a string is an InputError that
+    names the first."""
+    return frozenset(_strings(_collection(colours, what), "colour"))
 
 
 def _reach(starts, succ):
@@ -333,7 +357,7 @@ class MullerCondition(Condition):
 
     def __init__(self, family):
         sets = set()
-        for s in family:
+        for s in _collection(family, "family", "colour sets"):
             fs = _colour_set(s, "family set")
             if not fs:
                 raise InputError("empty set in Muller family")
@@ -354,7 +378,7 @@ class ParityCondition(Condition):
     kind = "parity"
 
     def __init__(self, priorities):
-        self.priorities = dict(priorities)
+        self.priorities = _map(priorities, "priorities")
         _strings(self.priorities, "colour")
         for c, p in self.priorities.items():
             # bool is a subclass of int, and True must not read as priority 1
@@ -395,7 +419,7 @@ class CoBuchiCondition(_ColourSet):
 
 class _Pairs(Condition):
     def __init__(self, pairs):
-        self.pairs = tuple(map(_pair, pairs))
+        self.pairs = tuple(map(_pair, _collection(pairs, "pairs", "pairs")))
 
     def referenced_colours(self):
         return frozenset().union(*(e | f for e, f in self.pairs))

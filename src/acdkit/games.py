@@ -13,6 +13,7 @@ from the solver."""
 
 from __future__ import annotations
 
+import gc
 from itertools import chain
 from operator import attrgetter
 
@@ -44,15 +45,23 @@ def _other(player):
     return "Adam" if player == "Eve" else "Eve"
 
 
-class ParitySolution(_Record):
+class _Solution(_Record):
+    """What both solutions share: `regions` maps each vertex of the game
+    to its winner, and `winner` reads it."""
+
+    def winner(self, v):
+        try:
+            return self.regions[v]
+        except KeyError:
+            raise InputError("unknown vertex %r" % v) from None
+
+
+class ParitySolution(_Solution):
     _fields = ("regions", "strategies")
 
     def __init__(self, regions, strategies):
         self.regions = regions        # vertex -> winning player
         self.strategies = strategies  # player -> {vertex -> edge id}
-
-    def winner(self, v):
-        return self.regions[v]
 
 
 def _fresh(solution):
@@ -64,6 +73,21 @@ def _fresh(solution):
 
 
 def solve_parity_game(game):
+    """Winning regions and positional strategies (`_solve_parity_game`),
+    computed with automatic garbage collection paused and the caller's
+    setting restored after.  A solve makes no reference cycles, so a
+    collection during it only scans live objects and frees none; its
+    board and certificate allocate enough containers to set off some."""
+    if not gc.isenabled():
+        return _solve_parity_game(game)
+    gc.disable()
+    try:
+        return _solve_parity_game(game)
+    finally:
+        gc.enable()
+
+
+def _solve_parity_game(game):
     """Winning regions and positional strategies, computed by Zielonka's
     attractor decomposition and verified by cycle analysis before being
     returned.
@@ -352,7 +376,7 @@ def _allowed_edges(ts, player, region, moves, problems):
     return allowed
 
 
-class MullerSolution(_Record):
+class MullerSolution(_Solution):
     _fields = ("regions", "transform", "parity_solution", "morphism")
 
     def __init__(self, regions, transform, parity_solution, morphism):
@@ -360,9 +384,6 @@ class MullerSolution(_Record):
         self.transform = transform  # the parity transformation used
         self.parity_solution = parity_solution
         self.morphism = morphism
-
-    def winner(self, v):
-        return self.regions[v]
 
 
 def solve_muller_game(game, explore_cap=None):

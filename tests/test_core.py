@@ -335,6 +335,94 @@ def test_labelling_messages(what, labels, message):
     assert str(err.value) == message
 
 
+def _system(**given):
+    """The system of vertices p, q, edges x: p -> q and y: q -> p and
+    initial p, with the arguments in `given` put in."""
+    args = {"vertices": ["p", "q"], "initial": ["p"],
+            "edges": [("x", "p", "q"), ("y", "q", "p")]}
+    args.update(given)
+    return TransitionSystem(**args)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParityCondition(5), "priorities 5 is not a collection of pairs"),
+    (lambda: ParityCondition([("a",)]),
+     "priorities [('a',)] is not a collection of pairs"),
+    (lambda: ParityCondition("a0"),
+     "priorities 'a0' is not a collection of pairs"),
+    (lambda: MullerCondition(5),
+     "family 5 is not a collection of colour sets"),
+    (lambda: RabinCondition(5), "pairs 5 is not a collection of pairs"),
+    (lambda: StreettCondition(None),
+     "pairs None is not a collection of pairs"),
+    (lambda: BuchiCondition("a"),
+     "colour set 'a' is not a collection of strings"),
+    (lambda: _system(vertices=5), "vertices 5 is not a collection of strings"),
+    (lambda: _system(edges=5), "edges 5 is not a collection of edges"),
+    (lambda: _system(initial=5), "initial 5 is not a collection of strings"),
+    (lambda: _system(owners=5), "owners 5 is not a collection of pairs"),
+    (lambda: _system(owners=[1]), "owners [1] is not a collection of pairs"),
+    # a value that is no map is refused even when it is false, as an
+    # empty map is not: that reads as no labelling
+    (lambda: _system(owners=0), "owners 0 is not a collection of pairs"),
+    (lambda: _system(letters=""), "letters '' is not a collection of pairs"),
+    (lambda: _system(letters=[("x", "a", "b")]),
+     "letters [('x', 'a', 'b')] is not a collection of pairs"),
+    (lambda: _system(colours="x"), "colours 'x' is not a collection of pairs"),
+    (lambda: build_zielonka_tree(5, {"a"}),
+     "family 5 is not a collection of colour sets"),
+    (lambda: build_zielonka_tree([["a"]], 5),
+     "colour set 5 is not a collection of strings"),
+    # a string would read as its characters: vertices p and q
+    (lambda: _system(vertices="pq"),
+     "vertices 'pq' is not a collection of strings"),
+    (lambda: _system(initial="p"),
+     "initial 'p' is not a collection of strings"),
+], ids=["parity-int", "parity-short-pair", "parity-string", "muller-int",
+        "rabin-int", "streett-none", "buchi-string", "vertices-int",
+        "edges-int", "initial-int", "owners-int", "owners-int-list",
+        "owners-zero", "letters-empty-string",
+        "letters-triple", "colours-string", "zielonka-family-int",
+        "zielonka-gamma-int", "vertices-string", "initial-string"])
+def test_argument_messages(build, message):
+    """An argument of the wrong shape, a value that is no collection or a
+    string, or a map that `dict` cannot read, is an InputError naming the
+    argument and its value, never a bare TypeError or ValueError."""
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_arguments_of_every_collection_type_are_read_alike():
+    """Lists, tuples, sets, dicts (by their keys, or as maps) and
+    generators pass the shape check and build equal systems and
+    conditions."""
+    edges = [("x", "p", "q"), ("y", "q", "p")]
+    owners = [("p", "Eve"), ("q", "Adam")]
+    want = _system(owners=dict(owners))
+    for form, as_map in ((list, list), (tuple, tuple), (set, set),
+                         (dict.fromkeys, dict), (iter, iter)):
+        got = _system(vertices=form(["q", "p"]), edges=form(edges),
+                      initial=form(["p"]), owners=as_map(owners))
+        assert (got.vertices, got.edges, got.initial, got.owners) == \
+            (want.vertices, want.edges, want.initial, want.owners), form
+        empty = _system(owners=form([]), letters=form([]), colours=form([]))
+        assert (empty.owners, empty.letters, empty.colour_set()) == \
+            (None, None, {"x", "y"}), form
+    pairs = [("a", 0), ("b", 1)]
+    for priorities in (dict(pairs), pairs, tuple(pairs), set(pairs),
+                       iter(pairs)):
+        assert ParityCondition(priorities).priorities == dict(pairs)
+    for family in ([["a"], ("a", "b")], ({"a"}, frozenset("ab")),
+                   (s for s in [["a"], ["a", "b"]])):
+        assert MullerCondition(family).family == {frozenset("a"),
+                                                  frozenset("ab")}
+    for given in ([(["a"], ["b"])], ((("a",), ("b",)),),
+                  iter([[["a"], ["b"]]])):
+        assert RabinCondition(given).pairs == ((frozenset("a"),
+                                                frozenset("b")),)
+
+
 def test_reachable_vertices_is_the_edge_fixpoint():
     rng = random.Random(59)
     for _ in range(100):

@@ -259,6 +259,8 @@ SLOTS = {"vertex": ("vertices", 0), "initial vertex": ("initial", 0),
          "family member": ("family", 0), "buchi colour": ("buchi", 0),
          "pair": ("pairs", 0), "pair side": ("pairs", 0, 1),
          "priority": ("priorities", "d")}
+# and each argument as a whole
+SLOTS.update((key, (key,)) for key in BASE)
 
 
 def _placed(slot, value):

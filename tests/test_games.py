@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import re
@@ -8,12 +9,13 @@ import pytest
 
 import acdkit
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
-                    TransitionSystem, solve_muller_game, solve_parity_game,
-                    verify_parity_solution)
+                    TransitionSystem, docfmt, solve_muller_game,
+                    solve_parity_game, verify_parity_solution)
 from acdkit.core import _over, _reading
 from acdkit.games import ParitySolution
-from conftest import (alternating_path_game, count_readings, cycle_game,
-                      path_game, random_muller_system, random_system)
+from conftest import (FIXTURES, alternating_path_game, count_readings,
+                      cycle_game, path_game, random_muller_system,
+                      random_system)
 from oracles import (brute_force_parity_regions, naive_certificate_problems,
                      set_based_parity_solution)
 
@@ -663,3 +665,92 @@ def test_muller_matches_brute_force_random():
             tsys, tsys.owners, lambda e: prios[e.id])
         assert sol.parity_solution.regions == want
         done += 1
+
+
+def test_winner_names_an_unknown_vertex():
+    """`winner` of a vertex that the game lacks is an InputError naming
+    it, as `TransitionSystem.out` is, for both kinds of solution."""
+    parity = solve_parity_game(Game(*cycle_game(4)))
+    assert parity.winner("v0") == parity.regions["v0"]
+    muller = _muller_fixture_solution()
+    for solution in (parity, muller):
+        with pytest.raises(InputError) as err:
+            solution.winner("nope")
+        assert str(err.value) == "unknown vertex 'nope'"
+
+
+def _muller_fixture_solution():
+    doc = docfmt.parse((FIXTURES / "mullergame.json").read_text())
+    return solve_muller_game(Game(doc.system, doc.condition))
+
+
+def _collections_during(call):
+    """The number of collector passes that start while `call()` runs,
+    counted from a fresh full collection."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return len(starts)
+
+
+# games whose solve allocates enough containers to set off a collection
+# when the collector runs
+COLLECTING_GAMES = {
+    "path/1000": lambda: Game(*path_game(1000)),
+    "cycle/20": lambda: Game(*cycle_game(20)),
+    "random/300": lambda: _random_game(random.Random(61), shape=(300, 3, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTING_GAMES))
+def test_solve_pauses_the_collector(name):
+    """No collection runs during a solve, and the caller's setting is back
+    after it: on after a normal return and after the InputError of a
+    condition that is not parity, off when the caller had it off."""
+    game = COLLECTING_GAMES[name]()
+    ts = game.ts
+    muller = Game(ts, MullerCondition([[ts.edges[0].id]]))
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert _collections_during(lambda: solve_parity_game(game)) == 0
+        assert gc.isenabled()
+        with pytest.raises(InputError, match="expected a parity condition"):
+            solve_parity_game(muller)
+        assert gc.isenabled()
+        gc.disable()
+        solve_parity_game(game)
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("make", [path_game, alternating_path_game,
+                                  cycle_game])
+def test_a_parity_solve_leaves_no_reference_cycles(make):
+    """A solve frees what it allocates without the cyclic collector, so
+    pausing the collector for its length (`solve_parity_game`) holds no
+    memory back: a collection after it finds nothing to free."""
+    for n in (1, 2, 7, 40):
+        game = Game(*make(n))
+        gc.collect()
+        solution = solve_parity_game(game)
+        assert gc.collect() == 0, n
+        assert set(solution.regions) == set(game.ts.vertices)
+
+
+def test_a_muller_solve_leaves_no_reference_cycles():
+    """The same for a Muller game, whose parity step runs paused."""
+    gc.collect()
+    solution = _muller_fixture_solution()
+    assert gc.collect() == 0
+    assert solution.regions
