@@ -3,8 +3,6 @@ parity transformation read off from it."""
 
 from __future__ import annotations
 
-import functools
-
 from . import loops as _loops
 from . import zielonka as _zielonka
 from .core import (InputError, Morphism, ParityCondition, _lift, _Record,
@@ -141,10 +139,12 @@ def acd_transform(ts, cond, explore_cap=None):
     by a locally bijective projection."""
     acd = build_acd(ts, cond, explore_cap=explore_cap)
     leaves = {q: acd.subtree_for_state(q).leaves for q in ts.vertices}
-    branch_name = functools.cache(_node_name)
+    branch_name = {}
 
     def name(x, leaf):  # the copy of a vertex or an edge on a branch
-        return "%s|%s" % (x, branch_name(leaf))
+        if leaf not in branch_name:
+            branch_name[leaf] = _node_name(leaf)
+        return "%s|%s" % (x, branch_name[leaf])
 
     system, priorities, vmap, emap = _lift(
         ts, [(v, leaves[v][0]) for v in ts.initial],

@@ -27,19 +27,15 @@ class PropertyFalse(Exception):
 
 def _read_doc(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror)) from None
     except UnicodeDecodeError as e:
         raise InputError("cannot read %s: not UTF-8 at byte %d"
                          % (path, e.start)) from None
-    return docfmt.parse(text)
-
-
-def _untruncated(path, flags):
-    """Opener of an existing file that leaves its bytes in place."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+    # text mode's line ends, so a parse error names the same line and column
+    return docfmt.parse(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _one_file(a, b):
@@ -64,23 +60,25 @@ def _write(args, text, dot=None):
         if args.output and _one_file(args.output, args.dot):
             raise InputError("-o and --dot name the same file %s" % args.dot)
         texts[args.dot] = dot()
-    files, created = [], []
+    fds, created, flags = [], [], os.O_WRONLY | os.O_CREAT
     try:
-        for path in texts:
-            try:
-                files.append(open(path, "x", encoding="utf-8", newline="\n"))
-                created.append(path)
-            except FileExistsError:
-                files.append(open(path, "w", encoding="utf-8", newline="\n",
-                                  opener=_untruncated))
-        for path, fh in zip(texts, files):
-            with fh:
+        try:
+            for path in texts:
+                try:
+                    fds.append(os.open(path, flags | os.O_EXCL, 0o666))
+                    created.append(path)
+                except FileExistsError:
+                    fds.append(os.open(path, flags, 0o666))
+            for path, fd in zip(texts, fds):
                 if path not in created and os.path.isfile(path):
-                    fh.truncate()
-                fh.write(texts[path])
+                    os.ftruncate(fd, 0)
+                data = memoryview(texts[path].encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data):]
+        finally:
+            for fd in fds:
+                os.close(fd)
     except OSError as e:
-        for fh in files:
-            fh.close()
         for made in created:
             os.remove(made)
         raise InputError("cannot write %s: %s" % (path, e.strerror)) from None
@@ -306,8 +304,9 @@ COMMANDS = {
 
 @functools.cache
 def build_parser():
-    """The parser of COMMANDS, built on first use and kept: parsing leaves
-    no state in it.  Every subcommand inherits `-o`."""
+    """The parser of COMMANDS, built the first time `_read_call` declines
+    an argv and kept: parsing leaves no state in it.  Every subcommand
+    inherits `-o`."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", help="write the result here "
                         "instead of stdout")
@@ -325,8 +324,45 @@ def build_parser():
     return parser
 
 
+def _read_call(argv):
+    """The namespace that `build_parser().parse_args(argv)` gives a
+    well-formed call, read straight from COMMANDS and FLAGS: a command,
+    its positionals in order, and `-o`/`--output` and its own flags, each
+    followed by one value that does not start with `-`, with choices and
+    caps that hold and every required flag.  None for any other argv,
+    which argparse reads: it alone writes help and usage errors."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, arguments, _ = COMMANDS[argv[0]]
+    names = arguments.split()
+    positionals = [a for a in names if a[0] != "-"]
+    dests = {"-o": "output", "--output": "output"}
+    dests.update((a, a[2:].replace("-", "_")) for a in names if a[0] == "-")
+    args = argparse.Namespace(command=argv[0], fn=fn,
+                              **dict.fromkeys(dests.values()))
+    words = iter(argv[1:])
+    for word in words:
+        if word in dests:
+            value, spec = next(words, "-"), FLAGS.get(word, {})
+            if value.startswith("-") or \
+                    value not in spec.get("choices", (value,)):
+                return None
+            try:
+                setattr(args, dests[word], spec.get("type", str)(value))
+            except argparse.ArgumentTypeError:
+                return None
+        elif word.startswith("-") or not positionals:
+            return None
+        else:
+            setattr(args, positionals.pop(0), word)
+    missing = [f for f in dests if FLAGS.get(f, {}).get("required")
+               and getattr(args, dests[f]) is None]
+    return None if positionals or missing else args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_call(argv) or build_parser().parse_args(argv)
     try:
         args.fn(args)
     except PropertyFalse as e:

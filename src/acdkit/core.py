@@ -221,12 +221,34 @@ def _collection(values, what, of="strings"):
 
 def _map(values, what):
     """A dict of `values`, a map or a collection of (key, value) pairs
-    (`_collection`); a collection that is not one is refused alike."""
+    (`_collection`); a collection that is not one is refused alike.  An
+    unhashable key becomes an `_Unhashable`, which the caller's own check
+    of its keys names as it names any key it refuses."""
+    values = _collection(values, what, "pairs")
     try:
-        return dict(_collection(values, what, "pairs"))
+        if hasattr(values, "keys"):  # a map, read as `dict` reads one
+            return dict(values)
+        pairs = {}
+        for k, v in values:
+            try:
+                pairs[k] = v
+            except TypeError:  # an unhashable key
+                pairs[_Unhashable(k)] = v
+        return pairs
     except (TypeError, ValueError):
         raise InputError("%s %r is not a collection of pairs"
                          % (what, values)) from None
+
+
+class _Unhashable:
+    """An unhashable key's stand-in: it equals no other key, and its repr
+    is the key's."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __repr__(self):
+        return repr(self.key)
 
 
 def _colour_set(colours, what):

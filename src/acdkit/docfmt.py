@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _string
 
 from .acd import acd_stats
 from .core import (BuchiCondition, CoBuchiCondition, InputError,
@@ -170,9 +171,31 @@ def serialize(doc):
 
 
 def dumps(obj):
-    """Canonical JSON text: sorted keys, two-space indent, trailing
-    newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text, byte for byte `json.dumps(obj, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"`.  An indent keeps `json` off
+    its C encoder, so strings (through `json`'s own encoder), ints, lists,
+    tuples and string-keyed dicts are written here; any other value by
+    `json.dumps`, its newlines indented to the depth (a newline inside a
+    string is written escaped)."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, nl):
+    kind = type(obj)
+    if kind is str:
+        return _string(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [_dumps(x, inner) for x in obj]), nl) if obj else "[]"
+    if kind is dict and all(type(k) is str for k in obj):
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [_string(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]),
+            nl) if obj else "{}"
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      ensure_ascii=False).replace("\n", nl)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@ from the branches of the tree."""
 
 from __future__ import annotations
 
-import functools
-
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
                    ParityCondition, TransitionSystem, _colour_set, _lift)
 
@@ -173,7 +171,13 @@ def _children_read(cond):
     """`_flipped_colour_sets` of `cond`, memoised for as long as the
     caller keeps it: one Zielonka tree, or one reading of the condition
     on a system (`acdkit.loops._side`), which serves a whole ACD."""
-    return functools.cache(functools.partial(_flipped_colour_sets, cond))
+    memo = {}
+
+    def read(colours):
+        if colours not in memo:
+            memo[colours] = _flipped_colour_sets(cond, colours)
+        return memo[colours]
+    return read
 
 
 def _zielonka_tree(cond, gamma):

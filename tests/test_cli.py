@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import random
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdkit import cli, docfmt
 from acdkit.core import _reading
@@ -805,8 +808,10 @@ def test_calls_in_one_process_share_no_arguments(tmp_path, monkeypatch):
 
 
 def test_parser_is_built_once_on_first_use(tmp_path):
-    """Importing the CLI builds no parser; the first call builds it and
-    later calls reuse it."""
+    """The parser is built on its first use, which is the first call that
+    `_read_call` declines (here one that argparse accepts), and later
+    declined calls reuse it.  Importing the CLI builds none, nor do
+    well-formed calls, which the reader reads."""
     code = (
         "import argparse, sys\n"
         "made = []\n"
@@ -817,8 +822,9 @@ def test_parser_is_built_once_on_first_use(tmp_path):
         "argparse.ArgumentParser.__init__ = counted\n"
         "from acdkit import cli\n"
         "counts = [len(made)]\n"
-        "for _ in range(3):\n"
-        "    assert cli.main(['stats', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+        "doc, out = sys.argv[1:]\n"
+        "for tail in [[]] * 3 + [['--explore-cap=1000']] * 2:\n"
+        "    assert cli.main(['stats', doc, '-o', out] + tail) == 0\n"
         "    counts.append(len(made))\n"
         "print(counts)\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -828,4 +834,138 @@ def test_parser_is_built_once_on_first_use(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    assert counts[0] == 0 < counts[1] == counts[2] == counts[3]
+    assert counts[:4] == [0, 0, 0, 0] and 0 < counts[4] == counts[5]
+
+
+def _flag_value(flag):
+    return {"--target": "parity", "--loop-cap": "7",
+            "--explore-cap": "0012"}.get(flag, "X")
+
+
+def test_read_call_matches_argparse_on_every_flag_order():
+    """For every command, every subset and order of its flags and `-o`
+    (or `--output`), before, between or after its positionals: the
+    reader's namespace is argparse's, or, without a required flag, the
+    reader declines and argparse refuses the call."""
+    parser = cli.build_parser()
+    for sub, (_, arguments, _) in cli.COMMANDS.items():
+        names = arguments.split()
+        positionals = ["P%d" % i for i, a in enumerate(names)
+                       if not a.startswith("-")]
+        flags = [a for a in names if a.startswith("-")]
+        for r in range(len(flags) + 2):
+            for chosen in itertools.permutations(flags + ["-o"], r):
+                options = [w for f in chosen for w in (f, _flag_value(f))]
+                for at in range(len(positionals) + 1):
+                    argv = [sub] + positionals[:at] + options + \
+                        positionals[at:]
+                    if at == len(positionals) and "-o" in chosen:
+                        argv[argv.index("-o")] = "--output"
+                    got = cli._read_call(argv)
+                    if got is None:
+                        assert "--target" in flags or "--against" in flags
+                        with pytest.raises(SystemExit):
+                            parser.parse_args(argv)
+                    else:
+                        assert got == parser.parse_args(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["stats", "-h"], ["stats", "F", "--help"],
+    ["relabel", "F", "--target=parity"], ["relabel", "F", "--tar", "parity"],
+    ["stats", "F", "-oX"], ["stats", "--", "F"], ["stats", "F", "--"],
+    ["stats", "F", "-o", "-x"], ["stats", "F", "-o"], ["stats", "-F"],
+    ["relabel", "F", "--target", "bogus"], ["stats", "F", "--explore-cap", "0"],
+    ["stats", "F", "--explore-cap", "many"], ["relabel", "F"],
+    ["check-morphism", "F"], ["stats", "F", "G"], ["stats"], ["compose", "A"],
+    ["stats", "F", "--dot", "x"], ["nonesuch", "F"], [],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_read_call_declines_every_other_form(argv):
+    """Help, `--flag=value`, abbreviations, `-oX`, `--`, a value that
+    starts with `-`, a bad choice or cap, a missing required flag or
+    positional, an extra positional, another command's flag and an
+    unknown command are left to argparse."""
+    assert cli._read_call(argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", fx("sixstate.json"), "--explore-cap=1000", "-o", "OUT"],
+    ["stats", fx("sixstate.json"), "-oOUT"],
+    ["stats", "-o", "OUT", "--", fx("sixstate.json")],
+    ["relabel", fx("automatonA.json"), "--tar", "rabin", "--output", "OUT"],
+], ids=["flag=value", "-oFILE", "double-dash", "abbreviation"])
+def test_declined_forms_that_argparse_accepts_still_run(argv, tmp_path):
+    """A form the reader declines but argparse accepts runs as its
+    well-formed spelling does."""
+    out = tmp_path / "out.json"
+    argv = [w.replace("OUT", str(out)) for w in argv]
+    assert cli._read_call(argv) is None
+    assert cli.main(argv) == 0
+    want = ["relabel", "automatonA.json", "--target", "rabin"] \
+        if argv[0] == "relabel" else ["stats", "sixstate.json"]
+    assert out.read_bytes() == golden(want)
+
+
+@pytest.mark.parametrize("ends", ["\r\n", "\r"])
+def test_documents_with_other_line_ends_read_as_text_mode_reads(ends,
+                                                                tmp_path):
+    """A document with CRLF or lone CR line ends gives the outputs of its
+    LF form, and a malformed one the parse error, line and column that
+    reading it in text mode gives."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(SIXSTATE.replace(b"\n", ends.encode()))
+    assert run(tmp_path, "stats", str(doc)) == \
+        (0, golden(["stats", "sixstate.json"]))
+    bad = SIXSTATE.decode("utf-8").replace('"q0"', '"q0" "q1"', 2)
+    doc.write_bytes(bad.replace("\n", ends).encode("utf-8"))
+    with pytest.raises(cli.InputError) as want:
+        with open(doc, encoding="utf-8") as fh:
+            docfmt.parse(fh.read())
+    assert str(want.value).startswith("parse error at line ")
+    assert not str(want.value).startswith("parse error at line 1 ")
+    with pytest.raises(cli.InputError) as got:
+        cli._read_doc(str(doc))
+    assert str(got.value) == str(want.value)
+
+
+JSON_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(list('"\\\n\r\t\x00\x1f\x7f\u2028\ud800\udfffé'))))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30), st.floats(),
+    JSON_TEXT)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(JSON_TEXT, inner, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(),
+                              st.floats(allow_nan=False)),
+                    inner, max_size=3)), max_leaves=20)
+
+
+def _outcome(write, obj):
+    """`write(obj)`, or the type of the error it raises."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_is_json_dumps(obj):
+    """`docfmt.dumps` writes the text of `json.dumps` with the canonical
+    options, or fails alike, on nested values of every JSON type, tuples,
+    non-string keys and strings with escapes, control characters and
+    lone surrogates."""
+    assert _outcome(docfmt.dumps, obj) == _outcome(
+        lambda x: json.dumps(x, sort_keys=True, indent=2,
+                             ensure_ascii=False) + "\n", obj)
+
+
+def test_dumps_rewrites_every_golden_byte_for_byte():
+    for name in sorted(os.listdir(GOLDEN)):
+        if name.endswith(".json"):
+            text = golden([name[:-len(".json")]])
+            assert docfmt.dumps(json.loads(text)).encode("utf-8") == text, \
+                name

@@ -378,16 +378,24 @@ def _system(**given):
      "vertices 'pq' is not a collection of strings"),
     (lambda: _system(initial="p"),
      "initial 'p' is not a collection of strings"),
+    # an unhashable key is named as a hashable one of its kind would be
+    (lambda: ParityCondition([([1], 0)]), "colour [1] is not a string"),
+    (lambda: _system(owners=[([1], "Eve")]),
+     "owner given for unknown vertex [1]"),
+    (lambda: _system(colours=[(["x"], "a")]),
+     "colour given for unknown edge ['x']"),
 ], ids=["parity-int", "parity-short-pair", "parity-string", "muller-int",
         "rabin-int", "streett-none", "buchi-string", "vertices-int",
         "edges-int", "initial-int", "owners-int", "owners-int-list",
         "owners-zero", "letters-empty-string",
         "letters-triple", "colours-string", "zielonka-family-int",
-        "zielonka-gamma-int", "vertices-string", "initial-string"])
+        "zielonka-gamma-int", "vertices-string", "initial-string",
+        "parity-list-key", "owners-list-key", "colours-list-key"])
 def test_argument_messages(build, message):
     """An argument of the wrong shape, a value that is no collection or a
     string, or a map that `dict` cannot read, is an InputError naming the
-    argument and its value, never a bare TypeError or ValueError."""
+    argument and its value, or an unhashable key, the key; never a bare
+    TypeError or ValueError."""
     with pytest.raises(InputError) as err:
         build()
     assert str(err.value) == message
