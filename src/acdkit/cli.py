@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import acd as _acd
-from . import docfmt, games, relabel, zielonka
+from . import docfmt, games, loops, relabel, zielonka
 from .core import (Automaton, CapExceeded, InputError, Morphism, _reading,
                    compose)
 from .loops import equivalent_over
@@ -27,15 +27,16 @@ class PropertyFalse(Exception):
 
 def _read_doc(path):
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror)) from None
     except UnicodeDecodeError as e:
         raise InputError("cannot read %s: not UTF-8 at byte %d"
                          % (path, e.start)) from None
-    # text mode's line ends, so a parse error names the same line and column
-    return docfmt.parse(text.replace("\r\n", "\n").replace("\r", "\n"))
+    if "\r" in text:  # text mode's line ends: same line and column in errors
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return docfmt.parse(text)
 
 
 def _one_file(a, b):
@@ -110,8 +111,7 @@ def _build_acd(args):
 
 def _build_tree(ts, cond):
     """The Zielonka tree of the Muller condition `cond` read on `ts`."""
-    _, gamma = _reading(ts, cond)
-    return zielonka.build_zielonka_tree(cond.family, gamma)
+    return zielonka._zielonka_tree(cond, _reading(ts, cond)[1])
 
 
 def _regions(sol):
@@ -251,14 +251,12 @@ def cmd_oracle_equiv(args):
 
 
 def _cap(text):
-    """A cap given on the command line: an integer of at least 1."""
+    """A cap given on the command line: an integer `loops._cap` takes."""
     try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        "a cap must be an integer of at least 1, got %r" % text)
+        return loops._cap(int(text), "cap")
+    except (ValueError, InputError):
+        raise argparse.ArgumentTypeError(
+            "a cap must be an integer of at least 1, got %r" % text) from None
 
 
 # the flags some subcommands take beyond `-o`

@@ -173,10 +173,10 @@ def serialize(doc):
 def dumps(obj):
     """Canonical JSON text, byte for byte `json.dumps(obj, sort_keys=True,
     indent=2, ensure_ascii=False) + "\\n"`.  An indent keeps `json` off
-    its C encoder, so strings (through `json`'s own encoder), ints, lists,
-    tuples and string-keyed dicts are written here; any other value by
-    `json.dumps`, its newlines indented to the depth (a newline inside a
-    string is written escaped)."""
+    its C encoder, so every value a command writes is written here: str
+    (through `json`'s own encoder), int, bool, None, list, tuple and dict
+    with str keys.  Any other value, a float say, goes to `json.dumps`,
+    its newlines indented to the depth (a newline in a string is escaped)."""
     return _dumps(obj, "\n") + "\n"
 
 
@@ -186,6 +186,8 @@ def _dumps(obj, nl):
         return _string(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
     inner = nl + "  "
     if kind is list or kind is tuple:
         return "[%s%s%s]" % (inner, ("," + inner).join(

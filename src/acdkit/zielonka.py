@@ -37,12 +37,12 @@ class ZielonkaTree:
             ids = tuple(node + (i,) for i in range(len(kids)))
             self.label.update(zip(ids, kids))
             self.children_map[node] = ids
-            stack.extend(ids)
+            stack.extend(reversed(ids))
         self._index()
 
     def _index(self):
-        """Nodes, leaves and height, read off `children_map`."""
-        self.nodes = tuple(sorted(self.children_map))
+        """Nodes, leaves and height, read off `children_map` (in preorder)."""
+        self.nodes = tuple(self.children_map)
         self.leaves = tuple(n for n in self.nodes if not self.children_map[n])
         self.height = 1 + max(len(n) for n in self.nodes)
 
@@ -60,9 +60,8 @@ class ZielonkaTree:
         sub = ZielonkaTree.__new__(ZielonkaTree)
         sub.even, sub.root_priority = self.even, self.root_priority
         sub.label = self.label
-        sub.children_map = {
-            n: tuple(c for c in self.children_map[n] if c in kept)
-            for n in self.nodes if n in kept}
+        sub.children_map = {n: tuple(c for c in kids if c in kept) for n, kids
+                            in self.children_map.items() if n in kept}
         sub._index()
         return sub
 
@@ -181,20 +180,20 @@ def _children_read(cond):
 
 
 def _zielonka_tree(cond, gamma):
-    """Zielonka tree of any condition over the colour set `gamma`."""
+    """Zielonka tree of any condition over the nonempty colour set `gamma`."""
+    if not gamma:
+        raise InputError("colour set must be nonempty")
     return ZielonkaTree(gamma, cond.accepts(gamma), _children_read(cond))
 
 
 def build_zielonka_tree(family, gamma):
     gamma = _colour_set(gamma, "colour set")
-    if not gamma:
-        raise InputError("colour set must be nonempty")
-    cond = MullerCondition(family)
-    for s in cond.family:
-        if not s <= gamma:
-            raise InputError(
-                "family set {%s} not within the colour set"
-                % ",".join(sorted(s)))
+    # `_zielonka_tree` refuses an empty `gamma` before `family` is read
+    cond = MullerCondition(family if gamma else ())
+    outside = [sorted(s) for s in cond.family if not s <= gamma]
+    if outside:  # the least, so that the message is the same every run
+        raise InputError("family set {%s} not within the colour set"
+                         % ",".join(min(outside)))
     tree = _zielonka_tree(cond, gamma)
     tree.gamma, tree.family = gamma, cond.family
     return tree
@@ -277,13 +276,14 @@ def _node_name(node):
 
 
 def build_zt_automaton(tree):
-    """The one-state automaton reading `tree.gamma`, lifted along the
-    branches of the tree (`core._lift`): a Zielonka tree is the
+    """The one-state automaton reading the root's colours, lifted along
+    the branches of the tree (`core._lift`): a Zielonka tree is the
     decomposition of a one-vertex system, and this automaton is that
     system's transform, its states named by branch.  The edge of a
     colour is named by the colour."""
-    one = TransitionSystem(["q"], [(c, "q", "q") for c in tree.gamma], ["q"],
-                           letters={c: c for c in tree.gamma})
+    gamma = tree.label[()]
+    one = TransitionSystem(["q"], [(c, "q", "q") for c in gamma], ["q"],
+                           letters={c: c for c in gamma})
     names = {leaf: state_name(leaf) for leaf in tree.leaves}
 
     def step(leaf, e):
@@ -324,7 +324,7 @@ def optimal_parity_interval(tree):
 def _budgeted_tree(family, gamma, n_max, n_values=0):
     """The Zielonka tree, within the budget of the searches kept in
     `tests/oracles.py`: 3 states, 3 colours and 4 priority values."""
-    gamma = frozenset(gamma)
+    gamma = _colour_set(gamma, "colour set")
     if n_max > 3 or len(gamma) > 3 or n_values > 4:
         raise InputError("search budget exceeded")
     return build_zielonka_tree(family, gamma)

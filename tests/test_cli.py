@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from acdkit import cli, docfmt
 from acdkit.core import _reading
+from acdkit.loops import equivalent_over
 from conftest import path_game, random_condition, random_system, recoloured
 from oracles import closure_oracle
 
@@ -259,13 +260,54 @@ def test_caps_ignore_the_environment(monkeypatch):
     ["acd", fx("sixstate.json"), "--explore-cap", "-5"],
     ["acd", fx("sixstate.json"), "--explore-cap", "0"],
     ["oracle-equiv", fx("sixstate.json"), fx("sixstate.json"),
-     "--loop-cap", "-1"]], ids=["explore-negative", "explore-zero", "loop"])
+     "--loop-cap", "-1"]] + [
+    ["oracle-equiv", fx("f1.json"), fx("f1.json"), flag, value]
+    for flag in ("--explore-cap", "--loop-cap")
+    for value in ("0", "-1", "x", "1.5")],
+    ids=["explore-negative", "explore-zero", "loop"] + [
+        "f1-%s-%s" % (flag, value) for flag in ("explore", "loop")
+        for value in ("zero", "negative", "word", "fraction")])
 def test_cap_flags_below_one_are_input_errors(argv):
+    """A cap flag is read by `int` and decided by the library's check; a
+    value that either refuses is a usage error with the command line's
+    own message."""
     proc = run_process(*argv)
     assert proc.returncode == 2
     assert "a cap must be an integer of at least 1, got '%s'" % argv[-1] \
         in proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+ONE_EDGE = {"format": "acdkit/1",
+            "system": {"vertices": ["v"], "edges": [["a", "v", "v"]],
+                       "initial": ["v"]},
+            "condition": {"type": "muller", "family": [["a"]]}}
+
+
+def test_a_cap_of_one_is_taken_by_the_cli_and_the_library(tmp_path):
+    """One edge: a cap of 1 is taken, and it holds."""
+    doc = tmp_path / "one.json"
+    doc.write_text(json.dumps(ONE_EDGE))
+    for flag in ("--explore-cap", "--loop-cap"):
+        assert run(tmp_path, "oracle-equiv", str(doc), str(doc), flag, "1") \
+            == (0, b'{\n  "equivalent": true\n}\n')
+    parsed = docfmt.parse(json.dumps(ONE_EDGE))
+    assert equivalent_over(parsed.system, parsed.condition, parsed.condition,
+                           loop_cap=1, explore_cap=1)
+
+
+@pytest.mark.parametrize("sub", ["zielonka", "zt-automaton"])
+def test_tree_of_a_muller_document_without_edges_is_refused(sub, tmp_path,
+                                                            capsys):
+    """No edge, so no colour: the command path's one reading of the
+    condition gives an empty colour set, which the tree builder refuses."""
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps(dict(
+        ONE_EDGE, system={"vertices": ["v"], "edges": [], "initial": ["v"]},
+        condition={"type": "muller", "family": []})))
+    assert run(tmp_path, sub, str(doc)) == (2, b"")
+    assert capsys.readouterr().err == \
+        "input error: colour set must be nonempty\n"
 
 
 def test_incomplete_automaton_message_names_the_least_missing_pair(
@@ -835,6 +877,24 @@ def test_parser_is_built_once_on_first_use(tmp_path):
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts[:4] == [0, 0, 0, 0] and 0 < counts[4] == counts[5]
+
+
+def test_commands_write_their_output_without_json_dumps(tmp_path,
+                                                       monkeypatch):
+    """Every command on the golden list, and the two DOT renderings, runs
+    without a call to `json.dumps`: the canonical writer writes every
+    value a command emits, `true`, `false` and `null` included.  The
+    goldens pin the bytes it writes."""
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps",
+                        lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    for argv in ALL_INVOCATIONS:
+        assert run(tmp_path, *argv) == (0, golden(argv)), argv
+    for argv in (["acd", fx("sixstate.json")], ["zielonka", fx("f2.json")]):
+        dot = tmp_path / "out.dot"
+        assert run(tmp_path, *argv, "--dot", str(dot))[0] == 0
+        assert dot.read_bytes() == golden(argv, ".dot")
+    assert calls == []
 
 
 def _flag_value(flag):

@@ -426,11 +426,12 @@ def _sixstate_entry_points():
 
 
 @pytest.mark.parametrize("entry", sorted(_sixstate_entry_points()))
-@pytest.mark.parametrize("value", [0, -2])
+@pytest.mark.parametrize("value", [0, -2, True, 1.5])
 def test_library_caps_below_one_are_input_errors(entry, value):
-    """The library keeps the command line's rule: a cap is at least 1."""
+    """The library keeps the command line's rule: a cap is an integer of
+    at least 1, and neither a bool nor a float is one."""
     call = _sixstate_entry_points()[entry]
     with pytest.raises(InputError, match="a cap must be an integer of at "
-                       "least 1, got %d" % value):
+                       "least 1, got %r$" % value):
         call(value)
     call(10**6)  # a cap of at least 1 is taken

@@ -12,10 +12,12 @@ from acdkit import (InputError, MullerCondition, TransitionSystem,
                     enumerate_reachable_loops, min_parity_automaton_size,
                     min_parity_priority_count, nextbranch,
                     optimal_parity_interval, shape, supp)
-from acdkit.zielonka import (_canonical_maximal, _flipped_colour_sets,
-                             _maximal_flipped, _minus_one_colour,
-                             _zielonka_tree)
-from conftest import CONDITION_KINDS, random_condition, random_family
+from acdkit.zielonka import (_branching, _canonical_maximal,
+                             _flipped_colour_sets, _maximal_flipped,
+                             _minus_one_colour, _zielonka_tree)
+from conftest import (CONDITION_KINDS, random_condition, random_family,
+                      random_muller_system, random_sparse_muller_system,
+                      random_system, recoloured, under_hash_seeds)
 import oracles
 from oracles import deepest_holding_prefix, simulate_zt_output
 
@@ -369,13 +371,28 @@ def test_two_colours_written_alike_are_refused():
         assert str(err.value) == "colour 1 is not a string"
 
 
+FAMILY_OUTSIDE_GAMMA = """
+from acdkit import InputError, build_zielonka_tree
+try:
+    build_zielonka_tree([{"e"}, {"d"}, {"f", "g"}, {"a", "h"}], {"a"})
+except InputError as e:
+    print(e)
+"""
+
+
+def test_family_outside_the_colour_set_names_the_least_set():
+    assert under_hash_seeds(FAMILY_OUTSIDE_GAMMA, ("0", "1", "2", "3")) == \
+        ["family set {a,h} not within the colour set\n"] * 4
+
+
 def test_closed_forms_refuse_malformed_families():
     # an exhaustive search never meets a family set outside gamma, so it
     # answers as if the set were absent; the tree refuses all three inputs
     for family, gamma, message in [
             ([{"d"}], {"a"}, "family set {d} not within the colour set"),
             ([set()], {"a"}, "empty set in Muller family"),
-            ([{"a"}], set(), "colour set must be nonempty")]:
+            ([{"a"}], set(), "colour set must be nonempty"),
+            ([{"a"}], "ab", "colour set 'ab' is not a collection of strings")]:
         for answer in (lambda: min_parity_automaton_size(family, gamma, 1),
                        lambda: min_parity_priority_count(family, gamma),
                        lambda: closure_oracle(family, gamma)):
@@ -423,3 +440,45 @@ def test_one_vertex_decomposition_is_the_zielonka_tree():
             assert [t.label for t in build_acd(ts, cond).trees] == \
                 [zt.label]
             assert _zielonka_tree(cond, gamma).label == zt.label
+
+
+def _assert_preorder(tree):
+    """`nodes` is `children_map`'s own order, which is the sorted order of
+    the node tuples, and `_branching` lists its nodes in that order."""
+    assert tree.nodes == tuple(sorted(tree.children_map)) == \
+        tuple(tree.children_map)
+    assert _branching(tree)[0] == tuple(
+        n for n in tree.nodes if len(tree.children_map[n]) > 1)
+
+
+def test_nodes_are_listed_in_preorder_without_a_sort():
+    """Zielonka trees of random conditions of every kind, the trees of
+    decompositions of random systems and each of their restrictions to
+    one vertex: one node order, read straight off the tree's build."""
+    rng = random.Random(34)
+    branching = 0
+    for i in range(120):
+        gamma = frozenset("abcdef"[:rng.randint(1, 6)])
+        tree = _zielonka_tree(
+            random_condition(rng, CONDITION_KINDS[i % 6], gamma), gamma)
+        _assert_preorder(tree)
+        branching += bool(_branching(tree)[0])
+    for i in range(90):
+        if i % 3 == 2:
+            ts = recoloured(rng, random_system(rng), list("abcd"))
+            cond = random_condition(rng, CONDITION_KINDS[i % 6],
+                                    ts.colour_set())
+        else:
+            make = (random_muller_system, random_sparse_muller_system)[i % 3]
+            ts, cond = make(rng)
+        acd = build_acd(ts, cond)
+        for t in (acd.tree(0),) + acd.trees:
+            _assert_preorder(t)
+        for v in ts.vertices:
+            sub = acd.subtree_for_state(v)
+            _assert_preorder(sub)
+            whole = acd.tree(sub.tree_index)
+            assert sub.nodes == tuple(n for n in whole.nodes
+                                      if n in sub.children_map)
+            branching += bool(_branching(sub)[0])
+    assert branching > 20  # the order of `_branching` is put to the test
