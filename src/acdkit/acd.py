@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from . import loops as _loops
 from . import zielonka as _zielonka
-from .core import (InputError, Morphism, ParityCondition, _lift, _Record,
-                   _valid_reading)
+from .core import (InputError, Morphism, ParityCondition, _lift, _lookup,
+                   _Record, _valid_reading)
 from .zielonka import _node_name
 
 
@@ -57,66 +57,68 @@ class ACD:
         t0 = _zielonka.ZielonkaTree(self.t0_edges, self.tag != "odd",
                                     lambda edges: ())
         t0.index, t0.states = 0, {(): self.t0_states}
-        self._forest = (t0,) + self.trees
+        self._forest = dict(enumerate((t0,) + self.trees))
         # the roots' loops are disjoint, and tree 0's root holds the rest
-        self.vertex_index = {v: t.index for t in self._forest
+        self.vertex_index = {v: t.index for t in self._forest.values()
                              for v in t.states[()]}
-        self.edge_index = {eid: t.index for t in self._forest
+        self.edge_index = {eid: t.index for t in self._forest.values()
                            for eid in t.label[()]}
         self._subtrees = {v: self._build_subtree(v) for v in ts.vertices}
 
     def tree(self, index):
-        return self._forest[index]
+        return _lookup(self._forest, index, "unknown tree index %r")
 
     def priority(self, index, node):
         """Priority of a node of tree `index` (`ZielonkaTree.priority`)."""
-        return self.tree(index).priority(node)
+        tree = self.tree(index)
+        _lookup(tree.children_map, node, "unknown node %r")
+        return tree.priority(node)
 
     def _build_subtree(self, v):
         """The tree of `v` restricted to the nodes whose loop visits `v`."""
-        t = self.tree(self.vertex_index[v])
+        t = self._forest[self.vertex_index[v]]
         sub = t.restrict({n for n in t.nodes if v in t.states[n]})
         sub.tree_index, sub.branches = t.index, sub.leaves
         return sub
 
     def subtree_for_state(self, v):
-        try:
-            return self._subtrees[v]
-        except KeyError:
-            raise InputError("unknown vertex %r" % v) from None
+        return _lookup(self._subtrees, v, "unknown vertex %r")
 
     def edge_step(self, leaf, e):
         """Priority and target branch of the transform's edge from the
         copy of `e.source` on the branch `leaf` along `e`: the cyclic next
         branch in the target's restriction when `e` is in the source's
-        tree, else the target's leftmost branch.  From tree 0, whose one
-        branch is its root, the next branch is the leftmost one."""
-        i = self.vertex_index[e.source]
-        j, tau = multi_supp(self, leaf, i, e.id)
+        tree, else (and from tree 0, whose one branch is its root) the
+        target's leftmost branch.  A foreign edge or node is an InputError."""
+        if _lookup(self.ts._by_id, getattr(e, "id", None), "unknown edge %r",
+                   e) not in (e,):  # by identity, else by value
+            raise InputError("unknown edge %r" % (e,))
+        _lookup(self._subtrees[e.source].children_map, leaf, "unknown node %r")
+        tree = self._forest[self.edge_index[e.id]]
         target = self._subtrees[e.target]
-        if j == i:
-            leaf2 = _zielonka.nextbranch(target, leaf, tau)
-        else:
-            leaf2 = target.leaves[0]
-        return self.tree(j).priority(tau), leaf2
+        if tree.index != self.vertex_index[e.source]:
+            return tree.priority(()), target.leaves[0]
+        tau = _zielonka._supp(tree, leaf, e.id)
+        return tree.priority(tau), _zielonka._nextbranch(target, leaf, tau)
+
+
+subtree_for_state = ACD.subtree_for_state
 
 
 def build_acd(ts, cond, explore_cap=None):
     return ACD(ts, cond, explore_cap=explore_cap)
 
 
-def subtree_for_state(acd, v):
-    return acd.subtree_for_state(v)
-
-
 def multi_supp(acd, leaf, i, eid):
-    """Deepest node relevant to reading edge `eid` from a branch of
-    tree `i`: a node on the branch when the edge stays in the same
-    tree, the root of the edge's own tree otherwise.
+    """Deepest node relevant to reading edge `eid` from a branch `leaf`
+    of tree `i`: a node on the branch when the edge stays in the tree,
+    the root of the edge's own tree otherwise; unknown names are refused.
 
     Returns (tree index, node)."""
-    j = acd.edge_index[eid]
-    return (j, _zielonka.supp(acd.tree(i), leaf, eid) if j == i else ())
+    j = _lookup(acd.edge_index, eid, "unknown edge %r")
+    tree = acd.tree(i)
+    _lookup(tree.children_map, leaf, "unknown node %r")
+    return (j, _zielonka._supp(tree, leaf, eid) if j == i else ())
 
 
 class TransformResult(_Record):
@@ -138,7 +140,7 @@ def acd_transform(ts, cond, explore_cap=None):
     step is `ACD.edge_step`); equivalent to the input and connected to it
     by a locally bijective projection."""
     acd = build_acd(ts, cond, explore_cap=explore_cap)
-    leaves = {q: acd.subtree_for_state(q).leaves for q in ts.vertices}
+    leaves = {q: acd._subtrees[q].leaves for q in ts.vertices}
     branch_name = {}
 
     def name(x, leaf):  # the copy of a vertex or an edge on a branch

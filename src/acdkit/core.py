@@ -116,8 +116,7 @@ class TransitionSystem:
         self.initial = tuple(sorted(set(_strings(
             _collection(initial, "initial"), "initial vertex"))))
         for v in self.initial:
-            if v not in out:
-                raise InputError("initial vertex %r is not declared" % v)
+            _lookup(out, v, "initial vertex %r is not declared")
         self.owners = _labelling(owners, self._out, "owner", "vertex",
                                  ("Eve", "Adam"))
         self.letters = _labelling(letters, self._by_id, "letter", "edge")
@@ -128,16 +127,10 @@ class TransitionSystem:
             self._colours = {e: self._colours.get(e, e) for e in self._by_id}
 
     def edge(self, eid):
-        try:
-            return self._by_id[eid]
-        except KeyError:
-            raise InputError("unknown edge %r" % eid) from None
+        return _lookup(self._by_id, eid, "unknown edge %r")
 
     def out(self, v):
-        try:
-            return self._out[v]
-        except KeyError:
-            raise InputError("unknown vertex %r" % v) from None
+        return _lookup(self._out, v, "unknown vertex %r")
 
     def colour(self, eid):
         if eid not in self._by_id:
@@ -150,10 +143,7 @@ class TransitionSystem:
     def letter(self, eid):
         if self.letters is None:
             raise InputError("system has no letter labelling")
-        try:
-            return self.letters[eid]
-        except KeyError:
-            raise InputError("edge %r has no letter" % eid) from None
+        return _lookup(self.letters, eid, "edge %r has no letter")
 
     def reachable_vertices(self):
         return frozenset(_reach(
@@ -219,6 +209,15 @@ def _collection(values, what, of="strings"):
     return values
 
 
+def _lookup(values, key, message, *names):
+    """`values[key]`; a key that `values` lacks, out of range or
+    unhashable, is an InputError: `message` % `names`, else % the key."""
+    try:
+        return values[key]
+    except (KeyError, IndexError, TypeError):
+        raise InputError(message % (names or (key,))) from None
+
+
 def _map(values, what):
     """A dict of `values`, a map or a collection of (key, value) pairs
     (`_collection`); a collection that is not one is refused alike.  An
@@ -251,11 +250,18 @@ class _Unhashable:
         return repr(self.key)
 
 
-def _colour_set(colours, what):
-    """The frozenset of `colours`, a collection of strings (`_collection`,
-    naming `what`); a colour that is not a string is an InputError that
+def _string_set(values, what, member="colour"):
+    """The frozenset of `values`, a collection of strings (`_collection`,
+    naming `what`); a `member` that is not a string is an InputError that
     names the first."""
-    return frozenset(_strings(_collection(colours, what), "colour"))
+    return frozenset(_strings(_collection(values, what), member))
+
+
+def _count(value, what):
+    """`value` if it is an int, never a bool, else an InputError."""
+    if type(value) is not int:
+        raise InputError("%s %r is not an integer" % (what, value))
+    return value
 
 
 def _reach(starts, succ):
@@ -380,7 +386,7 @@ class MullerCondition(Condition):
     def __init__(self, family):
         sets = set()
         for s in _collection(family, "family", "colour sets"):
-            fs = _colour_set(s, "family set")
+            fs = _string_set(s, "family set")
             if not fs:
                 raise InputError("empty set in Muller family")
             sets.add(fs)
@@ -419,7 +425,7 @@ class ParityCondition(Condition):
 
 class _ColourSet(Condition):
     def __init__(self, colours):
-        self.colours = _colour_set(colours, "colour set")
+        self.colours = _string_set(colours, "colour set")
 
     def referenced_colours(self):
         return self.colours
@@ -452,7 +458,7 @@ def _pair(p):
     frozensets; anything else is an InputError that names it."""
     if not (isinstance(p, (tuple, list)) and len(p) == 2):
         raise InputError("pair %r is not an (E, F) pair" % (p,))
-    return _colour_set(p[0], "pair side"), _colour_set(p[1], "pair side")
+    return _string_set(p[0], "pair side"), _string_set(p[1], "pair side")
 
 
 class RabinCondition(_Pairs):
@@ -482,7 +488,7 @@ def loop_status(cond, colours):
 
     Returns True for accepting, False for rejecting.
     """
-    colours = frozenset(colours)
+    colours = _string_set(colours, "loop colour set")
     if not colours:
         raise InputError("loop colour set must be nonempty")
     return cond.accepts(colours)
@@ -517,18 +523,17 @@ def _reading(ts, cond):
 
 
 def _check_known(ts, edge_ids):
-    """Refuse a set of edge ids naming an edge that `ts` lacks, naming an
-    id that is not a string, else the least such id."""
+    """Refuse a set of edge ids, strings, naming an edge that `ts` lacks,
+    naming the least such id."""
     unknown = edge_ids.difference(ts._by_id)
     if unknown:
-        raise InputError("unknown edge %r"
-                         % min(_strings(unknown, "edge id")))
+        raise InputError("unknown edge %r" % min(unknown))
 
 
 def loop_status_over(ts, cond, edge_ids):
     """Status of the loop given by `edge_ids` within `ts`, read through
     `_reading`; the least edge that `ts` lacks is an InputError."""
-    edge_ids = frozenset(edge_ids)
+    edge_ids = _string_set(edge_ids, "loop edge set", "edge id")
     if not edge_ids:
         raise InputError("loop edge set must be nonempty")
     key, _ = _reading(ts, cond)
@@ -600,10 +605,7 @@ class Automaton:
         return self.ts.initial[0]
 
     def step(self, q, a):
-        try:
-            return self._step[(q, a)]
-        except KeyError:
-            raise InputError("no transition from %r on %r" % (q, a)) from None
+        return _lookup(self._step, (q, a), "no transition from %r on %r", q, a)
 
     def run_colours(self, prefix, cycle):
         """Keys (`self.key`: colours, or edge ids for a condition over
@@ -641,16 +643,10 @@ class Morphism:
         self.edge_map = dict(edge_map)
 
     def apply_vertex(self, v):
-        try:
-            return self.vertex_map[v]
-        except KeyError:
-            raise InputError("vertex %r is not mapped" % v) from None
+        return _lookup(self.vertex_map, v, "vertex %r is not mapped")
 
     def apply_edge(self, eid):
-        try:
-            return self.edge_map[eid]
-        except KeyError:
-            raise InputError("edge %r is not mapped" % eid) from None
+        return _lookup(self.edge_map, eid, "edge %r is not mapped")
 
 
 class Product(_Record):
@@ -685,7 +681,7 @@ def _lift(ts, initial, starts, step, vertex_name, edge_name, coloured=False):
         v, m = p = stack.pop()
         vid = names[p]
         vmap[vid] = v
-        for e in ts.out(v):
+        for e in ts._out[v]:
             label, m2 = step(m, e)
             q = (e.target, m2)
             tid = names.get(q)
@@ -720,8 +716,8 @@ def compose(automaton, ts, ts_condition=None):
             "automaton alphabet misses colours: %s"
             % ", ".join(sorted(missing)))
 
-    def step(q, e):
-        ae = automaton.step(q, ts.colour(e.id))
+    def step(q, e):  # the alphabet covers every colour, checked above
+        ae = automaton._step[q, ts._colours.get(e.id, e.id)]
         return automaton.key(ae.id), ae.target
 
     def name(x, q):
@@ -745,8 +741,8 @@ class Run:
     followed by a cycle repeated forever."""
 
     def __init__(self, ts, prefix, cycle):
-        self.prefix = tuple(prefix)
-        self.cycle = tuple(cycle)
+        self.prefix = tuple(_strings(_collection(prefix, "prefix"), "edge id"))
+        self.cycle = tuple(_strings(_collection(cycle, "cycle"), "edge id"))
         if not self.cycle:
             raise InputError("run cycle must be nonempty")
         edges = [ts.edge(eid) for eid in self.prefix + self.cycle]
@@ -756,8 +752,7 @@ class Run:
             if a.target != b.source:
                 raise InputError(
                     "edges %r and %r are not consecutive" % (a.id, b.id))
-        cyc = [ts.edge(eid) for eid in self.cycle]
-        if cyc[-1].target != cyc[0].source:
+        if edges[-1].target != edges[len(self.prefix)].source:
             raise InputError("run cycle does not close")
         self.ts = ts
 
@@ -766,12 +761,7 @@ class Run:
 
     def unfold(self, n):
         """First n edge ids of the infinite run."""
-        out = list(self.prefix)
-        i = 0
-        while len(out) < n:
-            out.append(self.cycle[i % len(self.cycle)])
-            i += 1
-        return tuple(out[:n])
+        return (self.prefix + self.cycle * (n // len(self.cycle) + 1))[:n]
 
     def same_run(self, other):
         """Do the two lassos denote the same infinite edge sequence?"""

@@ -18,7 +18,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _components, _Record, _valid_reading
+from .core import InputError, _components, _lookup, _Record, _valid_reading
 
 
 class Game:
@@ -50,10 +50,7 @@ class _Solution(_Record):
     to its winner, and `winner` reads it."""
 
     def winner(self, v):
-        try:
-            return self.regions[v]
-        except KeyError:
-            raise InputError("unknown vertex %r" % v) from None
+        return _lookup(self.regions, v, "unknown vertex %r")
 
 
 class ParitySolution(_Solution):
@@ -283,7 +280,7 @@ def verify_parity_solution(game, solution):
     if game.condition.kind != "parity":
         raise InputError("expected a parity condition")
     ts = game.ts
-    owners, out, by_id = ts.owners, ts.out, ts._by_id
+    owners, out, by_id = ts.owners, ts._out.__getitem__, ts._by_id
     prio, target = game.condition.priorities.__getitem__, attrgetter("target")
     vertices = set(ts.vertices)
     owned = {p: [v for v in ts.vertices if owners[v] == p]
@@ -305,11 +302,11 @@ def verify_parity_solution(game, solution):
         moves = _dict(strategies.get(player))
         own = list(filter(region.__contains__, owned[player]))
         theirs = filter(region.__contains__, owned[_other(player)])
-        try:
-            allowed = list(map(by_id.__getitem__, map(moves.__getitem__, own)))
-            fits = [e.source for e in allowed] == own
-        except (KeyError, TypeError):
-            fits = False    # a missing, unknown or unhashable move
+        try:    # a missing or unknown move reads as None, which `all` fails
+            allowed = list(map(by_id.get, map(moves.get, own)))
+            fits = all(allowed) and [e.source for e in allowed] == own
+        except TypeError:
+            fits = False    # an unhashable move
         if fits:
             allowed += chain.from_iterable(map(out, theirs))
             fits = region.issuperset(map(target, allowed))
@@ -356,10 +353,8 @@ def _allowed_edges(ts, player, region, moves, problems):
             if eid is None:
                 problems.append("%s has no move at %r" % (player, v))
                 continue
-            try:
-                e = ts._by_id.get(eid)
-            except TypeError:   # an unhashable move names no edge
-                e = None
+            # ids are strings: a move of another type names no edge
+            e = ts._by_id.get(eid) if isinstance(eid, str) else None
             if e is None or e.source != v:
                 problems.append("%s's move %r at %r is not an out-edge "
                                 "of it" % (player, eid, v))

@@ -6,7 +6,7 @@ loop enumeration with the explicit Muller form read from it
 from __future__ import annotations
 
 from .core import (CapExceeded, InputError, MullerCondition, _check_known,
-                   _components, _Frozen, _over, _reach, _reading, _strings)
+                   _components, _Frozen, _over, _reach, _reading, _string_set)
 from .zielonka import _children_read, _maximal_flipped
 
 DEFAULT_LOOP_CAP = 20
@@ -28,7 +28,7 @@ class Loop(_Frozen):
     def of(ts, edge_ids):
         """The loop on the edges `edge_ids` of `ts`.  Naming an edge that
         `ts` lacks is an InputError naming the least such id."""
-        es = frozenset(edge_ids)
+        es = _string_set(edge_ids, "edge set", "edge id")
         _check_known(ts, es)
         return Loop(es, _states(map(ts._by_id.__getitem__, es)))
 
@@ -61,7 +61,7 @@ def sccs(ts, edge_ids=None):
     if edge_ids is None:
         edges, edge_set = ts.edges, frozenset(ts._by_id)
     else:
-        edge_set = frozenset(edge_ids)
+        edge_set = _string_set(edge_ids, "edge set", "edge id")
         _check_known(ts, edge_set)
         edges = list(map(ts._by_id.__getitem__, edge_set))
     found = [Loop(frozenset(e.id for e in es), _states(es))
@@ -73,18 +73,14 @@ def sccs(ts, edge_ids=None):
 def is_loop(ts, edge_ids):
     """True iff the edge set is nonempty and its induced subgraph is
     strongly connected."""
-    es = frozenset(edge_ids)
-    if not es:
-        return False
-    maximal, transient = sccs(ts, es)
-    return not transient and len(maximal) == 1 and maximal[0].edges == es
+    maximal, transient = sccs(ts, edge_ids)  # every edge is in one of them
+    return not transient and len(maximal) == 1
 
 
 def _cap(value, name):
     """`value`, after checking that a cap that is set is an integer of at
     least 1, as on the command line."""
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, int) or value < 1):
+    if value is not None and (type(value) is not int or value < 1):
         raise InputError("%s: a cap must be an integer of at least 1, got %r"
                          % (name, value))
     return value
@@ -153,7 +149,7 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     """
     side = _side(cond, _reading(ts, cond)[0])
     explore_cap = _cap(explore_cap, "explore_cap")
-    _check_known(ts, loop.edges)
+    _check_known(ts, _string_set(loop.edges, "loop edges", "edge id"))
     kids = _flipped_subloops(ts, side, loop.edges, explore_cap)
     return [Loop.of(ts, edges) for edges in kids]
 
@@ -267,11 +263,11 @@ def accessible_x_scc(automaton, letters):
 
     For an empty letter set any single reachable state qualifies.
     """
-    letters = frozenset(letters)
+    letters = _string_set(letters, "letters", "letter")
     unknown = letters - automaton.alphabet
     if unknown:
         raise InputError("letters not in alphabet: %s"
-                         % ", ".join(sorted(_strings(unknown, "letter"))))
+                         % ", ".join(sorted(unknown)))
     reach = _reach([automaton.initial],
                    lambda q: (automaton.step(q, a).target for a in letters))
     if not letters:

@@ -116,8 +116,7 @@ def lift_run(m, run):
     morphism.  The lifted cycle may wrap the target cycle several times
     before the lasso closes."""
     src, tgt = m.source_ts, m.target_ts
-    start_tgt = tgt.edge(run.prefix[0]).source if run.prefix \
-        else tgt.edge(run.cycle[0]).source
+    start_tgt = tgt.edge((run.prefix + run.cycle)[0]).source
     starts = [v for v in src.initial if m.apply_vertex(v) == start_tgt]
     if not starts:
         raise InputError("no initial vertex above %r" % start_tgt)

@@ -9,7 +9,7 @@ import copy
 from . import loops as _loops
 from . import zielonka as _zielonka
 from .core import (InputError, ParityCondition, RabinCondition,
-                   StreettCondition, _over, _reading, _Record)
+                   StreettCondition, _count, _over, _reading, _Record)
 
 
 class AcdShapeReport(_Record):
@@ -132,6 +132,7 @@ def is_weak_k(ts, priorities, k):
     most k distinct priorities on its edges."""
     cond = _parity(priorities)
     key, _ = _reading(ts, cond)
+    k = _count(k, "k")
     maximal, _ = _loops.sccs(ts)
     return all(len({cond.priorities[key(eid)] for eid in loop.edges}) <= k
                for loop in maximal)

@@ -4,7 +4,8 @@ from the branches of the tree."""
 from __future__ import annotations
 
 from .core import (Automaton, CapExceeded, InputError, MullerCondition,
-                   ParityCondition, TransitionSystem, _colour_set, _lift)
+                   ParityCondition, TransitionSystem, _collection, _count,
+                   _lift, _lookup, _string_set)
 
 
 class ZielonkaTree:
@@ -187,7 +188,7 @@ def _zielonka_tree(cond, gamma):
 
 
 def build_zielonka_tree(family, gamma):
-    gamma = _colour_set(gamma, "colour set")
+    gamma = _string_set(gamma, "colour set")
     # `_zielonka_tree` refuses an empty `gamma` before `family` is read
     cond = MullerCondition(family if gamma else ())
     outside = [sorted(s) for s in cond.family if not s <= gamma]
@@ -202,11 +203,15 @@ def build_zielonka_tree(family, gamma):
 def supp(tree, leaf, colour):
     """Deepest node on the path from the root to the node `leaf` of the
     whole tree `tree` whose label contains the colour (for a decomposition
-    tree: the edge); the root always does.  Labels shrink down a path, so
-    the walk stops at the first label without the colour."""
+    tree: the edge); the root always does.  An unknown node or colour is
+    an InputError; `_supp` walks down, unchecked, while labels hold it."""
+    _lookup(tree.children_map, leaf, "unknown node %r")
+    _lookup(dict.fromkeys(tree.label[()]), colour, "unknown colour %r")
+    return _supp(tree, leaf, colour)
+
+
+def _supp(tree, leaf, colour):
     label, children = tree.label, tree.children_map
-    if colour not in label[()]:
-        raise InputError("unknown colour %r" % colour)
     node = ()
     for i in leaf:
         child = children[node][i]
@@ -220,7 +225,14 @@ def nextbranch(tree, leaf, node):
     """The branch of `tree`, a tree or a restriction, reached from the
     branch `leaf` by moving to the cyclically next child of `node` after
     the one on `leaf`, then down the leftmost children; `node` itself when
-    it has no child."""
+    it has no child.  An unknown node is an InputError (`_nextbranch`
+    does not check)."""
+    _lookup(tree.label, leaf, "unknown node %r")
+    _lookup(tree.children_map, node, "unknown node %r")
+    return _nextbranch(tree, leaf, node)
+
+
+def _nextbranch(tree, leaf, node):
     children = tree.children_map
     kids = children[node]
     if not kids:
@@ -287,8 +299,8 @@ def build_zt_automaton(tree):
     names = {leaf: state_name(leaf) for leaf in tree.leaves}
 
     def step(leaf, e):
-        tau = supp(tree, leaf, e.id)
-        return tree.priority(tau), nextbranch(tree, leaf, tau)
+        tau = _supp(tree, leaf, e.id)
+        return tree.priority(tau), _nextbranch(tree, leaf, tau)
 
     ts, priorities, _, _ = _lift(
         one, [("q", tree.leaves[0])], [("q", leaf) for leaf in tree.leaves],
@@ -324,8 +336,8 @@ def optimal_parity_interval(tree):
 def _budgeted_tree(family, gamma, n_max, n_values=0):
     """The Zielonka tree, within the budget of the searches kept in
     `tests/oracles.py`: 3 states, 3 colours and 4 priority values."""
-    gamma = _colour_set(gamma, "colour set")
-    if n_max > 3 or len(gamma) > 3 or n_values > 4:
+    gamma = _string_set(gamma, "colour set")
+    if _count(n_max, "n_max") > 3 or len(gamma) > 3 or n_values > 4:
         raise InputError("search budget exceeded")
     return build_zielonka_tree(family, gamma)
 
@@ -336,7 +348,8 @@ def min_parity_automaton_size(family, gamma, n_max, priority_values=range(4)):
     None.  The Zielonka tree's branch automaton is least in states, one per
     leaf, and in priorities, one per level alternating in parity from the
     root's, so the sorted values must hold such a chain."""
-    values = list(priority_values)
+    values = [_count(v, "priority value") for v in _collection(
+        priority_values, "priority_values", "integers")]
     tree = _budgeted_tree(family, gamma, n_max, len(values))
     want, chain = tree.root_priority % 2, 0
     for v in sorted(set(values)):

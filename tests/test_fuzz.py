@@ -16,7 +16,12 @@ document text t that parses, the inputs and the documents written.
 
 Beside it, a library fuzzer puts each of ODD_VALUES into each slot of a
 small system and its conditions: the constructors raise nothing but
-InputError, and `validate` returns a list."""
+InputError, and `validate` returns a list.  It also puts each value into
+every name that a lookup of that system's objects reads (an accessor, a
+tree or forest lookup), every collection of names that a loop entry
+point reads, and every count: each call returns or raises InputError.  A
+table pins the message of each lookup for unknown, unhashable and
+foreign names, unknown nodes and out-of-range tree indices."""
 
 import copy
 import json
@@ -24,10 +29,15 @@ import random
 
 import pytest
 
-from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, InputError,
-                    MullerCondition, ParityCondition, RabinCondition,
-                    StreettCondition, TransitionSystem, cli, docfmt,
-                    validate)
+from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, Edge, Game,
+                    InputError, Loop, MullerCondition, ParityCondition,
+                    RabinCondition, Run, StreettCondition, TransitionSystem,
+                    accessible_x_scc, acd_transform, build_acd,
+                    build_zielonka_tree, cli, docfmt, induced_morphism,
+                    is_loop, is_weak_k, loop_status, loop_status_over,
+                    min_parity_automaton_size, multi_supp, nextbranch, sccs,
+                    solve_muller_game, solve_parity_game, subtree_for_state,
+                    supp, validate)
 from conftest import FIXTURES
 
 SEEDS = range(200)
@@ -299,3 +309,183 @@ def test_library_constructors_on_odd_values(slot):
                 Automaton(ts, cond)
             except InputError:
                 pass
+
+
+def _built():
+    """BASE's system; its automaton, Zielonka tree, ACD and transform
+    morphism under the Muller family; and the solutions of its game under
+    the priorities and under the family."""
+    ts = TransitionSystem(BASE["vertices"], BASE["edges"], BASE["initial"],
+                          owners=BASE["owners"], letters=BASE["letters"],
+                          colours=BASE["colours"])
+    muller = MullerCondition(BASE["family"])
+    parity = ParityCondition(BASE["priorities"])
+    acd = build_acd(ts, muller)
+    return {"ts": ts, "muller": muller, "parity": parity, "acd": acd,
+            "aut": Automaton(ts, muller),
+            "tree": build_zielonka_tree(BASE["family"], ["c", "d"]),
+            "morphism": induced_morphism(acd_transform(ts, muller), ts,
+                                         muller),
+            "psol": solve_parity_game(Game(ts, parity)),
+            "msol": solve_muller_game(Game(ts, muller))}
+
+
+# slot -> a call of the built objects `o` with the value `x` in that slot:
+# the names each lookup reads, then the collections of names each loop
+# entry point reads, then the counts
+LOOKUPS = {
+    "TransitionSystem.edge": lambda o, x: o["ts"].edge(x),
+    "TransitionSystem.out": lambda o, x: o["ts"].out(x),
+    "TransitionSystem.letter": lambda o, x: o["ts"].letter(x),
+    "Automaton.step state": lambda o, x: o["aut"].step(x, "a"),
+    "Automaton.step letter": lambda o, x: o["aut"].step("p", x),
+    "Morphism.apply_vertex": lambda o, x: o["morphism"].apply_vertex(x),
+    "Morphism.apply_edge": lambda o, x: o["morphism"].apply_edge(x),
+    "ACD.subtree_for_state": lambda o, x: o["acd"].subtree_for_state(x),
+    "subtree_for_state": lambda o, x: subtree_for_state(o["acd"], x),
+    "ParitySolution.winner": lambda o, x: o["psol"].winner(x),
+    "MullerSolution.winner": lambda o, x: o["msol"].winner(x),
+    "supp leaf": lambda o, x: supp(o["tree"], x, "c"),
+    "supp colour": lambda o, x: supp(o["tree"], o["tree"].leaves[0], x),
+    "nextbranch leaf": lambda o, x: nextbranch(o["tree"], x, ()),
+    "nextbranch node": lambda o, x: nextbranch(o["tree"], (), x),
+    "multi_supp leaf": lambda o, x: multi_supp(o["acd"], x, 1, "w"),
+    "multi_supp index": lambda o, x: multi_supp(o["acd"], (), x, "w"),
+    "multi_supp edge": lambda o, x: multi_supp(o["acd"], (), 1, x),
+    "ACD.edge_step leaf": lambda o, x: o["acd"].edge_step(
+        x, o["ts"].edge("w")),
+    "ACD.edge_step edge": lambda o, x: o["acd"].edge_step((), x),
+    "ACD.tree": lambda o, x: o["acd"].tree(x),
+    "ACD.priority index": lambda o, x: o["acd"].priority(x, ()),
+    "ACD.priority node": lambda o, x: o["acd"].priority(1, x),
+    "loop_status": lambda o, x: loop_status(o["parity"], x),
+    "loop_status_over": lambda o, x: loop_status_over(o["ts"], o["muller"],
+                                                      x),
+    "sccs": lambda o, x: sccs(o["ts"], x),
+    "Loop.of": lambda o, x: Loop.of(o["ts"], x),
+    "is_loop": lambda o, x: is_loop(o["ts"], x),
+    "accessible_x_scc": lambda o, x: accessible_x_scc(o["aut"], x),
+    "Run prefix": lambda o, x: Run(o["ts"], x, ["y"]),
+    "Run cycle": lambda o, x: Run(o["ts"], [], x),
+    "is_weak_k k": lambda o, x: is_weak_k(o["ts"], o["parity"], x),
+    "n_max": lambda o, x: min_parity_automaton_size(
+        BASE["family"], ["c", "d"], x),
+    "priority_values": lambda o, x: min_parity_automaton_size(
+        BASE["family"], ["c", "d"], 3, x),
+    "priority value": lambda o, x: min_parity_automaton_size(
+        BASE["family"], ["c", "d"], 3, [0, x]),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(LOOKUPS))
+def test_library_lookups_on_odd_values(slot):
+    """Every lookup, loop entry point and count returns or raises
+    InputError, whatever the value in the slot."""
+    objects = _built()
+    for value in ODD_VALUES:
+        try:
+            LOOKUPS[slot](objects, copy.deepcopy(value))
+        except InputError:
+            pass
+
+
+FOREIGN = Edge("z", "zz", "p")
+# label -> (call of the built objects, its message): an unknown and an
+# unhashable name for each accessor, and for the tree and forest lookups
+# unknown nodes, foreign edges and tree indices out of range or negative
+MESSAGES = {
+    "edge unknown": (lambda o: o["ts"].edge("zz"), "unknown edge 'zz'"),
+    "edge unhashable": (lambda o: o["ts"].edge(["zz"]),
+                        "unknown edge ['zz']"),
+    "out unknown": (lambda o: o["ts"].out("zz"), "unknown vertex 'zz'"),
+    "out unhashable": (lambda o: o["ts"].out(["zz"]),
+                       "unknown vertex ['zz']"),
+    "letter unknown": (lambda o: o["ts"].letter("zz"),
+                       "edge 'zz' has no letter"),
+    "letter unhashable": (lambda o: o["ts"].letter(["zz"]),
+                          "edge ['zz'] has no letter"),
+    "step unknown state": (lambda o: o["aut"].step("zz", "a"),
+                           "no transition from 'zz' on 'a'"),
+    "step unhashable letter": (lambda o: o["aut"].step("p", ["a"]),
+                               "no transition from 'p' on ['a']"),
+    "apply_vertex unknown": (lambda o: o["morphism"].apply_vertex("zz"),
+                             "vertex 'zz' is not mapped"),
+    "apply_vertex tuple": (lambda o: o["morphism"].apply_vertex(("p", "q")),
+                           "vertex ('p', 'q') is not mapped"),
+    "apply_vertex unhashable": (lambda o: o["morphism"].apply_vertex(["zz"]),
+                                "vertex ['zz'] is not mapped"),
+    "apply_edge unknown": (lambda o: o["morphism"].apply_edge("zz"),
+                           "edge 'zz' is not mapped"),
+    "apply_edge unhashable": (lambda o: o["morphism"].apply_edge(["zz"]),
+                              "edge ['zz'] is not mapped"),
+    "subtree_for_state unknown": (
+        lambda o: o["acd"].subtree_for_state("zz"), "unknown vertex 'zz'"),
+    "subtree_for_state unhashable": (
+        lambda o: subtree_for_state(o["acd"], ["zz"]),
+        "unknown vertex ['zz']"),
+    "parity winner unknown": (lambda o: o["psol"].winner("zz"),
+                              "unknown vertex 'zz'"),
+    "parity winner unhashable": (lambda o: o["psol"].winner(["zz"]),
+                                 "unknown vertex ['zz']"),
+    "muller winner unhashable": (lambda o: o["msol"].winner(["zz"]),
+                                 "unknown vertex ['zz']"),
+    "supp unknown node": (lambda o: supp(o["tree"], (5,), "c"),
+                          "unknown node (5,)"),
+    "supp unhashable node": (lambda o: supp(o["tree"], [0], "c"),
+                             "unknown node [0]"),
+    "supp unknown colour": (lambda o: supp(o["tree"], (), "zz"),
+                            "unknown colour 'zz'"),
+    "supp unhashable colour": (lambda o: supp(o["tree"], (), ["c"]),
+                               "unknown colour ['c']"),
+    "nextbranch unknown node": (lambda o: nextbranch(o["tree"], (), (9,)),
+                                "unknown node (9,)"),
+    "nextbranch unhashable node": (lambda o: nextbranch(o["tree"], (), [0]),
+                                   "unknown node [0]"),
+    "nextbranch leaf not a node": (
+        lambda o: nextbranch(o["tree"], None, ()), "unknown node None"),
+    "multi_supp unknown edge": (lambda o: multi_supp(o["acd"], (), 1, "zz"),
+                                "unknown edge 'zz'"),
+    "multi_supp unhashable edge": (
+        lambda o: multi_supp(o["acd"], (), 1, ["w"]), "unknown edge ['w']"),
+    "multi_supp index out of range": (
+        lambda o: multi_supp(o["acd"], (), 7, "w"), "unknown tree index 7"),
+    "multi_supp negative index": (
+        lambda o: multi_supp(o["acd"], (), -1, "w"),
+        "unknown tree index -1"),
+    "multi_supp unknown node": (
+        lambda o: multi_supp(o["acd"], (9, 9), 1, "w"),
+        "unknown node (9, 9)"),
+    "edge_step foreign edge": (lambda o: o["acd"].edge_step((), FOREIGN),
+                               "unknown edge %r" % FOREIGN),
+    "edge_step foreign edge of a known id": (
+        lambda o: o["acd"].edge_step((), Edge("w", "q", "q")),
+        "unknown edge Edge(id='w', source='q', target='q')"),
+    "edge_step not an edge": (lambda o: o["acd"].edge_step((), "w"),
+                              "unknown edge 'w'"),
+    "edge_step unknown node": (
+        lambda o: o["acd"].edge_step((9,), o["ts"].edge("w")),
+        "unknown node (9,)"),
+    "tree index out of range": (lambda o: o["acd"].tree(7),
+                                "unknown tree index 7"),
+    "tree negative index": (lambda o: o["acd"].tree(-1),
+                            "unknown tree index -1"),
+    "tree unhashable index": (lambda o: o["acd"].tree([1]),
+                              "unknown tree index [1]"),
+    "priority unknown node": (lambda o: o["acd"].priority(1, (9, 9)),
+                              "unknown node (9, 9)"),
+    "priority unhashable node": (lambda o: o["acd"].priority(1, [0]),
+                                 "unknown node [0]"),
+    "priority negative index": (lambda o: o["acd"].priority(-1, ()),
+                                "unknown tree index -1"),
+}
+
+
+@pytest.mark.parametrize("label", MESSAGES)
+def test_lookup_messages(label):
+    """Each lookup refuses a name it lacks with an InputError naming it as
+    given: no KeyError, IndexError or TypeError, and no answer for a node,
+    an edge or a tree that does not exist."""
+    call, message = MESSAGES[label]
+    with pytest.raises(InputError) as err:
+        call(_built())
+    assert str(err.value) == message
