@@ -37,8 +37,6 @@ class ACD:
         self.ts = ts
         self.cond = cond
         maximal, transient = _loops.sccs(ts)
-        if not maximal:
-            raise InputError("system has no loop")
         side = _loops._side(cond, key)
         self.trees = tuple(
             _acd_tree(i, ts, side, top, explore_cap=explore_cap)
@@ -65,8 +63,9 @@ class ACD:
                            for eid in t.label[()]}
         self._subtrees = {v: self._build_subtree(v) for v in ts.vertices}
 
-    def tree(self, index):
-        return _lookup(self._forest, index, "unknown tree index %r")
+    def tree(self, index):  # an index is an int, not a bool or a float
+        return _lookup(self._forest, index if type(index) is int else None,
+                       "unknown tree index %r", index)
 
     def priority(self, index, node):
         """Priority of a node of tree `index` (`ZielonkaTree.priority`)."""

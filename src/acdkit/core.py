@@ -125,6 +125,8 @@ class TransitionSystem:
         if 0 < len(self._colours) < len(self._by_id):
             # the colour map is empty or total: the other edges keep their ids
             self._colours = {e: self._colours.get(e, e) for e in self._by_id}
+        # an edge's colour, unchecked: its own id when the system has no map
+        self._colour_of = self._colours.__getitem__ if self._colours else _ID
 
     def edge(self, eid):
         return _lookup(self._by_id, eid, "unknown edge %r")
@@ -133,12 +135,14 @@ class TransitionSystem:
         return _lookup(self._out, v, "unknown vertex %r")
 
     def colour(self, eid):
-        if eid not in self._by_id:
-            raise InputError("unknown edge %r" % eid)
-        return self._colours.get(eid, eid)
+        return self._colour_of(self.edge(eid).id)
 
-    def colour_set(self):
+    def colour_set(self):  # in bulk: the map's values, or else the ids
         return frozenset(self._colours.values() or self._by_id)
+
+    def _recoloured(self):
+        """The colour of each edge whose colour is not its id, in bulk."""
+        return {e: c for e, c in self._colours.items() if c != e}
 
     def letter(self, eid):
         if self.letters is None:
@@ -494,8 +498,8 @@ def loop_status(cond, colours):
     return cond.accepts(colours)
 
 
-# the key of an edge read by its id: `eid[:]` is the string `eid` itself,
-# from a C-level call as cheap in bulk as the lookup of a colour map
+# an edge's id as its key, or as its colour without a colour map: `eid[:]`
+# is `eid` itself, from a C-level call as cheap in bulk as a map lookup
 _ID = operator.itemgetter(slice(None))
 
 
@@ -507,10 +511,8 @@ def _reading(ts, cond):
     keys.  Naming an id outside the universe, or giving some key no
     priority, is an InputError."""
     what = "edge" if cond.over == "edges" else "colour"
-    if what == "edge" or not ts._colours:
-        key, universe = _ID, frozenset(ts._by_id)
-    else:
-        key, universe = ts._colours.__getitem__, ts.colour_set()
+    key = _ID if what == "edge" else ts._colour_of
+    universe = frozenset(ts._by_id) if what == "edge" else ts.colour_set()
     named = cond.referenced_colours()
     if named != universe:
         if not named <= universe:
@@ -717,7 +719,7 @@ def compose(automaton, ts, ts_condition=None):
             % ", ".join(sorted(missing)))
 
     def step(q, e):  # the alphabet covers every colour, checked above
-        ae = automaton._step[q, ts._colours.get(e.id, e.id)]
+        ae = automaton._step[q, ts._colour_of(e.id)]
         return automaton.key(ae.id), ae.target
 
     def name(x, q):
@@ -757,7 +759,7 @@ class Run:
         self.ts = ts
 
     def inf_colours(self):
-        return frozenset(map(self.ts.colour, self.cycle))
+        return frozenset(map(self.ts._colour_of, self.cycle))
 
     def unfold(self, n):
         """First n edge ids of the infinite run."""

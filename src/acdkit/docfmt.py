@@ -153,8 +153,7 @@ def system_to_obj(ts):
         obj["owners"] = dict(ts.owners)
     if ts.letters:
         obj["letters"] = dict(ts.letters)
-    colours = {e.id: c for e in ts.edges
-               for c in [ts.colour(e.id)] if c != e.id}
+    colours = ts._recoloured()
     if colours:
         obj["colours"] = colours
     return obj
@@ -263,13 +262,13 @@ def dot_system(ts):
         if ts.owners and ts.owners.get(v) == "Adam":
             attrs = ["shape=box"] + attrs[1:]
         lines.append("  %s [%s];" % (_q(v), ",".join(attrs)))
+    colours = ts._recoloured()
     for e in ts.edges:
         label = e.id
         if ts.letters is not None:
             label += ":" + ts.letters[e.id]
-        colour = ts.colour(e.id)
-        if colour != e.id:
-            label += "/" + colour
+        if e.id in colours:
+            label += "/" + colours[e.id]
         lines.append("  %s -> %s [label=%s];"
                      % (_q(e.source), _q(e.target), _q(label)))
     lines.append("}")

@@ -74,7 +74,10 @@ def solve_parity_game(game):
     computed with automatic garbage collection paused and the caller's
     setting restored after.  A solve makes no reference cycles, so a
     collection during it only scans live objects and frees none; its
-    board and certificate allocate enough containers to set off some."""
+    board and certificate allocate enough containers to set off some.
+    A game whose condition is not parity is an InputError."""
+    if game.condition.kind != "parity":
+        raise InputError("expected a parity condition")
     if not gc.isenabled():
         return _solve_parity_game(game)
     gc.disable()
@@ -109,8 +112,6 @@ def _solve_parity_game(game):
     would be empty and the frame does not yield it.  The subgames of the
     second recursive call are solved once per call, keyed by
     (floor, bytes(alive)), and reused."""
-    if game.condition.kind != "parity":
-        raise InputError("expected a parity condition")
     ts = game.ts
     # the board: vertices and edges numbered in the system's own order,
     # vertices sorted and edges by id; an edge has its source, target and

@@ -145,10 +145,12 @@ def alternating_children(ts, cond, loop, explore_cap=None):
     descending size, then edge-id list (`_flipped_subloops`, guided by the
     Zielonka tree of `cond`).  Edges are keyed as `core._reading` keys
     them: by colour, or by id for a condition over edges.  A loop naming
-    an edge that `ts` lacks is an InputError naming the least such id.
-    """
+    an edge that `ts` lacks is an InputError naming the least such id, and
+    so is a `loop` that is not a `Loop`."""
     side = _side(cond, _reading(ts, cond)[0])
     explore_cap = _cap(explore_cap, "explore_cap")
+    if not isinstance(loop, Loop):
+        raise InputError("loop %r is not a Loop" % (loop,))
     _check_known(ts, _string_set(loop.edges, "loop edges", "edge id"))
     kids = _flipped_subloops(ts, side, loop.edges, explore_cap)
     return [Loop.of(ts, edges) for edges in kids]
@@ -228,11 +230,7 @@ def enumerate_reachable_loops(ts, cap=None):
         stack = [(top.edges, None)]
         while stack:
             cur, low = stack.pop()
-            if low != bound[cur]:
-                continue  # reached again with a smaller bound since
-            for eid in sorted(cur):
-                if low is not None and eid <= low:
-                    continue
+            for eid in sorted(e for e in cur if low is None or e > low):
                 for m in sccs(ts, cur - {eid})[0]:
                     out.setdefault(m.key, m)
                     if m.edges not in bound or eid < bound[m.edges]:
@@ -241,7 +239,7 @@ def enumerate_reachable_loops(ts, cap=None):
     return [out[k] for k in sorted(out)]
 
 
-def to_explicit_muller(ts, cond, loop_cap=None):
+def to_explicit_muller(ts, cond):
     """Re-express `cond` as a Muller condition over the edge ids of `ts`
     (`over` is "edges").
 
@@ -249,7 +247,7 @@ def to_explicit_muller(ts, cond, loop_cap=None):
     `cond`; every loop keeps its status.  The condition is read once, after
     the enumeration, and only when some loop was found.
     """
-    found = enumerate_reachable_loops(ts, cap=loop_cap)
+    found = enumerate_reachable_loops(ts)
     if found:
         key, _ = _reading(ts, cond)
         found = [l.edges for l in found

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdkit import cli, docfmt
+from acdkit import InputError, cli, docfmt
 from acdkit.core import _reading
 from acdkit.loops import equivalent_over
 from conftest import path_game, random_condition, random_system, recoloured
@@ -148,6 +148,13 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 2
     code, _ = run(tmp_path, "compress", fx("f1.json"))  # not parity
     assert code == 2
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"format": "acdkit/1", "system": {
+        "vertices": ["q"], "edges": [["a", "q", "q"]], "initial": ["q"]}}))
+    capsys.readouterr()
+    assert run(tmp_path, "acd", str(plain)) == (2, b"")
+    assert capsys.readouterr().err == \
+        "input error: document has no condition block\n"
 
 
 def test_exit_code_property_false(tmp_path):
@@ -759,6 +766,28 @@ def test_unreadable_documents_are_input_errors(tmp_path, what):
         assert proc.stderr.startswith("input error: "), argv
         assert "Traceback" not in proc.stderr
         assert proc.stdout == "" and not out.exists(), argv
+
+
+# label -> (document text, the message `docfmt.parse` refuses it with)
+PARSE_MESSAGES = {
+    "nested": ("[" * 100000, "parse error: too deeply nested"),
+    "long integer": ('{"n": %s}' % ("9" * 5000),
+                     "parse error: an integer is too long"),
+    "not an object": ("[]", "document must be a JSON object"),
+    "no system": ('{"format": "acdkit/1"}', "missing system block"),
+    "rabin pair of one side": (json.dumps({
+        "format": "acdkit/1", "system": {},
+        "condition": {"type": "rabin", "pairs": [["a"]]}}),
+        "rabin pairs must be [E, F] lists"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PARSE_MESSAGES))
+def test_parse_messages(label):
+    text, message = PARSE_MESSAGES[label]
+    with pytest.raises(InputError) as err:
+        docfmt.parse(text)
+    assert str(err.value) == message
 
 
 def test_escaped_surrogate_pair_round_trips(tmp_path):

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, InputError,
-                    MullerCondition, ParityCondition, RabinCondition, Run,
-                    StreettCondition, TransitionSystem, accessible_x_scc,
-                    build_zielonka_tree, build_zt_automaton, check_local,
-                    check_structural, compose, docfmt,
-                    enumerate_reachable_loops, equivalent_over, loop_status,
-                    loop_status_over, to_explicit_muller, validate)
+from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, Game,
+                    InputError, Morphism, MullerCondition, ParityCondition,
+                    RabinCondition, Run, StreettCondition, TransitionSystem,
+                    accessible_x_scc, build_zielonka_tree, build_zt_automaton,
+                    check_local, check_structural, compose, docfmt,
+                    enumerate_reachable_loops, equivalent_over, lift_run,
+                    loop_status, loop_status_over, to_explicit_muller,
+                    validate)
 from acdkit.core import Edge, _components, _reach, _tarjan_marks
 from conftest import (CONDITION_KINDS, random_condition, random_system,
                       recoloured, under_hash_seeds)
@@ -384,18 +385,38 @@ def _system(**given):
      "owner given for unknown vertex [1]"),
     (lambda: _system(colours=[(["x"], "a")]),
      "colour given for unknown edge ['x']"),
+    # well-shaped arguments that break a rule of the object they name
+    (lambda: Automaton(_system(letters={"x": "a", "y": "a"}),
+                       BuchiCondition({"x"})).run_colours("", ""),
+     "cycle must be nonempty"),
+    (lambda: Run(_system(), [], ["x", "x"]),
+     "edges 'x' and 'x' are not consecutive"),
+    (lambda: Game(_system(initial=["p", "q"],
+                          owners={"p": "Eve", "q": "Adam"}),
+                  BuchiCondition({"x"})),
+     "a game has a single initial vertex"),
+    # the run starts at q, and the source's one initial vertex maps to p
+    (lambda: lift_run(
+        Morphism(_system(), None, _system(initial=["p", "q"]), None,
+                 {"p": "p", "q": "q"}, {"x": "x", "y": "y"}),
+        Run(_system(initial=["p", "q"]), [], ["y", "x"])),
+     "no initial vertex above 'q'"),
 ], ids=["parity-int", "parity-short-pair", "parity-string", "muller-int",
         "rabin-int", "streett-none", "buchi-string", "vertices-int",
         "edges-int", "initial-int", "owners-int", "owners-int-list",
         "owners-zero", "letters-empty-string",
         "letters-triple", "colours-string", "zielonka-family-int",
         "zielonka-gamma-int", "vertices-string", "initial-string",
-        "parity-list-key", "owners-list-key", "colours-list-key"])
+        "parity-list-key", "owners-list-key", "colours-list-key",
+        "run-colours-empty-cycle", "run-not-consecutive",
+        "game-two-initial", "lift-run-no-initial-above"])
 def test_argument_messages(build, message):
     """An argument of the wrong shape, a value that is no collection or a
     string, or a map that `dict` cannot read, is an InputError naming the
     argument and its value, or an unhashable key, the key; never a bare
-    TypeError or ValueError."""
+    TypeError or ValueError.  So is a well-shaped argument that breaks a
+    rule: an empty cycle, edges that do not follow each other, a game of
+    two initial vertices, a run with no initial vertex above its start."""
     with pytest.raises(InputError) as err:
         build()
     assert str(err.value) == message

@@ -21,7 +21,7 @@ every name that a lookup of that system's objects reads (an accessor, a
 tree or forest lookup), every collection of names that a loop entry
 point reads, and every count: each call returns or raises InputError.  A
 table pins the message of each lookup for unknown, unhashable and
-foreign names, unknown nodes and out-of-range tree indices."""
+foreign names, unknown nodes and tree indices out of range or not an int."""
 
 import copy
 import json
@@ -32,12 +32,12 @@ import pytest
 from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, Edge, Game,
                     InputError, Loop, MullerCondition, ParityCondition,
                     RabinCondition, Run, StreettCondition, TransitionSystem,
-                    accessible_x_scc, acd_transform, build_acd,
-                    build_zielonka_tree, cli, docfmt, induced_morphism,
-                    is_loop, is_weak_k, loop_status, loop_status_over,
-                    min_parity_automaton_size, multi_supp, nextbranch, sccs,
-                    solve_muller_game, solve_parity_game, subtree_for_state,
-                    supp, validate)
+                    accessible_x_scc, acd_transform, alternating_children,
+                    build_acd, build_zielonka_tree, cli, docfmt,
+                    induced_morphism, is_loop, is_weak_k, loop_status,
+                    loop_status_over, min_parity_automaton_size, multi_supp,
+                    nextbranch, sccs, solve_muller_game, solve_parity_game,
+                    subtree_for_state, supp, validate)
 from conftest import FIXTURES
 
 SEEDS = range(200)
@@ -337,6 +337,7 @@ LOOKUPS = {
     "TransitionSystem.edge": lambda o, x: o["ts"].edge(x),
     "TransitionSystem.out": lambda o, x: o["ts"].out(x),
     "TransitionSystem.letter": lambda o, x: o["ts"].letter(x),
+    "TransitionSystem.colour": lambda o, x: o["ts"].colour(x),
     "Automaton.step state": lambda o, x: o["aut"].step(x, "a"),
     "Automaton.step letter": lambda o, x: o["aut"].step("p", x),
     "Morphism.apply_vertex": lambda o, x: o["morphism"].apply_vertex(x),
@@ -364,6 +365,8 @@ LOOKUPS = {
     "sccs": lambda o, x: sccs(o["ts"], x),
     "Loop.of": lambda o, x: Loop.of(o["ts"], x),
     "is_loop": lambda o, x: is_loop(o["ts"], x),
+    "alternating_children loop": lambda o, x: alternating_children(
+        o["ts"], o["muller"], x),
     "accessible_x_scc": lambda o, x: accessible_x_scc(o["aut"], x),
     "Run prefix": lambda o, x: Run(o["ts"], x, ["y"]),
     "Run cycle": lambda o, x: Run(o["ts"], [], x),
@@ -392,7 +395,8 @@ def test_library_lookups_on_odd_values(slot):
 FOREIGN = Edge("z", "zz", "p")
 # label -> (call of the built objects, its message): an unknown and an
 # unhashable name for each accessor, and for the tree and forest lookups
-# unknown nodes, foreign edges and tree indices out of range or negative
+# unknown nodes, foreign edges, a value that is not a loop, and tree
+# indices out of range, negative or not an int (a bool or a float)
 MESSAGES = {
     "edge unknown": (lambda o: o["ts"].edge("zz"), "unknown edge 'zz'"),
     "edge unhashable": (lambda o: o["ts"].edge(["zz"]),
@@ -404,6 +408,15 @@ MESSAGES = {
                        "edge 'zz' has no letter"),
     "letter unhashable": (lambda o: o["ts"].letter(["zz"]),
                           "edge ['zz'] has no letter"),
+    "letter of a system without letters": (
+        lambda o: TransitionSystem(["p"], [("e", "p", "p")], ["p"]).letter(
+            "e"), "system has no letter labelling"),
+    "colour unknown": (lambda o: o["ts"].colour("zz"), "unknown edge 'zz'"),
+    "colour unhashable": (lambda o: o["ts"].colour([1]),
+                          "unknown edge [1]"),
+    "alternating_children not a loop": (
+        lambda o: alternating_children(o["ts"], o["muller"], "x"),
+        "loop 'x' is not a Loop"),
     "step unknown state": (lambda o: o["aut"].step("zz", "a"),
                            "no transition from 'zz' on 'a'"),
     "step unhashable letter": (lambda o: o["aut"].step("p", ["a"]),
@@ -452,6 +465,9 @@ MESSAGES = {
     "multi_supp negative index": (
         lambda o: multi_supp(o["acd"], (), -1, "w"),
         "unknown tree index -1"),
+    "multi_supp float index": (
+        lambda o: multi_supp(o["acd"], (), 1.0, "w"),
+        "unknown tree index 1.0"),
     "multi_supp unknown node": (
         lambda o: multi_supp(o["acd"], (9, 9), 1, "w"),
         "unknown node (9, 9)"),
@@ -471,12 +487,20 @@ MESSAGES = {
                             "unknown tree index -1"),
     "tree unhashable index": (lambda o: o["acd"].tree([1]),
                               "unknown tree index [1]"),
+    "tree bool index True": (lambda o: o["acd"].tree(True),
+                             "unknown tree index True"),
+    "tree bool index False": (lambda o: o["acd"].tree(False),
+                              "unknown tree index False"),
+    "tree float index": (lambda o: o["acd"].tree(1.0),
+                         "unknown tree index 1.0"),
     "priority unknown node": (lambda o: o["acd"].priority(1, (9, 9)),
                               "unknown node (9, 9)"),
     "priority unhashable node": (lambda o: o["acd"].priority(1, [0]),
                                  "unknown node [0]"),
     "priority negative index": (lambda o: o["acd"].priority(-1, ()),
                                 "unknown tree index -1"),
+    "priority bool index": (lambda o: o["acd"].priority(True, ()),
+                            "unknown tree index True"),
 }
 
 

@@ -79,8 +79,21 @@ def test_local_not_injective():
         ["p"], [("e0", "p", "p"), ("e1", "p", "p")], ["p"])
     tgt = TransitionSystem(["q"], [("f", "q", "q")], ["q"])
     m = Morphism(src, None, tgt, None, {"p": "q"}, {"e0": "f", "e1": "f"})
-    flags = check_local(m)
-    assert flags["surjective"] and not flags["injective"]
+    assert check_local(m) == {"surjective": True, "injective": False,
+                              "bijective": False}
+
+
+def test_local_initial_clauses():
+    """Two initial vertices over one are not injective, and a target
+    initial vertex with no initial vertex above it is not surjective."""
+    src = TransitionSystem(["p0", "p1"], [("e0", "p0", "p0"),
+                                          ("e1", "p1", "p1")], ["p0", "p1"])
+    tgt = TransitionSystem(["q", "r"], [("f", "q", "q"), ("g", "r", "r")],
+                           ["q", "r"])
+    m = Morphism(src, None, tgt, None, {"p0": "q", "p1": "q"},
+                 {"e0": "f", "e1": "f"})
+    assert check_local(m) == {"surjective": False, "injective": False,
+                              "bijective": False}
 
 
 def test_local_not_surjective():

@@ -72,9 +72,11 @@ def test_import_generates_no_code_in_subprocess():
 
 
 def test_only_core_reads_how_a_condition_keys_edges():
-    """Outside `core`, no module reads a condition's `over` or a system's
-    `_colours`, so that `core._reading` alone decides the key of an edge.
-    `docfmt` parses and writes the `over` field of a document."""
+    """Outside `core`, no module reads a condition's `over`, a system's
+    `_colours` or its one colour reader `_colour_of`, so that
+    `core._reading` alone decides the key of an edge, and
+    `TransitionSystem` alone the colour of one.  `docfmt` parses and
+    writes the `over` field of a document."""
     allowed = {("docfmt", "condition_from_obj", "over"),
                ("docfmt", "condition_to_obj", "over")}
     found = set()
@@ -85,5 +87,45 @@ def test_only_core_reads_how_a_condition_keys_edges():
             found.update((path.stem, getattr(top, "name", None), node.attr)
                          for node in ast.walk(top)
                          if isinstance(node, ast.Attribute)
-                         and node.attr in ("over", "_colours"))
+                         and node.attr in ("over", "_colours", "_colour_of"))
     assert found == allowed
+
+
+# the private functions that check an argument and may refuse it
+CHECKERS = {
+    "core": {"_lookup", "_collection", "_strings", "_map", "_count", "_edge",
+             "_pair", "_labelling", "_reading", "_check_known",
+             "_valid_reading"},
+    "loops": {"_cap"},
+    "zielonka": {"_budgeted_tree", "_zielonka_tree"},
+    "docfmt": {"_list", "_object", "_string_map"},
+    "cli": {"_read_doc", "_write", "_require_condition"},
+}
+
+
+def _input_errors(node, scope=()):
+    """(scope, line) of each `raise InputError` under `node`, `scope`
+    naming the functions around it, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _input_errors(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = getattr(child.exc, "func", child.exc)
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "InputError":
+                yield scope, child.lineno
+        yield from _input_errors(child, scope)
+
+
+def test_input_errors_are_raised_at_entries_and_named_checkers():
+    """The engine under the public entries refuses nothing: an InputError
+    is raised only in a public function or method, a function nested in
+    one, an `__init__`, or a checker named in CHECKERS.  A new check in a
+    private function fails here until it is named on purpose."""
+    found = [
+        "%s.py:%d %s" % (path.stem, line, ".".join(scope))
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in _input_errors(_parse(path))
+        if not any(not name.startswith("_") or name == "__init__"
+                   or name in CHECKERS.get(path.stem, ()) for name in scope)]
+    assert not found, found
