@@ -87,20 +87,16 @@ def _write(args, text, dot=None):
         sys.stdout.write(text)
 
 
-def _require_condition(doc, kinds=None):
+def _require_condition(doc):
     if doc.condition is None:
         raise InputError("document has no condition block")
-    if kinds and doc.condition.kind not in kinds:
-        raise InputError("expected a %s condition, got %s"
-                         % ("/".join(kinds), doc.condition.kind))
     return doc.condition
 
 
-def _input(path, kinds=None):
-    """The system of the document at `path` and its condition, of one of
-    `kinds` if given."""
+def _input(path):
+    """The system of the document at `path` and its condition."""
     doc = _read_doc(path)
-    return doc.system, _require_condition(doc, kinds)
+    return doc.system, _require_condition(doc)
 
 
 def _build_acd(args):
@@ -109,9 +105,9 @@ def _build_acd(args):
     return ts, cond, _acd.build_acd(ts, cond, explore_cap=args.explore_cap)
 
 
-def _build_tree(ts, cond):
-    """The Zielonka tree of the Muller condition `cond` read on `ts`."""
-    return zielonka._zielonka_tree(cond, _reading(ts, cond)[1])
+def _build_tree(ts, cond, cap=None):
+    """The Zielonka tree of the condition `cond` read on `ts`."""
+    return zielonka._zielonka_tree(cond, _reading(ts, cond)[1], cap)
 
 
 def _regions(sol):
@@ -120,14 +116,13 @@ def _regions(sol):
 
 
 def cmd_zielonka(args):
-    tree = _build_tree(*_input(args.file, ("muller",)))
+    tree = _build_tree(*_input(args.file))
     _write(args, docfmt.dumps(docfmt.tree_to_obj(tree)),
            lambda: docfmt.dot_tree(tree))
 
 
 def cmd_zt_automaton(args):
-    zt = zielonka.build_zt_automaton(
-        _build_tree(*_input(args.file, ("muller",))))
+    zt = zielonka.build_zt_automaton(_build_tree(*_input(args.file)))
     out = docfmt.Document(zt.automaton.ts, zt.automaton.condition)
     _write(args, docfmt.serialize(out),
            lambda: docfmt.dot_system(zt.automaton.ts))
@@ -159,10 +154,10 @@ def cmd_shape(args):
     obj = dict(vars(relabel.classify_acd(acd)))
     obj["offending"] = {v: [docfmt._node_name(n) for n in nodes]
                         for v, nodes in obj["offending"].items()}
-    if cond.kind == "muller":
-        flags = zielonka.shape(_build_tree(ts, cond))
-        obj["condition_shape"] = flags
-        obj["closure"] = zielonka._closure(flags)
+    flags = zielonka.shape(_build_tree(
+        ts, cond, args.explore_cap or loops.DEFAULT_EXPLORE_CAP))
+    obj["condition_shape"] = flags
+    obj["closure"] = zielonka._closure(flags)
     _write(args, docfmt.dumps(obj))
 
 
@@ -183,7 +178,9 @@ def cmd_relabel(args):
 
 
 def cmd_compress(args):
-    ts, cond = _input(args.file, ("parity",))
+    ts, cond = _input(args.file)
+    if cond.kind != "parity":
+        raise InputError("expected a parity condition, got %s" % cond.kind)
     new_cond = relabel.compress_priorities(ts, cond)
     _write(args, docfmt.serialize(docfmt.Document(ts, new_cond)))
 
@@ -273,7 +270,7 @@ FLAGS = {"--dot": {"help": "also write a DOT rendering here"},
 # the order help lists them
 COMMANDS = {
     "zielonka": (cmd_zielonka, "file --dot",
-                 "Zielonka tree of a Muller condition"),
+                 "Zielonka tree of the condition"),
     "zt-automaton": (cmd_zt_automaton, "file --dot",
                      "parity automaton built on the branches of the tree"),
     "acd": (cmd_acd, "file --dot --explore-cap",

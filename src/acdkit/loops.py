@@ -37,7 +37,8 @@ class Loop(_Frozen):
         return tuple(sorted(self.edges))
 
     def __contains__(self, eid):
-        return eid in self.edges
+        # ids are strings: a value of another type names no edge
+        return isinstance(eid, str) and eid in self.edges
 
 
 _set_edges, _set_states = Loop.edges.__set__, Loop.states.__set__

@@ -180,11 +180,19 @@ def _children_read(cond):
     return read
 
 
-def _zielonka_tree(cond, gamma):
-    """Zielonka tree of any condition over the nonempty colour set `gamma`."""
+def _zielonka_tree(cond, gamma, cap=None):
+    """Zielonka tree of any condition over the nonempty colour set `gamma`;
+    past `cap` nodes, CapExceeded (n Rabin pairs can give n! leaves)."""
     if not gamma:
         raise InputError("colour set must be nonempty")
-    return ZielonkaTree(gamma, cond.accepts(gamma), _children_read(cond))
+    read, size = _children_read(cond), [1]
+
+    def children(colours):
+        size[0] += len(read(colours))
+        if cap is not None and size[0] > cap:
+            raise CapExceeded("Zielonka tree exceeded cap %d nodes" % cap)
+        return read(colours)
+    return ZielonkaTree(gamma, cond.accepts(gamma), children)
 
 
 def build_zielonka_tree(family, gamma):
@@ -333,15 +341,6 @@ def optimal_parity_interval(tree):
     return _parity_interval(tree.height, "even" if tree.even else "odd")
 
 
-def _budgeted_tree(family, gamma, n_max, n_values=0):
-    """The Zielonka tree, within the budget of the searches kept in
-    `tests/oracles.py`: 3 states, 3 colours and 4 priority values."""
-    gamma = _string_set(gamma, "colour set")
-    if _count(n_max, "n_max") > 3 or len(gamma) > 3 or n_values > 4:
-        raise InputError("search budget exceeded")
-    return build_zielonka_tree(family, gamma)
-
-
 def min_parity_automaton_size(family, gamma, n_max, priority_values=range(4)):
     """Fewest states, at most `n_max`, of a deterministic parity automaton
     recognising the family with priorities among `priority_values`, else
@@ -350,7 +349,9 @@ def min_parity_automaton_size(family, gamma, n_max, priority_values=range(4)):
     root's, so the sorted values must hold such a chain."""
     values = [_count(v, "priority value") for v in _collection(
         priority_values, "priority_values", "integers")]
-    tree = _budgeted_tree(family, gamma, n_max, len(values))
+    gamma = _string_set(gamma, "colour set")  # refused before n_max
+    _count(n_max, "n_max")
+    tree = build_zielonka_tree(family, gamma)
     want, chain = tree.root_priority % 2, 0
     for v in sorted(set(values)):
         if v % 2 == want:
@@ -363,7 +364,7 @@ def min_parity_priority_count(family, gamma):
     """Fewest distinct priorities of a deterministic parity automaton of at
     most 2 states that recognises the family: the Zielonka tree's height,
     when it has at most 2 leaves; None otherwise."""
-    tree = _budgeted_tree(family, gamma, 2)
+    tree = build_zielonka_tree(family, gamma)
     return tree.height if len(tree.leaves) <= 2 else None
 
 

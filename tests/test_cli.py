@@ -58,6 +58,12 @@ ALL_INVOCATIONS = [
     ("zielonka", fx("f2.json")),
     ("zt-automaton", fx("f1.json")),
     ("zt-automaton", fx("f2.json")),
+    ("zielonka", fx("paritygame.json")),
+    ("zt-automaton", fx("paritygame.json")),
+    ("shape", fx("paritygame.json")),
+    ("zielonka", fx("rabin2.json")),
+    ("zt-automaton", fx("rabin2.json")),
+    ("shape", fx("rabin2.json")),
     ("acd", fx("sixstate.json")),
     ("transform", fx("sixstate.json")),
     ("transform", fx("automatonA.json")),
@@ -66,6 +72,8 @@ ALL_INVOCATIONS = [
     ("shape", fx("automatonA.json")),
     ("relabel", fx("automatonA.json"), "--target", "rabin"),
     ("relabel", fx("paritygame.json"), "--target", "weak"),
+    ("relabel", fx("paritygame.json"), "--target", "parity"),
+    ("relabel", fx("host01.json"), "--target", "streett"),
     ("compress", fx("paritygame.json")),
     ("compose", fx("automatonA.json"), fx("host01.json")),
     ("solve", fx("paritygame.json")),
@@ -75,6 +83,15 @@ ALL_INVOCATIONS = [
      "--against", fx("sixstate.json")),
     ("check-morphism", os.path.join(GOLDEN, "transform-automatonA.json"),
      "--against", fx("automatonA.json")),
+]
+
+# each command that takes --dot, on an input whose rendering has a golden
+DOT_INVOCATIONS = [
+    ("zielonka", fx("f2.json")),
+    ("acd", fx("sixstate.json")),
+    ("zt-automaton", fx("f2.json")),
+    ("transform", fx("sixstate.json")),
+    ("compose", fx("automatonA.json"), fx("host01.json")),
 ]
 
 
@@ -93,7 +110,7 @@ def test_deterministic_output(tmp_path, argv):
 
 def test_document_round_trip(tmp_path):
     for name in ("f1.json", "f2.json", "sixstate.json", "automatonA.json",
-                 "paritygame.json", "mullergame.json"):
+                 "paritygame.json", "mullergame.json", "rabin2.json"):
         with open(fx(name), encoding="utf-8") as fh:
             doc = docfmt.parse(fh.read())
         text = docfmt.serialize(doc)
@@ -146,8 +163,10 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert out == b""
     code, _ = run(tmp_path, "zielonka", fx("nope.json"))
     assert code == 2
-    code, _ = run(tmp_path, "compress", fx("f1.json"))  # not parity
-    assert code == 2
+    capsys.readouterr()
+    assert run(tmp_path, "compress", fx("f1.json")) == (2, b"")
+    assert capsys.readouterr().err == \
+        "input error: expected a parity condition, got muller\n"
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"format": "acdkit/1", "system": {
         "vertices": ["q"], "edges": [["a", "q", "q"]], "initial": ["q"]}}))
@@ -157,10 +176,16 @@ def test_exit_code_input_error(tmp_path, capsys):
         "input error: document has no condition block\n"
 
 
-def test_exit_code_property_false(tmp_path):
+def test_exit_code_property_false(tmp_path, capsys):
     code, out = run(tmp_path, "relabel", fx("sixstate.json"),
                     "--target", "rabin")
     assert code == 1
+    # a refused relabelling writes nothing to stdout and creates no file
+    capsys.readouterr()
+    assert run(tmp_path, "relabel", fx("sixstate.json"),
+               "--target", "parity") == (1, b"")
+    assert capsys.readouterr() == (
+        "", "property check failed: decomposition is not parity-shaped\n")
     # two inequivalent conditions over the same system
     other = tmp_path / "f1b.json"
     with open(fx("f1.json"), encoding="utf-8") as fh:
@@ -420,17 +445,9 @@ def test_explore_cap_reaches_equivalence_checks(eleven_self_loops):
 
 def test_dot_outputs(tmp_path):
     dot = tmp_path / "g.dot"
-    code = cli.main(["zielonka", fx("f2.json"),
-                     "-o", str(tmp_path / "o.json"), "--dot", str(dot)])
-    assert code == 0
-    text = dot.read_text()
-    assert text.startswith("digraph")
-    assert dot.read_bytes() == golden(("zielonka", "f2.json"), ".dot")
-    code = cli.main(["acd", fx("sixstate.json"),
-                     "-o", str(tmp_path / "o.json"), "--dot", str(dot)])
-    assert code == 0
-    assert "cluster_t0" in dot.read_text()
-    assert dot.read_bytes() == golden(("acd", "sixstate.json"), ".dot")
+    for argv in DOT_INVOCATIONS:
+        assert run(tmp_path, *argv, "--dot", str(dot)) == (0, golden(argv))
+        assert dot.read_bytes() == golden(argv, ".dot"), argv
 
 
 def test_solve_outputs(tmp_path):
@@ -491,6 +508,37 @@ def test_shape_of_many_self_loops_reads_closure_from_the_tree(tmp_path):
                               "intersection_closed": True}
     assert obj["condition_shape"] == {"rabin": True, "streett": True,
                                       "parity": True}
+
+
+def test_shape_caps_the_condition_tree(tmp_path):
+    # a chain of self-loops under n disjoint Rabin pairs: the decomposition
+    # has one node per self-loop, while the condition's Zielonka tree has
+    # n! leaves, so --explore-cap bounds it too (default 5000 nodes)
+    def chain(n):
+        vs = ["v%02d" % i for i in range(2 * n)]
+        doc = tmp_path / ("chain%d.json" % n)
+        doc.write_text(json.dumps({
+            "format": "acdkit/1",
+            "system": {"vertices": vs, "initial": ["v00"],
+                       "edges": [["c%02d" % i, v, v] for i, v in enumerate(vs)]
+                       + [["s%02d" % i, v, w] for i, (v, w)
+                          in enumerate(zip(vs, vs[1:]))]},
+            "condition": {"type": "rabin", "pairs": [
+                [["c%02d" % (2 * i)], ["c%02d" % (2 * i + 1)]]
+                for i in range(n)]}}))
+        return str(doc)
+    proc = run_process("shape", chain(10), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "cap exceeded: Zielonka tree exceeded cap 5000 nodes\n")
+    # three pairs: a tree of 31 nodes, 6 of them leaves
+    three = chain(3)
+    code, out = run(tmp_path, "shape", three, "--explore-cap", "31")
+    assert code == 0
+    assert json.loads(out)["condition_shape"] == {
+        "rabin": True, "streett": False, "parity": False}
+    assert run(tmp_path, "shape", three, "--explore-cap", "30") == (3, b"")
+    code, out = run(tmp_path, "zielonka", three)
+    assert code == 0 and len(json.loads(out)["nodes"]) == 31
 
 
 def test_shape_closure_matches_the_oracle(tmp_path):
@@ -910,7 +958,7 @@ def test_parser_is_built_once_on_first_use(tmp_path):
 
 def test_commands_write_their_output_without_json_dumps(tmp_path,
                                                        monkeypatch):
-    """Every command on the golden list, and the two DOT renderings, runs
+    """Every command on the golden list, and every DOT rendering, runs
     without a call to `json.dumps`: the canonical writer writes every
     value a command emits, `true`, `false` and `null` included.  The
     goldens pin the bytes it writes."""
@@ -919,7 +967,7 @@ def test_commands_write_their_output_without_json_dumps(tmp_path,
                         lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
     for argv in ALL_INVOCATIONS:
         assert run(tmp_path, *argv) == (0, golden(argv)), argv
-    for argv in (["acd", fx("sixstate.json")], ["zielonka", fx("f2.json")]):
+    for argv in DOT_INVOCATIONS:
         dot = tmp_path / "out.dot"
         assert run(tmp_path, *argv, "--dot", str(dot))[0] == 0
         assert dot.read_bytes() == golden(argv, ".dot")

@@ -401,6 +401,10 @@ def _system(**given):
                  {"p": "p", "q": "q"}, {"x": "x", "y": "y"}),
         Run(_system(initial=["p", "q"]), [], ["y", "x"])),
      "no initial vertex above 'q'"),
+    # a condition class of a kind that the document format has no form for
+    (lambda: docfmt.condition_to_obj(
+        type("X", (BuchiCondition,), {"kind": "x"})({"x"})),
+     "cannot serialize condition of kind 'x'"),
 ], ids=["parity-int", "parity-short-pair", "parity-string", "muller-int",
         "rabin-int", "streett-none", "buchi-string", "vertices-int",
         "edges-int", "initial-int", "owners-int", "owners-int-list",
@@ -409,14 +413,16 @@ def _system(**given):
         "zielonka-gamma-int", "vertices-string", "initial-string",
         "parity-list-key", "owners-list-key", "colours-list-key",
         "run-colours-empty-cycle", "run-not-consecutive",
-        "game-two-initial", "lift-run-no-initial-above"])
+        "game-two-initial", "lift-run-no-initial-above",
+        "condition-of-unknown-kind"])
 def test_argument_messages(build, message):
     """An argument of the wrong shape, a value that is no collection or a
     string, or a map that `dict` cannot read, is an InputError naming the
     argument and its value, or an unhashable key, the key; never a bare
     TypeError or ValueError.  So is a well-shaped argument that breaks a
     rule: an empty cycle, edges that do not follow each other, a game of
-    two initial vertices, a run with no initial vertex above its start."""
+    two initial vertices, a run with no initial vertex above its start, a
+    condition of a kind that the document format cannot write."""
     with pytest.raises(InputError) as err:
         build()
     assert str(err.value) == message

@@ -102,6 +102,16 @@ def test_loop_of_states_hold_every_endpoint(seed):
         assert loop.states == ends
 
 
+def test_loop_holds_edge_ids_only(sixstate):
+    """`in` asks for an edge id: a value of another type names no edge,
+    an unhashable one included."""
+    ts, _ = sixstate
+    loop = Loop.of(ts, {"c", "d"})
+    assert "c" in loop
+    assert "g" not in loop
+    assert [1] not in loop
+
+
 def test_cap_messages_name_few_states_of_a_long_loop():
     """A 200-vertex cycle with a self-loop at each vertex: both cap
     messages name the loop's 12 least states and its state count, not all

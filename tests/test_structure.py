@@ -97,7 +97,7 @@ CHECKERS = {
              "_pair", "_labelling", "_reading", "_check_known",
              "_valid_reading"},
     "loops": {"_cap"},
-    "zielonka": {"_budgeted_tree", "_zielonka_tree"},
+    "zielonka": {"_zielonka_tree"},
     "docfmt": {"_list", "_object", "_string_map"},
     "cli": {"_read_doc", "_write", "_require_condition"},
 }

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,13 +12,15 @@ from acdkit import (InputError, MullerCondition, TransitionSystem,
                     build_zt_automaton, closure_oracle,
                     enumerate_reachable_loops, min_parity_automaton_size,
                     min_parity_priority_count, nextbranch,
-                    optimal_parity_interval, shape, supp)
+                    optimal_parity_interval, shape, supp,
+                    to_explicit_muller)
 from acdkit.zielonka import (_branching, _canonical_maximal,
                              _flipped_colour_sets, _maximal_flipped,
                              _minus_one_colour, _zielonka_tree)
-from conftest import (CONDITION_KINDS, random_condition, random_family,
-                      random_muller_system, random_sparse_muller_system,
-                      random_system, recoloured, under_hash_seeds)
+from conftest import (CONDITION_KINDS, even_muller, parity_chain,
+                      random_condition, random_family, random_muller_system,
+                      random_sparse_muller_system, random_system, recoloured,
+                      under_hash_seeds)
 import oracles
 from oracles import deepest_holding_prefix, simulate_zt_output
 
@@ -272,9 +275,33 @@ def test_min_parity_size_is_the_leaf_count():
         is None
 
 
-def test_min_parity_size_budget():
-    with pytest.raises(InputError):
-        min_parity_automaton_size(F1, {"a", "b", "c", "d"}, n_max=2)
+def test_min_parity_answers_hold_at_every_size():
+    """Past the searches' reach of 3 states, 3 colours and 4 priority
+    values, the tree still answers: even/k needs k! states, the count
+    Löding proves optimal (FSTTCS 1999), and k priority values
+    alternating from the root's parity, which range(k + 1) holds and
+    range(k - 1) does not."""
+    for k in range(4, 8):
+        ts, cond = even_muller(k)
+        gamma, n = ts.colour_set(), math.factorial(k)
+        assert min_parity_automaton_size(cond.family, gamma, n,
+                                         range(k + 1)) == n
+        assert min_parity_automaton_size(cond.family, gamma, n - 1,
+                                         range(k + 1)) is None
+        assert min_parity_automaton_size(cond.family, gamma, n,
+                                         range(k - 1)) is None
+
+
+def test_min_priority_count_of_a_parity_chain_over_six_colours():
+    """The Muller family of a parity chain over 6 colours: a one-branch
+    tree of height 6, so 6 priorities and one state, which the default
+    values 0 to 3 cannot give."""
+    ts, cond = parity_chain(6, 0)
+    family, gamma = to_explicit_muller(ts, cond).family, ts.colour_set()
+    assert len(gamma) == 6
+    assert min_parity_priority_count(family, gamma) == 6
+    assert min_parity_automaton_size(family, gamma, 1, range(6)) == 1
+    assert min_parity_automaton_size(family, gamma, 1) is None
 
 
 def test_min_priority_count_two_colours():
@@ -399,6 +426,11 @@ def test_closed_forms_refuse_malformed_families():
             with pytest.raises(InputError) as err:
                 answer()
             assert str(err.value) == message
+    # the colour set is refused before n_max, and n_max before the family
+    with pytest.raises(InputError, match="^colour set 'ab' "):
+        min_parity_automaton_size([{"d"}], "ab", None)
+    with pytest.raises(InputError, match="^n_max None "):
+        min_parity_automaton_size([{"d"}], {"a"}, None)
 
 
 def test_closure_closed_form_matches_the_search():
