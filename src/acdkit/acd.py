@@ -32,12 +32,13 @@ class ACD:
     tree 0, the transient part, a one-node tree labelled `t0_edges`."""
 
     def __init__(self, ts, cond, explore_cap=None):
-        key, _ = _valid_reading(ts, cond)
+        key, self._universe = _valid_reading(ts, cond)
         _loops._cap(explore_cap, "explore_cap")
         self.ts = ts
         self.cond = cond
         maximal, transient = _loops.sccs(ts)
         side = _loops._side(cond, key)
+        self._read = side[1]  # with _universe, grows the condition's tree
         self.trees = tuple(
             _acd_tree(i, ts, side, top, explore_cap=explore_cap)
             for i, top in enumerate(maximal, start=1))

@@ -105,9 +105,9 @@ def _build_acd(args):
     return ts, cond, _acd.build_acd(ts, cond, explore_cap=args.explore_cap)
 
 
-def _build_tree(ts, cond, cap=None):
+def _build_tree(ts, cond):
     """The Zielonka tree of the condition `cond` read on `ts`."""
-    return zielonka._zielonka_tree(cond, _reading(ts, cond)[1], cap)
+    return zielonka._zielonka_tree(cond, _reading(ts, cond)[1])
 
 
 def _regions(sol):
@@ -150,12 +150,13 @@ def cmd_stats(args):
 
 
 def cmd_shape(args):
-    ts, cond, acd = _build_acd(args)
+    _, cond, acd = _build_acd(args)
     obj = dict(vars(relabel.classify_acd(acd)))
     obj["offending"] = {v: [docfmt._node_name(n) for n in nodes]
                         for v, nodes in obj["offending"].items()}
-    flags = zielonka.shape(_build_tree(
-        ts, cond, args.explore_cap or loops.DEFAULT_EXPLORE_CAP))
+    flags = zielonka.shape(zielonka._zielonka_tree(
+        cond, acd._universe, args.explore_cap or loops.DEFAULT_EXPLORE_CAP,
+        acd._read))
     obj["condition_shape"] = flags
     obj["closure"] = zielonka._closure(flags)
     _write(args, docfmt.dumps(obj))

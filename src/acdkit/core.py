@@ -583,17 +583,15 @@ class Automaton:
         self.ts = ts
         self.condition = condition
         self._step = {}
-        letters = set()
         for e in ts.edges:
             a = ts.letters[e.id]
-            letters.add(a)
             if (e.source, a) in self._step:
                 raise InputError(
                     "automaton not deterministic at state %r, letter %r"
                     % (e.source, a))
             self._step[(e.source, a)] = e
-        self.alphabet = frozenset(letters)
-        order = sorted(letters)
+        self.alphabet = frozenset(ts.letters.values())  # keyed by edge id
+        order = sorted(self.alphabet)
         missing = next(((q, a) for q in ts.vertices for a in order
                         if (q, a) not in self._step), None)
         if missing:

@@ -170,7 +170,7 @@ def _flipped_colour_sets(cond, colours):
 def _children_read(cond):
     """`_flipped_colour_sets` of `cond`, memoised for as long as the
     caller keeps it: one Zielonka tree, or one reading of the condition
-    on a system (`acdkit.loops._side`), which serves a whole ACD."""
+    on a system (`loops._side`), for an ACD and the condition's tree."""
     memo = {}
 
     def read(colours):
@@ -180,12 +180,12 @@ def _children_read(cond):
     return read
 
 
-def _zielonka_tree(cond, gamma, cap=None):
-    """Zielonka tree of any condition over the nonempty colour set `gamma`;
-    past `cap` nodes, CapExceeded (n Rabin pairs can give n! leaves)."""
+def _zielonka_tree(cond, gamma, cap=None, read=None):
+    """Zielonka tree of `cond` over the nonempty colour set `gamma`, grown by
+    `read` or a fresh `_children_read`; past `cap` nodes, CapExceeded."""
     if not gamma:
         raise InputError("colour set must be nonempty")
-    read, size = _children_read(cond), [1]
+    read, size = read or _children_read(cond), [1]
 
     def children(colours):
         size[0] += len(read(colours))

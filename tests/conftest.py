@@ -78,11 +78,6 @@ def automaton_a():
     return ts, MullerCondition([{"a"}, {"b"}])
 
 
-@pytest.fixture
-def fixtures_dir():
-    return FIXTURES
-
-
 def random_system(rng, max_vertices=6, max_edges=10, with_owners=False):
     n = rng.randint(1, max_vertices)
     vs = ["v%d" % i for i in range(n)]

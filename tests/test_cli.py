@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdkit import InputError, cli, docfmt
+from acdkit import InputError, cli, docfmt, zielonka
 from acdkit.core import _reading
 from acdkit.loops import equivalent_over
-from conftest import path_game, random_condition, random_system, recoloured
+from conftest import (count_readings, path_game, random_condition,
+                      random_system, recoloured)
 from oracles import closure_oracle
 
 F = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -70,6 +71,9 @@ ALL_INVOCATIONS = [
     ("stats", fx("sixstate.json")),
     ("shape", fx("sixstate.json")),
     ("shape", fx("automatonA.json")),
+    # a coloured system under a condition over its edge ids: the
+    # condition's tree ranges over the 4 edge ids, not the 3 colours
+    ("shape", os.path.join(GOLDEN, "relabel-automatonA-target-rabin.json")),
     ("relabel", fx("automatonA.json"), "--target", "rabin"),
     ("relabel", fx("paritygame.json"), "--target", "weak"),
     ("relabel", fx("paritygame.json"), "--target", "parity"),
@@ -510,6 +514,18 @@ def test_shape_of_many_self_loops_reads_closure_from_the_tree(tmp_path):
                                       "parity": True}
 
 
+def test_shape_reads_its_condition_once(tmp_path, monkeypatch):
+    """`shape` grows the condition's Zielonka tree from the decomposition's
+    reading: one reading, and no colour set's children read twice."""
+    calls, read = count_readings(monkeypatch), []
+    real = zielonka._flipped_colour_sets
+    monkeypatch.setattr(zielonka, "_flipped_colour_sets", lambda cond, c:
+                        read.append(c) or real(cond, c))
+    argv = ("shape", fx("sixstate.json"))
+    assert run(tmp_path, *argv) == (0, golden(argv))
+    assert len(calls) == 1 and read and len(read) == len(set(read))
+
+
 def test_shape_caps_the_condition_tree(tmp_path):
     # a chain of self-loops under n disjoint Rabin pairs: the decomposition
     # has one node per self-loop, while the condition's Zielonka tree has
@@ -860,12 +876,9 @@ def test_dot_is_rendered_only_with_the_flag(tmp_path, monkeypatch):
         real = getattr(docfmt, name)
         monkeypatch.setattr(docfmt, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
-    argvs = [("zielonka", fx("f2.json")), ("zt-automaton", fx("f2.json")),
-             ("acd", fx("sixstate.json")), ("transform", fx("sixstate.json")),
-             ("compose", fx("automatonA.json"), fx("host01.json"))]
-    assert {a[0] for a in argvs} == DOT_SUBCOMMANDS
+    assert {a[0] for a in DOT_INVOCATIONS} == DOT_SUBCOMMANDS
     dot = tmp_path / "out.dot"
-    for argv in argvs:
+    for argv in DOT_INVOCATIONS:
         assert run(tmp_path, *argv)[0] == 0
         assert calls == [] and not dot.exists(), argv
         assert run(tmp_path, *argv, "--dot", str(dot))[0] == 0
@@ -874,7 +887,10 @@ def test_dot_is_rendered_only_with_the_flag(tmp_path, monkeypatch):
         dot.unlink()
 
 
-DOT_SUBCOMMANDS = {"zielonka", "zt-automaton", "acd", "transform", "compose"}
+DOT_SUBCOMMANDS = {name for name, (_, arguments, _) in cli.COMMANDS.items()
+                   if "--dot" in arguments.split()}
+
+
 @pytest.mark.parametrize("sub", sorted(cli.COMMANDS))
 def test_each_subcommand_takes_exactly_the_options_it_reads(sub, tmp_path):
     """A subcommand takes `-o` and the options that COMMANDS lists for it,
