@@ -174,15 +174,17 @@ def set_based_parity_solution(game):
     """Zielonka's attractor decomposition on the system's vertices, with
     priorities on the edges and the tie-breaks of `solve_parity_game`, but
     with each subgame a floor and a frozenset of vertices, copied at every
-    level, and plain recursion.  A subgame's edges are those between its
-    vertices whose priority is at least its floor.  A subgame's target is
-    its edges whose priority lies in the least run of one parity among
-    the priorities present, by edge index; the first child's floor is the
-    least present priority of the other parity.  Returns the
-    ParitySolution, whose regions and strategies, dict order included, the
-    solver must reproduce, the number of frames that reached the second
-    recursive call, and the number of vertex sets that the memo of the
-    second call meets under two floors."""
+    level, and plain recursion.  Like the solver's board, it leaves out
+    each self-loop whose priority its owner loses by while the vertex has
+    another out-edge (`dropped`).  A subgame's edges are the others
+    between its vertices whose priority is at least its floor.  A
+    subgame's target is its edges whose priority lies in the least run of
+    one parity among the priorities present, by edge index; the first
+    child's floor is the least present priority of the other parity.
+    Returns the ParitySolution, whose regions and strategies, dict order
+    included, the solver must reproduce, the number of frames that
+    reached the second recursive call, and the number of vertex sets that
+    the memo of the second call meets under two floors."""
     ts = game.ts
     edges = sorted(ts.edges, key=lambda e: e.id)
     vertices = sorted(ts.vertices)
@@ -197,6 +199,16 @@ def set_based_parity_solution(game):
     for i in range(len(edges)):
         succ[src[i]].append(i)
         preds[tgt[i]].append(i)
+    # the solver's board leaves out, in edge order, each self-loop whose
+    # priority its owner loses by while its vertex keeps another out-edge
+    dropped = set()
+    moves = [len(out) for out in succ]
+    for i in range(len(edges)):
+        s = src[i]
+        if (s == tgt[i] and (prio[i] % 2 == 0) != (owner[s] == "Eve")
+                and moves[s] > 1):
+            dropped.add(i)
+            moves[s] -= 1
     memo = {}
     floors = {}   # second-call vertex set -> the floors it met
     second_calls = [0]
@@ -245,7 +257,8 @@ def set_based_parity_solution(game):
             return {"Eve": set(), "Adam": set()}, {"Eve": {}, "Adam": {}}
 
         def in_game(e):
-            return src[e] in nodes and tgt[e] in nodes and prio[e] >= floor
+            return (src[e] in nodes and tgt[e] in nodes and prio[e] >= floor
+                    and e not in dropped)
 
         inner = [e for e in range(len(edges)) if in_game(e)]
         present = sorted({prio[e] for e in inner})

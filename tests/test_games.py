@@ -255,6 +255,71 @@ def test_cycle_games_match_brute_force(n):
     assert verify_parity_solution(game, sol) == []
 
 
+
+def test_self_loops_that_lose_for_their_owner():
+    """Self-loops of random priority at random vertices, of both owners
+    and both parities, some parallel: the solver leaves the ones that
+    lose for their owner off its board while the vertex has another move,
+    and the regions are still the brute force's and the certificate, which
+    reads every edge, is clean."""
+    rng = random.Random(39)
+    kinds = set()
+    parallel = losing = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        vs = ["v%d" % i for i in range(n)]
+        owners = {v: rng.choice(["Eve", "Adam"]) for v in vs}
+        edges = [("e%d_%d" % (i, j), v, rng.choice(vs))
+                 for i, v in enumerate(vs) for j in range(rng.randint(1, 2))]
+        prios = {e[0]: rng.randrange(5) for e in edges}
+        at = [rng.choice(vs) for _ in range(rng.randint(1, 3))]
+        for j, v in enumerate(at):
+            edges.append(("s%d" % j, v, v))
+            prios["s%d" % j] = d = rng.randrange(5)
+            kinds.add((owners[v], d % 2))
+            losing += (d % 2 == 0) != (owners[v] == "Eve")
+        parallel += len(set(at)) < len(at)
+        _certified(edges, owners, prios)
+    assert len(kinds) == 4
+    assert parallel >= 20, parallel
+    assert losing >= 100, losing
+
+
+@pytest.mark.parametrize("owner,loser", [("Eve", "Adam"), ("Adam", "Eve")])
+def test_two_losing_self_loops_keep_one(owner, loser):
+    """p's only moves are two self-loops that lose for its owner: one
+    stays on the board, so p still has a move, and the opponent wins p."""
+    d = 0 if owner == "Adam" else 1
+    sol = _certified(
+        [("pa", "p", "p"), ("pb", "p", "p"), ("qp", "q", "p"),
+         ("qq", "q", "q")],
+        {"p": owner, "q": "Eve"}, {"pa": d, "pb": d + 2, "qp": 0, "qq": 2})
+    assert sol.regions == {"p": loser, "q": "Eve"}
+
+
+def test_certificate_checks_a_removed_self_loop():
+    """The solver's board has no self-loop at v1 of cycle_game(20), which
+    loses for Eve, but the certificate reads every out-edge: a strategy
+    that takes it is refused."""
+    game = Game(*cycle_game(20))
+    sol = solve_parity_game(game)
+    sol.strategies["Eve"]["v1"] = "s1"
+    assert verify_parity_solution(game, sol) == [
+        "cycle with minimum priority 21 inside the Eve region"]
+
+
+@pytest.mark.parametrize("n", [40, 41, 120, 121])
+def test_cycle_game_regions_in_closed_form(n):
+    """At even n every self-loop loses for its owner, so the game is the
+    cycle, whose least priority 0 gives Eve every vertex; at odd n every
+    self-loop wins for its owner, which keeps each vertex."""
+    ts, cond = cycle_game(n)
+    game = Game(ts, cond)
+    sol = solve_parity_game(game)
+    assert sol.regions == (dict.fromkeys(ts.vertices, "Eve") if n % 2 == 0
+                           else ts.owners)
+    assert verify_parity_solution(game, sol) == []
+
 def test_deep_path_game_in_process():
     """The path's priorities are all even, one run, so one frame and its
     attractor solve all 2000 vertices."""
@@ -275,8 +340,10 @@ def test_deep_alternating_path_in_process():
 
 
 def test_cycle_game_40_in_subprocess():
-    """Repeated subgames are solved once per call, so the cycle family is
-    polynomial; at 2x per two more vertices, n = 40 would take minutes."""
+    """At even n every self-loop leaves the solver's board, and at odd n
+    (`test_cycle_game_regions_in_closed_form`) repeated subgames are
+    solved once per call, so the cycle family is polynomial; at 2x per
+    two more vertices, n = 40 would take minutes."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(acdkit.__file__))
     code = ("from acdkit import Game, solve_parity_game, "
