@@ -176,7 +176,10 @@ def set_based_parity_solution(game):
     with each subgame a floor and a frozenset of vertices, copied at every
     level, and plain recursion.  Like the solver's board, it leaves out
     each self-loop whose priority its owner loses by while the vertex has
-    another out-edge (`dropped`).  A subgame's edges are the others
+    another out-edge (`dropped`), and like the solver it first gives each
+    player its attractor to the self-loops that it wins by at its own
+    vertices (`settled`), Eve's and then Adam's on the rest, each seed's
+    move its first such loop.  A subgame's edges are the others
     between its vertices whose priority is at least its floor.  A
     subgame's target is its edges whose priority lies in the least run of
     one parity among the priorities present, by edge index; the first
@@ -287,11 +290,27 @@ def set_based_parity_solution(game):
         return ({player: regions2[player], opp: regions2[opp] | escape},
                 {player: strats2[player], opp: ostrat})
 
-    regions, strats = solve(min(prio), frozenset(range(len(vertices))))
-    out_regions = {v: "Eve" if vnode[v] in regions["Eve"] else "Adam"
+    # each player's attractor to the self-loops that it wins by at its own
+    # vertices, in edge order, Eve's first and Adam's on the rest, is
+    # settled before the decomposition
+    nodes = frozenset(range(len(vertices)))
+
+    def on_board(e):
+        return src[e] in nodes and tgt[e] in nodes and e not in dropped
+
+    settled = {}
+    for player in ("Eve", "Adam"):
+        wins = [i for i in range(len(edges)) if src[i] == tgt[i]
+                and owner[src[i]] == player
+                and (prio[i] % 2 == 0) == (player == "Eve")]
+        settled[player] = attract(player, (), wins, on_board)
+        nodes = nodes - settled[player][0]
+    regions, strats = solve(min(prio), nodes)
+    out_regions = {v: "Eve" if vnode[v] in regions["Eve"]
+                   or vnode[v] in settled["Eve"][0] else "Adam"
                    for v in ts.vertices}
-    out_strats = {player: {vertices[n]: edges[e].id
-                           for n, e in strats[player].items()}
+    out_strats = {player: {vertices[n]: edges[e].id for n, e in (
+                      *settled[player][1].items(), *strats[player].items())}
                   for player in ("Eve", "Adam")}
     two_floors = sum(len(met) > 1 for met in floors.values())
     return ParitySolution(out_regions, out_strats), second_calls[0], two_floors

@@ -297,6 +297,91 @@ def test_two_losing_self_loops_keep_one(owner, loser):
     assert sol.regions == {"p": loser, "q": "Eve"}
 
 
+def test_self_loops_that_win_for_their_owner():
+    """Self-loops of random priority at random vertices, of both owners
+    and both parities, at least one that wins for its owner in each game:
+    each such vertex goes to its owner, whose move there is its first
+    winning loop by edge index, and the regions are still the brute
+    force's and the certificate is clean."""
+    rng = random.Random(40)
+    kinds = set()
+    mixed = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        vs = ["v%d" % i for i in range(n)]
+        owners = {v: rng.choice(["Eve", "Adam"]) for v in vs}
+        edges = [("e%d_%d" % (i, j), v, rng.choice(vs))
+                 for i, v in enumerate(vs) for j in range(rng.randint(1, 2))]
+        prios = {e[0]: rng.randrange(5) for e in edges}
+        for j in range(rng.randint(1, 3)):
+            v = rng.choice(vs)
+            d = rng.randrange(5)
+            if j == 0 and (d % 2 == 0) != (owners[v] == "Eve"):
+                d += 1      # the first loop wins for its owner
+            edges.append(("s%d" % j, v, v))
+            prios["s%d" % j] = d
+            kinds.add((owners[v], d % 2))
+        sol = _certified(edges, owners, prios)
+        wins = {}
+        parities = {}
+        for e, v, w in edges:
+            if v == w:
+                parities.setdefault(v, set()).add(prios[e] % 2)
+                if (prios[e] % 2 == 0) == (owners[v] == "Eve"):
+                    wins.setdefault(v, e)
+        for v, e in wins.items():
+            assert sol.regions[v] == owners[v]
+            assert sol.strategies[owners[v]][v] == e
+        mixed += any(len(p) > 1 for p in parities.values())
+    assert len(kinds) == 4
+    assert mixed >= 20, mixed
+
+
+@pytest.mark.parametrize("owner", ["Eve", "Adam"])
+def test_winning_and_losing_self_loop_at_one_vertex(owner):
+    """p's first loop pa loses for its owner and its last, pc, wins: pa
+    leaves the board and pc settles p before any frame, where the first
+    level's target, pb, pc and qp, would give p the move pb."""
+    d = 0 if owner == "Eve" else 1
+    sol = _certified(
+        [("pa", "p", "p"), ("pb", "p", "q"), ("pc", "p", "p"),
+         ("qp", "q", "p")],
+        {"p": owner, "q": owner}, {"pa": d + 1, "pb": d, "pc": d + 4,
+                                   "qp": d})
+    assert sol.regions == {"p": owner, "q": owner}
+    assert sol.strategies[owner] == {"p": "pc", "q": "qp"}
+
+
+def test_two_winning_self_loops_take_the_first():
+    """Both of Adam's loops at p win for him: his move is pa, of the lower
+    edge index, where Zielonka's first level would take pb, of the lower
+    priority."""
+    sol = _certified(
+        [("pa", "p", "p"), ("pb", "p", "p"), ("qp", "q", "p")],
+        {"p": "Adam", "q": "Eve"}, {"pa": 3, "pb": 1, "qp": 2})
+    assert sol.regions == {"p": "Adam", "q": "Adam"}
+    assert sol.strategies == {"Eve": {}, "Adam": {"p": "pa"}}
+
+
+def test_game_settled_by_winning_self_loops():
+    """Every vertex lies in Eve's attractor to her loop az or in Adam's to
+    his loop cz, so no frame runs: a and c take their loops, where the
+    frames would give Eve ab and Adam cd, the lower edges of their
+    least levels."""
+    sol = _certified(
+        [("ab", "a", "b"), ("az", "a", "a"), ("ba", "b", "a"),
+         ("cd", "c", "d"), ("cz", "c", "c"), ("dc", "d", "c"),
+         ("eb", "e", "b"), ("fd", "f", "d")],
+        {"a": "Eve", "b": "Eve", "c": "Adam", "d": "Adam", "e": "Adam",
+         "f": "Eve"},
+        {"ab": 0, "az": 2, "ba": 0, "cd": 1, "cz": 3, "dc": 1, "eb": 4,
+         "fd": 4})
+    assert sol.regions == {"a": "Eve", "b": "Eve", "c": "Adam",
+                           "d": "Adam", "e": "Eve", "f": "Adam"}
+    assert sol.strategies == {"Eve": {"a": "az", "b": "ba"},
+                              "Adam": {"c": "cz", "d": "dc"}}
+
+
 def test_certificate_checks_a_removed_self_loop():
     """The solver's board has no self-loop at v1 of cycle_game(20), which
     loses for Eve, but the certificate reads every out-edge: a strategy
@@ -310,9 +395,10 @@ def test_certificate_checks_a_removed_self_loop():
 
 @pytest.mark.parametrize("n", [40, 41, 120, 121])
 def test_cycle_game_regions_in_closed_form(n):
-    """At even n every self-loop loses for its owner, so the game is the
-    cycle, whose least priority 0 gives Eve every vertex; at odd n every
-    self-loop wins for its owner, which keeps each vertex."""
+    """At even n every self-loop loses for its owner and leaves the board,
+    so the game is the cycle, whose least priority 0 gives Eve every
+    vertex; at odd n every self-loop wins for its owner, which keeps each
+    vertex by its loop before any frame runs."""
     ts, cond = cycle_game(n)
     game = Game(ts, cond)
     sol = solve_parity_game(game)
@@ -340,10 +426,9 @@ def test_deep_alternating_path_in_process():
 
 
 def test_cycle_game_40_in_subprocess():
-    """At even n every self-loop leaves the solver's board, and at odd n
-    (`test_cycle_game_regions_in_closed_form`) repeated subgames are
-    solved once per call, so the cycle family is polynomial; at 2x per
-    two more vertices, n = 40 would take minutes."""
+    """At even n every self-loop leaves the solver's board, so one frame
+    and its attractor solve the cycle; plain Zielonka, at 2x per two more
+    vertices, would take minutes at n = 40."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(acdkit.__file__))
     code = ("from acdkit import Game, solve_parity_game, "
@@ -357,6 +442,28 @@ def test_cycle_game_40_in_subprocess():
                              PYTHONPATH=os.pathsep.join([src, here])))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_odd_cycle_game_4001_in_subprocess():
+    """At odd n every self-loop wins for its owner, so the owners'
+    attractors to their loops settle every vertex and no frame runs:
+    linear in n.  Walked level by level, the odd sizes grow about 4x per
+    doubling (about 0.2 s at n = 321) and n = 4001 would take minutes."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(acdkit.__file__))
+    code = ("from acdkit import Game, solve_parity_game, "
+            "verify_parity_solution\n"
+            "from families import cycle_game\n"
+            "game = Game(*cycle_game(4001))\n"
+            "sol = solve_parity_game(game)\n"
+            "print(sol.regions == game.ts.owners, "
+            "verify_parity_solution(game, sol))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=10, env=dict(os.environ,
+                             PYTHONPATH=os.pathsep.join([src, here])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True []\n"
 
 
 def test_long_path_game_in_subprocess():
@@ -470,26 +577,31 @@ def test_memo_keeps_floors_apart():
     and the lower floor leaves an edge of priority 1 in it.  Keyed by the
     vertex set alone, the memo would hand one subgame's solution to the
     other and give v0, v2, v3, v7 and v8 to Adam, whose region Eve's
-    edge e8_0 then escapes."""
-    table = [("e0_0", "v0", "v8", 5), ("e1_0", "v1", "v1", 2),
+    edge e8_0 then escapes.  The loops that win for their owner go
+    through v9, v10 and v11: a self-loop there would settle its vertex
+    and its owner's attractor before any frame, and the memo would not
+    be reached."""
+    table = [("e0_0", "v0", "v8", 5), ("e1_0", "v1", "v9", 2),
              ("e1_1", "v1", "v4", 4), ("e2_0", "v2", "v0", 8),
              ("e3_0", "v3", "v8", 8), ("e3_1", "v3", "v2", 0),
-             ("e3_2", "v3", "v1", 7), ("e4_0", "v4", "v4", 7),
-             ("e4_1", "v4", "v5", 2), ("e4_2", "v4", "v4", 3),
+             ("e3_2", "v3", "v1", 7), ("e4_0", "v4", "v10", 7),
+             ("e4_1", "v4", "v5", 2), ("e4_2", "v4", "v11", 3),
              ("e5_0", "v5", "v1", 6), ("e6_0", "v6", "v4", 7),
              ("e7_0", "v7", "v0", 5), ("e7_1", "v7", "v7", 6),
              ("e8_0", "v8", "v1", 1), ("e8_1", "v8", "v3", 7),
-             ("e8_2", "v8", "v4", 2)]
-    adam = {"v2", "v3", "v4", "v6", "v7"}
+             ("e8_2", "v8", "v4", 2), ("e9_0", "v9", "v1", 2),
+             ("e10_0", "v10", "v4", 7), ("e11_0", "v11", "v4", 3)]
+    adam = {"v2", "v3", "v4", "v6", "v7", "v10", "v11"}
     owners = {"v%d" % i: "Adam" if "v%d" % i in adam else "Eve"
-              for i in range(9)}
+              for i in range(12)}
     edges = [row[:3] for row in table]
     prios = {row[0]: row[3] for row in table}
     sol = _certified(edges, owners, prios)
     game = Game(TransitionSystem(sorted(owners), edges, ["v0"],
                                  owners=owners), ParityCondition(prios))
     assert set_based_parity_solution(game)[2] == 1
-    assert [v for v, p in sol.regions.items() if p == "Adam"] == ["v4", "v6"]
+    assert [v for v, p in sol.regions.items() if p == "Adam"] == [
+        "v10", "v11", "v4", "v6"]
 
 
 def _random_game(rng, reading="ids", shape=None, values=None, most=25):
