@@ -7,7 +7,9 @@ subgame is alive vertex marks, cut and healed by each level's attractor,
 and a floor level, so deep games do not hit Python's recursion limit.  A
 frame also takes in the levels of its parity above its own while the
 subgame has no edge of the level between.  Each distinct subgame of the
-second recursive call is solved once per call.  Self-loops are settled
+second recursive call is solved once per call, and writes its moves
+back when reused: a strategy is one move per vertex, kept in one array
+and listed in the system's vertex order.  Self-loops are settled
 first, by the self-cycle removal of PGSolver (Friedmann and Lange,
 *Solving Parity Games in Practice*, ATVA 2009).  The board leaves out
 each self-loop whose priority its owner loses by while its vertex has
@@ -65,19 +67,12 @@ class ParitySolution(_Solution):
 
     def __init__(self, regions, strategies):
         self.regions = regions        # vertex -> winning player
-        self.strategies = strategies  # player -> {vertex -> edge id}
-
-
-def _fresh(solution):
-    """A copy of a subgame's (regions, strategies) that can be extended
-    without touching the original."""
-    regions, strats = solution
-    return ({p: list(r) for p, r in regions.items()},
-            {p: dict(s) for p, s in strats.items()})
+        self.strategies = strategies  # player -> {vertex -> edge id}, sorted
 
 
 def solve_parity_game(game):
-    """Winning regions and positional strategies (`_solve_parity_game`),
+    """Winning regions and positional strategies, one move at each vertex
+    its winner owns, in the system's vertex order (`_solve_parity_game`),
     computed with automatic garbage collection paused and the caller's
     setting restored after.  A solve makes no reference cycles, so a
     collection during it only scans live objects and frees none; its
@@ -113,10 +108,7 @@ def _solve_parity_game(game):
     owner, in ascending edge index, seed their owner's attractor over the
     whole board, Eve's first and then Adam's on what is left; each loop
     is its vertex's move.  Those vertices are dead to the frames, which
-    solve the rest, and none runs when nothing is left.  At even n the
-    first half takes every self-loop of the cycle family, which leaves
-    one frame and one attractor; at odd n the second settles every
-    vertex.
+    solve the rest, and none runs when nothing is left.
 
     A frame takes the lowest level d with an edge in its subgame, then
     each level d + 2, d + 4, ... while the level below it has none: the
@@ -126,9 +118,14 @@ def _solve_parity_game(game):
     taken, while the escape attractor and the second call keep floor d.
     A frame marks its attractor dead while its child runs and alive
     again after; where an attractor takes the whole subgame, the child
-    would be empty and the frame does not yield it.  The subgames of the
-    second recursive call are solved once per call, keyed by
-    (floor, bytes(alive)), and reused."""
+    would be empty and the frame does not yield it.  A frame passes up
+    only its regions: each move is written to `move`, indexed by vertex,
+    by the attractor that takes the vertex for its player, so the last
+    frame to decide a vertex leaves its move.  The subgames of the second
+    recursive call are solved once per call, keyed by (floor,
+    bytes(alive)); the memo keeps each one's moves beside its regions
+    and writes them back on every reuse.  The output reads the move of
+    each vertex its winner owns, in vertex order."""
     ts = game.ts
     # the board: vertices and edges numbered in the system's own order,
     # vertices sorted and edges by id; an edge has its source, target and
@@ -169,15 +166,16 @@ def _solve_parity_game(game):
             preds[s].remove(e)
             buckets[lvl[e]].remove(e)
     alive = bytearray(b"\1") * len(vertices)   # the current subgame's vertices
+    move = [None] * len(vertices)   # each vertex's move, where it is decided
 
     def attract(player, d, low, base, seeds=()):
-        """`player`'s attractor, with its moves, to the vertices `base` and
-        the sources of the edges `seeds` in the subgame of the alive
-        vertices and the edges of level `d` or more.  The walk back takes
-        in-edges of level `low` or more: the first attractor's seeds are
-        all the subgame's edges below `low`, so each is counted once."""
+        """`player`'s attractor to the vertices `base` and the sources of
+        the edges `seeds` in the subgame of the alive vertices and the
+        edges of level `d` or more; each of `player`'s vertices that it
+        takes gets its move.  The walk back takes in-edges of level `low`
+        or more: the first attractor's seeds are all the subgame's edges
+        below `low`, so each is counted once."""
         region = set(base)
-        strat = {}
         pending = sorted(base)
         degree = {}  # opponent vertices reached: out-edges left alive
         todo, floor = seeds, d
@@ -190,7 +188,7 @@ def _solve_parity_game(game):
                     continue
                 if owner[p] == player:
                     region.add(p)
-                    strat[p] = e
+                    move[p] = e
                     pending.append(p)
                     continue
                 left = degree.get(p)
@@ -204,7 +202,7 @@ def _solve_parity_game(game):
                     region.add(p)
                     pending.append(p)
             if not pending:
-                return list(region), strat
+                return list(region)
             todo, floor = preds[pending.pop()], low
 
     def mark(region, flag):
@@ -218,10 +216,11 @@ def _solve_parity_game(game):
     def solve(level, size):
         """Frame of the subgame of the `size` alive vertices and the edges
         of level `level` or more: for each subgame it needs solved, marks
-        the others dead, yields (floor, size), receives the solution and
-        revives them.  Returns (regions, strategies) for the caller to
-        own.  The first child also drops the remaining edges of the levels
-        taken, which leave the opponent's vertices outside the attractor."""
+        the others dead, yields (floor, size), receives its regions and
+        revives them.  Returns the regions, {player: vertices}, for the
+        caller to own; the moves of their vertices are in `move`.  The
+        first child also drops the remaining edges of the levels taken,
+        which leave the opponent's vertices outside the attractor."""
         target = live(level)
         while not target:
             level += 1
@@ -235,45 +234,43 @@ def _solve_parity_game(game):
             target.sort()
         player = players[level]
         opp = _other(player)
-        attracted, astrat = attract(player, level, top + 1, (), target)
+        attracted = attract(player, level, top + 1, (), target)
         if len(attracted) == size:
-            return {player: attracted, opp: []}, {player: astrat, opp: {}}
+            return {player: attracted, opp: []}
         mark(attracted, 0)
-        regions, strats = yield top + 1, size - len(attracted)
+        regions = yield top + 1, size - len(attracted)
         mark(attracted, 1)
         if not regions[opp]:
-            strats[player].update(astrat)
             regions[player] += attracted
-            return regions, strats
-        escape, bstrat = attract(opp, level, level, regions[opp])
-        ostrat = strats[opp]
-        ostrat.update(bstrat)
+            return regions
+        escape = attract(opp, level, level, regions[opp])
         if len(escape) == size:
-            return {player: [], opp: escape}, {player: {}, opp: ostrat}
+            return {player: [], opp: escape}
         mark(escape, 0)
         rest = level, bytes(alive)
-        if rest not in memo:
-            memo[rest] = yield level, size - len(escape)
+        if rest in memo:
+            regions, moves = memo[rest]
+            for n, e in moves:
+                move[n] = e
+        else:
+            regions = yield level, size - len(escape)
+            memo[rest] = regions, [(n, move[n])
+                                   for n in chain(*regions.values())]
         mark(escape, 1)
-        regions2, strats2 = _fresh(memo[rest])
-        regions2[opp] += escape
-        ostrat.update(strats2[opp])
-        return regions2, {player: strats2[player], opp: ostrat}
+        return {player: list(regions[player]), opp: regions[opp] + escape}
 
     # Second-call solutions by floor and alive marks, which plain Zielonka
-    # solves again at each repeat.  With the self-loops settled the cycle
-    # family no longer reaches the second call; the 60 random/500 games of
-    # the benchmark's two corpora make 53 second calls, no key twice, and
-    # 4 of 20,000 random games of up to 25 vertices meet a key twice.
-    # Parents extend what they receive in place, so the memo hands out
-    # copies.
+    # solves again at each repeat: few random games meet a key twice, but
+    # the lifted cycle family lives on it (n = 40: 1,069 frames, and
+    # millions without).  Frames run between a solve and its reuse write
+    # over its moves, and parents extend the region lists they receive.
     memo = {}
     # each player's attractor to its winning self-loops, Eve's and then
     # Adam's on the rest, is its own; the frames solve what is left
-    settled = {}
+    settled = []
     for player, seeds in loops.items():
-        settled[player] = attract(player, 0, 0, (), seeds)
-        mark(settled[player][0], 0)
+        settled.append(attract(player, 0, 0, (), seeds))
+        mark(settled[-1], 0)
     size = alive.count(1)
     stack = [solve(0, size)] if size else []
     result = None
@@ -286,15 +283,14 @@ def _solve_parity_game(game):
         else:
             stack.append(solve(*subgame))
             result = None
-    regions, strats = result or ({"Eve": [], "Adam": []},
-                                 {"Eve": {}, "Adam": {}})
     side = ["Adam"] * len(vertices)
-    for n in chain(settled["Eve"][0], regions["Eve"]):
+    for n in chain(settled[0], result["Eve"] if result else ()):
         side[n] = "Eve"
     out_regions = dict(zip(vertices, side))
-    out_strats = {player: {vertices[n]: ids[e] for n, e in chain(
-                      settled[player][1].items(), strats[player].items())}
-                  for player in ("Eve", "Adam")}
+    out_strats = {"Eve": {}, "Adam": {}}
+    for v, player, e in compress(zip(vertices, side, move),
+                                 map(eq, side, owner)):
+        out_strats[player][v] = ids[e]
     solution = ParitySolution(out_regions, out_strats)
     problems = verify_parity_solution(game, solution)
     if problems:

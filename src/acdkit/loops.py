@@ -16,13 +16,14 @@ _NAMED_STATES = 12
 
 
 class Loop(_Frozen):
-    """A nonempty edge set whose induced subgraph is strongly connected."""
+    """A nonempty edge set whose induced subgraph is strongly connected;
+    its edges and states are frozensets."""
 
     __slots__ = _fields = ("edges", "states")
 
     def __init__(self, edges, states):
-        _set_edges(self, edges)
-        _set_states(self, states)
+        _set_edges(self, frozenset(edges))
+        _set_states(self, frozenset(states))
 
     @staticmethod
     def of(ts, edge_ids):

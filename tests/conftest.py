@@ -10,8 +10,8 @@ from acdkit import (BuchiCondition, CoBuchiCondition, MullerCondition,
                     ParityCondition, RabinCondition, StreettCondition,
                     TransitionSystem)
 from families import (  # noqa: F401  (re-exported)
-    alternating_path_game, cycle_game, even_muller, nested_pairs,
-    parity_chain, path_game)
+    alternating_path_game, cycle_game, even_muller, lifted_cycle_game,
+    nested_pairs, parity_chain, path_game)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

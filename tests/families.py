@@ -24,6 +24,26 @@ def cycle_game(n):
             ParityCondition(prios))
 
 
+def lifted_cycle_game(n):
+    """lifted/n: `cycle_game(n)` with each self-loop s_i replaced by the
+    two-cycle v_i -> w_i -> v_i, both of its edges, s_i and t_i, of
+    priority n+i, and the fresh w_i owned by v_i's owner.  No self-loop
+    is left to settle before the solver's frames, and the second
+    recursive call meets the same subgames again and again."""
+    (ts, cond), vs = cycle_game(n), ["w%d" % i for i in range(n)]
+    edges = [(e.id, e.source, e.target) for e in ts.edges
+             if e.source != e.target]
+    prios = dict(cond.priorities)
+    owners = dict(ts.owners)
+    for i, w in enumerate(vs):
+        v = "v%d" % i
+        edges += [("s%d" % i, v, w), ("t%d" % i, w, v)]
+        prios["t%d" % i] = n + i
+        owners[w] = owners[v]
+    return (TransitionSystem(list(owners), edges, ["v0"], owners=owners),
+            ParityCondition(prios))
+
+
 def path_game(n):
     """One-player Eve path with distinct even priorities 2i, closed by a
     self-loop: Eve wins everywhere."""

@@ -184,7 +184,8 @@ def set_based_parity_solution(game):
     subgame's target is its edges whose priority lies in the least run of
     one parity among the priorities present, by edge index; the first
     child's floor is the least present priority of the other parity.
-    Returns the ParitySolution, whose regions and strategies, dict order
+    Returns the ParitySolution, each strategy listing its vertices in
+    the system's order, whose regions and strategies, dict order
     included, the solver must reproduce, the number of frames that
     reached the second recursive call, and the number of vertex sets that
     the memo of the second call meets under two floors."""
@@ -309,8 +310,8 @@ def set_based_parity_solution(game):
     out_regions = {v: "Eve" if vnode[v] in regions["Eve"]
                    or vnode[v] in settled["Eve"][0] else "Adam"
                    for v in ts.vertices}
-    out_strats = {player: {vertices[n]: edges[e].id for n, e in (
-                      *settled[player][1].items(), *strats[player].items())}
+    out_strats = {player: {vertices[n]: edges[e].id for n, e in sorted((
+                      *settled[player][1].items(), *strats[player].items()))}
                   for player in ("Eve", "Adam")}
     two_floors = sum(len(met) > 1 for met in floors.values())
     return ParitySolution(out_regions, out_strats), second_calls[0], two_floors

@@ -14,8 +14,8 @@ from acdkit import (Game, InputError, MullerCondition, ParityCondition,
 from acdkit.core import _over, _reading
 from acdkit.games import ParitySolution
 from conftest import (FIXTURES, alternating_path_game, count_readings,
-                      cycle_game, path_game, random_muller_system,
-                      random_system)
+                      cycle_game, lifted_cycle_game, path_game,
+                      random_muller_system, random_system)
 from oracles import (brute_force_parity_regions, naive_certificate_problems,
                      set_based_parity_solution)
 
@@ -466,6 +466,42 @@ def test_odd_cycle_game_4001_in_subprocess():
     assert proc.stdout == "True []\n"
 
 
+def test_lifted_cycle_game_keeps_the_cycle_regions():
+    """Each w_i lies on a two-cycle with its v_i whose both edges carry
+    the priority of v_i's old self-loop, and has v_i's owner, so the
+    lifted game's regions on the v_i are the cycle game's, and each w_i
+    goes with its v_i."""
+    for n in [*range(3, 30), 40, 41]:
+        lifted = solve_parity_game(Game(*lifted_cycle_game(n)))
+        plain = solve_parity_game(Game(*cycle_game(n)))
+        on_cycle = {v: lifted.regions[v] for v in plain.regions}
+        assert on_cycle == plain.regions, n
+        assert all(lifted.regions["w%d" % i] == lifted.regions["v%d" % i]
+                   for i in range(n)), n
+
+
+def test_lifted_cycle_game_40_in_subprocess():
+    """With no self-loop left to settle, lifted/40 reaches the second
+    recursive call level after level and meets the same subgames again
+    and again: with the memo it takes about 20 ms, and solved afresh at
+    each meeting about 200 s."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(acdkit.__file__))
+    code = ("from acdkit import Game, solve_parity_game, "
+            "verify_parity_solution\n"
+            "from families import lifted_cycle_game\n"
+            "game = Game(*lifted_cycle_game(40))\n"
+            "sol = solve_parity_game(game)\n"
+            "print(set(sol.regions.values()), "
+            "verify_parity_solution(game, sol))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=10, env=dict(os.environ,
+                             PYTHONPATH=os.pathsep.join([src, here])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{'Eve'} []\n"
+
+
 def test_long_path_game_in_subprocess():
     """One run of even priorities: the path is one frame and one
     attractor, linear in its length: solving and checking 40000
@@ -547,9 +583,14 @@ def test_solutions_share_no_strategy_maps(make):
 
 
 def test_reused_subgames_bring_no_foreign_moves():
-    """A subgame solved twice in one call is solved once and reused.  Had
-    the reused strategy map been the one a parent extends in place, Eve
-    would get a move at v11, which Adam wins, between v8 and v7."""
+    """Each vertex has one move, so no frame brings a strategy map of its
+    own that a parent could extend: every key is a vertex that its owner
+    wins, Eve gets no move at v11, which Adam wins, and each player's
+    keys follow the system's order.  Since the self-loops that lose for
+    their owner leave the board, e7_1 among them, this game no longer
+    meets a subgame twice.  The hazard that remains, a reused subgame
+    whose moves were not written back, is pinned by
+    `test_reuse_writes_its_moves_back`."""
     succ = {0: [6, 4], 1: [9, 8], 2: [4, 6], 3: [0, 9], 4: [6, 6],
             5: [0, 11, 0], 6: [4], 7: [0, 7], 8: [5, 11], 9: [8, 3],
             10: [9, 5], 11: [1, 1], 12: [4, 5]}
@@ -567,9 +608,37 @@ def test_reused_subgames_bring_no_foreign_moves():
     for player, moves in sol.strategies.items():
         for v in moves:
             assert sol.regions[v] == player == ts.owners[v]
-    assert list(sol.strategies["Eve"]) == ["v0", "v6", "v5", "v10", "v8",
-                                           "v7"]
-    assert list(sol.strategies["Adam"]) == ["v9", "v3", "v1"]
+    assert list(sol.strategies["Eve"]) == ["v0", "v10", "v5", "v6", "v7",
+                                           "v8"]
+    assert list(sol.strategies["Adam"]) == ["v1", "v3", "v9"]
+
+
+def test_reuse_writes_its_moves_back():
+    """The second recursive call meets one subgame twice.  Between its
+    solve and its reuse other frames run over some of its vertices and
+    write their own moves there, so the reuse has to write the subgame's
+    moves back: left as they were, Eve's moves make a cycle of minimum
+    priority 1 inside her region."""
+    table = [("e0_2", "v0", "v5", 9), ("e1_0", "v1", "v26", 3),
+             ("e4_1", "v4", "v10", 8), ("e5_0", "v5", "v12", 10),
+             ("e8_0", "v8", "v13", 6), ("e9_0", "v9", "v25", 4),
+             ("e10_0", "v10", "v25", 2), ("e12_0", "v12", "v13", 1),
+             ("e13_0", "v13", "v8", 10), ("e13_1", "v13", "v4", 7),
+             ("e17_1", "v17", "v12", 3), ("e23_1", "v23", "v4", 0),
+             ("e24_0", "v24", "v17", 6), ("e24_1", "v24", "v9", 3),
+             ("e25_1", "v25", "v24", 6), ("e26_2", "v26", "v1", 8)]
+    adam = {"v1", "v8", "v9", "v17", "v25", "v26"}
+    owners = {v: "Adam" if v in adam else "Eve"
+              for row in table for v in row[1:3]}
+    sol = _certified([row[:3] for row in table], owners,
+                     {row[0]: row[3] for row in table})
+    assert [v for v, p in sol.regions.items() if p == "Adam"] == [
+        "v1", "v26"]
+    assert sol.strategies == {
+        "Eve": {"v0": "e0_2", "v4": "e4_1", "v5": "e5_0", "v10": "e10_0",
+                "v12": "e12_0", "v13": "e13_0", "v23": "e23_1",
+                "v24": "e24_0"},
+        "Adam": {"v1": "e1_0", "v26": "e26_2"}}
 
 
 def test_memo_keeps_floors_apart():

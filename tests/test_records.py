@@ -104,6 +104,18 @@ def test_hashing(cls, names, values):
             hash(obj)
 
 
+def test_a_loop_keeps_frozensets():
+    """A loop built from lists is hashable and equals its frozenset twin;
+    a frozenset it is given is kept, not copied."""
+    edges, states = frozenset({"a", "b"}), frozenset({"p"})
+    loop = Loop(["a", "b"], ["p"])
+    assert loop == Loop(edges, states)
+    assert hash(loop) == hash(Loop(edges, states))
+    assert type(loop.edges) is type(loop.states) is frozenset
+    assert Loop(edges, states).edges is edges
+    assert Loop(edges, states).states is states
+
+
 @pytest.mark.parametrize("cls, names, values",
                          [r for r in RECORDS if r[0] in FROZEN],
                          ids=[cls.__name__ for cls in FROZEN])
