@@ -29,7 +29,9 @@ def _acd_tree(index, ts, side, top, explore_cap=None):
 
 class ACD:
     """Forest of alternating trees: `trees`, one per maximal loop, and
-    tree 0, the transient part, a one-node tree labelled `t0_edges`."""
+    tree 0, the transient part, a one-node tree labelled `t0_edges`.  The
+    `tag`, and with it tree 0's priority and every even root's, is read
+    over all maximal loops, reachable from the initial vertices or not."""
 
     def __init__(self, ts, cond, explore_cap=None):
         key, self._universe = _valid_reading(ts, cond)

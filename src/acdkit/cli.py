@@ -9,8 +9,8 @@ import sys
 
 from . import acd as _acd
 from . import docfmt, games, loops, relabel, zielonka
-from .core import (Automaton, CapExceeded, InputError, Morphism, _reading,
-                   compose)
+from .core import (PLAYERS, Automaton, CapExceeded, InputError, Morphism,
+                   _reading, compose)
 from .loops import equivalent_over
 from .morphism import (check_acceptance_preserving, check_local,
                        check_structural)
@@ -112,7 +112,7 @@ def _build_tree(ts, cond):
 
 def _regions(sol):
     return {p: sorted(v for v, w in sol.regions.items() if w == p)
-            for p in ("Eve", "Adam")}
+            for p in PLAYERS}
 
 
 def cmd_zielonka(args):

@@ -117,8 +117,7 @@ class TransitionSystem:
             _collection(initial, "initial"), "initial vertex"))))
         for v in self.initial:
             _lookup(out, v, "initial vertex %r is not declared")
-        self.owners = _labelling(owners, self._out, "owner", "vertex",
-                                 ("Eve", "Adam"))
+        self.owners = _labelling(owners, self._out, "owner", "vertex", PLAYERS)
         self.letters = _labelling(letters, self._by_id, "letter", "edge")
         self._colours = _labelling(colours, self._by_id, "colour", "edge",
                                    total=False) or {}
@@ -425,6 +424,20 @@ class ParityCondition(Condition):
 
     def referenced_colours(self):
         return frozenset(self.priorities)
+
+
+PLAYERS = ("Eve", "Adam")  # who wins by a least priority p: PLAYERS[p % 2]
+
+
+def _compressed(values):
+    """Each used integer of `values` mapped to its compressed value: the
+    least becomes its own parity and each next one the one before plus the
+    parity of the step, so each run of one parity shares one value."""
+    used = sorted(set(values))
+    new = {used[0]: used[0] % 2}
+    for a, b in zip(used, used[1:]):
+        new[b] = new[a] + (b - a) % 2
+    return new
 
 
 class _ColourSet(Condition):

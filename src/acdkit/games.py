@@ -2,23 +2,24 @@
 solver with certified strategies, and Muller games solved through the
 parity transformation.  The solver walks Zielonka's decomposition on the
 system's vertices and edge priorities, on an explicit stack; a level is a
-run of priorities of one parity, which no play can tell apart, and a
-subgame is alive vertex marks, cut and healed by each level's attractor,
-and a floor level, so deep games do not hit Python's recursion limit.  A
-frame also takes in the levels of its parity above its own while the
-subgame has no edge of the level between.  Each distinct subgame of the
-second recursive call is solved once per call, and writes its moves
-back when reused: a strategy is one move per vertex, kept in one array
-and listed in the system's vertex order.  Self-loops are settled
-first, by the self-cycle removal of PGSolver (Friedmann and Lange,
-*Solving Parity Games in Practice*, ATVA 2009).  The board leaves out
-each self-loop whose priority its owner loses by while its vertex has
-another out-edge: the owner never needs it to win, and a play that
-repeats it is the opponent's.  A self-loop whose priority its owner wins
-by is a move the owner can take forever, so each player's attractor to
-those loops is its own before any frame runs.  Neither half changes the
-regions.  The certificate check peels SCCs by least priority, apart from
-the solver, and reads every out-edge, the removed loops included."""
+compressed priority, one per run of one parity, which no play can tell
+apart, and its player is its parity; a subgame is alive vertex marks, cut
+and healed by each level's attractor, and a floor level, so deep games do
+not hit Python's recursion limit.  A frame also takes in the levels of
+its parity above its own while the subgame has no edge of the level
+between.  Each distinct subgame of the second recursive call is solved
+once per call, and writes its moves back when reused: a strategy is one
+move per vertex, kept in one array and listed in the system's vertex
+order.  Self-loops are settled first, by the self-cycle removal of
+PGSolver (Friedmann and Lange, *Solving Parity Games in Practice*, ATVA
+2009).  The board leaves out each self-loop whose priority its owner
+loses by while its vertex has another out-edge: the owner never needs it
+to win, and a play that repeats it is the opponent's.  A self-loop whose
+priority its owner wins by is a move the owner can take forever, so each
+player's attractor to those loops is its own before any frame runs.
+Neither half changes the regions.  The certificate check peels SCCs by
+least priority, apart from the solver, and reads every out-edge, the
+removed loops included."""
 
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from itertools import chain, compress, count
 from operator import attrgetter, eq
 
 from .acd import acd_transform, induced_morphism
-from .core import InputError, _components, _lookup, _Record, _valid_reading
+from .core import (PLAYERS, InputError, _components, _compressed, _lookup,
+                   _Record, _valid_reading)
 
 
 class Game:
@@ -48,10 +50,6 @@ class Game:
     @property
     def initial(self):
         return self.ts.initial[0]
-
-
-def _other(player):
-    return "Adam" if player == "Eve" else "Eve"
 
 
 class _Solution(_Record):
@@ -98,10 +96,11 @@ def _solve_parity_game(game):
     per subgame, so the size of the game is not limited by Python's
     recursion depth.  The board is the system's own vertices, with the
     priorities on the edges; its edge lists are built once per game and
-    shared by every subgame.  The sorted priorities are split wherever
-    the parity changes, and an edge's level is the index of its run.  A
-    subgame is a bytearray of alive vertex marks and a floor: its edges
-    join alive vertices and have a level of at least the floor.  The
+    shared by every subgame.  An edge's level is its priority compressed
+    by `core._compressed`, one value per run of one parity, and a level's
+    player is `PLAYERS[level % 2]`.  A subgame is a bytearray of alive
+    vertex marks and a floor: its edges join alive vertices and have a
+    level of at least the floor.  The
     self-loops that lose for their owner are taken off the board in
     ascending edge index, each while its vertex keeps another out-edge,
     so every vertex keeps a move.  The self-loops that win for their
@@ -132,23 +131,15 @@ def _solve_parity_game(game):
     # priority level, a vertex its out-edges and in-edges, each ascending
     edges, vertices = ts.edges, ts.vertices
     vnode = {v: i for i, v in enumerate(vertices)}
-    ids = [e.id for e in edges]
     src = [vnode[e.source] for e in edges]
     tgt = [vnode[e.target] for e in edges]
     prio = list(map(game.condition.priorities.__getitem__,
-                    map(game._key, ids)))
-    players = []    # the player of each run of one parity, ascending
-    run = {}
-    for d in sorted(set(prio)):
-        player = "Adam" if d % 2 else "Eve"
-        if not players or players[-1] != player:
-            players.append(player)
-        run[d] = len(players) - 1
-    lvl = list(map(run.__getitem__, prio))
+                    map(game._key, map(attrgetter("id"), edges))))
+    lvl = list(map(_compressed(prio).__getitem__, prio))
     owner = list(map(ts.owners.__getitem__, vertices))
     succ = [[] for _ in vertices]
     preds = [[] for _ in vertices]
-    buckets = [[] for _ in players]
+    buckets = [[] for _ in range(max(lvl) + 1)]
     for e, (s, t, d) in enumerate(zip(src, tgt, lvl)):
         succ[s].append(e)
         preds[t].append(e)
@@ -156,10 +147,10 @@ def _solve_parity_game(game):
     # a self-loop whose priority its owner loses by is never the owner's
     # winning move while the vertex has another: off the board it goes;
     # one that its owner wins by is a move the owner can take forever
-    loops = {"Eve": [], "Adam": []}
+    loops = {p: [] for p in PLAYERS}
     for e in compress(count(), map(eq, src, tgt)):
         s = src[e]
-        if players[lvl[e]] == owner[s]:
+        if PLAYERS[lvl[e] % 2] == owner[s]:
             loops[owner[s]].append(e)
         elif len(succ[s]) > 1:
             succ[s].remove(e)
@@ -213,14 +204,15 @@ def _solve_parity_game(game):
         """The edges of `level` between alive vertices, ascending."""
         return [e for e in buckets[level] if alive[src[e]] and alive[tgt[e]]]
 
-    def solve(level, size):
-        """Frame of the subgame of the `size` alive vertices and the edges
-        of level `level` or more: for each subgame it needs solved, marks
-        the others dead, yields (floor, size), receives its regions and
-        revives them.  Returns the regions, {player: vertices}, for the
+    def solve(level):
+        """Frame of the subgame of the alive vertices and the edges of
+        level `level` or more: for each subgame it needs solved, marks the
+        others dead, yields its floor, receives its regions and revives
+        them.  Returns the regions, {player: vertices}, for the
         caller to own; the moves of their vertices are in `move`.  The
         first child also drops the remaining edges of the levels taken,
         which leave the opponent's vertices outside the attractor."""
+        size = alive.count(1)
         target = live(level)
         while not target:
             level += 1
@@ -232,13 +224,12 @@ def _solve_parity_game(game):
             target += live(top)
         if top > level:
             target.sort()
-        player = players[level]
-        opp = _other(player)
+        player, opp = PLAYERS[level % 2], PLAYERS[1 - level % 2]
         attracted = attract(player, level, top + 1, (), target)
         if len(attracted) == size:
             return {player: attracted, opp: []}
         mark(attracted, 0)
-        regions = yield top + 1, size - len(attracted)
+        regions = yield top + 1
         mark(attracted, 1)
         if not regions[opp]:
             regions[player] += attracted
@@ -253,7 +244,7 @@ def _solve_parity_game(game):
             for n, e in moves:
                 move[n] = e
         else:
-            regions = yield level, size - len(escape)
+            regions = yield level
             memo[rest] = regions, [(n, move[n])
                                    for n in chain(*regions.values())]
         mark(escape, 1)
@@ -271,17 +262,16 @@ def _solve_parity_game(game):
     for player, seeds in loops.items():
         settled.append(attract(player, 0, 0, (), seeds))
         mark(settled[-1], 0)
-    size = alive.count(1)
-    stack = [solve(0, size)] if size else []
+    stack = [solve(0)] if any(alive) else []
     result = None
     while stack:
         try:
-            subgame = stack[-1].send(result)
+            floor = stack[-1].send(result)
         except StopIteration as done:
             stack.pop()
             result = done.value
         else:
-            stack.append(solve(*subgame))
+            stack.append(solve(floor))
             result = None
     side = ["Adam"] * len(vertices)
     for n in chain(settled[0], result["Eve"] if result else ()):
@@ -290,7 +280,7 @@ def _solve_parity_game(game):
     out_strats = {"Eve": {}, "Adam": {}}
     for v, player, e in compress(zip(vertices, side, move),
                                  map(eq, side, owner)):
-        out_strats[player][v] = ids[e]
+        out_strats[player][v] = edges[e].id
     solution = ParitySolution(out_regions, out_strats)
     problems = verify_parity_solution(game, solution)
     if problems:
@@ -320,25 +310,24 @@ def verify_parity_solution(game, solution):
     owners, out, by_id = ts.owners, ts._out.__getitem__, ts._by_id
     prio, target = game.condition.priorities.__getitem__, attrgetter("target")
     vertices = set(ts.vertices)
-    owned = {p: [v for v in ts.vertices if owners[v] == p]
-             for p in ("Eve", "Adam")}
+    owned = {p: [v for v in ts.vertices if owners[v] == p] for p in PLAYERS}
     problems = []
     given = _dict(solution.regions)
     strategies = _dict(solution.strategies)
-    regions = {"Eve": set(), "Adam": set()}
+    regions = {p: set() for p in PLAYERS}
     for v, w in given.items():
         if v not in vertices:
             problems.append("region entry for unknown vertex %r" % v)
-        elif w not in ("Eve", "Adam"):
+        elif w not in PLAYERS:
             problems.append("region of %r is %r, not Eve or Adam" % (v, w))
         else:
             regions[w].add(v)
     problems += ["vertex %r is in no region" % v
                  for v in sorted(vertices.difference(given))]
-    for player, region in regions.items():
-        moves = _dict(strategies.get(player))
+    for parity, player in enumerate(PLAYERS):
+        region, moves = regions[player], _dict(strategies.get(player))
         own = list(filter(region.__contains__, owned[player]))
-        theirs = filter(region.__contains__, owned[_other(player)])
+        theirs = filter(region.__contains__, owned[PLAYERS[1 - parity]])
         try:    # a missing or unknown move reads as None, which `all` fails
             allowed = list(map(by_id.get, map(moves.get, own)))
             fits = all(allowed) and [e.source for e in allowed] == own
@@ -349,7 +338,6 @@ def verify_parity_solution(game, solution):
             fits = region.issuperset(map(target, allowed))
         if not fits:
             allowed = _allowed_edges(ts, player, region, moves, problems)
-        good_parity = 0 if player == "Eve" else 1
         # Peel SCCs: a component's least inner priority d is the minimum of
         # some cycle in it, and every cycle avoiding the d-edges survives in
         # a component of what is left, so this finds exactly the minima of
@@ -362,7 +350,7 @@ def verify_parity_solution(game, solution):
         while work:
             for es in work.pop():
                 d = min(prios[e.id] for e in es)
-                if d % 2 != good_parity:
+                if d % 2 != parity:
                     bad.add(d)
                 rest = [e for e in es if prios[e.id] != d]
                 if rest:

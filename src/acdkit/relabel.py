@@ -9,7 +9,8 @@ import copy
 from . import loops as _loops
 from . import zielonka as _zielonka
 from .core import (InputError, ParityCondition, RabinCondition,
-                   StreettCondition, _count, _over, _reading, _Record)
+                   StreettCondition, _compressed, _count, _over, _reading,
+                   _Record)
 
 
 class AcdShapeReport(_Record):
@@ -103,20 +104,16 @@ def parity_relabel(ts, acd):
 
 def compress_priorities(ts, priorities):
     """Close the gaps between used priority values and shift the minimum
-    to 0 or 1, keeping every loop's status: in one ascending pass, the
-    least used value `lo` becomes `lo % 2` and each next used value `b`
-    after `a` becomes `a`'s new value plus `(b - a) % 2`, so only the
-    parity of each step is kept.  `priorities` is a map over colours or a
-    parity condition, whose `over` the result keeps; it must fit `ts` as
-    `_reading` reads it."""
+    to 0 or 1, keeping every loop's status: each maximal run of used
+    values of one parity becomes one value, by `core._compressed`, the
+    compression the parity solver reads its levels through.  `priorities`
+    is a map over colours or a parity condition, whose `over` the result
+    keeps; it must fit `ts` as `_reading` reads it."""
     cond = _parity(priorities)
     _reading(ts, cond)
     if not cond.priorities:
         raise InputError("no priorities to compress")
-    used = sorted(set(cond.priorities.values()))
-    new = {used[0]: used[0] % 2}
-    for a, b in zip(used, used[1:]):
-        new[b] = new[a] + (b - a) % 2
+    new = _compressed(cond.priorities.values())
     out = copy.copy(cond)
     out.priorities = {c: new[p] for c, p in cond.priorities.items()}
     return out

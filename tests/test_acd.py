@@ -449,3 +449,30 @@ def test_even_muller_tree_shapes_and_words(k):
     for u in words:
         for v in words[1:]:
             assert aut.accepts_word(u, v) == (len(set(v)) % 2 == 0)
+
+
+@pytest.mark.parametrize("unreachable,want", [
+    (True, ((1, 2), "odd", (1, 1, 2), 2, 1)),
+    (False, ((0, 0), "even", (1, 1), 0, 0)),
+])
+def test_t0_reading_counts_unreachable_loops(unreachable, want):
+    """The reading of ROADMAP item 17, pinned as it stands: the tag, and
+    with it tree 0's priority and every even root's, is read over all
+    maximal loops, reachable from the initial vertex or not.  From r0 a
+    play takes t once and then loops on a; the loops at u0 are
+    unreachable, yet their odd tree of height 2 sets the tag to "odd",
+    which moves t from priority 0 to 1 and a from 0 to 2.  Whether an
+    unreachable part should count is open in that item."""
+    vertices = ["r0", "r1"]
+    edges = [("t", "r0", "r1"), ("a", "r1", "r1")]
+    family = [["a"]]
+    if unreachable:
+        vertices.append("u0")
+        edges += [("b", "u0", "u0"), ("c", "u0", "u0")]
+        family.append(["b"])
+    ts = TransitionSystem(vertices, edges, ["r0"])
+    cond = MullerCondition(family)
+    stats = acd_stats(build_acd(ts, cond))
+    priorities = acd_transform(ts, cond).condition.priorities
+    assert (stats["interval"], stats["tag"], stats["tree_heights"],
+            priorities["a|r"], priorities["t|r"]) == want

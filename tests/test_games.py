@@ -11,7 +11,7 @@ import acdkit
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, docfmt, solve_muller_game,
                     solve_parity_game, verify_parity_solution)
-from acdkit.core import _over, _reading
+from acdkit.core import _compressed, _over, _reading
 from acdkit.games import ParitySolution
 from conftest import (FIXTURES, alternating_path_game, count_readings,
                       cycle_game, lifted_cycle_game, path_game,
@@ -242,6 +242,67 @@ def test_gapped_priorities_match_brute_force():
             present = sorted(set(prios.values()))
             runs += any(a % 2 == b % 2 for a, b in zip(present, present[1:]))
     assert runs >= 100, runs
+
+
+def _run_index(prios):
+    """Each priority's level as the solver numbered them before it read
+    `core._compressed`: the index of its run of one parity among the
+    sorted priorities."""
+    players, run = [], {}
+    for d in sorted(set(prios)):
+        player = "Adam" if d % 2 else "Eve"
+        if not players or players[-1] != player:
+            players.append(player)
+        run[d] = len(players) - 1
+    return run
+
+
+def test_levels_are_run_indices_shifted_by_the_least_parity():
+    """A compressed priority is its run's index plus the parity of the
+    least priority, so levels compare, and a level's parity names its
+    player, as the run indices and their player list did."""
+    rng = random.Random(31)
+    for _ in range(500):
+        prios = [rng.randrange(rng.randint(1, 15))
+                 for _ in range(rng.randint(1, 12))]
+        shift = min(prios) % 2
+        run = _run_index(prios)
+        assert _compressed(prios) == {d: i + shift for d, i in run.items()}
+        assert all(_compressed(prios)[d] % 2 == d % 2 for d in prios)
+
+
+# priority sets whose least value is odd, all odd ones among them
+ODD_LEAST = [(1, 3, 5, 7), (1, 5), (3,), (1, 2, 4, 5, 8), (3, 4, 6, 9, 10),
+             (5, 7, 8, 11)]
+
+
+def test_odd_least_priorities_match_every_oracle():
+    """Games whose priorities are all odd, or whose least priority is
+    odd, so the solver's level 0 is empty: the regions are the brute
+    force's, the certificate check reports what the naive check does,
+    and the solution, dict order included, is the set-based walk's."""
+    rng = random.Random(53)
+    all_odd = odd_least = 0
+    for reading in ("ids", "colours", "edges"):
+        for _ in range(120):
+            game = _random_game(rng, reading, values=rng.choice(ODD_LEAST),
+                                most=6)
+            ts = game.ts
+            key, _ = _reading(ts, game.condition)
+            prios = {e.id: game.condition.priorities[key(e.id)]
+                     for e in ts.edges}
+            sol = solve_parity_game(game)
+            assert sol.regions == brute_force_parity_regions(
+                ts, ts.owners, lambda e: prios[e.id])
+            assert verify_parity_solution(game, sol) == []
+            tampered = _tampered(rng, game, sol)
+            assert verify_parity_solution(game, tampered) == \
+                naive_certificate_problems(game, tampered)
+            want, _, _ = set_based_parity_solution(game)
+            assert _ordered(sol) == _ordered(want)
+            all_odd += all(p % 2 for p in prios.values())
+            odd_least += min(prios.values()) % 2
+    assert all_odd >= 150 and odd_least >= 250, (all_odd, odd_least)
 
 
 @pytest.mark.parametrize("n", range(3, 11))

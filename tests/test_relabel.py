@@ -7,6 +7,7 @@ from acdkit import (CapExceeded, InputError, MullerCondition, ParityCondition,
                     compress_priorities, equivalent_over, is_weak_k,
                     parity_relabel, rabin_from_acd, streett_from_acd,
                     to_explicit_muller)
+from acdkit.core import _compressed
 from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
                       random_system, recoloured)
 from oracles import loop_equivalent
@@ -93,6 +94,36 @@ def test_compress_preserves_statuses_random():
         used = sorted(set(after.priorities.values()))
         assert used[0] in (0, 1)
         assert all(b - a == 1 for a, b in zip(used, used[1:]))
+
+
+def _random_priority_map(rng, ids):
+    """Priorities over `ids` from a few values with gaps and repeats; the
+    least is odd in about half the maps."""
+    values = rng.sample(range(12), rng.randint(1, 5))
+    return {c: rng.choice(values) for c in ids}
+
+
+def test_compressed_is_compress_priorities_map():
+    """`core._compressed` gives every used priority the value that
+    `compress_priorities` gives its colours, on random maps with gaps,
+    repeats, a single value and a least odd value."""
+    rng = random.Random(42)
+    ids = ["c%d" % i for i in range(8)]
+    ts = TransitionSystem(["p"], [(c, "p", "p") for c in ids], ["p"])
+    odd = single = 0
+    for _ in range(400):
+        prios = _random_priority_map(rng, ids)
+        new = _compressed(prios.values())
+        assert sorted(new) == sorted(set(prios.values()))
+        out = compress_priorities(ts, prios).priorities
+        assert out == {c: new[p] for c, p in prios.items()}
+        odd += min(prios.values()) % 2
+        single += len(new) == 1
+    assert odd >= 100 and single >= 10, (odd, single)
+    assert _compressed([7]) == {7: 1}
+    assert _compressed([4, 4]) == {4: 0}
+    assert _compressed([3, 5, 6, 9, 10, 12]) == {3: 1, 5: 1, 6: 2, 9: 3,
+                                                 10: 4, 12: 4}
 
 
 def test_is_weak_k():
