@@ -133,9 +133,11 @@ def _solve_parity_game(game):
     vnode = {v: i for i, v in enumerate(vertices)}
     src = [vnode[e.source] for e in edges]
     tgt = [vnode[e.target] for e in edges]
-    prio = list(map(game.condition.priorities.__getitem__,
-                    map(game._key, map(attrgetter("id"), edges))))
-    lvl = list(map(_compressed(prio).__getitem__, prio))
+    # the priority map names exactly the edges' keys (`Game` checked it),
+    # and `_by_id` holds the edge ids in the order of `edges`
+    prio = game.condition.priorities
+    lvl = list(map(_compressed(prio.values()).__getitem__,
+                   map(prio.__getitem__, map(game._key, ts._by_id))))
     owner = list(map(ts.owners.__getitem__, vertices))
     succ = [[] for _ in vertices]
     preds = [[] for _ in vertices]

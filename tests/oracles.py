@@ -360,6 +360,23 @@ def kosaraju_components(vertices, succ):
     return comp
 
 
+def grouped_components(edges):
+    """What `core._components` returns for the `Edge` objects `edges`,
+    without its trim: the components of every endpoint by
+    `kosaraju_components`, each one with an inner edge as its inner edges
+    in the given order, in the order of their first inner edge."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e.source, []).append(e.target)
+        adj.setdefault(e.target, [])
+    comp = kosaraju_components(adj, adj.__getitem__)
+    inner = {}
+    for e in edges:
+        if comp[e.source] == comp[e.target]:
+            inner.setdefault(comp[e.source], []).append(e)
+    return list(inner.values())
+
+
 def _scc_edge_sets(edges):
     """SCC-internal edge groups of a list of (id, source, target) triples,
     by Kosaraju on the touched vertices."""

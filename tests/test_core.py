@@ -12,10 +12,11 @@ from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, Game,
                     enumerate_reachable_loops, equivalent_over, lift_run,
                     loop_status, loop_status_over, to_explicit_muller,
                     validate)
-from acdkit.core import Edge, _components, _reach, _tarjan_marks
+from acdkit.core import (_TRIM_ABOVE, Edge, _components, _reach,
+                         _tarjan_marks)
 from conftest import (CONDITION_KINDS, random_condition, random_system,
                       recoloured, under_hash_seeds)
-from oracles import kosaraju_components, loop_equivalent
+from oracles import grouped_components, kosaraju_components, loop_equivalent
 
 
 def two_state_parity():
@@ -527,20 +528,93 @@ def test_components_match_kosaraju_on_names():
             adj.setdefault(e.source, []).append(e.target)
             adj.setdefault(e.target, [])
         comp = kosaraju_components(adj, adj.__getitem__)
-        inner = {}
-        for e in edges:
-            if comp[e.source] == comp[e.target]:
-                inner.setdefault(comp[e.source], []).append(e)
         got = _components(edges)
-        assert got == list(inner.values())
+        assert got == grouped_components(edges)
         assert [{e.source for e in es} for es in got] == \
-            [{v for v in adj if comp[v] == root} for root in inner]
+            [{v for v in adj if comp[v] == comp[es[0].source]} for es in got]
         pairs = [(e.source, e.target) for e in edges]
         seen["loop"] += any(s == t for s, t in pairs)
         seen["parallel"] += len(set(pairs)) < len(pairs)
         seen["target-only"] += len(adj) > len({s for s, _ in pairs})
         seen["unsorted"] += list(adj) != sorted(adj)
     assert all(count >= 100 for count in seen.values()), seen
+
+
+def _mostly_acyclic(rng, n):
+    """Random edges over n names in random order: forward edges along a
+    random order of the names, and, at a rate drawn per graph, back edges,
+    self-loops and parallel copies, so that many vertices lie on no cycle
+    and some cycles lie downstream of them."""
+    names = ["v%d" % i for i in rng.sample(range(n), n)]
+    back = rng.choice([0, 0.002, 0.01, 0.05])
+    edges = []
+    for i in range(rng.randint(n, 2 * n)):
+        a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        r = rng.random()
+        if r < back:
+            a, b = b, a
+        elif r < back + 0.01:
+            b = a
+        elif r < back + 0.03 and edges:
+            e = rng.choice(edges)
+            edges.append(Edge("e%d" % i, e.source, e.target))
+            continue
+        edges.append(Edge("e%d" % i, names[a], names[b]))
+    rng.shuffle(edges)
+    return edges
+
+
+def test_trimmed_components_match_the_untrimmed_grouping():
+    """On seeded random graphs of 1 to 400 vertices, on both sides of
+    `_TRIM_ABOVE`, most of whose vertices lie on no cycle: `_components`
+    returns exactly the lists, in the same order, that grouping every
+    endpoint's Kosaraju component gives, so the trim drops no vertex of a
+    cycle and moves no component."""
+    rng = random.Random(43)
+    seen = {"below": 0, "above": 0, "sources": 0, "cycles": 0}
+    for _ in range(300):
+        n = rng.choice([rng.randint(1, _TRIM_ABOVE),
+                        rng.randint(_TRIM_ABOVE + 1, 400)])
+        edges = _mostly_acyclic(rng, n)
+        got = _components(edges)
+        assert got == grouped_components(edges)
+        ends = {v for e in edges for v in (e.source, e.target)}
+        above = len(ends) > _TRIM_ABOVE
+        seen["above" if above else "below"] += 1
+        if above:   # the trim has vertices to drop, and cycles to keep
+            seen["sources"] += len(ends) > len({e.target for e in edges})
+            seen["cycles"] += len(got) > 1
+    assert all(count >= 60 for count in seen.values()), seen
+
+
+def test_a_long_path_into_a_cycle_and_trees_around_one():
+    """A path of 20,000 vertices into a 3-cycle, and a 5-cycle with long
+    trees hanging into it and out of it, one leaf of the tree out of it
+    leading into a second cycle: in every given order, `_components`
+    returns the cycles' edges and nothing of the paths or trees, as the
+    untrimmed grouping does."""
+    rng = random.Random(44)
+    path = [Edge("p%05d" % i, "u%d" % i, "u%d" % (i + 1))
+            for i in range(20000)]
+    cycle = [Edge("c0", "u20000", "w1"), Edge("c1", "w1", "w2"),
+             Edge("c2", "w2", "u20000")]
+    for edges in (path + cycle, cycle + path, path[::-1] + cycle[::-1]):
+        assert _components(edges) == [[e for e in edges if e in cycle]]
+        assert _components(edges) == grouped_components(edges)
+    first = [Edge("a%d" % i, "c%d" % i, "c%d" % ((i + 1) % 5))
+             for i in range(5)]
+    second = [Edge("b%d" % i, "d%d" % i, "d%d" % ((i + 1) % 3))
+              for i in range(3)]
+    into = [Edge("i%d" % i, "x%d" % i, "x%d" % ((i - 1) // 2) if i else "c0")
+            for i in range(600)]
+    out = [Edge("o%d" % i, "y%d" % ((i - 1) // 2) if i else "c3", "y%d" % i)
+           for i in range(600)] + [Edge("o600", "y599", "d0")]
+    for _ in range(20):
+        edges = first + second + into + out
+        rng.shuffle(edges)
+        got = _components(edges)
+        assert got == grouped_components(edges)
+        assert sorted(map(set, got), key=len) == [set(second), set(first)]
 
 
 def test_colours_and_order_follow_their_definitions():

@@ -11,7 +11,8 @@ import acdkit
 from acdkit import (Game, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, docfmt, solve_muller_game,
                     solve_parity_game, verify_parity_solution)
-from acdkit.core import _compressed, _over, _reading
+from acdkit.core import (_TRIM_ABOVE, _components, _compressed, _over,
+                         _reading)
 from acdkit.games import ParitySolution
 from conftest import (FIXTURES, alternating_path_game, count_readings,
                       cycle_game, lifted_cycle_game, path_game,
@@ -260,7 +261,12 @@ def _run_index(prios):
 def test_levels_are_run_indices_shifted_by_the_least_parity():
     """A compressed priority is its run's index plus the parity of the
     least priority, so levels compare, and a level's parity names its
-    player, as the run indices and their player list did."""
+    player, as the run indices and their player list did.  The solver
+    reads each edge's level through its key and the priority map's own
+    values: on games whose colour map gives one colour to several edges,
+    and on conditions over edge ids, both with gaps between priorities,
+    its regions and strategies, dict order included, are the set-based
+    walk's."""
     rng = random.Random(31)
     for _ in range(500):
         prios = [rng.randrange(rng.randint(1, 15))
@@ -269,6 +275,16 @@ def test_levels_are_run_indices_shifted_by_the_least_parity():
         run = _run_index(prios)
         assert _compressed(prios) == {d: i + shift for d, i in run.items()}
         assert all(_compressed(prios)[d] % 2 == d % 2 for d in prios)
+    shared = 0
+    for reading in ("colours", "edges"):
+        for _ in range(150):
+            game = _random_game(rng, reading, values=rng.choice(GAPPED),
+                                most=8)
+            want, _, _ = set_based_parity_solution(game)
+            assert _ordered(solve_parity_game(game)) == _ordered(want)
+            colours = list(game.ts._recoloured().values())
+            shared += len(set(colours)) < len(colours)
+    assert shared >= 100, shared
 
 
 # priority sets whose least value is odd, all odd ones among them
@@ -805,13 +821,22 @@ def test_verify_matches_naive_certificate_check():
     assert all(count >= 20 for count in seen.values()), seen
 
 
-def test_verify_matches_naive_check_at_benchmark_shape():
+def test_verify_matches_naive_check_at_benchmark_shape(monkeypatch):
     """The same on games of the benchmark's shape (500 vertices,
     out-degree 3, 20 priorities), where most allowed edges lie on no
-    cycle."""
+    cycle, so the certificate's first splits run `core._components`' trim
+    (81 of the 160 splits have more vertices than its gate)."""
+    sizes = []
+
+    def counted(edges):
+        sizes.append(len({v for e in edges for v in (e.source, e.target)}))
+        return _components(edges)
+
+    monkeypatch.setattr(acdkit.games, "_components", counted)
     seen = _problems_seen_with_naive_check(random.Random(15), 20,
                                            (500, 3, 20))
     assert all(count >= 3 for count in seen.values()), seen
+    assert sum(n > _TRIM_ABOVE for n in sizes) >= 40, sizes
 
 
 def test_extra_strategy_entries_change_nothing():
