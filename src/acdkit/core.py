@@ -289,8 +289,7 @@ def _tarjan_marks(succ, roots):
     emission order, each component emitted after every component it
     reaches, or -1 for a vertex not reached.  While a vertex is on the
     stack its entry is its low link, a stack position, so `low[w] <
-    low[v]` also says that a visited `w` is still on the stack.  A root on
-    top of the stack is a one-vertex component, marked as is."""
+    low[v]` also says that a visited `w` is still on the stack."""
     low = [-1] * len(succ)
     stack = []
     mark = len(succ)
@@ -313,11 +312,7 @@ def _tarjan_marks(succ, roots):
             else:
                 work.pop()
                 at = low[v]
-                if at == len(stack) - 1:
-                    stack.pop()
-                    low[v] = mark
-                    mark += 1
-                elif stack[at] == v:
+                if stack[at] == v:
                     for w in stack[at:]:
                         low[w] = mark
                     del stack[at:]
@@ -339,14 +334,11 @@ def _components(edges):
     objects) that have an inner edge, each as the list of its inner edges
     in the given order, in the order of their first inner edge.  Every
     vertex of such a component is the source of one of its inner edges.
-    The endpoints are numbered as they first appear, sources before
-    targets; `_tarjan_marks` runs over per-number target lists, rooted at
-    the edge sources, and one pass over the edges groups the inner ones.
     On more than `_TRIM_ABOVE` vertices, `_in_edges_left` first drops the
     vertices that no cycle reaches; the search roots only at the rest,
-    and the pass reads only their out-edges.  A vertex on a cycle is never
-    dropped, and no vertex left has a dropped successor, so the lists and
-    their order do not change."""
+    and the grouping pass reads only their out-edges.  A vertex on a cycle
+    is never dropped, and no vertex left has a dropped successor, so the
+    lists and their order do not change."""
     number = {}
     src = [number.setdefault(e.source, len(number)) for e in edges]
     tgt = [number.setdefault(e.target, len(number)) for e in edges]

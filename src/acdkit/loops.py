@@ -246,15 +246,15 @@ def to_explicit_muller(ts, cond):
     (`over` is "edges").
 
     The family lists exactly the reachable loops that are accepting under
-    `cond`; every loop keeps its status.  The condition is read once, after
-    the enumeration, and only when some loop was found.
+    `cond`; every loop keeps its status.  The condition is read on every
+    call, loops or none, after the enumeration, so an exceeded cap comes
+    first.
     """
     found = enumerate_reachable_loops(ts)
-    if found:
-        key, _ = _reading(ts, cond)
-        found = [l.edges for l in found
-                 if cond.accepts(frozenset(map(key, l.edges)))]
-    return _over(MullerCondition(found), "edges")
+    key, _ = _reading(ts, cond)
+    return _over(MullerCondition(
+        [l.edges for l in found
+         if cond.accepts(frozenset(map(key, l.edges)))]), "edges")
 
 
 def accessible_x_scc(automaton, letters):

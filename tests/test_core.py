@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from acdkit import (Automaton, BuchiCondition, CoBuchiCondition, Game,
-                    InputError, Morphism, MullerCondition, ParityCondition,
-                    RabinCondition, Run, StreettCondition, TransitionSystem,
+from acdkit import (Automaton, BuchiCondition, CapExceeded, CoBuchiCondition,
+                    Game, InputError, Morphism, MullerCondition,
+                    ParityCondition, RabinCondition, Run, StreettCondition,
+                    TransitionSystem,
                     accessible_x_scc, build_zielonka_tree, build_zt_automaton,
                     check_local, check_structural, compose, docfmt,
                     enumerate_reachable_loops, equivalent_over, lift_run,
@@ -660,6 +661,24 @@ def test_to_explicit_muller_buchi():
     out = to_explicit_muller(ts, BuchiCondition({"e1"}))
     assert out.family == frozenset({frozenset({"e1"}),
                                     frozenset({"e1", "e2"})})
+
+
+def test_to_explicit_muller_refuses_unknown_colour_without_loops():
+    # the same condition is refused whether or not a loop is reachable
+    cond = MullerCondition([["zz"]])
+    looped = TransitionSystem(["a", "b"], [("e", "a", "b"), ("f", "b", "b")],
+                              ["a"])
+    loopless = TransitionSystem(["a", "b", "c"],
+                                [("e", "a", "b"), ("f", "c", "c")], ["a"])
+    for ts in (looped, loopless):
+        with pytest.raises(InputError,
+                           match="^condition references unknown colour 'zz'$"):
+            to_explicit_muller(ts, cond)
+    # the enumeration's cap comes first
+    capped = TransitionSystem(["a"], [("s%d" % i, "a", "a") for i in range(21)],
+                              ["a"])
+    with pytest.raises(CapExceeded):
+        to_explicit_muller(capped, cond)
 
 
 def test_equivalent_over_trivial():

@@ -13,16 +13,29 @@ on a changed input, so they need no second implementation.
   original vertex and the regions on the original vertices.  Conditions
   over edges name the edge ids, which a subdivision changes, so they are
   left out.
+- Parallel copies of about half the edges, each with its edge's colour,
+  add no loop colour set and no flipped subloop, so every answer of the
+  renaming relation is unchanged, and so is each vertex's subtree: its
+  root status, height and leaves.
+- A disjoint union of two systems, the second renamed apart and the
+  condition the two conditions' union, holds each loop of either one
+  with its status: the tree heights, as multisets, the transform's
+  vertex and edge counts and the regions add.
 - Duality for parity games: swapping the owners and adding 1 to every
   priority swaps every vertex's winner.
+- Duality for Muller games: swapping the owners and reading the
+  condition as the Muller family of the key sets it rejects, its
+  complement over the colour set, swaps every vertex's winner.
 
-Each relation runs over the fixture documents and over small seeded
-random systems of all six condition kinds, read through the edge ids,
-through a colour map and, for the renaming, through a condition over
-edges.  The relation on cost, that a subdivision adds O(m) solver
-frames, waits for counters inside the engines (ROADMAP items 25 and 23).
+Each relation runs over the fixture documents or over small seeded
+random systems of all six condition kinds, or both, read through the edge
+ids, through a colour map and, for the renaming, the union and the Muller
+duality, through a condition over edges.  The relation on cost, that a
+subdivision adds O(m) solver frames, waits for counters inside the
+engines (ROADMAP items 25 and 23).
 """
 
+import itertools
 import random
 
 import pytest
@@ -263,3 +276,135 @@ def test_dual_parity_game_swaps_every_winner(reading):
                    for v, p in regions.items()}
         assert solve_parity_game(_dual(game)).regions == swapped
     assert len(games) >= 100
+
+
+def _parallel(rng, ts):
+    """`ts` with a parallel copy of about half its edges, each with its
+    edge's colour, an edge id with no colour map.  Returns the system and
+    its count of copies."""
+    edges = [(e.id, e.source, e.target) for e in ts.edges]
+    colours = {e.id: ts.colour(e.id) for e in ts.edges}
+    for e in ts.edges:
+        if rng.random() < 0.5:
+            edges.append((e.id + "~p", e.source, e.target))
+            colours[e.id + "~p"] = ts.colour(e.id)
+    return TransitionSystem(ts.vertices, edges, ts.initial, owners=ts.owners,
+                            colours=colours), len(edges) - len(ts.edges)
+
+
+def _subtrees(ts, cond):
+    """Each vertex's subtree of the decomposition: its root status,
+    height and leaves."""
+    acd = build_acd(ts, cond)
+    return {v: (t.even, t.height, len(t.leaves)) for v in ts.vertices
+            for t in [acd.subtree_for_state(v)]}
+
+
+def test_parallel_copies_of_edges_keep_the_decomposition_and_the_regions():
+    rng = random.Random(19)
+    systems = _fixtures() + _random_systems(3, 8, ("ids", "colours"))
+    copied = 0
+    for label, ts, cond in systems:
+        if cond.over == "edges":
+            continue
+        par, count = _parallel(rng, ts)
+        copied += count
+        assert _answers(par, cond) == _answers(ts, cond), label
+        assert _subtrees(par, cond) == _subtrees(ts, cond), label
+    assert len(systems) >= 100 and copied >= 250, (len(systems), copied)
+
+
+def _union_condition(first, second):
+    """The condition holding each condition's sets, pairs or priorities:
+    over disjoint key sets it reads each loop of either system as that
+    system's own condition does."""
+    kind = first.kind
+    if kind == "muller":
+        out = MullerCondition(list(first.family) + list(second.family))
+    elif kind == "parity":
+        out = ParityCondition({**first.priorities, **second.priorities})
+    elif kind in ("buchi", "cobuchi"):
+        out = (BuchiCondition if kind == "buchi" else CoBuchiCondition)(
+            first.colours | second.colours)
+    else:
+        out = (RabinCondition if kind == "rabin" else StreettCondition)(
+            list(first.pairs) + list(second.pairs))
+    return _over(out, first.over)
+
+
+def _union(first, second):
+    """The disjoint union of two systems with disjoint names, both read
+    the same way; the initial vertex is the first system's."""
+    colours = {**(first._colours or {}), **(second._colours or {})}
+    return TransitionSystem(
+        first.vertices + second.vertices, first.edges + second.edges,
+        first.initial, owners={**first.owners, **second.owners},
+        colours=colours or None)
+
+
+def _sizes(ts, cond):
+    """The trees' heights as a sorted list, the transform's vertex and
+    edge counts, and the regions."""
+    result = acd_transform(ts, cond)
+    game = Game(ts, cond)
+    return {
+        "heights": sorted(t.height for t in result.acd.trees),
+        "size": (len(result.system.vertices), len(result.system.edges)),
+        "muller": solve_muller_game(game).regions,
+        "parity": solve_parity_game(game).regions
+        if cond.kind == "parity" else None,
+    }
+
+
+def test_disjoint_union_adds_trees_transform_sizes_and_regions():
+    rng = random.Random(23)
+    systems = _random_systems(4, 6, READINGS)
+    pairs = 0
+    for (label, ts, cond), (_, other, other_cond) in zip(
+            systems, systems[1:] + systems[:1]):
+        if (cond.kind, cond.over, bool(ts._colours)) != \
+                (other_cond.kind, other_cond.over, bool(other._colours)):
+            continue
+        (ts2, cond2), _ = _renamed(rng, other, other_cond)
+        one, two = _sizes(ts, cond), _sizes(ts2, cond2)
+        got = _sizes(_union(ts, ts2), _union_condition(cond, cond2))
+        assert got["heights"] == sorted(one["heights"] + two["heights"]), \
+            label
+        assert got["size"] == tuple(map(sum, zip(one["size"], two["size"]))), \
+            label
+        for field in ("muller", "parity"):
+            if one[field] is not None:
+                assert got[field] == {**one[field], **two[field]}, \
+                    (label, field)
+        pairs += 1
+    assert pairs >= 90, pairs
+
+
+def _muller_dual(game):
+    """The game with the owners swapped and its condition read as the
+    Muller family of the nonempty key sets it rejects, over the same
+    keys: colours, or edge ids for a condition over edges."""
+    ts, cond = game.ts, game.condition
+    keys = sorted(e.id for e in ts.edges) if cond.over == "edges" \
+        else sorted(ts.colour_set())
+    rejected = [s for k in range(1, len(keys) + 1)
+                for s in itertools.combinations(keys, k)
+                if not cond.accepts(frozenset(s))]
+    owners = {v: PLAYERS[1 - PLAYERS.index(p)] for v, p in ts.owners.items()}
+    return Game(TransitionSystem(ts.vertices, ts.edges, ts.initial,
+                                 owners=owners, colours=ts._colours or None),
+                _over(MullerCondition(rejected), cond.over))
+
+
+def test_dual_muller_game_swaps_every_winner():
+    systems = _fixtures() + _random_systems(5, 4, READINGS)
+    games = 0
+    for label, ts, cond in systems:
+        game = Game(ts, cond)
+        regions = solve_muller_game(game).regions
+        swapped = {v: PLAYERS[1 - PLAYERS.index(p)]
+                   for v, p in regions.items()}
+        assert solve_muller_game(_muller_dual(game)).regions == swapped, \
+            label
+        games += 1
+    assert games >= 70, games
