@@ -173,8 +173,6 @@ def cmd_relabel(args):
         new_cond = relabelling(ts, acd)
     except InputError as e:
         raise PropertyFalse(str(e)) from None
-    if args.target == "weak":
-        new_cond = relabel.compress_priorities(ts, new_cond)
     _write(args, docfmt.serialize(docfmt.Document(ts, new_cond)))
 
 

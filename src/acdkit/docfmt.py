@@ -172,8 +172,8 @@ def serialize(doc):
 def dumps(obj):
     """Canonical JSON text, byte for byte `json.dumps(obj, sort_keys=True,
     indent=2, ensure_ascii=False) + "\\n"`.  An indent keeps `json` off
-    its C encoder (a 5.6 MB transform document took 0.21 s there against
-    0.13 s here), so every value a command writes is written here: str
+    its C encoder (a `cli-muller-games` pass's 89 documents take 1.65 times
+    as long there), so every value a command writes is written here: str
     (through `json`'s own encoder), int, bool, None, list, tuple and dict
     with str keys.  Any other value, a float say, goes to `json.dumps`,
     its newlines indented to the depth (a newline in a string is escaped)."""

@@ -258,6 +258,14 @@ def _nextbranch(tree, leaf, node):
     return node
 
 
+def _branch_step(tree, target, leaf, eid):
+    """The paper's step on reading `eid`, an edge or colour, from the branch
+    `leaf` of `tree`: the priority of its deepest node holding `eid`, and
+    the branch of `target`, the tree or a restriction, cyclically next."""
+    tau = _supp(tree, leaf, eid)
+    return tree.priority(tau), _nextbranch(target, leaf, tau)
+
+
 def _parity_interval(height, tag):
     """Priorities used by alternating trees of the given height whose
     tallest roots are accepting ("even"), rejecting ("odd") or both
@@ -299,22 +307,18 @@ def _node_name(node):
 
 def build_zt_automaton(tree):
     """The one-state automaton reading the root's colours, lifted along
-    the branches of the tree (`core._lift`): a Zielonka tree is the
-    decomposition of a one-vertex system, and this automaton is that
-    system's transform, its states named by branch.  The edge of a
-    colour is named by the colour."""
+    the branches of the tree (`core._lift`) by the transform's branch step
+    (`_branch_step`): a Zielonka tree is the decomposition of a one-vertex
+    system, and this automaton is that system's transform, its states
+    named by branch.  The edge of a colour is named by the colour."""
     gamma = tree.label[()]
     one = TransitionSystem(["q"], [(c, "q", "q") for c in gamma], ["q"],
                            letters={c: c for c in gamma})
     names = {leaf: state_name(leaf) for leaf in tree.leaves}
-
-    def step(leaf, e):
-        tau = _supp(tree, leaf, e.id)
-        return tree.priority(tau), _nextbranch(tree, leaf, tau)
-
     ts, priorities, _, _ = _lift(
         one, [("q", tree.leaves[0])], [("q", leaf) for leaf in tree.leaves],
-        step, lambda q, leaf: names[leaf],
+        lambda leaf, e: _branch_step(tree, tree, leaf, e.id),
+        lambda q, leaf: names[leaf],
         lambda a, leaf: names[leaf] + "/" + a)
     return ZTAutomaton(Automaton(ts, ParityCondition(priorities)), tree,
                        optimal_parity_interval(tree))

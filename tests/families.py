@@ -32,7 +32,7 @@ def lifted_cycle_game(n):
     recursive call meets the same subgames again and again."""
     (ts, cond), vs = cycle_game(n), ["w%d" % i for i in range(n)]
     edges = [(e.id, e.source, e.target) for e in ts.edges
-             if e.source != e.target]
+             if not e.id.startswith("s")]
     prios = dict(cond.priorities)
     owners = dict(ts.owners)
     for i, w in enumerate(vs):

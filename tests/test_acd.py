@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from acdkit.zielonka import _zielonka_tree
 from conftest import (CONDITION_KINDS, FIXTURES, count_readings,
                       even_muller, nested_pairs, parity_chain,
                       random_condition,
-                      random_muller_system, random_system, recoloured)
+                      random_muller_system, random_system, recoloured,
+                      under_hash_seeds)
 from oracles import deepest_holding_prefix, loop_preserving
 
 
@@ -311,6 +313,40 @@ def test_edge_step_matches_the_naive_step():
                 for e in ts.out(v):
                     assert acd.edge_step(leaf, e) == \
                         naive_edge_step(acd, leaf, e)
+
+
+TRANSFORM_PRIORITIES = """
+import random, sys
+sys.path.insert(0, %r)
+from acdkit import acd_stats, acd_transform
+from conftest import (CONDITION_KINDS, random_condition, random_system,
+                      recoloured)
+rng = random.Random(61)
+wrong, intervals = [], set()
+for i in range(600):
+    ts = random_system(rng, max_vertices=5, max_edges=9)
+    if i // 6 %% 3 == 0:
+        ts = recoloured(rng, ts, ["a", "b", "c", "d"])
+    cond = random_condition(rng, CONDITION_KINDS[i %% 6], ts.colour_set())
+    res = acd_transform(ts, cond)
+    lo, hi = acd_stats(res.acd)["interval"]
+    intervals.add((lo, hi))
+    if set(res.condition.priorities.values()) != set(range(lo, hi + 1)):
+        wrong.append(i)
+print(wrong, sorted(intervals))
+"""
+
+
+def test_transform_uses_exactly_the_interval_priorities():
+    """The paper's priority count: the transform of a random system of
+    each kind, reachable from its initial vertex or not (the lift starts
+    from every copy), uses every priority of `acd_stats`' interval and no
+    other, under two hash seeds."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    first, second = under_hash_seeds(TRANSFORM_PRIORITIES % here)
+    assert first == second
+    assert first.startswith("[] ")
+    assert "(0, " in first and "(1, " in first
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 150])

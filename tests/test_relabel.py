@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from acdkit import docfmt
 from acdkit import (CapExceeded, InputError, MullerCondition, ParityCondition,
                     TransitionSystem, build_acd, classify_acd,
                     compress_priorities, equivalent_over, is_weak_k,
                     parity_relabel, rabin_from_acd, streett_from_acd,
                     to_explicit_muller)
 from acdkit.core import _compressed
-from conftest import (CONDITION_KINDS, random_condition, random_muller_system,
-                      random_system, recoloured)
+from conftest import (CONDITION_KINDS, FIXTURES, random_condition,
+                      random_muller_system, random_system, recoloured)
 from oracles import loop_equivalent
 
 
@@ -94,6 +95,37 @@ def test_compress_preserves_statuses_random():
         used = sorted(set(after.priorities.values()))
         assert used[0] in (0, 1)
         assert all(b - a == 1 for a, b in zip(used, used[1:]))
+
+
+def test_parity_relabel_is_already_compressed():
+    """In a parity-shaped decomposition every node is the deepest holder
+    of an out-edge of one of its vertices, so each tree uses every
+    priority from its root's to root's + height - 1, and the relabelling's
+    priorities run without a gap from 0 or 1: compressing it changes
+    nothing.  The fixtures and random systems of the six kinds."""
+    rng = random.Random(53)
+    systems = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            doc = docfmt.parse(path.read_text(encoding="utf-8"))
+            systems.append((doc.system, build_acd(doc.system, doc.condition)))
+        except InputError:
+            continue
+    for i in range(600):
+        ts = random_system(rng, max_vertices=5, max_edges=9)
+        if i // 6 % 3 == 0:
+            ts = recoloured(rng, ts, ["a", "b", "c", "d"])
+        cond = random_condition(rng, CONDITION_KINDS[i % 6], ts.colour_set())
+        systems.append((ts, build_acd(ts, cond)))
+    shaped = 0
+    for ts, acd in systems:
+        if classify_acd(acd).parity_acd:
+            relabelled = parity_relabel(ts, acd)
+            compressed = compress_priorities(ts, relabelled)
+            assert (compressed.priorities, compressed.over) == \
+                (relabelled.priorities, relabelled.over)
+            shaped += 1
+    assert shaped >= 500, shaped
 
 
 def _random_priority_map(rng, ids):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from acdkit import docfmt
 from acdkit import (InputError, MullerCondition, TransitionSystem,
-                    ZielonkaTree, build_acd, build_zielonka_tree,
-                    build_zt_automaton, closure_oracle,
+                    ZielonkaTree, acd_transform, build_acd,
+                    build_zielonka_tree, build_zt_automaton, closure_oracle,
                     enumerate_reachable_loops, min_parity_automaton_size,
                     min_parity_priority_count, nextbranch,
                     optimal_parity_interval, shape, supp,
@@ -458,7 +458,9 @@ def test_direct_children_read_matches_search(kind, n, rng, data):
 def test_one_vertex_decomposition_is_the_zielonka_tree():
     # one self-loop per colour: the decomposition of the system, the
     # Zielonka tree read directly from the condition and the one grown by
-    # one-colour removal have the same labels
+    # one-colour removal have the same labels, and the tree's automaton is
+    # the system's transform up to names: state bX is copy p|r.X, and the
+    # edge bX/c is the edge c|r.X, with the same target and priority
     rng = random.Random(23)
     for kind in CONDITION_KINDS:
         for _ in range(15):
@@ -471,7 +473,26 @@ def test_one_vertex_decomposition_is_the_zielonka_tree():
                                  cond.accepts)))
             assert [t.label for t in build_acd(ts, cond).trees] == \
                 [zt.label]
-            assert _zielonka_tree(cond, gamma).label == zt.label
+            tree = _zielonka_tree(cond, gamma)
+            assert tree.label == zt.label
+            aut = build_zt_automaton(tree).automaton
+            res = acd_transform(ts, cond)
+            copy = {"b" + ".".join(map(str, leaf)):
+                    "p|r" + "".join(".%d" % i for i in leaf)
+                    for leaf in tree.leaves}
+
+            def edge(eid):
+                state, c = eid.split("/")
+                return c + copy[state][1:]
+            assert {copy[q] for q in aut.ts.vertices} == \
+                set(res.system.vertices)
+            assert tuple(map(copy.get, aut.ts.initial)) == res.system.initial
+            assert {(edge(e.id), copy[e.source], copy[e.target])
+                    for e in aut.ts.edges} == \
+                {(e.id, e.source, e.target) for e in res.system.edges}
+            assert {edge(eid): p for eid, p
+                    in aut.condition.priorities.items()} == \
+                res.condition.priorities
 
 
 def _assert_preorder(tree):
