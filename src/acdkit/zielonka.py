@@ -235,10 +235,12 @@ def nextbranch(tree, leaf, node):
     """The branch of `tree`, a tree or a restriction, reached from the
     branch `leaf` by moving to the cyclically next child of `node` after
     the one on `leaf`, then down the leftmost children; `node` itself when
-    it has no child.  An unknown node is an InputError (`_nextbranch`
-    does not check)."""
+    it has no child.  An unknown node, or a `node` that is not on the
+    branch `leaf`, is an InputError (`_nextbranch` does not check)."""
     _lookup(tree.label, leaf, "unknown node %r")
     _lookup(tree.children_map, node, "unknown node %r")
+    if leaf[:len(node)] != node:
+        raise InputError("node %r is not on the branch %r" % (node, leaf))
     return _nextbranch(tree, leaf, node)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 import acdkit
 from acdkit import (BuchiCondition, CoBuchiCondition, MullerCondition,
                     ParityCondition, RabinCondition, StreettCondition,
-                    TransitionSystem)
+                    TransitionSystem, build_acd)
+from acdkit.core import _over
 from families import (  # noqa: F401  (re-exported)
     alternating_path_game, cycle_game, even_muller, lifted_cycle_game,
     nested_pairs, parity_chain, path_game)
@@ -78,13 +80,14 @@ def automaton_a():
     return ts, MullerCondition([{"a"}, {"b"}])
 
 
-def random_system(rng, max_vertices=6, max_edges=10, with_owners=False):
+def random_system(rng, max_vertices=6, max_edges=10, with_owners=False,
+                  min_edges=0):
     n = rng.randint(1, max_vertices)
     vs = ["v%d" % i for i in range(n)]
     edges = []
     for i, v in enumerate(vs):
         edges.append(("e%d" % i, v, rng.choice(vs)))
-    extra = rng.randint(0, max(0, max_edges - n))
+    extra = rng.randint(max(0, min_edges - n), max(0, max_edges - n))
     for i in range(extra):
         edges.append(("x%d" % i, rng.choice(vs), rng.choice(vs)))
     owners = {v: rng.choice(["Eve", "Adam"]) for v in vs} if with_owners else None
@@ -95,7 +98,6 @@ def random_family(rng, colours, density=0.4):
     colours = sorted(colours)
     family = []
     for r in range(1, len(colours) + 1):
-        import itertools
         for sub in itertools.combinations(colours, r):
             if rng.random() < density:
                 family.append(set(sub))
@@ -151,7 +153,54 @@ def random_condition(rng, kind, colours):
 
 
 def recoloured(rng, ts, palette):
-    """`ts` with each edge coloured from the palette at random."""
+    """`ts` with each edge coloured from the palette at random, its owners
+    kept."""
     return TransitionSystem(
-        ts.vertices, ts.edges, ts.initial,
+        ts.vertices, ts.edges, ts.initial, owners=ts.owners,
         colours={e.id: rng.choice(palette) for e in ts.edges})
+
+
+def sampled_cases(rng, count, palette, readings=("ids", "colours"),
+                  kinds=CONDITION_KINDS, **sizes):
+    """`count` random (system, condition) cases, the one source of the
+    sampled tests: case i has the kind `kinds[i % len(kinds)]` and, apart
+    from it, the reading `readings[i // len(kinds) % len(readings)]` (one
+    listed twice is drawn twice as often), on `random_system(rng,
+    **sizes)`.  "ids" reads the edge ids, "colours" a recolouring from
+    `palette` (a sequence, or a function of the rng and the system giving
+    one), and "edges" that recolouring's edge ids, over edges."""
+    for i in range(count):
+        ts = random_system(rng, **sizes)
+        reading = readings[i // len(kinds) % len(readings)]
+        if reading != "ids":
+            ts = recoloured(rng, ts, palette(rng, ts) if callable(palette)
+                            else palette)
+        keys = [e.id for e in ts.edges] if reading == "edges" \
+            else ts.colour_set()
+        cond = random_condition(rng, kinds[i % len(kinds)], keys)
+        yield ts, _over(cond, "edges") if reading == "edges" else cond
+
+
+def cell(ts, cond):
+    """A case's (kind, reading) cell, read off the case itself."""
+    if cond.over == "edges":
+        return cond.kind, "edges"
+    return cond.kind, "colours" if ts._colours else "ids"
+
+
+def grid(readings=("ids", "colours"), kinds=CONDITION_KINDS):
+    """The cells that `sampled_cases` meets with these readings."""
+    return set(itertools.product(kinds, readings))
+
+
+def random_acds(rng, count):
+    """Decompositions of `count` random systems of 5 vertices and 9 edges
+    at most from the case grid, a third of each kind recoloured from four
+    colours.  Read to its end, it asserts that every cell was met."""
+    drawn = set()
+    for ts, cond in sampled_cases(rng, count, "abcd",
+                                  ("colours", "ids", "ids"),
+                                  max_vertices=5, max_edges=9):
+        drawn.add(cell(ts, cond))
+        yield ts, build_acd(ts, cond)
+    assert drawn == grid()

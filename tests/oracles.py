@@ -377,24 +377,9 @@ def grouped_components(edges):
     return list(inner.values())
 
 
-def _scc_edge_sets(edges):
-    """SCC-internal edge groups of a list of (id, source, target) triples,
-    by Kosaraju on the touched vertices."""
-    adj = {}
-    for eid, s, t in edges:
-        adj.setdefault(s, []).append(t)
-        adj.setdefault(t, [])
-    comp = kosaraju_components(adj, adj.__getitem__)
-    groups = {}
-    for eid, s, t in edges:
-        if comp[s] == comp[t]:
-            groups.setdefault(comp[s], []).append((eid, s, t))
-    return list(groups.values())
-
-
 def loop_exists(edges, letter_of, prio_of, letters, d):
-    """Is there a loop using exactly the given letter set whose minimum
-    priority is exactly d?
+    """Is there a loop of the `Edge`s `edges` using exactly the given
+    letter set whose minimum priority is exactly d?
 
     Complete without enumeration: such a loop exists iff some SCC of the
     subgraph (letters within the set, priorities >= d) covers every letter
@@ -402,21 +387,22 @@ def loop_exists(edges, letter_of, prio_of, letters, d):
     and any such loop sits inside one.
     """
     keep = [e for e in edges
-            if letter_of(e[0]) in letters and prio_of(e[0]) >= d]
-    for group in _scc_edge_sets(keep):
-        got = {letter_of(eid) for eid, _, _ in group}
+            if letter_of(e.id) in letters and prio_of(e.id) >= d]
+    for group in grouped_components(keep):
+        got = {letter_of(e.id) for e in group}
         if got == frozenset(letters) and \
-                min(prio_of(eid) for eid, _, _ in group) == d:
+                min(prio_of(e.id) for e in group) == d:
             return True
     return False
 
 
 def parity_criterion_violation(edges, letter_of, prio_of, letter_sets,
                                accepting):
-    """First (letter set, priority) pair witnessing a loop whose minimum
-    priority has the wrong parity, or None.  `letter_sets` are the
-    candidate infinite-letter sets, `accepting(X)` the wanted status."""
-    prios = sorted({prio_of(e[0]) for e in edges})
+    """First (letter set, priority) pair witnessing a loop of the `Edge`s
+    `edges` whose minimum priority has the wrong parity, or None.
+    `letter_sets` are the candidate infinite-letter sets, `accepting(X)`
+    the wanted status."""
+    prios = sorted({prio_of(e.id) for e in edges})
     for X in letter_sets:
         want = accepting(X)
         for d in prios:
@@ -435,7 +421,7 @@ def naive_certificate_problems(game, solution):
     reported when some edge of priority d lies in an SCC of the allowed
     edges of priority >= d, that is, when some cycle has minimum d.  A
     region or strategy container that is not a dict counts as empty.
-    SCCs come from `_scc_edge_sets`, not from the library."""
+    SCCs come from `grouped_components`, not from the library."""
     ts = game.ts
     key, _ = _reading(ts, game.condition)
     vertices = set(ts.vertices)
@@ -481,10 +467,9 @@ def naive_certificate_problems(game, solution):
         for d in sorted(set(prios.values())):
             if d % 2 == good_parity:
                 continue
-            keep = [(e.id, e.source, e.target) for e in allowed
-                    if prios[e.id] >= d]
-            if any(prios[eid] == d
-                   for group in _scc_edge_sets(keep) for eid, _, _ in group):
+            keep = [e for e in allowed if prios[e.id] >= d]
+            if any(prios[e.id] == d
+                   for group in grouped_components(keep) for e in group):
                 problems.append(
                     "cycle with minimum priority %d inside the %s region"
                     % (d, player))

@@ -147,7 +147,7 @@ def test_criterion_06_loop_criterion_suite():
         zt = build_zt_automaton(build_zielonka_tree(fam, set(gamma)))
         aut = zt.automaton.ts
         reach = aut.reachable_vertices()
-        edges = [(e.id, e.source, e.target) for e in aut.edges
+        edges = [e for e in aut.edges
                  if e.source in reach and e.target in reach]
         prios = zt.automaton.condition.priorities
         sets = [frozenset(s) for s in chain.from_iterable(
@@ -172,7 +172,7 @@ def test_criterion_06_loop_criterion_suite():
         res = acd_transform(ts, cond)
         loops = enumerate_reachable_loops(ts, cap=12)
         reach = res.system.reachable_vertices()
-        edges = [(e.id, e.source, e.target) for e in res.system.edges
+        edges = [e for e in res.system.edges
                  if e.source in reach and e.target in reach]
         prios = res.condition.priorities
         if parity_criterion_violation(

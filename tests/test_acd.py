@@ -15,11 +15,10 @@ from acdkit import (CapExceeded, InputError, MullerCondition,
 from acdkit import docfmt, relabel
 from acdkit.loops import enumerate_reachable_loops
 from acdkit.zielonka import _zielonka_tree
-from conftest import (CONDITION_KINDS, FIXTURES, count_readings,
-                      even_muller, nested_pairs, parity_chain,
-                      random_condition,
-                      random_muller_system, random_system, recoloured,
-                      under_hash_seeds)
+from conftest import (FIXTURES, count_readings, even_muller, grid,
+                      nested_pairs, parity_chain, random_acds,
+                      random_condition, random_muller_system, random_system,
+                      recoloured, under_hash_seeds)
 from oracles import deepest_holding_prefix, loop_preserving
 
 
@@ -184,18 +183,6 @@ def test_transform_morphism_random():
         assert check_local(m)["bijective"]
 
 
-def random_acds(rng, count):
-    """Decompositions of random systems under conditions of the six kinds
-    in turn, a third of them over edges recoloured from four colours."""
-    for i in range(count):
-        ts = random_system(rng, max_vertices=5, max_edges=9)
-        if i % 3 == 0:
-            ts = recoloured(rng, ts, ["a", "b", "c", "d"])
-        kind = CONDITION_KINDS[i % len(CONDITION_KINDS)]
-        cond = random_condition(rng, kind, {ts.colour(e.id) for e in ts.edges})
-        yield ts, build_acd(ts, cond)
-
-
 def test_subtrees_are_whole_trees():
     """A vertex's subtree is a full ZielonkaTree: its height is one more
     than the depth of the deepest node whose loop visits the vertex, and
@@ -319,34 +306,32 @@ TRANSFORM_PRIORITIES = """
 import random, sys
 sys.path.insert(0, %r)
 from acdkit import acd_stats, acd_transform
-from conftest import (CONDITION_KINDS, random_condition, random_system,
-                      recoloured)
-rng = random.Random(61)
-wrong, intervals = [], set()
-for i in range(600):
-    ts = random_system(rng, max_vertices=5, max_edges=9)
-    if i // 6 %% 3 == 0:
-        ts = recoloured(rng, ts, ["a", "b", "c", "d"])
-    cond = random_condition(rng, CONDITION_KINDS[i %% 6], ts.colour_set())
+from conftest import cell, sampled_cases
+wrong, intervals, cells = [], set(), set()
+for i, (ts, cond) in enumerate(sampled_cases(
+        random.Random(61), 600, "abcd", ("colours", "ids", "ids"),
+        max_vertices=5, max_edges=9)):
     res = acd_transform(ts, cond)
     lo, hi = acd_stats(res.acd)["interval"]
     intervals.add((lo, hi))
+    cells.add(cell(ts, cond))
     if set(res.condition.priorities.values()) != set(range(lo, hi + 1)):
         wrong.append(i)
-print(wrong, sorted(intervals))
+print(wrong, sorted(intervals), sorted(cells))
 """
 
 
 def test_transform_uses_exactly_the_interval_priorities():
-    """The paper's priority count: the transform of a random system of
-    each kind, reachable from its initial vertex or not (the lift starts
-    from every copy), uses every priority of `acd_stats`' interval and no
-    other, under two hash seeds."""
+    """The paper's priority count: the transform of a random system on
+    every cell of the case grid, reachable from its initial vertex or not
+    (the lift starts from every copy), uses every priority of `acd_stats`'
+    interval and no other, under two hash seeds."""
     here = os.path.dirname(os.path.abspath(__file__))
     first, second = under_hash_seeds(TRANSFORM_PRIORITIES % here)
     assert first == second
     assert first.startswith("[] ")
     assert "(0, " in first and "(1, " in first
+    assert first.endswith(" %s\n" % sorted(grid()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 150])

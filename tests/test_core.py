@@ -15,8 +15,8 @@ from acdkit import (Automaton, BuchiCondition, CapExceeded, CoBuchiCondition,
                     validate)
 from acdkit.core import (_TRIM_ABOVE, Edge, _components, _reach,
                          _tarjan_marks)
-from conftest import (CONDITION_KINDS, random_condition, random_system,
-                      recoloured, under_hash_seeds)
+from conftest import (CONDITION_KINDS, cell, grid, random_condition,
+                      random_system, sampled_cases, under_hash_seeds)
 from oracles import grouped_components, kosaraju_components, loop_equivalent
 
 
@@ -691,17 +691,16 @@ def test_equivalent_over_trivial():
 
 @pytest.mark.parametrize("kind", CONDITION_KINDS)
 def test_equivalent_over_matches_loop_oracle(kind):
-    # the decomposition comparison against the loop-by-loop one, on
-    # edge-id and recoloured systems: a random condition of the same kind
-    # and one of any kind (mostly inequivalent), and the explicit Muller
-    # form over edge ids (always equivalent)
+    # the decomposition comparison against the loop-by-loop one, on edge-id
+    # systems and on systems recoloured from two to four colours: a random
+    # condition of the same kind and one of any kind (mostly inequivalent),
+    # and the explicit Muller form over edge ids (always equivalent)
     rng = random.Random(CONDITION_KINDS.index(kind))
-    verdicts = {True: 0, False: 0}
-    for i in range(30):
-        ts = random_system(rng, max_vertices=4, max_edges=8)
-        if i % 2:
-            ts = recoloured(rng, ts, "abcd"[:2 + i % 3])
-        cond = random_condition(rng, kind, ts.colour_set())
+    verdicts, drawn = {True: 0, False: 0}, set()
+    for ts, cond in sampled_cases(
+            rng, 30, lambda rng, ts: "abcd"[:rng.randint(2, 4)],
+            kinds=(kind,), max_vertices=4, max_edges=8):
+        drawn.add(cell(ts, cond))
         for other in (random_condition(rng, kind, ts.colour_set()),
                       random_condition(rng, rng.choice(CONDITION_KINDS),
                                        ts.colour_set()),
@@ -711,6 +710,7 @@ def test_equivalent_over_matches_loop_oracle(kind):
             assert equivalent_over(ts, other, cond) == got
             verdicts[got] += 1
     assert verdicts[True] > 30 and verdicts[False] > 10, verdicts
+    assert drawn == grid(kinds=(kind,))
 
 
 def test_automaton_checks():

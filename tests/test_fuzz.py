@@ -395,8 +395,8 @@ def test_library_lookups_on_odd_values(slot):
 FOREIGN = Edge("z", "zz", "p")
 # label -> (call of the built objects, its message): an unknown and an
 # unhashable name for each accessor, and for the tree and forest lookups
-# unknown nodes, foreign edges, a value that is not a loop, and tree
-# indices out of range, negative or not an int (a bool or a float)
+# unknown nodes, a node off its branch, foreign edges, a non-loop, and
+# tree indices out of range, negative or not an int (a bool or a float)
 MESSAGES = {
     "edge unknown": (lambda o: o["ts"].edge("zz"), "unknown edge 'zz'"),
     "edge unhashable": (lambda o: o["ts"].edge(["zz"]),
@@ -456,6 +456,9 @@ MESSAGES = {
                                    "unknown node [0]"),
     "nextbranch leaf not a node": (
         lambda o: nextbranch(o["tree"], None, ()), "unknown node None"),
+    "nextbranch node off the branch": (
+        lambda o: nextbranch(o["tree"], (), (0,)),
+        "node (0,) is not on the branch ()"),
     "multi_supp unknown edge": (lambda o: multi_supp(o["acd"], (), 1, "zz"),
                                 "unknown edge 'zz'"),
     "multi_supp unhashable edge": (

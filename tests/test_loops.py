@@ -14,9 +14,10 @@ from acdkit import (Automaton, CapExceeded, InputError, Loop,
                     parity_relabel, rabin_from_acd, sccs, streett_from_acd)
 from acdkit.core import _reading
 from acdkit.docfmt import parse
-from conftest import (CONDITION_KINDS, FIXTURES, random_condition,
-                      random_muller_system, random_system, recoloured)
-from oracles import _scc_edge_sets, naive_loops, naive_maximal_flipped
+from conftest import (CONDITION_KINDS, FIXTURES, cell, grid, random_condition,
+                      random_muller_system, random_system, recoloured,
+                      sampled_cases)
+from oracles import grouped_components, naive_loops, naive_maximal_flipped
 
 
 def test_sixstate_sccs(sixstate):
@@ -191,8 +192,10 @@ def _check_against_naive(ts, cond, top):
 
 
 def test_alternating_children_matches_naive_oracle():
-    # Muller conditions over the default edge-id colours, then every
-    # condition kind over the edge ids and over a few explicit colours
+    # Muller conditions over the default edge-id colours, then every cell
+    # of the case grid at each edge bound from 7 to 12 (6 edges at least):
+    # each kind on edge-id systems and on systems recoloured from two to
+    # four colours
     rng = random.Random(11)
     checked = 0
     for _ in range(40):
@@ -201,21 +204,19 @@ def test_alternating_children_matches_naive_oracle():
             _check_against_naive(ts, cond, top)
             checked += 1
     assert checked > 20
-    for kind in CONDITION_KINDS:
-        checked = 0
-        for i in range(24):
-            ts = random_system(rng, max_vertices=4, max_edges=7 + i % 6)
-            while len(ts.edges) < 6:
-                ts = random_system(rng, max_vertices=4, max_edges=7 + i % 6)
-            if i % 2:
-                ts = recoloured(rng, ts, "abcd"[:2 + i % 3])
-            cond = random_condition(rng, kind, ts.colour_set())
+    checked, drawn = dict.fromkeys(CONDITION_KINDS, 0), set()
+    for most in range(7, 13):
+        for ts, cond in sampled_cases(
+                rng, 24, lambda rng, ts: "abcd"[:rng.randint(2, 4)],
+                max_vertices=4, min_edges=6, max_edges=most):
+            drawn.add(cell(ts, cond))
             for tree in build_acd(ts, cond).trees:
                 for node in tree.nodes:
                     _check_against_naive(ts, cond,
                                          Loop.of(ts, tree.label[node]))
-                    checked += 1
-        assert checked > 40, kind
+                    checked[cond.kind] += 1
+    assert min(checked.values()) > 40, checked
+    assert drawn == grid()
 
 
 def test_edge_keyed_condition_on_coloured_system():
@@ -305,9 +306,8 @@ def test_sccs_match_kosaraju_random():
             maximal, transient = sccs(ts, chosen)
             edges = [ts.edge(eid) for eid in
                      (ids if chosen is None else sorted(chosen))]
-            want = {frozenset(eid for eid, _, _ in group) for group in
-                    _scc_edge_sets([(e.id, e.source, e.target)
-                                    for e in edges])}
+            want = {frozenset(e.id for e in group)
+                    for group in grouped_components(edges)}
             assert [l.edges for l in maximal] == \
                 sorted(want, key=lambda es: sorted(es))
             for l in maximal:
@@ -395,7 +395,7 @@ def test_scc_cover_loop_oracle_matches_enumeration():
     for _ in range(30):
         ts, _ = random_muller_system(rng, max_vertices=4, max_edges=7)
         reach = ts.reachable_vertices()
-        edges = [(e.id, e.source, e.target) for e in ts.edges
+        edges = [e for e in ts.edges
                  if e.source in reach and e.target in reach]
         letter = {e.id: e.id[0] for e in ts.edges}   # bucket by first char
         prio = {e.id: rng.randint(0, 3) for e in ts.edges}
@@ -405,7 +405,7 @@ def test_scc_cover_loop_oracle_matches_enumeration():
             key = frozenset(letter[eid] for eid in l.edges)
             seen.setdefault(key, set()).add(
                 min(prio[eid] for eid in l.edges))
-        letters = {frozenset(letter[eid] for eid, _, _ in edges)} | set(seen)
+        letters = {frozenset(letter[e.id] for e in edges)} | set(seen)
         for X in letters:
             for d in range(0, 4):
                 got = loop_exists(edges, letter.get, prio.get, X, d)

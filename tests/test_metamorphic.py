@@ -46,8 +46,8 @@ from acdkit import (BuchiCondition, CoBuchiCondition, Game, InputError,
                     acd_transform, build_acd, classify_acd, docfmt,
                     solve_muller_game, solve_parity_game, validate)
 from acdkit.core import PLAYERS, _over
-from conftest import (CONDITION_KINDS, FIXTURES, random_condition,
-                      random_system)
+from conftest import (FIXTURES, cell, grid, random_system, recoloured,
+                      sampled_cases)
 
 READINGS = ("ids", "colours", "edges")
 
@@ -74,28 +74,18 @@ def _fixtures():
 
 
 def _random_systems(seed, count, readings):
-    """`count` small random games of each condition kind and reading: a
-    colour map draws from a palette of about half the edge count, and a
-    condition over edges names the edge ids of a recoloured system."""
-    rng = random.Random(seed)
-    out = []
-    for kind in CONDITION_KINDS:
-        for reading in readings:
-            for i in range(count):
-                ts = random_system(rng, max_vertices=5, max_edges=8,
-                                   with_owners=True)
-                ids = [e.id for e in ts.edges]
-                if reading != "ids":
-                    most = rng.randint(1, len(ids) // 2 + 1)
-                    palette = ["k%d" % j for j in range(most)]
-                    ts = TransitionSystem(
-                        ts.vertices, ts.edges, ts.initial, owners=ts.owners,
-                        colours={e: rng.choice(palette) for e in ids})
-                keys = ids if reading == "edges" else sorted(ts.colour_set())
-                cond = random_condition(rng, kind, keys)
-                if reading == "edges":
-                    cond = _over(cond, "edges")
-                out.append(("%s/%s/%d" % (kind, reading, i), ts, cond))
+    """`count` small random games (5 vertices and 8 edges at most) per
+    cell of the case grid over the readings: a recolouring draws from a
+    palette of about half the edge count."""
+    def palette(rng, ts):
+        most = rng.randint(1, len(ts.edges) // 2 + 1)
+        return ["k%d" % j for j in range(most)]
+    cases = sampled_cases(random.Random(seed), count * 6 * len(readings),
+                          palette, readings, max_vertices=5, max_edges=8,
+                          with_owners=True)
+    out = [("%s/%s/%d" % (*cell(ts, cond), i), ts, cond)
+           for i, (ts, cond) in enumerate(cases)]
+    assert {cell(ts, cond) for _, ts, cond in out} == grid(readings)
     return out
 
 
@@ -262,9 +252,7 @@ def test_dual_parity_game_swaps_every_winner(reading):
                            with_owners=True)
         ids = [e.id for e in ts.edges]
         if reading != "ids":
-            ts = TransitionSystem(
-                ts.vertices, ts.edges, ts.initial, owners=ts.owners,
-                colours={e: rng.choice(ids) for e in ids})
+            ts = recoloured(rng, ts, ids)
         keys = ids if reading == "edges" else sorted(ts.colour_set())
         top = rng.randint(1, 9)
         cond = ParityCondition({c: rng.randrange(top) for c in keys})
@@ -358,13 +346,13 @@ def _sizes(ts, cond):
 
 def test_disjoint_union_adds_trees_transform_sizes_and_regions():
     rng = random.Random(23)
-    systems = _random_systems(4, 6, READINGS)
+    by_cell = {}
+    for label, ts, cond in _random_systems(4, 6, READINGS):
+        by_cell.setdefault(cell(ts, cond), []).append((label, ts, cond))
     pairs = 0
-    for (label, ts, cond), (_, other, other_cond) in zip(
-            systems, systems[1:] + systems[:1]):
-        if (cond.kind, cond.over, bool(ts._colours)) != \
-                (other_cond.kind, other_cond.over, bool(other._colours)):
-            continue
+    for (label, ts, cond), (_, other, other_cond) in (
+            pair for group in by_cell.values()
+            for pair in zip(group, group[1:] + group[:1])):
         (ts2, cond2), _ = _renamed(rng, other, other_cond)
         one, two = _sizes(ts, cond), _sizes(ts2, cond2)
         got = _sizes(_union(ts, ts2), _union_condition(cond, cond2))

@@ -8,9 +8,8 @@ from acdkit import (BuchiCondition, CapExceeded, InputError, Morphism,
                     check_acceptance_preserving, check_local,
                     check_structural, compose, induced_morphism, lift_run,
                     map_run, to_explicit_muller)
-from conftest import (CONDITION_KINDS, count_readings, random_condition,
-                      random_muller_system, random_system, recoloured,
-                      under_hash_seeds)
+from conftest import (cell, count_readings, grid, random_muller_system,
+                      sampled_cases, under_hash_seeds)
 from oracles import loop_preserving
 
 
@@ -177,24 +176,22 @@ def test_random_transform_morphisms_preserve_acceptance():
 
 
 def test_acceptance_preserving_matches_loop_oracle():
-    # projections of transforms under all six kinds, on edge-id and
-    # recoloured systems, with a few priorities moved by one so that some
-    # do not preserve acceptance; every fourth target condition is the
-    # explicit Muller form, keyed by edge id on a coloured system
+    # projections of transforms on every cell of the case grid (six kinds,
+    # edge ids or three colours), with a few priorities moved by one so
+    # that some do not preserve acceptance; about one target in four,
+    # drawn apart from the cell, is the explicit Muller form by edge id
     rng = random.Random(23)
     verdicts = {True: 0, False: 0}
-    edge_keyed = 0
-    for i in range(120):
-        ts = random_system(rng, max_vertices=3, max_edges=6)
-        if i % 2:
-            ts = recoloured(rng, ts, "abc")
-        cond = random_condition(rng, CONDITION_KINDS[i % 6], ts.colour_set())
+    drawn, edge_keyed = set(), []
+    for ts, cond in sampled_cases(rng, 120, "abc", max_vertices=3,
+                                  max_edges=6):
         res = acd_transform(ts, cond)
         prio = dict(res.condition.priorities)
         for e in rng.sample(sorted(prio), rng.randint(0, min(2, len(prio)))):
             prio[e] = prio[e] + 1 if not prio[e] or rng.random() < 0.5 \
                 else prio[e] - 1
-        target = to_explicit_muller(ts, cond) if i % 4 == 1 else cond
+        explicit = rng.random() < 0.25
+        target = to_explicit_muller(ts, cond) if explicit else cond
         m = Morphism(res.system, ParityCondition(prio), ts, target,
                      res.vertex_map, res.edge_map)
         try:
@@ -203,9 +200,11 @@ def test_acceptance_preserving_matches_loop_oracle():
             continue
         assert check_acceptance_preserving(m) == want
         verdicts[want] += 1
-        edge_keyed += i % 4 == 1
+        drawn.add(cell(ts, cond))
+        if explicit:
+            edge_keyed.append(cell(ts, cond))
     assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
-    assert edge_keyed > 15
+    assert len(edge_keyed) > 15 and set(edge_keyed) == drawn == grid()
 
 
 def test_acceptance_preserving_maps_only_reachable_loop_edges():

@@ -9,8 +9,7 @@ from acdkit import (CapExceeded, InputError, MullerCondition, ParityCondition,
                     parity_relabel, rabin_from_acd, streett_from_acd,
                     to_explicit_muller)
 from acdkit.core import _compressed
-from conftest import (CONDITION_KINDS, FIXTURES, random_condition,
-                      random_muller_system, random_system, recoloured)
+from conftest import FIXTURES, cell, grid, random_acds, random_muller_system
 from oracles import loop_equivalent
 
 
@@ -102,8 +101,8 @@ def test_parity_relabel_is_already_compressed():
     of an out-edge of one of its vertices, so each tree uses every
     priority from its root's to root's + height - 1, and the relabelling's
     priorities run without a gap from 0 or 1: compressing it changes
-    nothing.  The fixtures and random systems of the six kinds."""
-    rng = random.Random(53)
+    nothing.  The fixtures and `random_acds`, whose parity-shaped ones
+    meet every cell of the case grid."""
     systems = []
     for path in sorted(FIXTURES.glob("*.json")):
         try:
@@ -111,13 +110,8 @@ def test_parity_relabel_is_already_compressed():
             systems.append((doc.system, build_acd(doc.system, doc.condition)))
         except InputError:
             continue
-    for i in range(600):
-        ts = random_system(rng, max_vertices=5, max_edges=9)
-        if i // 6 % 3 == 0:
-            ts = recoloured(rng, ts, ["a", "b", "c", "d"])
-        cond = random_condition(rng, CONDITION_KINDS[i % 6], ts.colour_set())
-        systems.append((ts, build_acd(ts, cond)))
-    shaped = 0
+    systems += random_acds(random.Random(53), 600)
+    shaped, drawn = 0, set()
     for ts, acd in systems:
         if classify_acd(acd).parity_acd:
             relabelled = parity_relabel(ts, acd)
@@ -125,7 +119,9 @@ def test_parity_relabel_is_already_compressed():
             assert (compressed.priorities, compressed.over) == \
                 (relabelled.priorities, relabelled.over)
             shaped += 1
+            drawn.add(cell(ts, acd.cond))
     assert shaped >= 500, shaped
+    assert drawn >= grid()
 
 
 def _random_priority_map(rng, ids):
@@ -269,16 +265,10 @@ def test_is_weak_k_reads_the_condition_once():
 def test_subtrees_and_offending_match_brute_force():
     """Each vertex's branches and the classification's offending nodes,
     recomputed from the whole trees: the nodes whose loop visits the
-    vertex, and among them those with no / several such children."""
-    rng = random.Random(17)
+    vertex, and among them those with no / several such children, on
+    every cell of the case grid."""
     branching = 0
-    for i in range(120):
-        ts = random_system(rng, max_vertices=5, max_edges=9)
-        if i % 3 == 0:
-            ts = recoloured(rng, ts, ["a", "b", "c", "d"])
-        kind = CONDITION_KINDS[i % len(CONDITION_KINDS)]
-        cond = random_condition(rng, kind, {ts.colour(e.id) for e in ts.edges})
-        acd = build_acd(ts, cond)
+    for ts, acd in random_acds(random.Random(17), 180):
         offending = {}
         for v in ts.vertices:
             t = acd.tree(acd.vertex_index[v])

@@ -17,9 +17,8 @@ from acdkit import (InputError, MullerCondition, TransitionSystem,
 from acdkit.zielonka import (_branching, _canonical_maximal,
                              _flipped_colour_sets, _maximal_flipped,
                              _minus_one_colour, _zielonka_tree)
-from conftest import (CONDITION_KINDS, even_muller, parity_chain,
-                      random_condition, random_family, random_muller_system,
-                      random_sparse_muller_system, random_system, recoloured,
+from conftest import (CONDITION_KINDS, cell, even_muller, grid, parity_chain,
+                      random_condition, random_family, sampled_cases,
                       under_hash_seeds)
 import oracles
 from oracles import deepest_holding_prefix, simulate_zt_output
@@ -96,6 +95,10 @@ def test_nextbranch():
     assert nextbranch(t2, beta, ()) == (1, 0)
     assert nextbranch(t2, beta, (0,)) == (0, 0)
     assert nextbranch(t2, beta, beta) == beta
+    t = build_zielonka_tree([["a"], ["b"], ["a", "b", "c"]], ["a", "b", "c"])
+    with pytest.raises(InputError, match=r"^node \(0,\) is not on the "
+                                         r"branch \(1, 0\)$"):
+        nextbranch(t, (1, 0), (0,))
 
 
 def test_zt_automaton_f1():
@@ -506,7 +509,8 @@ def _assert_preorder(tree):
 
 def test_nodes_are_listed_in_preorder_without_a_sort():
     """Zielonka trees of random conditions of every kind, the trees of
-    decompositions of random systems and each of their restrictions to
+    decompositions of random systems on every cell of the case grid (a
+    third recoloured from four colours) and each of their restrictions to
     one vertex: one node order, read straight off the tree's build."""
     rng = random.Random(34)
     branching = 0
@@ -516,14 +520,9 @@ def test_nodes_are_listed_in_preorder_without_a_sort():
             random_condition(rng, CONDITION_KINDS[i % 6], gamma), gamma)
         _assert_preorder(tree)
         branching += bool(_branching(tree)[0])
-    for i in range(90):
-        if i % 3 == 2:
-            ts = recoloured(rng, random_system(rng), list("abcd"))
-            cond = random_condition(rng, CONDITION_KINDS[i % 6],
-                                    ts.colour_set())
-        else:
-            make = (random_muller_system, random_sparse_muller_system)[i % 3]
-            ts, cond = make(rng)
+    drawn = set()
+    for ts, cond in sampled_cases(rng, 90, "abcd", ("ids", "ids", "colours")):
+        drawn.add(cell(ts, cond))
         acd = build_acd(ts, cond)
         for t in (acd.tree(0),) + acd.trees:
             _assert_preorder(t)
@@ -534,4 +533,5 @@ def test_nodes_are_listed_in_preorder_without_a_sort():
             assert sub.nodes == tuple(n for n in whole.nodes
                                       if n in sub.children_map)
             branching += bool(_branching(sub)[0])
+    assert drawn == grid()
     assert branching > 20  # the order of `_branching` is put to the test
