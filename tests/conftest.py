@@ -1,5 +1,6 @@
 import itertools
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,17 +18,58 @@ from families import (  # noqa: F401  (re-exported)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# The wall-clock limit of every test here: the largest bound a test
+# asserts (criteria 07 and 09), far above the slowest test (about 4 s).
+TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TIME_LIMIT_S.  Not a TimeoutError: that is an
+    OSError, which the CLI's readers and writers turn into exit 2."""
+
+
+def _expire(signum, frame):
+    raise TimeLimitExceeded("the test ran past its %d s limit" % TIME_LIMIT_S)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Each test runs under TIME_LIMIT_S of wall time, on a platform with
+    an interval timer.  An interrupted `subprocess.run` kills its child."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a child interpreter has the package and these tests on its path
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(acdkit.__file__)),
+     os.path.dirname(os.path.abspath(__file__))]))
+
+
+def child(*argv, hash_seed=None, text=True):
+    """`python *argv` run to its end in a fresh interpreter, with
+    CHILD_ENV under the PYTHONHASHSEED `hash_seed` if one is given; the
+    completed process, its output captured."""
+    env = CHILD_ENV if hash_seed is None else \
+        dict(CHILD_ENV, PYTHONHASHSEED=hash_seed)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=text, env=env)
+
 
 def under_hash_seeds(code, seeds=("0", "1")):
-    """The stdout of `code` run by a fresh interpreter under each
-    PYTHONHASHSEED of `seeds`, with the package on its path, in order."""
-    src = os.path.dirname(os.path.dirname(acdkit.__file__))
+    """The stdout of `code` run by a child under each PYTHONHASHSEED of
+    `seeds`, in order."""
     out = []
     for seed in seeds:
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            timeout=60, env=dict(os.environ, PYTHONHASHSEED=seed,
-                                 PYTHONPATH=src))
+        proc = child("-c", code, hash_seed=seed)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     return out

@@ -93,6 +93,40 @@ def loop_preserving(m, cap=None):
                for l in enumerate_reachable_loops(m.source_ts, cap=cap))
 
 
+def every_vertex_loops(ts, cap):
+    """The loops of `ts` with every vertex initial, the unreachable ones
+    included; CapExceeded past `cap` loops."""
+    every = TransitionSystem(
+        ts.vertices, [(e.id, e.source, e.target) for e in ts.edges],
+        ts.vertices)
+    return enumerate_reachable_loops(every, cap=cap)
+
+
+def loop_union_flags(ts, cond, loops):
+    """(rabin, streett, strays), read pair by pair over `loops`: `rabin`
+    holds when no two rejecting loops sharing a state have an accepting
+    union, and `streett` when no two accepting ones have a rejecting
+    union.  A union not among `loops` is a stray: counted, and read for
+    neither flag."""
+    status = {l.edges: loop_status_over(ts, cond, l.edges) for l in loops}
+    rabin = streett = True
+    strays = 0
+    for l1 in loops:
+        for l2 in loops:
+            if not l1.states & l2.states:
+                continue
+            both = l1.edges | l2.edges
+            if both not in status:
+                strays += 1
+                continue
+            s1, s2, s = status[l1.edges], status[l2.edges], status[both]
+            if not s1 and not s2 and s:
+                rabin = False
+            if s1 and s2 and not s:
+                streett = False
+    return rabin, streett, strays
+
+
 def simulate_zt_output(zt, prefix, cycle):
     """Minimum output priority seen infinitely often when the branch
     automaton reads prefix cycle^w, plus the letter set actually repeated

@@ -15,23 +15,17 @@ from acdkit import (CapExceeded, Game, InputError, MullerCondition,
                     parity_relabel, rabin_from_acd, solve_muller_game,
                     streett_from_acd)
 from acdkit.loops import enumerate_reachable_loops
-from conftest import (SIXSTATE_EDGES, SIXSTATE_FAMILY, FIXTURES, random_family,
-                      random_sparse_muller_system)
-from oracles import (brute_force_parity_regions, loop_equivalent,
-                     loop_preserving, min_parity_automaton_size,
-                     min_parity_priority_count, parity_criterion_violation)
+from conftest import FIXTURES, random_family, random_sparse_muller_system
+from oracles import (brute_force_parity_regions, every_vertex_loops,
+                     loop_equivalent, loop_preserving, loop_union_flags,
+                     min_parity_automaton_size, min_parity_priority_count,
+                     parity_criterion_violation)
 
 F1 = [{"a"}, {"b"}]
 G1 = {"a", "b", "c"}
 F2 = [set(s) for s in
       ["abcd", "abd", "acd", "bcd", "ab", "ad", "bc", "bd", "a", "b", "d"]]
 G2 = set("abcd")
-
-
-def sixstate_pair():
-    ts = TransitionSystem(
-        ["q0", "q1", "q2", "q3", "q4", "q5"], SIXSTATE_EDGES, ["q0"])
-    return ts, MullerCondition(SIXSTATE_FAMILY)
 
 
 def timed(fn, repeats=5):
@@ -82,8 +76,8 @@ def test_criterion_02_four_colour_tree_and_automaton():
     report(2, ok and dt < 0.001, dt)
 
 
-def test_criterion_03_cycle_decomposition():
-    ts, cond = sixstate_pair()
+def test_criterion_03_cycle_decomposition(sixstate):
+    ts, cond = sixstate
     dt, acd = timed(lambda: build_acd(ts, cond))
     t1, t2 = acd.trees
     ok = (acd.t0_edges == frozenset({"a", "b", "f"})
@@ -100,8 +94,8 @@ def test_criterion_03_cycle_decomposition():
     report(3, ok and dt < 0.010, dt)
 
 
-def test_criterion_04_parity_transformation():
-    ts, cond = sixstate_pair()
+def test_criterion_04_parity_transformation(sixstate):
+    ts, cond = sixstate
     dt, res = timed(lambda: acd_transform(ts, cond))
     counts = tuple(len(res.copies[q]) for q in ts.vertices)
     m = induced_morphism(res, ts, cond)
@@ -206,13 +200,6 @@ def _embeds(interval, target):
     return hi - lo + lo2 <= thi
 
 
-def _all_loops(ts, cap=10):
-    every = TransitionSystem(ts.vertices,
-                             [(e.id, e.source, e.target) for e in ts.edges],
-                             ts.vertices)
-    return enumerate_reachable_loops(every, cap=cap)
-
-
 def test_criterion_08_relabelling_characterizations():
     t0 = time.perf_counter()
     rng = random.Random(801)
@@ -223,28 +210,13 @@ def test_criterion_08_relabelling_characterizations():
                                                max_edges=8)
         try:
             acd = build_acd(ts, cond)
-            loops = _all_loops(ts)
+            loops = every_vertex_loops(ts, cap=10)
         except (InputError, CapExceeded):
             continue
         report_ = classify_acd(acd)
-        rabin = streett = True
-        edge_sets = {l.edges for l in loops}
-        for l1 in loops:
-            for l2 in loops:
-                if not (l1.states & l2.states):
-                    continue
-                both = l1.edges | l2.edges
-                if both not in edge_sets:
-                    # two loops sharing a state make one loop
-                    failures += 1
-                    continue
-                s1 = loop_status_over(ts, cond, l1.edges)
-                s2 = loop_status_over(ts, cond, l2.edges)
-                s = loop_status_over(ts, cond, both)
-                if not s1 and not s2 and s:
-                    rabin = False
-                if s1 and s2 and not s:
-                    streett = False
+        # two loops sharing a state make one loop, so a stray is a failure
+        rabin, streett, strays = loop_union_flags(ts, cond, loops)
+        failures += strays
         if report_.rabin_acd != rabin or report_.streett_acd != streett:
             failures += 1
         rc = sc = None

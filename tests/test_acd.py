@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import random
 
 import pytest
@@ -303,8 +302,7 @@ def test_edge_step_matches_the_naive_step():
 
 
 TRANSFORM_PRIORITIES = """
-import random, sys
-sys.path.insert(0, %r)
+import random
 from acdkit import acd_stats, acd_transform
 from conftest import cell, sampled_cases
 wrong, intervals, cells = [], set(), set()
@@ -326,8 +324,7 @@ def test_transform_uses_exactly_the_interval_priorities():
     every cell of the case grid, reachable from its initial vertex or not
     (the lift starts from every copy), uses every priority of `acd_stats`'
     interval and no other, under two hash seeds."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    first, second = under_hash_seeds(TRANSFORM_PRIORITIES % here)
+    first, second = under_hash_seeds(TRANSFORM_PRIORITIES)
     assert first == second
     assert first.startswith("[] ")
     assert "(0, " in first and "(1, " in first

@@ -3,8 +3,6 @@ import itertools
 import json
 import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from hypothesis import strategies as st
 from acdkit import InputError, cli, docfmt, zielonka
 from acdkit.core import _reading
 from acdkit.loops import equivalent_over
-from conftest import (count_readings, path_game, random_condition,
+from conftest import (child, count_readings, path_game, random_condition,
                       random_system, recoloured)
 from oracles import closure_oracle
 
@@ -44,14 +42,10 @@ def run(tmp_path, *argv):
     return code, data
 
 
-def run_process(*argv, timeout=None):
-    """Run a CLI invocation in a fresh interpreter; returns the completed
-    process, with stdout and stderr as text."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    return subprocess.run(
-        [sys.executable, "-m", "acdkit.cli"] + list(argv),
-        capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=src))
+def run_process(*argv):
+    """Run a CLI invocation through the real entry point, in a child;
+    returns the completed process, with stdout and stderr as text."""
+    return child("-m", "acdkit.cli", *argv)
 
 
 ALL_INVOCATIONS = [
@@ -384,11 +378,8 @@ for argv in json.loads(sys.argv[1]):
 def test_every_golden_on_stdout_under_hash_seed(seed):
     """The bytes the entry point writes to stdout equal every golden under
     two hash seeds: no output follows set order."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", ALL_IN_ONE, json.dumps(ALL_INVOCATIONS)],
-        capture_output=True,
-        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+    proc = child("-c", ALL_IN_ONE, json.dumps(ALL_INVOCATIONS),
+                 hash_seed=seed, text=False)
     assert proc.returncode == 0 and proc.stderr == b""
     parts = proc.stdout.split(b"\0")
     assert len(parts) == 2 * len(ALL_INVOCATIONS) + 1 and parts[-1] == b""
@@ -507,7 +498,7 @@ def test_shape_of_many_self_loops_reads_closure_from_the_tree(tmp_path):
         "system": {"vertices": ["p"], "initial": ["p"],
                    "edges": [["e%02d" % i, "p", "p"] for i in range(16)]},
         "condition": {"type": "muller", "family": [["e00"]]}}))
-    proc = run_process("shape", str(doc), timeout=60)
+    proc = run_process("shape", str(doc))
     assert (proc.returncode, proc.stderr) == (0, "")
     obj = json.loads(proc.stdout)
     assert obj["closure"] == {"union_closed": True,
@@ -545,7 +536,7 @@ def test_shape_caps_the_condition_tree(tmp_path):
                 [["c%02d" % (2 * i)], ["c%02d" % (2 * i + 1)]]
                 for i in range(n)]}}))
         return str(doc)
-    proc = run_process("shape", chain(10), timeout=60)
+    proc = run_process("shape", chain(10))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "cap exceeded: Zielonka tree exceeded cap 5000 nodes\n")
     # three pairs: a tree of 31 nodes, 6 of them leaves
@@ -964,11 +955,7 @@ def test_parser_is_built_once_on_first_use(tmp_path):
         "    assert cli.main(['stats', doc, '-o', out] + tail) == 0\n"
         "    counts.append(len(made))\n"
         "print(counts)\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, fx("sixstate.json"),
-         str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    proc = child("-c", code, fx("sixstate.json"), str(tmp_path / "out.json"))
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts[:4] == [0, 0, 0, 0] and 0 < counts[4] == counts[5]

@@ -1,9 +1,7 @@
 import gc
-import os
 import random
 import re
-import subprocess
-import sys
+import time
 
 import pytest
 
@@ -502,47 +500,6 @@ def test_deep_alternating_path_in_process():
     assert verify_parity_solution(game, sol) == []
 
 
-def test_cycle_game_40_in_subprocess():
-    """At even n every self-loop leaves the solver's board, so one frame
-    and its attractor solve the cycle; plain Zielonka, at 2x per two more
-    vertices, would take minutes at n = 40."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(acdkit.__file__))
-    code = ("from acdkit import Game, solve_parity_game, "
-            "verify_parity_solution\n"
-            "from families import cycle_game\n"
-            "game = Game(*cycle_game(40))\n"
-            "print(verify_parity_solution(game, solve_parity_game(game)))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=60, env=dict(os.environ,
-                             PYTHONPATH=os.pathsep.join([src, here])))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_odd_cycle_game_4001_in_subprocess():
-    """At odd n every self-loop wins for its owner, so the owners'
-    attractors to their loops settle every vertex and no frame runs:
-    linear in n.  Walked level by level, the odd sizes grow about 4x per
-    doubling (about 0.2 s at n = 321) and n = 4001 would take minutes."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(acdkit.__file__))
-    code = ("from acdkit import Game, solve_parity_game, "
-            "verify_parity_solution\n"
-            "from families import cycle_game\n"
-            "game = Game(*cycle_game(4001))\n"
-            "sol = solve_parity_game(game)\n"
-            "print(sol.regions == game.ts.owners, "
-            "verify_parity_solution(game, sol))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=10, env=dict(os.environ,
-                             PYTHONPATH=os.pathsep.join([src, here])))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True []\n"
-
-
 def test_lifted_cycle_game_keeps_the_cycle_regions():
     """Each w_i lies on a two-cycle with its v_i whose both edges carry
     the priority of v_i's old self-loop, and has v_i's owner, so the
@@ -557,47 +514,41 @@ def test_lifted_cycle_game_keeps_the_cycle_regions():
                    for i in range(n)), n
 
 
-def test_lifted_cycle_game_40_in_subprocess():
-    """With no self-loop left to settle, lifted/40 reaches the second
-    recursive call level after level and meets the same subgames again
-    and again: with the memo it takes about 20 ms, and solved afresh at
-    each meeting about 200 s."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(acdkit.__file__))
-    code = ("from acdkit import Game, solve_parity_game, "
-            "verify_parity_solution\n"
-            "from families import lifted_cycle_game\n"
-            "game = Game(*lifted_cycle_game(40))\n"
-            "sol = solve_parity_game(game)\n"
-            "print(set(sol.regions.values()), "
-            "verify_parity_solution(game, sol))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=10, env=dict(os.environ,
-                             PYTHONPATH=os.pathsep.join([src, here])))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{'Eve'} []\n"
+def _all_eve(game):
+    return dict.fromkeys(game.ts.vertices, "Eve")
 
 
-def test_long_path_game_in_subprocess():
-    """One run of even priorities: the path is one frame and one
-    attractor, linear in its length: solving and checking 40000
-    vertices takes under a second."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(acdkit.__file__))
-    code = ("from acdkit import Game, solve_parity_game, "
-            "verify_parity_solution\n"
-            "from families import path_game\n"
-            "game = Game(*path_game(40000))\n"
-            "sol = solve_parity_game(game)\n"
-            "print(set(sol.regions.values()), "
-            "verify_parity_solution(game, sol))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=30, env=dict(os.environ,
-                             PYTHONPATH=os.pathsep.join([src, here])))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{'Eve'} []\n"
+# (family, n, the regions it must have or None, a bound in seconds on
+# building, solving and checking the game).  At even n every self-loop of
+# the cycle leaves the solver's board, so one frame and its attractor
+# solve it; plain Zielonka, at 2x per two more vertices, would take
+# minutes at n = 40.  At odd n every self-loop wins for its owner, so the
+# owners' attractors to their loops settle every vertex and no frame runs:
+# walked level by level, the odd sizes grow about 4x per doubling and
+# n = 4001 would take minutes.  With no self-loop left to settle, lifted/40
+# reaches the second recursive call level after level and meets the same
+# subgames again and again: with the memo it takes about 20 ms, and solved
+# afresh at each meeting over 90 s on 2 cores.  The path is one run of even
+# priorities, so one frame and one attractor, linear in its length.
+FAMILY_SOLVES = [
+    (cycle_game, 40, None, 60),
+    (cycle_game, 4001, lambda game: game.ts.owners, 10),
+    (lifted_cycle_game, 40, _all_eve, 10),
+    (path_game, 40000, _all_eve, 30),
+]
+
+
+@pytest.mark.parametrize(
+    "family, n, regions, seconds", FAMILY_SOLVES,
+    ids=["cycle-40", "cycle-4001", "lifted-40", "path-40000"])
+def test_family_solves_within_its_bound(family, n, regions, seconds):
+    t0 = time.perf_counter()
+    game = Game(*family(n))
+    sol = solve_parity_game(game)
+    assert verify_parity_solution(game, sol) == []
+    assert time.perf_counter() - t0 < seconds
+    if regions is not None:
+        assert sol.regions == regions(game)
 
 
 def _ordered(sol):

@@ -10,7 +10,7 @@ from acdkit import (CapExceeded, InputError, MullerCondition, ParityCondition,
                     to_explicit_muller)
 from acdkit.core import _compressed
 from conftest import FIXTURES, cell, grid, random_acds, random_muller_system
-from oracles import loop_equivalent
+from oracles import every_vertex_loops, loop_equivalent, loop_union_flags
 
 
 def chain_parity_system():
@@ -195,35 +195,17 @@ def test_relabel_constructions_random():
 def test_shape_flags_match_loop_closure_oracle():
     # rabin flag <=> union of two rejecting loops is rejecting; the flags
     # cover every vertex, so enumerate loops of the whole graph
-    from acdkit import enumerate_reachable_loops, is_loop, loop_status_over
     rng = random.Random(43)
     checked = 0
     for _ in range(40):
         ts, cond = random_muller_system(rng, max_vertices=4, max_edges=6)
-        every = TransitionSystem(
-            ts.vertices, [(e.id, e.source, e.target) for e in ts.edges],
-            ts.vertices)
         try:
             acd = build_acd(ts, cond)
-            loops = enumerate_reachable_loops(every, cap=12)
+            loops = every_vertex_loops(ts, cap=12)
         except (InputError, CapExceeded):
             continue
         report = classify_acd(acd)
-        rabin = streett = True
-        for l1 in loops:
-            for l2 in loops:
-                if not (l1.states & l2.states):
-                    continue
-                both = l1.edges | l2.edges
-                if not is_loop(ts, both):
-                    continue
-                s1 = loop_status_over(ts, cond, l1.edges)
-                s2 = loop_status_over(ts, cond, l2.edges)
-                s = loop_status_over(ts, cond, both)
-                if not s1 and not s2 and s:
-                    rabin = False
-                if s1 and s2 and not s:
-                    streett = False
+        rabin, streett, _ = loop_union_flags(ts, cond, loops)
         assert report.rabin_acd == rabin
         assert report.streett_acd == streett
         checked += 1

@@ -3,12 +3,10 @@ and the modules importing each other down one layer order, `core` at the
 bottom and the command line at the top."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import acdkit
+from conftest import child
 
 SRC = Path(acdkit.__file__).parent
 # a module imports only modules of a lower rank
@@ -62,9 +60,7 @@ def test_import_generates_no_code_in_subprocess():
             "before = set(sys.modules)\n"
             "import acdkit, acdkit.cli\n"
             "print(sorted(set(sys.modules) - before))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
     added = set(ast.literal_eval(proc.stdout))
     assert {"acdkit", "acdkit.cli"} <= added
