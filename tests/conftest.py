@@ -49,17 +49,19 @@ def time_limit():
 
 
 # a child interpreter has the package and these tests on its path
-CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+CHILD_PATH = os.pathsep.join(
     [os.path.dirname(os.path.dirname(acdkit.__file__)),
-     os.path.dirname(os.path.abspath(__file__))]))
+     os.path.dirname(os.path.abspath(__file__))])
 
 
 def child(*argv, hash_seed=None, text=True):
-    """`python *argv` run to its end in a fresh interpreter, with
-    CHILD_ENV under the PYTHONHASHSEED `hash_seed` if one is given; the
-    completed process, its output captured."""
-    env = CHILD_ENV if hash_seed is None else \
-        dict(CHILD_ENV, PYTHONHASHSEED=hash_seed)
+    """`python *argv` run to its end in a fresh interpreter, its output
+    captured; the completed process.  The child gets the environment as
+    it is at the call, a test's own settings included, with CHILD_PATH
+    as its PYTHONPATH and `hash_seed`, if given, as its PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONPATH=CHILD_PATH)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=text, env=env)
 

@@ -273,6 +273,17 @@ def test_malformed_field_types(tmp_path, key, value):
     assert "Traceback" not in proc.stderr
 
 
+def test_child_gets_the_environment_the_test_set(monkeypatch):
+    """A variable a test sets reaches its child, so the tests below that
+    set the caps or the hash seed run the CLI under them."""
+    show = "import os; print(os.environ['ACDKIT_LOOP_CAP'], " \
+        "os.environ['PYTHONHASHSEED'])"
+    for cap, seed in (("1", "7"), ("x", "8")):
+        monkeypatch.setenv("ACDKIT_LOOP_CAP", cap)
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        assert child("-c", show).stdout.split() == [cap, seed]
+
+
 def test_caps_ignore_the_environment(monkeypatch):
     """Caps come only from their flags: variables named after them in the
     environment, valid or not, change no output and no exit code."""

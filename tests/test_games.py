@@ -529,7 +529,9 @@ def _all_eve(game):
 # reaches the second recursive call level after level and meets the same
 # subgames again and again: with the memo it takes about 20 ms, and solved
 # afresh at each meeting over 90 s on 2 cores.  The path is one run of even
-# priorities, so one frame and one attractor, linear in its length.
+# priorities, so one frame and one attractor, linear in its length.  The
+# bound is read when the solve returns: a row over it fails when it ends,
+# or at conftest's TIME_LIMIT_S.
 FAMILY_SOLVES = [
     (cycle_game, 40, None, 60),
     (cycle_game, 4001, lambda game: game.ts.owners, 10),
