@@ -91,12 +91,15 @@ class ACD:
         copy of `e.source` on the branch `leaf` along `e`: the branch step
         (`zielonka._branch_step`) into the target's restriction when `e`
         is in the source's tree, else (and from tree 0, whose one branch
-        is its root) the target's leftmost branch.  A foreign edge or node
-        is an InputError."""
+        is its root) the target's leftmost branch.  A foreign edge, or a
+        node that is not a branch of the source's subtree, is an
+        InputError."""
         if _lookup(self.ts._by_id, getattr(e, "id", None), "unknown edge %r",
                    e) not in (e,):  # by identity, else by value
             raise InputError("unknown edge %r" % (e,))
-        _lookup(self._subtrees[e.source].children_map, leaf, "unknown node %r")
+        if _lookup(self._subtrees[e.source].children_map, leaf,
+                   "unknown node %r"):
+            raise InputError("node %r is not a branch" % (leaf,))
         tree = self._forest[self.edge_index[e.id]]
         target = self._subtrees[e.target]
         if tree.index != self.vertex_index[e.source]:

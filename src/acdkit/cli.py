@@ -361,6 +361,7 @@ def main(argv=None):
     args = _read_call(argv) or build_parser().parse_args(argv)
     try:
         args.fn(args)
+        return EXIT_OK
     except PropertyFalse as e:
         print("property check failed: %s" % e, file=sys.stderr)
         return EXIT_PROPERTY_FALSE
@@ -370,7 +371,12 @@ def main(argv=None):
     except InputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return EXIT_OK
+    except MemoryError:
+        pass
+    # printed once the except block has let go of the error: the frames of
+    # its traceback still hold the structure that ran out
+    print("cap exceeded: out of memory", file=sys.stderr)
+    return EXIT_CAP_EXCEEDED
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ def test_sixstate_subtrees(sixstate):
     assert q4.tree_index == 2
     assert q4.nodes == ((), (0,), (0, 0), (1,), (1, 0))
     assert q4.branches == ((0, 0), (1, 0))
+    # q4's copies are its branches: the edge step refuses its inner nodes
+    for node in ((), (0,), (1,)):
+        with pytest.raises(InputError, match=r"is not a branch"):
+            acd.edge_step(node, ts.edge("i"))
     q5 = subtree_for_state(acd, "q5")
     assert q5.branches == ((0,), (2,))
     q0 = subtree_for_state(acd, "q0")

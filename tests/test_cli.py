@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
 import random
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -42,10 +45,18 @@ def run(tmp_path, *argv):
     return code, data
 
 
-def run_process(*argv):
-    """Run a CLI invocation through the real entry point, in a child;
-    returns the completed process, with stdout and stderr as text."""
-    return child("-m", "acdkit.cli", *argv)
+def run_main(*argv):
+    """Run a CLI invocation through `cli.main` in this process, its stdout
+    and stderr captured as text; returns them as a completed process, an
+    argparse usage error's `SystemExit` read as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(),
+                                       err.getvalue())
 
 
 ALL_INVOCATIONS = [
@@ -207,6 +218,18 @@ def test_exit_code_cap_exceeded(tmp_path, capsys):
         "states {q1,q2} with 3 edges: 2 subloops seen\n")
 
 
+def test_out_of_memory_is_a_cap_exceeded(tmp_path, monkeypatch):
+    """A command that runs out of memory exits 3 with one line on stderr
+    and writes nothing, to stdout or to `-o`."""
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(zielonka, "_zielonka_tree", exhausted)
+    proc = run_main("zielonka", fx("f1.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "cap exceeded: out of memory\n")
+    assert run(tmp_path, "zielonka", fx("f1.json")) == (3, b"")
+
+
 def test_zielonka_reads_the_condition_as_the_acd_does(tmp_path):
     # a Muller family over the edge ids of a system with explicit colours
     # (as relabel writes it): the Zielonka tree ranges over the edge ids,
@@ -267,15 +290,13 @@ def test_malformed_field_types(tmp_path, key, value):
     (doc if key == "condition" else doc["system"])[key] = value
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    proc = run_process("stats", str(path))
+    proc = run_main("stats", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
-    assert "Traceback" not in proc.stderr
 
 
 def test_child_gets_the_environment_the_test_set(monkeypatch):
-    """A variable a test sets reaches its child, so the tests below that
-    set the caps or the hash seed run the CLI under them."""
+    """A variable a test sets reaches its child."""
     show = "import os; print(os.environ['ACDKIT_LOOP_CAP'], " \
         "os.environ['PYTHONHASHSEED'])"
     for cap, seed in (("1", "7"), ("x", "8")):
@@ -291,10 +312,10 @@ def test_caps_ignore_the_environment(monkeypatch):
     for value in ("1", "x"):
         monkeypatch.setenv("ACDKIT_LOOP_CAP", value)
         monkeypatch.setenv("ACDKIT_EXPLORE_CAP", value)
-        proc = run_process("acd", six)
+        proc = run_main("acd", six)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.encode("utf-8") == golden(("acd", six))
-        assert run_process("oracle-equiv", six, six).returncode == 0
+        assert run_main("oracle-equiv", six, six).returncode == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,11 +333,11 @@ def test_cap_flags_below_one_are_input_errors(argv):
     """A cap flag is read by `int` and decided by the library's check; a
     value that either refuses is a usage error with the command line's
     own message."""
-    proc = run_process(*argv)
+    proc = run_main(*argv)
     assert proc.returncode == 2
     assert "a cap must be an integer of at least 1, got '%s'" % argv[-1] \
         in proc.stderr
-    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 ONE_EDGE = {"format": "acdkit/1",
@@ -352,7 +373,7 @@ def test_tree_of_a_muller_document_without_edges_is_refused(sub, tmp_path,
 
 
 def test_incomplete_automaton_message_names_the_least_missing_pair(
-        tmp_path, monkeypatch):
+        tmp_path):
     """State q lacks the letters b and c: the message names ('q', 'b')
     under every hash seed."""
     aut = {"format": "acdkit/1",
@@ -366,36 +387,49 @@ def test_incomplete_automaton_message_names_the_least_missing_pair(
     path.write_text(json.dumps(aut))
     stderrs = set()
     for seed in ("0", "1"):
-        monkeypatch.setenv("PYTHONHASHSEED", seed)
-        proc = run_process("compose", str(path), fx("host01.json"))
+        proc = child("-m", "acdkit.cli", "compose", str(path),
+                     fx("host01.json"), hash_seed=seed)
         assert proc.returncode == 2
         stderrs.add(proc.stderr)
     assert stderrs == {"input error: automaton not complete at state 'q', "
                        "letter 'b'\n"}
 
 
-# one interpreter runs every invocation in turn; each one's stdout is
-# followed by NUL, its exit code and NUL (JSON output holds no raw NUL)
+# one interpreter runs every invocation in turn through the code that
+# `python -m acdkit.cli` runs; each one's stdout is followed by NUL, its
+# exit code and NUL (JSON output holds no raw NUL)
 ALL_IN_ONE = """
-import json, sys
-from acdkit import cli
+import json, runpy, sys
 for argv in json.loads(sys.argv[1]):
-    code = cli.main(argv)
-    sys.stdout.write("\\0%d\\0" % code)
+    sys.argv = ["acdkit.cli", *argv]
+    code = None
+    try:
+        runpy.run_module("acdkit.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        code = e.code
+    sys.stdout.write("\\0%s\\0" % code)
 """
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
-def test_every_golden_on_stdout_under_hash_seed(seed):
-    """The bytes the entry point writes to stdout equal every golden under
-    two hash seeds: no output follows set order."""
-    proc = child("-c", ALL_IN_ONE, json.dumps(ALL_INVOCATIONS),
-                 hash_seed=seed, text=False)
+def test_every_golden_on_stdout_under_hash_seed(seed, tmp_path):
+    """The bytes the entry point writes to stdout and to `--dot` equal
+    every golden, with exit code 0, under two hash seeds: no output
+    follows set order.  Every command that takes `--dot` has a row."""
+    assert {argv[0] for argv in DOT_INVOCATIONS} == DOT_SUBCOMMANDS
+    dots = [tmp_path / ("%d.dot" % i) for i in range(len(DOT_INVOCATIONS))]
+    rows = ALL_INVOCATIONS + [(*argv, "--dot", str(dot))
+                              for argv, dot in zip(DOT_INVOCATIONS, dots)]
+    proc = child("-c", ALL_IN_ONE, json.dumps(rows), hash_seed=seed,
+                 text=False)
     assert proc.returncode == 0 and proc.stderr == b""
     parts = proc.stdout.split(b"\0")
-    assert len(parts) == 2 * len(ALL_INVOCATIONS) + 1 and parts[-1] == b""
-    for argv, out, code in zip(ALL_INVOCATIONS, parts[0::2], parts[1::2]):
+    assert len(parts) == 2 * len(rows) + 1 and parts[-1] == b""
+    for argv, out, code in zip(ALL_INVOCATIONS + DOT_INVOCATIONS,
+                               parts[0::2], parts[1::2]):
         assert (code, out) == (b"0", golden(argv)), argv
+    for argv, dot in zip(DOT_INVOCATIONS, dots):
+        assert dot.read_bytes() == golden(argv, ".dot"), argv
 
 
 # the copies of `p` in the transform of `eleven_self_loops`, one per branch
@@ -422,16 +456,16 @@ def eleven_self_loops(tmp_path):
 
 def test_equivalence_checks_past_the_loop_cap(eleven_self_loops):
     game, transformed = eleven_self_loops
-    proc = run_process("check-morphism", transformed, "--against", game)
+    proc = run_main("check-morphism", transformed, "--against", game)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["acceptance_preserving"] is True
-    proc = run_process("oracle-equiv", transformed, transformed)
+    proc = run_main("oracle-equiv", transformed, transformed)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {"equivalent": True}
     # a loop cap that is set still refuses the SCC
     for argv in (["check-morphism", transformed, "--against", game],
                  ["oracle-equiv", transformed, transformed]):
-        proc = run_process(*argv, "--loop-cap", "20")
+        proc = run_main(*argv, "--loop-cap", "20")
         assert proc.returncode == 3
         assert proc.stderr == "cap exceeded: SCC {%s} has 121 edges, above " \
             "the loop cap 20\n" % TRANSFORM_STATES
@@ -441,19 +475,12 @@ def test_explore_cap_reaches_equivalence_checks(eleven_self_loops):
     game, transformed = eleven_self_loops
     for argv in (["check-morphism", transformed, "--against", game],
                  ["oracle-equiv", transformed, transformed]):
-        proc = run_process(*argv, "--explore-cap", "1")
+        proc = run_main(*argv, "--explore-cap", "1")
         assert proc.returncode == 3
         assert proc.stderr == (
             "cap exceeded: subloop exploration exceeded cap 1 in the loop "
             "on states {%s} with 121 edges: 2 subloops seen\n"
             % TRANSFORM_STATES)
-
-
-def test_dot_outputs(tmp_path):
-    dot = tmp_path / "g.dot"
-    for argv in DOT_INVOCATIONS:
-        assert run(tmp_path, *argv, "--dot", str(dot)) == (0, golden(argv))
-        assert dot.read_bytes() == golden(argv, ".dot"), argv
 
 
 def test_solve_outputs(tmp_path):
@@ -474,9 +501,8 @@ def test_solve_deep_path_game(tmp_path):
     ts, cond = path_game(1500)
     path = tmp_path / "path.json"
     path.write_text(docfmt.serialize(docfmt.Document(ts, cond)))
-    proc = run_process("solve", str(path))
+    proc = run_main("solve", str(path))
     assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["regions"] == {
         "Eve": sorted(ts.vertices), "Adam": []}
 
@@ -509,7 +535,7 @@ def test_shape_of_many_self_loops_reads_closure_from_the_tree(tmp_path):
         "system": {"vertices": ["p"], "initial": ["p"],
                    "edges": [["e%02d" % i, "p", "p"] for i in range(16)]},
         "condition": {"type": "muller", "family": [["e00"]]}}))
-    proc = run_process("shape", str(doc))
+    proc = run_main("shape", str(doc))
     assert (proc.returncode, proc.stderr) == (0, "")
     obj = json.loads(proc.stdout)
     assert obj["closure"] == {"union_closed": True,
@@ -547,7 +573,7 @@ def test_shape_caps_the_condition_tree(tmp_path):
                 [["c%02d" % (2 * i)], ["c%02d" % (2 * i + 1)]]
                 for i in range(n)]}}))
         return str(doc)
-    proc = run_process("shape", chain(10))
+    proc = run_main("shape", chain(10))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "cap exceeded: Zielonka tree exceeded cap 5000 nodes\n")
     # three pairs: a tree of 31 nodes, 6 of them leaves
@@ -613,7 +639,7 @@ def test_edge_ids_without_over_are_an_input_error(tmp_path):
         "condition": {"type": "parity", "priorities": {"x": 0, "y": 1}}}))
     for argv in (["acd"], ["solve"], ["compress"], ["relabel", "--target",
                                                    "parity"]):
-        proc = run_process(*argv, str(doc))
+        proc = run_main(*argv, str(doc))
         assert proc.returncode == 2
         assert proc.stderr == "input error: condition references unknown " \
             "colour 'x'\n"
@@ -627,7 +653,7 @@ def test_compress_validates_its_input(tmp_path, priorities):
     obj["condition"]["priorities"] = priorities
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(obj))
-    proc = run_process("compress", str(doc))
+    proc = run_main("compress", str(doc))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
 
@@ -696,10 +722,9 @@ def test_partial_owners_and_letters_fail_every_subcommand(
     doc = _partial_document(tmp_path, block, value)
     for sub, words in READING_INPUTS.items():
         argv = [sub] + [doc if w.endswith(".json") else w for w in words]
-        proc = run_process(*argv)
+        proc = run_main(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr == "input error: %s\n" % message, argv
-        assert "Traceback" not in proc.stderr
 
 
 def _valid_argvs():
@@ -716,10 +741,9 @@ def test_unwritable_output_paths_are_input_errors(tmp_path):
     runs += [argvs[sub] + ["-o", str(tmp_path / "out.json"), "--dot", missing]
              for sub in sorted(DOT_SUBCOMMANDS)]
     for argv in runs:
-        proc = run_process(*argv)
+        proc = run_main(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("input error: cannot write "), argv
-        assert "Traceback" not in proc.stderr
 
 
 def test_unwritable_dot_path_leaves_no_output(tmp_path, capsys):
@@ -829,10 +853,9 @@ def test_unreadable_documents_are_input_errors(tmp_path, what):
     doc.write_bytes(BAD_TEXTS[what])
     out = tmp_path / "out.json"
     for argv in (["stats", str(doc)], ["transform", str(doc), "-o", str(out)]):
-        proc = run_process(*argv)
+        proc = run_main(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("input error: "), argv
-        assert "Traceback" not in proc.stderr
         assert proc.stdout == "" and not out.exists(), argv
 
 
@@ -880,7 +903,6 @@ def test_dot_is_rendered_only_with_the_flag(tmp_path, monkeypatch):
         real = getattr(docfmt, name)
         monkeypatch.setattr(docfmt, name, lambda *a, real=real, name=name:
                             calls.append(name) or real(*a))
-    assert {a[0] for a in DOT_INVOCATIONS} == DOT_SUBCOMMANDS
     dot = tmp_path / "out.dot"
     for argv in DOT_INVOCATIONS:
         assert run(tmp_path, *argv)[0] == 0
