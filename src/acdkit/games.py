@@ -97,14 +97,15 @@ def _solve_parity_game(game):
     The decomposition runs on an explicit stack of frames, one generator
     per subgame, so the size of the game is not limited by Python's
     recursion depth.  The board is the system's own vertices, with the
-    priorities on the edges; its edge lists are built once per game and
-    shared by every subgame.  An edge's level is its priority compressed
-    by `core._compressed`, one value per run of one parity, and a level's
-    player is `PLAYERS[level % 2]`.  A subgame is a bytearray of alive
-    vertex marks and a floor: its edges join alive vertices and have a
-    level of at least the floor.  The self-loops are settled first, in
-    ascending edge index, Eve's before Adam's; the frames solve the rest,
-    and none runs when nothing is left.
+    priorities on the edges: it reads each edge's endpoints as the vertex
+    numbers the system keeps (`_src`, `_tgt`), and its edge lists are
+    built once per game and shared by every subgame.  An edge's level is
+    its priority compressed by `core._compressed`, one value per run of
+    one parity, and a level's player is `PLAYERS[level % 2]`.  A subgame
+    is a bytearray of alive vertex marks and a floor: its edges join alive
+    vertices and have a level of at least the floor.  The self-loops are
+    settled first, in ascending edge index, Eve's before Adam's; the
+    frames solve the rest, and none runs when nothing is left.
 
     A frame takes the lowest level d with an edge in its subgame, then
     each level d + 2, d + 4, ... while the level below it has none: the
@@ -121,13 +122,11 @@ def _solve_parity_game(game):
     regions and writes them back on every reuse.  The output reads the
     move of each vertex its winner owns, in vertex order."""
     ts = game.ts
-    # the board: vertices and edges numbered in the system's own order,
-    # vertices sorted and edges by id; an edge has its source, target and
-    # priority level, a vertex its out-edges and in-edges, each ascending
-    edges, vertices = ts.edges, ts.vertices
-    vnode = {v: i for i, v in enumerate(vertices)}
-    src = [vnode[e.source] for e in edges]
-    tgt = [vnode[e.target] for e in edges]
+    # the board: the system's own numbering, vertices sorted and edges by
+    # id, made once when the system was built; an edge has its source,
+    # target and priority level, a vertex its out-edges and in-edges, each
+    # ascending
+    edges, vertices, src, tgt = ts.edges, ts.vertices, ts._src, ts._tgt
     # the priority map names exactly the edges' keys (`Game` checked it),
     # and `_by_id` holds the edge ids in the order of `edges`
     prio = game.condition.priorities

@@ -14,7 +14,7 @@ from acdkit import (BuchiCondition, CoBuchiCondition, MullerCondition,
 from acdkit.core import _over
 from families import (  # noqa: F401  (re-exported)
     alternating_path_game, cycle_game, even_muller, lifted_cycle_game,
-    nested_pairs, parity_chain, path_game)
+    nested_pairs, parity_chain, path_game, small_parity_games)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -4,8 +4,9 @@ installed."""
 
 import itertools
 
-from acdkit import (MullerCondition, ParityCondition, RabinCondition,
+from acdkit import (Game, MullerCondition, ParityCondition, RabinCondition,
                     StreettCondition, TransitionSystem)
+from acdkit.core import PLAYERS
 
 
 def cycle_game(n):
@@ -98,3 +99,55 @@ def nested_pairs(n, kind):
     cls = RabinCondition if kind == "rabin" else StreettCondition
     return (TransitionSystem(["v"], [(c, "v", "v") for c in colours], ["v"]),
             cls(({colours[2 * i]}, colours[:2 * i]) for i in range(n)))
+
+
+def small_systems(max_vertices, max_edges):
+    """Every system of at most `max_vertices` vertices v0, v1, ... and at
+    most `max_edges` edges in which each vertex has an out-edge, once up
+    to renaming the vertices other than v0, the initial vertex, and the
+    edges: the sorted tuple of its edges' (source, target) numbers, and
+    the renamings that map it onto itself, the identity first.  A
+    renaming is a tuple, the new number of each vertex."""
+    for n in range(1, max_vertices + 1):
+        renamings = [(0,) + p for p in itertools.permutations(range(1, n))]
+        pairs = list(itertools.product(range(n), repeat=2))
+        for m in range(n, max_edges + 1):
+            for edges in itertools.combinations_with_replacement(pairs, m):
+                if len({s for s, _ in edges}) < n:
+                    continue
+                images = [tuple(sorted((r[s], r[t]) for s, t in edges))
+                          for r in renamings]
+                if min(images) == edges:
+                    yield edges, [r for r, image in zip(renamings, images)
+                                  if image == edges]
+
+
+def small_parity_games(max_vertices, max_edges, priorities):
+    """Every parity game on a system of `small_systems`, under each owner
+    map and each map of its edges e0, e1, ... into `priorities`, once up
+    to renaming: a game is left out when a renaming that maps its system
+    onto itself, or a swap of parallel edges, gives a smaller (edges with
+    their priorities, owners) key."""
+    for edges, renamings in small_systems(max_vertices, max_edges):
+        n = 1 + max(s for s, _ in edges)
+        vs = ["v%d" % i for i in range(n)]
+        ids = ["e%d" % i for i in range(len(edges))]
+        triples = [(e, vs[s], vs[t]) for e, (s, t) in zip(ids, edges)]
+        for owners in itertools.product(PLAYERS, repeat=n):
+            ts = TransitionSystem(vs, triples, ["v0"],
+                                  owners=dict(zip(vs, owners)))
+            for prios in itertools.product(priorities, repeat=len(edges)):
+                key = list(zip(edges, prios)), owners
+                if all(key <= _renamed(key, r) for r in renamings):
+                    yield Game(ts, ParityCondition(dict(zip(ids, prios))))
+
+
+def _renamed(key, renaming):
+    """The (edges with priorities, owners) key of a game, its vertices
+    renamed, its edges sorted."""
+    edges, owners = key
+    renamed = [None] * len(owners)
+    for v, owner in enumerate(owners):
+        renamed[renaming[v]] = owner
+    return (sorted(((renaming[s], renaming[t]), d) for (s, t), d in edges),
+            tuple(renamed))

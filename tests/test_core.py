@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import random
 
@@ -7,8 +8,8 @@ import pytest
 from acdkit import (Automaton, BuchiCondition, CapExceeded, CoBuchiCondition,
                     Game, InputError, Morphism, MullerCondition,
                     ParityCondition, RabinCondition, Run, StreettCondition,
-                    TransitionSystem,
-                    accessible_x_scc, build_zielonka_tree, build_zt_automaton,
+                    TransitionSystem, accessible_x_scc, acd_transform,
+                    build_zielonka_tree, build_zt_automaton,
                     check_local, check_structural, compose, docfmt,
                     enumerate_reachable_loops, equivalent_over, lift_run,
                     loop_status, loop_status_over, to_explicit_muller,
@@ -16,7 +17,8 @@ from acdkit import (Automaton, BuchiCondition, CapExceeded, CoBuchiCondition,
 from acdkit.core import (_TRIM_ABOVE, Edge, _components, _reach,
                          _tarjan_marks)
 from conftest import (CONDITION_KINDS, cell, grid, random_condition,
-                      random_system, sampled_cases, under_hash_seeds)
+                      random_system, recoloured, sampled_cases,
+                      under_hash_seeds)
 from oracles import grouped_components, kosaraju_components, loop_equivalent
 
 
@@ -107,6 +109,43 @@ def test_validate_initial_and_colours():
 def test_muller_rejects_empty_set():
     with pytest.raises(InputError):
         MullerCondition([set()])
+
+
+def _assert_numbered(ts):
+    """`_src` and `_tgt` name each edge's endpoints by their places in
+    `vertices`, in `edges` order."""
+    assert len(ts._src) == len(ts._tgt) == len(ts.edges)
+    for i, e in enumerate(ts.edges):
+        assert ts.vertices[ts._src[i]] == e.source
+        assert ts.vertices[ts._tgt[i]] == e.target
+
+
+def test_a_system_numbers_its_edges_endpoints():
+    """On random systems, on systems rebuilt from another system's `Edge`
+    objects, recoloured or with one more vertex placed first, so that the
+    shared edges' numbers all move, and on the systems that
+    `acd_transform` and `compose` lift.  Edges given as `Edge` objects,
+    triples or both read the same."""
+    rng = random.Random(61)
+    for _ in range(150):
+        ts = random_system(rng, with_owners=True)
+        _assert_numbered(ts)
+        _assert_numbered(recoloured(rng, ts, "ab"))
+        shifted = TransitionSystem(("a",) + ts.vertices, ts.edges, ts.initial)
+        assert all(map(operator.is_, shifted.edges, ts.edges))
+        assert shifted._src == [s + 1 for s in ts._src]
+        assert shifted._tgt == [t + 1 for t in ts._tgt]
+        _assert_numbered(shifted)
+        mixed = TransitionSystem(
+            ts.vertices, [(e.id, e.source, e.target) for e in ts.edges[1:]]
+            + list(ts.edges[:1]), ts.initial)
+        assert (mixed.edges, mixed._src, mixed._tgt) == \
+            (ts.edges, ts._src, ts._tgt)
+        cond = random_condition(rng, "muller", ts.colour_set())
+        _assert_numbered(acd_transform(ts, cond).system)
+        zt = build_zt_automaton(build_zielonka_tree(cond.family,
+                                                    ts.colour_set()))
+        _assert_numbered(compose(zt.automaton, ts, cond).system)
 
 
 def test_constructor_referential_integrity():

@@ -14,7 +14,8 @@ from acdkit.core import (_TRIM_ABOVE, _components, _compressed, _over,
 from acdkit.games import ParitySolution
 from conftest import (FIXTURES, alternating_path_game, count_readings,
                       cycle_game, lifted_cycle_game, path_game,
-                      random_muller_system, random_system)
+                      random_muller_system, random_system,
+                      small_parity_games)
 from oracles import (brute_force_parity_regions, naive_certificate_problems,
                      set_based_parity_solution)
 
@@ -317,6 +318,35 @@ def test_odd_least_priorities_match_every_oracle():
             all_odd += all(p % 2 for p in prios.values())
             odd_least += min(prios.values()) % 2
     assert all_odd >= 150 and odd_least >= 250, (all_odd, odd_least)
+
+
+# Bounded-exhaustive scopes: (vertices, edges, priorities, games), at most.
+# Together they take about 4 s (2 cores, CPython 3.11); every game on 3
+# vertices and 4 edges under priorities {0, 1, 2} is 52,544 games, 7 s.
+SMALL_GAME_SCOPES = [(3, 4, (1, 2), 11472), (2, 5, (0, 1, 2), 21170)]
+
+
+@pytest.mark.parametrize("vertices, edges, priorities, games",
+                         SMALL_GAME_SCOPES, ids=["3v-4e-p12", "2v-5e-p012"])
+def test_every_small_parity_game_matches_brute_force(vertices, edges,
+                                                     priorities, games):
+    """Every parity game of the scope, once up to renaming
+    (`families.small_parity_games`): the regions are the brute force's
+    and the certificate check finds no problem.  Each scope meets every
+    least priority it allows, an odd one among them."""
+    least = set()
+    count = 0
+    for game in small_parity_games(vertices, edges, priorities):
+        ts, prio = game.ts, game.condition.priorities
+        sol = solve_parity_game(game)
+        witness = ts.edges, ts.owners, prio
+        assert sol.regions == brute_force_parity_regions(
+            ts, ts.owners, lambda e: prio[e.id]), witness
+        assert verify_parity_solution(game, sol) == [], witness
+        least.add(min(prio.values()))
+        count += 1
+    assert count == games
+    assert least == set(priorities)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
